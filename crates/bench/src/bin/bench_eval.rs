@@ -16,11 +16,14 @@
 //! gate-able verify numbers.
 //!
 //! The `tran_*` rows measure the clocked transient sign-off leg on the
-//! deterministic all-telescopic 4-3-2 chain: raw adaptive timestep
-//! throughput (`tran_step`, steps/s), full four-period ±δ sign-off
-//! evaluations (`tran_chain_settle`), and the step-count ratio of the
-//! fixed-step oracle at the adaptive run's own minimum dt
-//! (`tran_adaptive_vs_fixed_steps` — deterministic, gated two-sided).
+//! deterministic all-telescopic 4-3-2 chain: adaptive timestep throughput
+//! (`tran_step` — wall-clock steps/s of one sign-off, both ±δ legs'
+//! steps over the elapsed time while the legs run concurrently, so it
+//! counts the two legs' parallelism, not one core's stepping rate), full
+//! four-period ±δ sign-off evaluations (`tran_chain_settle`), and the
+//! step-count ratio of the fixed-step oracle at the adaptive run's own
+//! minimum dt (`tran_adaptive_vs_fixed_steps` — deterministic, gated
+//! two-sided).
 //!
 //! The `multi_res_flow_*` rows measure the 10/11/12/13-bit flow end to
 //! end: `multi_res_flow_waves` runs the retained PR-2 wave-barrier
@@ -398,8 +401,9 @@ fn main() {
 
     // Clocked transient sign-off of the all-telescopic 4-3-2 chain (the
     // deterministic sign-off fixture of `tests/pipeline_chain.rs`):
-    // `tran_step` is raw adaptive timestep throughput through the sparse
-    // workspace, `tran_chain_settle` full 4-period ±δ sign-off
+    // `tran_step` is wall-clock adaptive timestep throughput through the
+    // sparse workspaces of both concurrent legs, `tran_chain_settle` full
+    // 4-period ±δ sign-off
     // evaluations/s, and `tran_adaptive_vs_fixed_steps` the step-count
     // ratio of the fixed-step oracle at the adaptive run's own minimum dt
     // (deterministic — gated two-sided like the verify numbers).

@@ -10,7 +10,10 @@
 //!
 //! Layers that host a site call [`check`] with their site constant; the
 //! flow executor wraps each block attempt in [`with_scope`] so per-scope
-//! occurrence counters are incremented single-threaded. When the feature is
+//! occurrence counters are incremented single-threaded. Work handed to a
+//! helper thread carries its caller's stack along ([`scope_stack`] →
+//! [`with_scope_stack`]) and runs under a scope of its own, as the two
+//! transient sign-off legs do (`…/tran+`, `…/tran-`). When the feature is
 //! off this module is absent and call sites compile to nothing.
 
 use std::cell::RefCell;
@@ -157,6 +160,29 @@ pub fn with_scope<T>(scope: &str, f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// This thread's scope stack, outermost first — captured by a caller that
+/// hands work to another thread, which re-enters it with
+/// [`with_scope_stack`].
+pub fn scope_stack() -> Vec<String> {
+    SCOPE.with(|s| s.borrow().clone())
+}
+
+/// Runs `f` with this thread's scope stack replaced by `stack` (restored
+/// afterwards, also on unwind), so work moved onto a helper thread checks
+/// its sites under the scope it was spawned from.
+pub fn with_scope_stack<T>(stack: &[String], f: impl FnOnce() -> T) -> T {
+    let saved = SCOPE.with(|s| std::mem::replace(&mut *s.borrow_mut(), stack.to_vec()));
+    struct Restore(Vec<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let saved = std::mem::take(&mut self.0);
+            SCOPE.with(|s| *s.borrow_mut() = saved);
+        }
+    }
+    let _restore = Restore(saved);
+    f()
+}
+
 fn current_scope() -> String {
     SCOPE.with(|s| s.borrow().join("/"))
 }
@@ -256,6 +282,28 @@ mod tests {
             with_scope("inner", || check(SITE_SYNTH_EXECUTE))
         });
         assert_eq!(nested, Some(FaultAction::Panic));
+        clear();
+    }
+
+    #[test]
+    fn scope_stack_carries_into_another_thread() {
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        install(FaultPlan::single(
+            4,
+            FaultRule::first(SITE_TRAN_SOLVE, "outer/leg", FaultAction::Timeout),
+        ));
+        let stack = with_scope("outer", scope_stack);
+        assert_eq!(stack, ["outer"]);
+        let hit = std::thread::scope(|s| {
+            s.spawn(|| {
+                let hit = with_scope_stack(&stack, || with_scope("leg", || check(SITE_TRAN_SOLVE)));
+                assert!(scope_stack().is_empty(), "stack restored after the call");
+                hit
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(hit, Some(FaultAction::Timeout));
         clear();
     }
 }

@@ -498,3 +498,90 @@ proptest! {
         assert_bits_eq(&dets, &serial_det)?;
     }
 }
+
+/// Random MNA-shaped sparsity pattern of dimension `n` drawn from `seed`:
+/// node rows with conductance diagonals, a ladder of couplings plus random
+/// symmetric (conductance) and one-sided (controlled-source) couplings,
+/// and branch rows with ±1 incidences and structurally zero diagonals.
+/// With `singular`, the pattern is made structurally singular: a row or a
+/// column is emptied, or two rows are reduced to the same single column.
+fn random_mna_pattern(n: usize, seed: u64, singular: bool) -> Vec<(usize, usize)> {
+    let mut state = seed | 1;
+    let mut next = move |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let branches = if n > 2 { next(n / 4 + 1) } else { 0 };
+    let nodes = n - branches;
+    let mut entries: Vec<(usize, usize)> = (0..nodes).map(|i| (i, i)).collect();
+    for i in 1..nodes {
+        if next(4) != 0 {
+            entries.extend([(i - 1, i), (i, i - 1)]);
+        }
+    }
+    for _ in 0..next(nodes + 1) {
+        let (a, b) = (next(nodes), next(nodes));
+        entries.extend([(a, b), (b, a)]);
+    }
+    for _ in 0..next(nodes / 2 + 1) {
+        entries.push((next(nodes), next(nodes)));
+    }
+    for br in nodes..n {
+        for _ in 0..1 + next(2) {
+            let node = next(nodes);
+            entries.extend([(node, br), (br, node)]);
+        }
+    }
+    if singular {
+        let (a, b) = (next(n), next(n));
+        match next(3) {
+            0 => entries.retain(|&(r, _)| r != a),
+            1 => entries.retain(|&(_, c)| c != a),
+            _ => {
+                // n ≥ 2 here, so the offset 1..n keeps r2 ≠ r1.
+                let (r1, r2) = (a, (a + 1 + b % (n - 1)) % n);
+                entries.retain(|&(r, _)| r != r1 && r != r2);
+                entries.extend([(r1, b), (r2, b)]);
+            }
+        }
+    }
+    entries
+}
+
+proptest! {
+    /// The bitset Markowitz analysis reproduces the dense oracle on every
+    /// field — both permutations, the determinant sign, the filled factor
+    /// pattern (`f_row_ptr`/`f_col`/`f_diag`), the input scatter map and
+    /// the elimination schedule — on random MNA-shaped patterns of
+    /// dimension 1–200, and fails structurally singular ones at the same
+    /// elimination step.
+    #[test]
+    fn bitset_analysis_matches_dense_oracle(
+        n in 1usize..=200,
+        seed in 0u64..u64::MAX,
+        singular in proptest::bool::ANY,
+    ) {
+        use adc_numerics::sparse::{CsrPattern, Symbolic};
+        let singular = singular && n > 1;
+        let (pat, _) = CsrPattern::from_entries(n, &random_mna_pattern(n, seed, singular));
+        match (Symbolic::analyze(&pat), Symbolic::analyze_reference(&pat)) {
+            // `Symbolic: PartialEq` compares every field; the sign is ±1.0
+            // exactly, so `==` on it is a bit comparison.
+            (Ok(fast), Ok(oracle)) => prop_assert!(*fast == *oracle, "n {} seed {}", n, seed),
+            (Err(fast), Err(oracle)) => prop_assert_eq!(fast, oracle),
+            (fast, oracle) => prop_assert!(
+                false,
+                "n {} seed {}: bitset {:?} vs dense {:?}",
+                n,
+                seed,
+                fast.map(|s| s.factor_nnz()),
+                oracle.map(|s| s.factor_nnz())
+            ),
+        }
+        if singular {
+            prop_assert!(Symbolic::analyze(&pat).is_err(), "n {} seed {}", n, seed);
+        }
+    }
+}

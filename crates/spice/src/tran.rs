@@ -165,6 +165,15 @@ pub struct TranOptions {
     /// [`SpiceError::Timeout`]; the default is unlimited and costs
     /// nothing.
     pub deadline: Deadline,
+    /// The nodes the caller will read from the [`TranResult`]. Empty
+    /// records every node (ground included); otherwise each accepted
+    /// sample stores only these nodes' voltages, and reading any other
+    /// node from the result panics. Recording never feeds back into the
+    /// simulation, so a probed column is bit-identical to the same column
+    /// of a full record — the option only decides what the sample store
+    /// keeps (a chain sign-off reads its 2–6 stage outputs out of ~130
+    /// nodes).
+    pub probes: Vec<NodeId>,
 }
 
 impl Default for TranOptions {
@@ -177,6 +186,7 @@ impl Default for TranOptions {
             max_iter: 60,
             vtol: 1e-9,
             deadline: Deadline::none(),
+            probes: Vec::new(),
         }
     }
 }
@@ -196,18 +206,72 @@ pub struct TranStats {
     pub sparse: bool,
 }
 
-/// Transient simulation result: a flat sample store (one row of node
-/// voltages per accepted time point, ground included at index 0).
+/// Transient simulation result: a flat sample store (one row per accepted
+/// time point, holding every node's voltage with ground at index 0, or
+/// only the probed nodes' voltages — see [`TranOptions::probes`]).
 #[derive(Debug, Clone)]
 pub struct TranResult {
     times: Vec<f64>,
     node_count: usize,
-    /// Row-major samples, `times.len() × node_count`.
+    /// Recorded nodes, in column order; empty when every node is recorded.
+    probes: Vec<NodeId>,
+    /// Row-major samples, `times.len() × width()`.
     data: Vec<f64>,
     stats: TranStats,
 }
 
 impl TranResult {
+    /// An empty store recording `probes` (every node when empty) of a
+    /// circuit with `node_count` nodes, with room for `samples` rows.
+    ///
+    /// # Errors
+    /// [`SpiceError::BadNetlist`] if a probe is not a node of the circuit.
+    fn new(
+        node_count: usize,
+        probes: &[NodeId],
+        samples: usize,
+        stats: TranStats,
+    ) -> SpiceResult<TranResult> {
+        if let Some(p) = probes.iter().find(|p| p.index() >= node_count) {
+            return Err(SpiceError::BadNetlist(format!(
+                "probe node {} outside the circuit's {node_count} nodes",
+                p.index()
+            )));
+        }
+        let mut out = TranResult {
+            times: Vec::with_capacity(samples),
+            node_count,
+            probes: probes.to_vec(),
+            data: Vec::new(),
+            stats,
+        };
+        out.data.reserve(samples * out.width());
+        Ok(out)
+    }
+
+    /// Values stored per sample.
+    fn width(&self) -> usize {
+        if self.probes.is_empty() {
+            self.node_count
+        } else {
+            self.probes.len()
+        }
+    }
+
+    /// Column of `node` in a sample row.
+    ///
+    /// # Panics
+    /// Panics if the run probed a node set that excludes `node`.
+    fn column(&self, node: NodeId) -> usize {
+        if self.probes.is_empty() {
+            return node.index();
+        }
+        self.probes
+            .iter()
+            .position(|&p| p == node)
+            .unwrap_or_else(|| panic!("node {} was not probed", node.index()))
+    }
+
     /// Time axis, s.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -215,14 +279,15 @@ impl TranResult {
 
     /// Waveform of one node.
     pub fn waveform(&self, node: NodeId) -> Vec<f64> {
+        let (col, width) = (self.column(node), self.width());
         (0..self.times.len())
-            .map(|k| self.data[k * self.node_count + node.index()])
+            .map(|k| self.data[k * width + col])
             .collect()
     }
 
     /// Node voltage at sample `k`.
     pub fn voltage_at(&self, node: NodeId, k: usize) -> f64 {
-        self.data[k * self.node_count + node.index()]
+        self.data[k * self.width() + self.column(node)]
     }
 
     /// Final node voltage.
@@ -289,8 +354,16 @@ impl TranResult {
 
     fn push_sample(&mut self, t: f64, x: &[f64]) {
         self.times.push(t);
-        self.data.push(0.0); // ground
-        self.data.extend_from_slice(&x[..self.node_count - 1]);
+        if self.probes.is_empty() {
+            self.data.push(0.0); // ground
+            self.data.extend_from_slice(&x[..self.node_count - 1]);
+        } else {
+            for p in &self.probes {
+                // Node i is unknown i − 1; ground is not an unknown.
+                self.data
+                    .push(p.index().checked_sub(1).map_or(0.0, |r| x[r]));
+            }
+        }
     }
 }
 
@@ -1139,15 +1212,15 @@ impl TranWorkspace {
     fn run_fixed(&mut self, circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResult> {
         self.prepare(circuit, &opts.ic)?;
         let n_steps = (opts.tstop / opts.dt).round() as usize;
-        let mut out = TranResult {
-            times: Vec::with_capacity(n_steps + 1),
-            node_count: self.map.node_count(),
-            data: Vec::with_capacity((n_steps + 1) * self.map.node_count()),
-            stats: TranStats {
+        let mut out = TranResult::new(
+            self.map.node_count(),
+            &opts.probes,
+            n_steps + 1,
+            TranStats {
                 sparse: self.is_sparse(),
                 ..TranStats::default()
             },
-        };
+        )?;
         out.push_sample(0.0, &self.x);
         self.set_dt(opts.dt);
         for step in 1..=n_steps {
@@ -1191,16 +1264,16 @@ impl TranWorkspace {
         let dim = self.map.dim();
         let nv = self.map.node_count() - 1;
         let mut state = TimeStepState::new(cfg, dim);
-        let mut out = TranResult {
-            times: Vec::new(),
-            node_count: self.map.node_count(),
-            data: Vec::new(),
-            stats: TranStats {
+        let mut out = TranResult::new(
+            self.map.node_count(),
+            &opts.probes,
+            0,
+            TranStats {
                 sparse: self.is_sparse(),
                 min_dt: f64::INFINITY,
                 ..TranStats::default()
             },
-        };
+        )?;
         out.push_sample(0.0, &self.x);
         state.push_accepted(0.0, &self.x);
         let teps = opts.tstop * 1e-12;
@@ -1441,15 +1514,15 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
         })
         .collect();
 
-    let mut out = TranResult {
-        times: Vec::with_capacity(n_steps + 1),
-        node_count: map.node_count(),
-        data: Vec::with_capacity((n_steps + 1) * map.node_count()),
-        stats: TranStats {
+    let mut out = TranResult::new(
+        map.node_count(),
+        &opts.probes,
+        n_steps + 1,
+        TranStats {
             min_dt: if n_steps > 0 { opts.dt } else { 0.0 },
             ..TranStats::default()
         },
-    };
+    )?;
     out.push_sample(0.0, &x);
 
     let mut jac = Matrix::zeros(dim, dim);
@@ -1958,6 +2031,38 @@ mod tests {
         assert!(matches!(err, SpiceError::BadNetlist(_)), "{err}");
     }
 
+    #[test]
+    fn probes_outside_circuit_rejected_and_unprobed_reads_panic() {
+        let (c, out) = rc_fixture();
+        let opts = TranOptions {
+            tstop: 1e-7,
+            dt: 1e-8,
+            probes: vec![NodeId::from_index(3)],
+            ..Default::default()
+        };
+        let err = transient(&c, &opts).unwrap_err();
+        assert!(matches!(err, SpiceError::BadNetlist(_)), "{err}");
+        let mut ws = TranWorkspace::new(&c).unwrap();
+        let err = transient_with(&mut ws, &c, &opts).unwrap_err();
+        assert!(err.to_string().contains("probe node 3"), "{err}");
+        let err = transient_adaptive(&mut ws, &c, &opts, &TimeStepConfig::default()).unwrap_err();
+        assert!(matches!(err, SpiceError::BadNetlist(_)), "{err}");
+
+        let probed = transient_with(
+            &mut ws,
+            &c,
+            &TranOptions {
+                probes: vec![out],
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(probed.waveform(out).len(), probed.len());
+        let vin = c.find_node("in").unwrap();
+        let unprobed = std::panic::catch_unwind(|| probed.voltage_at(vin, 0));
+        assert!(unprobed.is_err(), "reading an unprobed node must panic");
+    }
+
     fn rc_fixture() -> (Circuit, NodeId) {
         let mut c = Circuit::new();
         let vin = c.node("in");
@@ -2103,6 +2208,7 @@ mod tests {
         let r = TranResult {
             times: vec![0.0, 1.0, 3.0],
             node_count: 2,
+            probes: Vec::new(),
             data: vec![0.0, 0.0, 0.0, 2.0, 0.0, 6.0],
             stats: TranStats::default(),
         };

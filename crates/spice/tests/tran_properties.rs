@@ -1,6 +1,7 @@
 //! Property-based tests on the transient engines: the adaptive stepper
-//! against the fixed-step oracle, workspace-reuse determinism, and
-//! sparse-vs-dense agreement on randomized OTA netlists.
+//! against the fixed-step oracle, workspace-reuse determinism,
+//! sparse-vs-dense agreement on randomized OTA netlists, and probe-only
+//! recording against the full record.
 
 use adc_spice::netlist::{Circuit, ClockPhase, NodeId};
 use adc_spice::process::Process;
@@ -218,6 +219,64 @@ proptest! {
             prop_assert!(ra.times()[k] == rb.times()[k], "time axis diverged at {k}");
             let (a, b) = (ra.voltage_at(out, k), rb.voltage_at(out, k));
             prop_assert!((a - b).abs() < 1e-6, "adaptive k={k}: dense {a} vs sparse {b}");
+        }
+    }
+
+    /// Recording only probed nodes changes what the result stores, never
+    /// what is simulated: every probed column is `to_bits()`-equal to the
+    /// same column of a full record, with the same time axis and counters,
+    /// fixed-step and adaptive, on both engines (and the dense oracle).
+    #[test]
+    fn probed_columns_match_full_record_bitwise(
+        w in 5.0f64..80.0,
+        rd in 2.0f64..40.0,
+        cl in 0.2f64..4.0,
+        reverse in proptest::bool::ANY,
+    ) {
+        let (c, out) = ota_fixture(w, rd, cl);
+        let d = c.find_node("d").unwrap();
+        let mut probes = vec![out, Circuit::GROUND, d];
+        if reverse {
+            probes.reverse();
+        }
+        let clk = Clock { freq: 5e6, nonoverlap: 4e-9 };
+        let full_opts = TranOptions {
+            tstop: 400e-9,
+            dt: 0.5e-9,
+            clock: Some(clk),
+            ..Default::default()
+        };
+        let probe_opts = TranOptions { probes: probes.clone(), ..full_opts.clone() };
+        let cfg = TimeStepConfig::for_clock(&clk);
+        let mut runs = vec![(
+            "oracle",
+            transient(&c, &full_opts).unwrap(),
+            transient(&c, &probe_opts).unwrap(),
+        )];
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let mut ws = TranWorkspace::with_solver(&c, choice).unwrap();
+            runs.push((
+                "fixed",
+                transient_with(&mut ws, &c, &full_opts).unwrap(),
+                transient_with(&mut ws, &c, &probe_opts).unwrap(),
+            ));
+            runs.push((
+                "adaptive",
+                transient_adaptive(&mut ws, &c, &full_opts, &cfg).unwrap(),
+                transient_adaptive(&mut ws, &c, &probe_opts, &cfg).unwrap(),
+            ));
+        }
+        for (label, full, probed) in &runs {
+            prop_assert!(full.times() == probed.times(), "{label}: time axis");
+            prop_assert!(full.stats() == probed.stats(), "{label}: counters");
+            for &p in &probes {
+                for k in 0..full.len() {
+                    prop_assert!(
+                        full.voltage_at(p, k).to_bits() == probed.voltage_at(p, k).to_bits(),
+                        "{label}: node {} sample {k}", p.index()
+                    );
+                }
+            }
         }
     }
 }

@@ -60,5 +60,6 @@ pub use evaluator::{EvalOutcome, Evaluator, Performance};
 pub use runner::{SynthConfig, SynthError, SynthResult, Synthesizer, WarmStart};
 pub use space::{DesignSpace, DesignVar};
 pub use tran_chain::{
-    TranChainEvaluator, TranChainOptions, TranChainReport, TranChainSetup, TranStageReport,
+    TranChainError, TranChainEvaluator, TranChainOptions, TranChainReport, TranChainSetup,
+    TranStageReport,
 };

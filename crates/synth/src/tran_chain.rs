@@ -7,7 +7,10 @@
 //! The evaluator drives two runs at `mid_rail ± δ` and works on the
 //! **differential** stage amplitudes `a_k = (v_k⁺ − v_k⁻)/2`, cancelling
 //! the servo bias point so residue gains compare directly against the
-//! ideal interstage gains.
+//! ideal interstage gains. Neither run needs the other's result, so the
+//! −δ leg runs on a scoped thread (own copy of the setup, own persistent
+//! workspaces) while the +δ leg runs on the caller's thread; each run
+//! records only the stage outputs the report reads.
 //!
 //! Like [`crate::chain::ChainReport`], every reported value is quantized
 //! onto a relative grid a few orders above solver noise. The adaptive
@@ -24,6 +27,8 @@ use adc_spice::tran::{
     TranResult, TranWorkspace,
 };
 use adc_spice::waveform::Waveform;
+use adc_spice::SpiceError;
+use std::fmt;
 
 /// A chain testbench prepared for clocked transient sign-off: the
 /// flattened netlist plus the schedule/scale metadata the verifier needs
@@ -31,9 +36,10 @@ use adc_spice::waveform::Waveform;
 /// evaluator decoupled from it, mirroring [`crate::hybrid::BenchSetup`]).
 #[derive(Debug, Clone)]
 pub struct TranChainSetup {
-    /// Flattened chain netlist. The input drive is rewritten in place per
-    /// run (DC hold at `mid_rail ± δ`); topology is never touched, so
-    /// bound workspaces stay valid.
+    /// Flattened chain netlist. The +δ leg rewrites its input drive in
+    /// place (DC hold at `mid_rail + δ`), so after an evaluation it holds
+    /// the +δ drive; the −δ leg drives a copy of the setup. Topology is
+    /// never touched, so bound workspaces stay valid.
     pub circuit: Circuit,
     /// Name of the input voltage source.
     pub input_source: String,
@@ -60,16 +66,19 @@ pub struct TranChainSetup {
 /// Options of a transient chain evaluation.
 #[derive(Debug, Clone)]
 pub struct TranChainOptions {
-    /// Full clock periods to simulate (the last period is probed).
+    /// Full clock periods to simulate (the last period is probed); at
+    /// least 1.
     pub periods: usize,
-    /// Differential drive amplitude δ around `mid_rail`, V. Small enough
-    /// to keep every stage's residue in range without sub-ADC decisions.
+    /// Differential drive amplitude δ around `mid_rail`, V: finite and
+    /// positive. Small enough to keep every stage's residue in range
+    /// without sub-ADC decisions.
     pub delta_v: f64,
     /// Adaptive stepping controller; `None` derives one from the clock
     /// via [`TimeStepConfig::for_clock`].
     pub step: Option<TimeStepConfig>,
     /// Tail fraction of the amplification window used for the settling
-    /// error: `settle_err = |a(t_end) − a(t_end − tail·window)|`.
+    /// error: `settle_err = |a(t_end) − a(t_end − tail·window)|`, in
+    /// (0, 1].
     pub tail_frac: f64,
     /// Newton iterations per timestep.
     pub max_iter: usize,
@@ -88,6 +97,75 @@ impl Default for TranChainOptions {
             max_iter: 60,
             report_digits: 6,
         }
+    }
+}
+
+impl TranChainOptions {
+    /// Rejects settings under which a sign-off would pass without
+    /// measuring anything: no simulated period to probe, a zero drive
+    /// (every residue gain 0/0) or an empty settling tail (every settling
+    /// error 0).
+    ///
+    /// # Errors
+    /// The first offending setting, as a typed [`TranChainError`].
+    fn validate(&self) -> Result<(), TranChainError> {
+        if self.periods == 0 {
+            return Err(TranChainError::NoPeriods);
+        }
+        if !(self.delta_v.is_finite() && self.delta_v > 0.0) {
+            return Err(TranChainError::BadDelta(self.delta_v));
+        }
+        if !(self.tail_frac > 0.0 && self.tail_frac <= 1.0) {
+            return Err(TranChainError::BadTailFrac(self.tail_frac));
+        }
+        Ok(())
+    }
+}
+
+/// Why a transient chain evaluation produced no report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TranChainError {
+    /// [`TranChainOptions::periods`] is 0.
+    NoPeriods,
+    /// [`TranChainOptions::delta_v`] is not a finite positive voltage.
+    BadDelta(f64),
+    /// [`TranChainOptions::tail_frac`] lies outside (0, 1].
+    BadTailFrac(f64),
+    /// The fixed-step oracle's step is not a finite positive time.
+    BadStep(f64),
+    /// The chain has no input source of this name.
+    NoInputSource(String),
+    /// A leg's operating point (or its DC workspace) failed.
+    Dc(SpiceError),
+    /// A leg's transient run (or its transient workspace) failed.
+    Tran(SpiceError),
+}
+
+impl fmt::Display for TranChainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TranChainError::NoPeriods => write!(f, "options: periods must be at least 1"),
+            TranChainError::BadDelta(v) => {
+                write!(f, "options: delta_v {v} is not a finite positive voltage")
+            }
+            TranChainError::BadTailFrac(v) => write!(f, "options: tail_frac {v} outside (0, 1]"),
+            TranChainError::BadStep(dt) => {
+                write!(f, "options: fixed step {dt} is not a finite positive time")
+            }
+            TranChainError::NoInputSource(name) => write!(f, "no input source {name}"),
+            TranChainError::Dc(e) => write!(f, "DC: {e}"),
+            TranChainError::Tran(e) => write!(f, "tran: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TranChainError {}
+
+/// Callers that report errors as text (the verify stage, benches) take a
+/// sign-off failure through `?` unchanged.
+impl From<TranChainError> for String {
+    fn from(e: TranChainError) -> String {
+        e.to_string()
     }
 }
 
@@ -133,7 +211,7 @@ pub struct TranChainReport {
     pub newton_iters: usize,
     /// Smallest accepted step across both runs, s (quantized).
     pub min_dt: f64,
-    /// Whether the runs factored through the CSR engine (excluded from
+    /// Whether both runs factored through the CSR engine (excluded from
     /// cross-engine report comparison, like `ChainReport::dc_sparse`).
     pub sparse: bool,
 }
@@ -143,15 +221,118 @@ enum StepMode {
     Fixed(f64),
 }
 
-/// Reusable transient chain evaluator: a persistent [`DcWorkspace`] for
-/// the operating point seeding each run and a persistent [`TranWorkspace`]
-/// whose companion-model sparsity pattern and symbolic factorization are
-/// reused across runs and candidates of one chain topology.
+/// Persistent workspaces of one drive leg: a [`DcWorkspace`] for the
+/// operating point seeding each run and a [`TranWorkspace`] whose
+/// companion-model sparsity pattern and symbolic factorization are reused
+/// across runs and candidates of one chain topology.
+#[derive(Default)]
+struct Leg {
+    dc: Option<DcWorkspace>,
+    tran: Option<TranWorkspace>,
+}
+
+impl Leg {
+    /// One transient run of `setup` with its input held at `hold` volts,
+    /// recording the stage outputs only.
+    fn run(
+        &mut self,
+        setup: &mut TranChainSetup,
+        mode: &StepMode,
+        hold: f64,
+        chain: &TranChainOptions,
+        solver: SolverChoice,
+    ) -> Result<TranResult, TranChainError> {
+        let (id, _) = setup
+            .circuit
+            .find_element(&setup.input_source)
+            .ok_or_else(|| TranChainError::NoInputSource(setup.input_source.clone()))?;
+        setup.circuit.set_waveform(id, Waveform::Dc(hold));
+
+        if !self
+            .dc
+            .as_ref()
+            .is_some_and(|ws| ws.matches(&setup.circuit))
+        {
+            self.dc =
+                Some(DcWorkspace::with_solver(&setup.circuit, solver).map_err(TranChainError::Dc)?);
+        }
+        let dc_ws = self.dc.as_mut().expect("workspace created above");
+        let op = dc_operating_point_with(dc_ws, &setup.circuit, &setup.dc)
+            .map_err(TranChainError::Dc)?;
+
+        let opts = TranOptions {
+            tstop: chain.periods as f64 * setup.clock.period(),
+            dt: match mode {
+                StepMode::Fixed(dt) => *dt,
+                StepMode::Adaptive(_) => setup.clock.period() / 512.0,
+            },
+            clock: Some(setup.clock),
+            ic: InitialCondition::Voltages(op.voltages().to_vec()),
+            max_iter: chain.max_iter,
+            probes: setup.stage_outputs.clone(),
+            ..Default::default()
+        };
+        if !self
+            .tran
+            .as_ref()
+            .is_some_and(|ws| ws.matches(&setup.circuit))
+        {
+            self.tran = Some(
+                TranWorkspace::with_solver(&setup.circuit, solver).map_err(TranChainError::Tran)?,
+            );
+        }
+        let ws = self.tran.as_mut().expect("workspace created above");
+        match mode {
+            StepMode::Adaptive(cfg) => transient_adaptive(ws, &setup.circuit, &opts, cfg),
+            StepMode::Fixed(_) => transient_with(ws, &setup.circuit, &opts),
+        }
+        .map_err(TranChainError::Tran)
+    }
+}
+
+/// The caller's fault-injection scope stack, carried into the −δ leg's
+/// thread so both legs' `dc_solve`/`tran_solve` sites are checked under
+/// the scope the sign-off runs in (zero-sized without the `faults`
+/// feature).
+struct FaultScope {
+    #[cfg(feature = "faults")]
+    stack: Vec<String>,
+}
+
+impl FaultScope {
+    fn capture() -> Self {
+        FaultScope {
+            #[cfg(feature = "faults")]
+            stack: adc_numerics::faults::scope_stack(),
+        }
+    }
+
+    /// Runs `f` under `<captured scope>/<leg>` on the current thread, so
+    /// each leg's per-scope counters are its own whatever the thread
+    /// interleaving.
+    fn enter<T>(&self, leg: &str, f: impl FnOnce() -> T) -> T {
+        #[cfg(feature = "faults")]
+        {
+            use adc_numerics::faults;
+            faults::with_scope_stack(&self.stack, || faults::with_scope(leg, f))
+        }
+        #[cfg(not(feature = "faults"))]
+        {
+            let _ = leg;
+            f()
+        }
+    }
+}
+
+/// Reusable transient chain evaluator: persistent workspaces for each of
+/// the two drive legs, which run concurrently.
 pub struct TranChainEvaluator {
     opts: TranChainOptions,
     solver: SolverChoice,
-    dc: Option<DcWorkspace>,
-    tran: Option<TranWorkspace>,
+    /// Runs on the caller's thread.
+    plus: Leg,
+    /// Runs on a scoped thread of its own.
+    minus: Leg,
 }
 
 impl TranChainEvaluator {
@@ -167,8 +348,8 @@ impl TranChainEvaluator {
         TranChainEvaluator {
             opts,
             solver,
-            dc: None,
-            tran: None,
+            plus: Leg::default(),
+            minus: Leg::default(),
         }
     }
 
@@ -182,9 +363,14 @@ impl TranChainEvaluator {
     /// metrics.
     ///
     /// # Errors
-    /// A human-readable reason (DC non-convergence, singular system,
-    /// missing input source).
-    pub fn evaluate(&mut self, setup: &mut TranChainSetup) -> Result<TranChainReport, String> {
+    /// [`TranChainError`]: options that would sign off without measuring
+    /// (checked before any run), a missing input source, or a leg's DC or
+    /// transient failure (the +δ leg's is reported first).
+    pub fn evaluate(
+        &mut self,
+        setup: &mut TranChainSetup,
+    ) -> Result<TranChainReport, TranChainError> {
+        self.opts.validate()?;
         let cfg = self
             .opts
             .step
@@ -195,79 +381,48 @@ impl TranChainEvaluator {
     /// [`TranChainEvaluator::evaluate`] through the fixed-step oracle at
     /// step `dt` — the equal-accuracy baseline the adaptive stepper's step
     /// count is compared against.
+    ///
+    /// # Errors
+    /// As [`TranChainEvaluator::evaluate`], plus
+    /// [`TranChainError::BadStep`] unless `dt` is finite and positive.
     pub fn evaluate_fixed(
         &mut self,
         setup: &mut TranChainSetup,
         dt: f64,
-    ) -> Result<TranChainReport, String> {
+    ) -> Result<TranChainReport, TranChainError> {
+        self.opts.validate()?;
+        if !(dt.is_finite() && dt > 0.0) {
+            return Err(TranChainError::BadStep(dt));
+        }
         self.run_pair(setup, &StepMode::Fixed(dt))
     }
 
-    /// One transient run with the input held at `hold` volts.
-    fn run_one(
-        &mut self,
-        setup: &mut TranChainSetup,
-        mode: &StepMode,
-        hold: f64,
-    ) -> Result<TranResult, String> {
-        let (id, _) = setup
-            .circuit
-            .find_element(&setup.input_source)
-            .ok_or_else(|| format!("no input source {}", setup.input_source))?;
-        setup.circuit.set_waveform(id, Waveform::Dc(hold));
-
-        if !self
-            .dc
-            .as_ref()
-            .is_some_and(|ws| ws.matches(&setup.circuit))
-        {
-            self.dc = Some(
-                DcWorkspace::with_solver(&setup.circuit, self.solver)
-                    .map_err(|e| format!("DC: {e}"))?,
-            );
-        }
-        let dc_ws = self.dc.as_mut().expect("workspace created above");
-        let op = dc_operating_point_with(dc_ws, &setup.circuit, &setup.dc)
-            .map_err(|e| format!("DC: {e}"))?;
-
-        let opts = TranOptions {
-            tstop: self.opts.periods as f64 * setup.clock.period(),
-            dt: match mode {
-                StepMode::Fixed(dt) => *dt,
-                StepMode::Adaptive(_) => setup.clock.period() / 512.0,
-            },
-            clock: Some(setup.clock),
-            ic: InitialCondition::Voltages(op.voltages().to_vec()),
-            max_iter: self.opts.max_iter,
-            ..Default::default()
-        };
-        if !self
-            .tran
-            .as_ref()
-            .is_some_and(|ws| ws.matches(&setup.circuit))
-        {
-            self.tran = Some(
-                TranWorkspace::with_solver(&setup.circuit, self.solver)
-                    .map_err(|e| format!("tran: {e}"))?,
-            );
-        }
-        let ws = self.tran.as_mut().expect("workspace created above");
-        match mode {
-            StepMode::Adaptive(cfg) => transient_adaptive(ws, &setup.circuit, &opts, cfg),
-            StepMode::Fixed(_) => transient_with(ws, &setup.circuit, &opts),
-        }
-        .map_err(|e| format!("tran: {e}"))
-    }
-
-    /// Two runs at `mid_rail ± δ`, then the differential report.
+    /// Two runs at `mid_rail ± δ` — the −δ leg on a scoped thread with its
+    /// own copy of the setup, the +δ leg here — then the differential
+    /// report. A leg's panic is re-raised here unchanged.
     fn run_pair(
         &mut self,
         setup: &mut TranChainSetup,
         mode: &StepMode,
-    ) -> Result<TranChainReport, String> {
-        let delta = self.opts.delta_v;
-        let rp = self.run_one(setup, mode, setup.mid_rail + delta)?;
-        let rm = self.run_one(setup, mode, setup.mid_rail - delta)?;
+    ) -> Result<TranChainReport, TranChainError> {
+        let (opts, solver) = (&self.opts, self.solver);
+        let (plus, minus) = (&mut self.plus, &mut self.minus);
+        let mut minus_setup = setup.clone();
+        let (hold_p, hold_m) = (setup.mid_rail + opts.delta_v, setup.mid_rail - opts.delta_v);
+        let scope = FaultScope::capture();
+        let (rp, rm) = std::thread::scope(|s| {
+            let minus_leg = s.spawn(|| {
+                scope.enter("tran-", || {
+                    minus.run(&mut minus_setup, mode, hold_m, opts, solver)
+                })
+            });
+            let rp = scope.enter("tran+", || plus.run(setup, mode, hold_p, opts, solver));
+            let rm = minus_leg
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (rp, rm)
+        });
+        let (rp, rm) = (rp?, rm?);
         Ok(self.report(setup, &rp, &rm))
     }
 
@@ -351,7 +506,7 @@ impl TranChainEvaluator {
             rejected: sp.rejected + sm.rejected,
             newton_iters: sp.newton_iters + sm.newton_iters,
             min_dt: q(sp.min_dt.min(sm.min_dt)),
-            sparse: sp.sparse,
+            sparse: sp.sparse && sm.sparse,
         }
     }
 }
@@ -521,5 +676,118 @@ mod tests {
         let a = ev.evaluate(&mut setup).unwrap();
         let b = ev.evaluate(&mut setup).unwrap();
         assert_eq!(a, b, "re-evaluation through reused workspaces must agree");
+    }
+
+    /// The concurrent legs reproduce the serial composition — +δ run, −δ
+    /// run through the same workspaces, then the report — on every report
+    /// field, step and iteration counters included, adaptive and fixed.
+    #[test]
+    fn concurrent_legs_match_serial_composition() {
+        let opts = TranChainOptions::default();
+        for (stages, fixed) in [(2, false), (3, false), (1, true)] {
+            let mut setup = macro_sc_chain(stages);
+            let mode = if fixed {
+                StepMode::Fixed(setup.clock.period() / 1000.0)
+            } else {
+                StepMode::Adaptive(TimeStepConfig::for_clock(&setup.clock))
+            };
+            let mut concurrent_ev = TranChainEvaluator::new(opts.clone());
+            let concurrent = match mode {
+                StepMode::Fixed(dt) => concurrent_ev.evaluate_fixed(&mut setup, dt),
+                StepMode::Adaptive(_) => concurrent_ev.evaluate(&mut setup),
+            }
+            .unwrap();
+
+            let mut ev = TranChainEvaluator::new(opts.clone());
+            let (hold_p, hold_m) = (setup.mid_rail + opts.delta_v, setup.mid_rail - opts.delta_v);
+            let rp = ev
+                .plus
+                .run(&mut setup, &mode, hold_p, &opts, SolverChoice::Auto)
+                .unwrap();
+            let rm = ev
+                .plus
+                .run(&mut setup, &mode, hold_m, &opts, SolverChoice::Auto)
+                .unwrap();
+            let serial = ev.report(&setup, &rp, &rm);
+            assert_eq!(concurrent, serial, "{stages} stages, fixed {fixed}");
+            assert!(serial.accepted > 0 && serial.newton_iters > 0);
+        }
+    }
+
+    /// Options that would let a sign-off pass without measuring anything
+    /// are rejected with a typed error before any run, by both entries.
+    #[test]
+    fn zero_periods_rejected() {
+        check_rejected(
+            TranChainOptions {
+                periods: 0,
+                ..TranChainOptions::default()
+            },
+            TranChainError::NoPeriods,
+        );
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_delta_rejected() {
+        for delta_v in [0.0, -3e-3, f64::NAN, f64::INFINITY] {
+            let opts = TranChainOptions {
+                delta_v,
+                ..TranChainOptions::default()
+            };
+            let err = opts.validate().unwrap_err();
+            assert!(matches!(err, TranChainError::BadDelta(_)), "{err}");
+            check_rejected(opts, err);
+        }
+    }
+
+    #[test]
+    fn tail_frac_outside_unit_interval_rejected() {
+        for tail_frac in [0.0, -0.05, 1.5, f64::NAN] {
+            let opts = TranChainOptions {
+                tail_frac,
+                ..TranChainOptions::default()
+            };
+            let err = opts.validate().unwrap_err();
+            assert!(matches!(err, TranChainError::BadTailFrac(_)), "{err}");
+            check_rejected(opts, err);
+        }
+        let whole_window = TranChainOptions {
+            tail_frac: 1.0,
+            ..TranChainOptions::default()
+        };
+        assert_eq!(whole_window.validate(), Ok(()));
+    }
+
+    #[test]
+    fn non_positive_fixed_step_rejected() {
+        let mut setup = macro_sc_chain(1);
+        let mut ev = TranChainEvaluator::new(TranChainOptions::default());
+        for dt in [0.0, -1e-9, f64::NAN] {
+            let err = ev.evaluate_fixed(&mut setup, dt).unwrap_err();
+            assert!(matches!(err, TranChainError::BadStep(_)), "{err}");
+        }
+    }
+
+    /// Both entries return `want` for `opts`, and the error renders as an
+    /// options error through the `String` conversion callers use.
+    fn check_rejected(opts: TranChainOptions, want: TranChainError) {
+        let mut setup = macro_sc_chain(1);
+        let mut ev = TranChainEvaluator::new(opts);
+        let err = ev.evaluate(&mut setup).unwrap_err();
+        assert_eq!(format!("{err:?}"), format!("{want:?}"));
+        let err = ev.evaluate_fixed(&mut setup, 1e-9).unwrap_err();
+        assert_eq!(format!("{err:?}"), format!("{want:?}"));
+        assert!(String::from(err).starts_with("options: "));
+    }
+
+    #[test]
+    fn missing_input_source_is_typed() {
+        let mut setup = macro_sc_chain(1);
+        setup.input_source = "VNONE".to_string();
+        let err = TranChainEvaluator::new(TranChainOptions::default())
+            .evaluate(&mut setup)
+            .unwrap_err();
+        assert_eq!(err, TranChainError::NoInputSource("VNONE".to_string()));
+        assert_eq!(err.to_string(), "no input source VNONE");
     }
 }

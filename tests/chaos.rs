@@ -13,15 +13,16 @@ use pipelined_adc::mdac::power::PowerModelParams;
 use pipelined_adc::mdac::specs::AdcSpec;
 use pipelined_adc::numerics::faults::{
     self, FaultAction, FaultPlan, FaultRule, SITE_CACHE_COMMIT, SITE_EXECUTOR_TASK,
-    SITE_SYNTH_EXECUTE,
+    SITE_SYNTH_EXECUTE, SITE_TRAN_SOLVE,
 };
 use pipelined_adc::synth::SynthConfig;
 use pipelined_adc::topopt::cache::{BlockCache, CachePolicy};
-use pipelined_adc::topopt::enumerate::enumerate_candidates;
+use pipelined_adc::topopt::enumerate::{enumerate_candidates, Candidate};
 use pipelined_adc::topopt::executor::{ExecutorOptions, FailureKind};
 use pipelined_adc::topopt::flow::{
     run_flow, surviving_candidates, FlowOptions, FlowRequest, MdacBlock, SynthesisRun,
 };
+use pipelined_adc::topopt::verify::{verify_candidate, ChainVerification, VerifyOptions};
 use std::sync::Mutex;
 
 /// The fault registry is process-global; chaos tests take this lock so
@@ -321,4 +322,84 @@ fn zero_fault_guarded_runs_are_bit_identical() {
         );
         assert_eq!(serial.stats, parallel.stats);
     }
+}
+
+/// Circuit-level sign-off of the 10-bit 3-2 candidate (small synthesis
+/// budget) under the caller scope `verify3-2`, with `plan` installed.
+fn verify_3_2(blocks: &[MdacBlock], plan: Option<FaultPlan>) -> Result<ChainVerification, String> {
+    let spec = AdcSpec::date05(10);
+    match plan {
+        Some(p) => faults::install(p),
+        None => faults::clear(),
+    }
+    let v = faults::with_scope("verify3-2", || {
+        verify_candidate(
+            &spec,
+            &Candidate::new(vec![3, 2]),
+            blocks,
+            &PowerModelParams::calibrated(),
+            &VerifyOptions::default(),
+        )
+    });
+    faults::clear();
+    v
+}
+
+fn blocks_3_2() -> Vec<MdacBlock> {
+    let spec = AdcSpec::date05(10);
+    let candidate = Candidate::new(vec![3, 2]);
+    let cfg = SynthConfig {
+        iterations: 60,
+        nm_iterations: 20,
+        seed: 9,
+        ..Default::default()
+    };
+    let params = PowerModelParams::calibrated();
+    run_flow(
+        &FlowRequest::new(&spec, std::slice::from_ref(&candidate), &params, &cfg),
+        None,
+    )
+    .blocks
+}
+
+/// The two transient legs of a sign-off run on different threads but
+/// check their `tran_solve` sites under `<caller scope>/tran+` and
+/// `<caller scope>/tran-`: a rule scoped to either leg fails the sign-off
+/// with the typed `tran:` error, identically on every repeat.
+#[test]
+fn transient_leg_faults_follow_their_leg_scope() {
+    let _g = lock();
+    let blocks = blocks_3_2();
+    let clean = verify_3_2(&blocks, None).expect("clean sign-off");
+    assert!(clean.tran.is_some());
+    for leg in ["verify3-2/tran+", "verify3-2/tran-"] {
+        let errors: Vec<String> = (0..5)
+            .map(|_| {
+                let plan = FaultPlan::single(
+                    7,
+                    FaultRule::first(SITE_TRAN_SOLVE, leg, FaultAction::FailConvergence),
+                );
+                verify_3_2(&blocks, Some(plan)).expect_err("the leg's fault must fail sign-off")
+            })
+            .collect();
+        assert!(errors[0].starts_with("tran: "), "{leg}: {}", errors[0]);
+        assert!(
+            errors.iter().all(|e| *e == errors[0]),
+            "{leg}: not identical across repeats: {errors:?}"
+        );
+    }
+    // A panic inside the −δ leg's thread is re-raised on the caller's.
+    let plan = FaultPlan::single(
+        8,
+        FaultRule::first(SITE_TRAN_SOLVE, "verify3-2/tran-", FaultAction::Panic),
+    );
+    let payload = std::panic::catch_unwind(|| verify_3_2(&blocks, Some(plan)))
+        .expect_err("the leg's panic must propagate");
+    faults::clear();
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(msg.contains("injected fault: tran_solve panic"), "{msg}");
 }

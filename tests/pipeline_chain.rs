@@ -155,6 +155,15 @@ fn chain_432_settles_under_real_clock_phases() {
     let report = ev.evaluate(&mut setup).unwrap();
     assert!(report.sparse, "chain must auto-select the CSR engine");
     assert_eq!(report.stages.len(), 3);
+    // The step sequence is a pure function of the code: both legs'
+    // accepted plus LTE-rejected steps are an exact invariant.
+    assert_eq!(
+        report.accepted + report.rejected,
+        1133,
+        "sign-off fixture step count drifted: {} accepted + {} rejected",
+        report.accepted,
+        report.rejected
+    );
     assert!(report.all_settled, "{report:#?}");
     for (k, s) in report.stages.iter().enumerate() {
         assert!(s.settled, "stage {k} missed ½ LSB: {s:#?}");
