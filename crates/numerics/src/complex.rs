@@ -9,6 +9,10 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+/// Relative gap between `|z|²` and `level²` below which
+/// [`Complex::norm_le`] and [`Complex::norm_gt`] fall back to `hypot`.
+const NORM_SQR_GUARD: f64 = 1e-12;
+
 /// A complex number `re + i·im` over `f64`.
 ///
 /// # Example
@@ -65,6 +69,51 @@ impl Complex {
     #[inline]
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
+    }
+
+    /// Exactly `self.norm() <= level`, usually without the `hypot`.
+    ///
+    /// See [`Complex::norm_gt`] for when the squared norm decides.
+    #[inline]
+    pub fn norm_le(self, level: f64) -> bool {
+        match self.norm_below(level) {
+            Some(below) => below,
+            None => self.norm() <= level,
+        }
+    }
+
+    /// Exactly `self.norm() > level`, usually without the `hypot`.
+    ///
+    /// The squared norm decides when `level ≥ 0`, `norm_sqr()` and
+    /// `level²` are both normal, and the two differ by more than a
+    /// relative 1e-12. The squares carry at most 3 ulp of rounding error
+    /// (an underflowed part's square included) and `hypot` at most 1, so
+    /// outside that guard band both sides of the comparison agree. Every
+    /// other case — zero, subnormal, infinite or NaN squares, negative or
+    /// NaN levels — calls `hypot`.
+    #[inline]
+    pub fn norm_gt(self, level: f64) -> bool {
+        match self.norm_below(level) {
+            Some(below) => !below,
+            None => self.norm() > level,
+        }
+    }
+
+    /// `Some(|z| < level)` when the squared norm settles it, else `None`.
+    #[inline]
+    fn norm_below(self, level: f64) -> Option<bool> {
+        if level >= 0.0 {
+            let (s, t) = (self.norm_sqr(), level * level);
+            if s.is_normal() && t.is_normal() {
+                if s < t * (1.0 - NORM_SQR_GUARD) {
+                    return Some(true);
+                }
+                if s > t * (1.0 + NORM_SQR_GUARD) {
+                    return Some(false);
+                }
+            }
+        }
+        None
     }
 
     /// Principal argument in `(-π, π]`.

@@ -27,7 +27,7 @@ pub struct Poly {
 
 impl Poly {
     /// Creates a polynomial from ascending coefficients, trimming trailing
-    /// (near-)zero high-order terms.
+    /// exactly zero high-order terms.
     pub fn new(coeffs: Vec<f64>) -> Self {
         let mut p = Poly { coeffs };
         p.trim();

@@ -22,8 +22,8 @@ const TOL: f64 = 1e-13;
 /// coefficients `coeffs` (`coeffs[k]` multiplies `x^k`).
 ///
 /// Leading and trailing zero coefficients are handled: trailing structural
-/// zeros become roots at the origin; a (near-)zero leading coefficient
-/// reduces the effective degree.
+/// zeros become roots at the origin; exactly zero leading coefficients
+/// reduce the effective degree (a tiny nonzero one does not).
 ///
 /// Returns an empty vector for constant or zero polynomials.
 ///
@@ -34,6 +34,18 @@ const TOL: f64 = 1e-13;
 /// assert_eq!(r.len(), 2);
 /// ```
 pub fn poly_roots(coeffs: &[f64]) -> Vec<Complex> {
+    roots_with(coeffs, aberth)
+}
+
+/// Oracle for [`poly_roots`]: the same roots from the Aberth iteration
+/// that decides every comparison through `hypot` norms. Kept so tests can
+/// pin [`poly_roots`] to it bit for bit.
+pub fn poly_roots_reference(coeffs: &[f64]) -> Vec<Complex> {
+    roots_with(coeffs, aberth_reference)
+}
+
+/// [`poly_roots`] with the Aberth iteration used from degree 3 upward.
+fn roots_with(coeffs: &[f64], aberth: fn(&[f64]) -> Vec<Complex>) -> Vec<Complex> {
     // Strip high-order zeros.
     let mut hi = coeffs.len();
     while hi > 0 && coeffs[hi - 1] == 0.0 {
@@ -48,22 +60,15 @@ pub fn poly_roots(coeffs: &[f64]) -> Vec<Complex> {
         lo += 1;
     }
     let mut out = vec![Complex::ZERO; lo];
-    let work: Vec<f64> = coeffs[lo..hi].to_vec();
-    if work.len() <= 1 {
-        return out;
+    // Nonzero constant and leading coefficients from here on.
+    let work = &coeffs[lo..hi];
+    match work.len() {
+        0 | 1 => {}
+        2 => out.push(Complex::from_real(-work[0] / work[1])),
+        3 => out.extend(quadratic_roots(work[0], work[1], work[2])),
+        _ => out.extend(aberth(work)),
     }
-    out.extend(roots_nonzero(&work));
     out
-}
-
-/// Roots of a polynomial with nonzero constant and leading coefficients.
-fn roots_nonzero(coeffs: &[f64]) -> Vec<Complex> {
-    let n = coeffs.len() - 1;
-    match n {
-        1 => vec![Complex::from_real(-coeffs[0] / coeffs[1])],
-        2 => quadratic_roots(coeffs[0], coeffs[1], coeffs[2]),
-        _ => aberth(coeffs),
-    }
 }
 
 /// Numerically stable quadratic formula for `c + b x + a x²`.
@@ -97,8 +102,8 @@ fn eval_with_derivative(coeffs: &[f64], z: Complex) -> (Complex, Complex) {
     (p, dp)
 }
 
-/// Aberth–Ehrlich simultaneous root refinement.
-fn aberth(coeffs: &[f64]) -> Vec<Complex> {
+/// Initial guesses on a circle between the Cauchy-style radius bounds.
+fn initial_guesses(coeffs: &[f64]) -> Vec<Complex> {
     let n = coeffs.len() - 1;
     // Scale to monic for bound computation (work on original for evaluation
     // to avoid altering conditioning).
@@ -115,15 +120,128 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
     .max(1e-30);
     let r0 = (r_high * r_low).sqrt().clamp(1e-30, 1e30);
 
-    // Initial guesses on a circle, slightly perturbed off the real axis and
-    // with an irrational angular offset so symmetric configurations do not
-    // stall the iteration.
-    let mut z: Vec<Complex> = (0..n)
+    // Slightly perturbed off the real axis and with an irrational angular
+    // offset so symmetric configurations do not stall the iteration.
+    (0..n)
         .map(|k| {
             let theta = 2.0 * std::f64::consts::PI * (k as f64 + 0.354) / n as f64 + 0.5;
             Complex::from_polar(r0 * (1.0 + 0.05 * (k as f64 / n as f64)), theta)
         })
-        .collect();
+        .collect()
+}
+
+/// Aberth correction `newton / (1 − newton·Σ 1/(z_i − z_j))`, or plain
+/// `newton` when `above` says the denominator's norm is not above 1e-300.
+fn aberth_step(
+    z: &[Complex],
+    i: usize,
+    newton: Complex,
+    above: impl Fn(Complex) -> bool,
+) -> Complex {
+    // Subtract the repulsion of the other roots.
+    let mut sum = Complex::ZERO;
+    for (j, &zj) in z.iter().enumerate() {
+        if j != i {
+            let d = z[i] - zj;
+            if d.norm_sqr() > 0.0 {
+                sum += d.inv();
+            }
+        }
+    }
+    let denom = Complex::ONE - newton * sum;
+    if above(denom) {
+        newton / denom
+    } else {
+        newton
+    }
+}
+
+/// Real-coefficient polynomials have conjugate root sets: snaps tiny
+/// imaginary parts to zero.
+fn snap_real(z: &mut [Complex]) {
+    for zi in z.iter_mut() {
+        if zi.im.abs() < 1e-9 * (1.0 + zi.re.abs()) {
+            zi.im = 0.0;
+        }
+    }
+}
+
+/// Exactly `c.norm() == 0.0`: `hypot` is zero only when both parts are.
+fn is_zero(c: Complex) -> bool {
+    c.re == 0.0 && c.im == 0.0
+}
+
+/// Exactly `c.norm() > 0.0`: `hypot` is +∞ when either part is infinite
+/// (even beside a NaN), NaN when a part is NaN and neither is infinite,
+/// and otherwise positive unless both parts are zero.
+fn norm_positive(c: Complex) -> bool {
+    c.re.is_infinite() || c.im.is_infinite() || !(c.is_nan() || is_zero(c))
+}
+
+/// Exactly `c.norm() > 1e-300`. Without a NaN part, `hypot` is at least
+/// the larger part less 1 ulp, so a part above 2e-300 settles it; every
+/// other case asks `hypot`.
+fn norm_above_tiny(c: Complex) -> bool {
+    (!c.is_nan() && (c.re.abs() > 2e-300 || c.im.abs() > 2e-300)) || c.norm() > 1e-300
+}
+
+/// Aberth–Ehrlich simultaneous root refinement. Each comparison is an
+/// exact stand-in for the `hypot` comparison [`aberth_reference`] makes,
+/// and the convergence ratio is computed only while it can still matter,
+/// so both return the same bits.
+fn aberth(coeffs: &[f64]) -> Vec<Complex> {
+    let n = coeffs.len() - 1;
+    let mut z = initial_guesses(coeffs);
+
+    for _ in 0..MAX_ITER {
+        // The sweep converges when no relative step reaches TOL (a NaN
+        // ratio never counts against it). Once one does, nothing later in
+        // the sweep can undo that, so the remaining ratios are skipped.
+        let mut converged = true;
+        for i in 0..n {
+            let (p, dp) = eval_with_derivative(coeffs, z[i]);
+            if is_zero(p) {
+                continue;
+            }
+            let newton = if norm_positive(dp) {
+                p / dp
+            } else {
+                Complex::new(TOL, TOL)
+            };
+            let step = aberth_step(&z, i, newton, norm_above_tiny);
+            z[i] -= step;
+            if converged && step.norm() / (1.0 + z[i].norm()) >= TOL {
+                converged = false;
+            }
+        }
+        if converged {
+            break;
+        }
+    }
+
+    // Newton polish (helps multiple-ish roots settle).
+    for zi in z.iter_mut() {
+        for _ in 0..3 {
+            let (p, dp) = eval_with_derivative(coeffs, *zi);
+            if is_zero(dp) {
+                break;
+            }
+            let step = p / dp;
+            if !step.is_finite() || step.norm() < 1e-16 * (1.0 + zi.norm()) {
+                break;
+            }
+            *zi -= step;
+        }
+    }
+    snap_real(&mut z);
+    z
+}
+
+/// The Aberth iteration behind [`poly_roots_reference`]: every decision
+/// goes through `hypot`, and every sweep computes every ratio.
+fn aberth_reference(coeffs: &[f64]) -> Vec<Complex> {
+    let n = coeffs.len() - 1;
+    let mut z = initial_guesses(coeffs);
 
     for _ in 0..MAX_ITER {
         let mut max_step = 0.0_f64;
@@ -137,22 +255,7 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
             } else {
                 Complex::new(TOL, TOL)
             };
-            // Aberth correction: subtract the repulsion of the other roots.
-            let mut sum = Complex::ZERO;
-            for (j, &zj) in z.iter().enumerate() {
-                if j != i {
-                    let d = z[i] - zj;
-                    if d.norm_sqr() > 0.0 {
-                        sum += d.inv();
-                    }
-                }
-            }
-            let denom = Complex::ONE - newton * sum;
-            let step = if denom.norm() > 1e-300 {
-                newton / denom
-            } else {
-                newton
-            };
+            let step = aberth_step(&z, i, newton, |d| d.norm() > 1e-300);
             z[i] -= step;
             let rel = step.norm() / (1.0 + z[i].norm());
             if rel > max_step {
@@ -164,7 +267,6 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
         }
     }
 
-    // Newton polish (helps multiple-ish roots settle).
     for zi in z.iter_mut() {
         for _ in 0..3 {
             let (p, dp) = eval_with_derivative(coeffs, *zi);
@@ -178,14 +280,7 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
             *zi -= step;
         }
     }
-
-    // Conjugate pairing cleanup: real-coefficient polynomials have conjugate
-    // root sets; snap tiny imaginary parts to zero.
-    for zi in z.iter_mut() {
-        if zi.im.abs() < 1e-9 * (1.0 + zi.re.abs()) {
-            zi.im = 0.0;
-        }
-    }
+    snap_real(&mut z);
     z
 }
 

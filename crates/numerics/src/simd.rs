@@ -590,35 +590,42 @@ pub fn lane_assemble_scalar(
     }
 }
 
-/// Batched magnitudes `|num(jω)/den(jω)|` of a real-coefficient rational
-/// function at `s = j·2π·f` for each frequency in `freqs_hz`, written to
-/// `out`. Each lane reproduces the serial Horner evaluation, Smith
-/// division (exact-zero denominators included) and `hypot` bit-for-bit,
-/// so log-grid magnitude scans can batch points without perturbing the
-/// crossing they find.
+/// Batched level tests `|num(jω)/den(jω)| <= level` of a real-coefficient
+/// rational function at `s = j·2π·f` for each frequency in `freqs_hz`,
+/// written to `out`. Each lane reproduces the serial Horner evaluation
+/// and Smith division (exact-zero denominators included) bit-for-bit and
+/// ends in [`Complex::norm_le`], so log-grid magnitude scans can batch
+/// points without perturbing the crossing they find.
+///
+/// aarch64 runs the scalar oracle: no CI leg executes a NEON twin.
 ///
 /// # Panics
 /// Panics if `out` is shorter than `freqs_hz`.
-pub fn rational_mags(num: &[f64], den: &[f64], freqs_hz: &[f64], out: &mut [f64]) {
+pub fn rational_le(num: &[f64], den: &[f64], freqs_hz: &[f64], level: f64, out: &mut [bool]) {
     assert!(out.len() >= freqs_hz.len(), "output shorter than input");
     match backend() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::rational_mags(num, den, freqs_hz, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::rational_mags(num, den, freqs_hz, out),
-        _ => rational_mags_scalar(num, den, freqs_hz, out),
+        Backend::Avx2 => unsafe { avx2::rational_le(num, den, freqs_hz, level, out) },
+        _ => rational_le_scalar(num, den, freqs_hz, level, out),
     }
 }
 
-/// Scalar oracle for [`rational_mags`]: exactly the serial
-/// `(num.eval_complex(jω) / den.eval_complex(jω)).norm()` per point.
-pub fn rational_mags_scalar(num: &[f64], den: &[f64], freqs_hz: &[f64], out: &mut [f64]) {
+/// Scalar oracle for [`rational_le`]: exactly the serial
+/// `(num.eval_complex(jω) / den.eval_complex(jω)).norm_le(level)` per
+/// point.
+pub fn rational_le_scalar(
+    num: &[f64],
+    den: &[f64],
+    freqs_hz: &[f64],
+    level: f64,
+    out: &mut [bool],
+) {
     for (o, &f) in out.iter_mut().zip(freqs_hz) {
         let z = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
         let n = num.iter().rev().fold(Complex::ZERO, |acc, &c| acc * z + c);
         let d = den.iter().rev().fold(Complex::ZERO, |acc, &c| acc * z + c);
-        *o = (n / d).norm();
+        *o = (n / d).norm_le(level);
     }
 }
 
@@ -1531,12 +1538,17 @@ mod avx2 {
         (ar, ai)
     }
 
-    /// Four-wide rational magnitudes: Horner via [`horner_jw4`], Smith
-    /// division, then per-lane scalar `hypot`. Exact-zero denominators
-    /// are redone with the scalar `Complex` divide, which short-circuits
-    /// them.
+    /// Four-wide rational level tests: Horner via [`horner_jw4`], Smith
+    /// division, then per-lane `norm_le`. Exact-zero denominators are
+    /// redone with the scalar `Complex` divide, which short-circuits them.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn rational_mags(num: &[f64], den: &[f64], freqs_hz: &[f64], out: &mut [f64]) {
+    pub unsafe fn rational_le(
+        num: &[f64],
+        den: &[f64],
+        freqs_hz: &[f64],
+        level: f64,
+        out: &mut [bool],
+    ) {
         let n = freqs_hz.len();
         let mut i = 0usize;
         while i + 4 <= n {
@@ -1564,11 +1576,11 @@ mod avx2 {
                 } else {
                     Complex::new(qrb[l], qib[l])
                 };
-                out[i + l] = q.norm();
+                out[i + l] = q.norm_le(level);
             }
             i += 4;
         }
-        super::rational_mags_scalar(num, den, &freqs_hz[i..], &mut out[i..]);
+        super::rational_le_scalar(num, den, &freqs_hz[i..], level, &mut out[i..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -2129,69 +2141,6 @@ mod neon {
                 }
             }
         }
-    }
-
-    /// Two-wide real-coefficient Horner at `z = jω`, kept as the explicit
-    /// `(0, ω)` complex multiply (no algebraic simplification, so lane
-    /// rounding matches the scalar fold).
-    #[inline(always)]
-    unsafe fn horner_jw2(
-        coeffs: &[f64],
-        zr: float64x2_t,
-        zi: float64x2_t,
-    ) -> (float64x2_t, float64x2_t) {
-        let mut ar = vdupq_n_f64(0.0);
-        let mut ai = vdupq_n_f64(0.0);
-        for &c in coeffs.iter().rev() {
-            let tr = vsubq_f64(vmulq_f64(ar, zr), vmulq_f64(ai, zi));
-            let ti = vaddq_f64(vmulq_f64(ar, zi), vmulq_f64(ai, zr));
-            ar = vaddq_f64(tr, vdupq_n_f64(c));
-            ai = ti;
-        }
-        (ar, ai)
-    }
-
-    /// Two-wide rational magnitudes: Horner via [`horner_jw2`], Smith
-    /// division, then per-lane scalar `hypot`. Exact-zero denominators
-    /// are redone with the scalar `Complex` divide, which short-circuits
-    /// them.
-    pub fn rational_mags(num: &[f64], den: &[f64], freqs_hz: &[f64], out: &mut [f64]) {
-        let n = freqs_hz.len();
-        let mut i = 0usize;
-        // SAFETY: NEON is mandatory on aarch64; loads/stores go through
-        // fixed-size stack buffers.
-        unsafe {
-            let zr = vdupq_n_f64(0.0);
-            while i + 2 <= n {
-                let mut w = [0.0f64; 2];
-                for (wl, &f) in w.iter_mut().zip(&freqs_hz[i..i + 2]) {
-                    *wl = 2.0 * std::f64::consts::PI * f;
-                }
-                let zi = vld1q_f64(w.as_ptr());
-                let (nr, ni) = horner_jw2(num, zr, zi);
-                let (dr, di) = horner_jw2(den, zr, zi);
-                let (qr, qi) = smith2(nr, ni, dr, di);
-                let (mut drb, mut dib, mut qrb, mut qib) =
-                    ([0.0f64; 2], [0.0f64; 2], [0.0f64; 2], [0.0f64; 2]);
-                vst1q_f64(drb.as_mut_ptr(), dr);
-                vst1q_f64(dib.as_mut_ptr(), di);
-                vst1q_f64(qrb.as_mut_ptr(), qr);
-                vst1q_f64(qib.as_mut_ptr(), qi);
-                let (mut nrb, mut nib) = ([0.0f64; 2], [0.0f64; 2]);
-                vst1q_f64(nrb.as_mut_ptr(), nr);
-                vst1q_f64(nib.as_mut_ptr(), ni);
-                for l in 0..2 {
-                    let q = if drb[l] == 0.0 && dib[l] == 0.0 {
-                        Complex::new(nrb[l], nib[l]) / Complex::new(drb[l], dib[l])
-                    } else {
-                        Complex::new(qrb[l], qib[l])
-                    };
-                    out[i + l] = q.norm();
-                }
-                i += 2;
-            }
-        }
-        super::rational_mags_scalar(num, den, &freqs_hz[i..], &mut out[i..]);
     }
 
     #[allow(clippy::too_many_arguments)]

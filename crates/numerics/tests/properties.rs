@@ -5,8 +5,18 @@ use adc_numerics::complex::Complex;
 use adc_numerics::fft::{fft_in_place, fft_real, ifft_in_place};
 use adc_numerics::linalg::Matrix;
 use adc_numerics::poly::Poly;
-use adc_numerics::roots::sort_roots;
+use adc_numerics::roots::{poly_roots, poly_roots_reference, sort_roots};
 use proptest::prelude::*;
+
+/// `x` moved by `k` representable values (toward +∞ for `k > 0` on
+/// positive `x`); `x` itself for non-finite inputs.
+fn step_ulps(x: f64, k: i64) -> f64 {
+    if !x.is_finite() || x == 0.0 {
+        return x;
+    }
+    let bits = x.to_bits() as i64 + if x > 0.0 { k } else { -k };
+    f64::from_bits(bits as u64)
+}
 
 proptest! {
     /// Building a polynomial from roots and re-extracting them round-trips.
@@ -406,24 +416,38 @@ proptest! {
         }
     }
 
-    /// The batched rational-magnitude scan equals the scalar
-    /// Horner/Smith/hypot oracle bit-for-bit at unaligned point counts,
-    /// subnormal coefficients included.
+    /// The batched rational level test equals its scalar oracle and the
+    /// serial `hypot` comparison `|num(jω)/den(jω)| <= level` at
+    /// unaligned point counts, subnormal coefficients included, with
+    /// levels a few ulp either side of a sampled magnitude.
     #[test]
-    fn rational_mags_matches_scalar_oracle_bitwise(
+    fn rational_le_matches_scalar_and_serial_oracles(
         num in proptest::collection::vec(
             prop_oneof![4 => -100.0f64..100.0, 1 => Just(6e-309)], 0..8),
         den in proptest::collection::vec(-100.0f64..100.0, 1..10),
         fexp in proptest::collection::vec(0.0f64..9.0, 1..23),
+        pick in 0usize..64,
+        ulps in -8i64..=8,
     ) {
         use adc_numerics::simd;
         let freqs: Vec<f64> = fexp.iter().map(|&e| 10.0f64.powf(e)).collect();
-        let mut m1 = vec![0.0f64; freqs.len()];
-        let mut m2 = m1.clone();
-        simd::rational_mags(&num, &den, &freqs, &mut m1);
-        simd::rational_mags_scalar(&num, &den, &freqs, &mut m2);
-        for (x, y) in m1.iter().zip(&m2) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "num {:?} den {:?}", &num, &den);
+        let horner = |c: &[f64], z: Complex| c.iter().rev().fold(Complex::ZERO, |acc, &c| acc * z + c);
+        let mags: Vec<f64> = freqs
+            .iter()
+            .map(|&f| {
+                let z = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
+                (horner(&num, z) / horner(&den, z)).norm()
+            })
+            .collect();
+        let sampled = mags[pick % mags.len()];
+        for level in [sampled, step_ulps(sampled, ulps), 1.0] {
+            let mut fast = vec![false; freqs.len()];
+            let mut scalar = vec![true; freqs.len()];
+            simd::rational_le(&num, &den, &freqs, level, &mut fast);
+            simd::rational_le_scalar(&num, &den, &freqs, level, &mut scalar);
+            let serial: Vec<bool> = mags.iter().map(|&m| m <= level).collect();
+            prop_assert_eq!(&fast, &serial, "level {:e} num {:?} den {:?}", level, &num, &den);
+            prop_assert_eq!(&scalar, &serial, "level {:e} num {:?} den {:?}", level, &num, &den);
         }
     }
 
@@ -584,4 +608,207 @@ proptest! {
             prop_assert!(Symbolic::analyze(&pat).is_err(), "n {} seed {}", n, seed);
         }
     }
+}
+
+/// Xorshift stream for the seeded generators below.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+
+    /// `10^e` with `e` uniform in `[lo, hi)`.
+    fn decade(&mut self, lo: f64, hi: f64) -> f64 {
+        let u = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+        10f64.powf(lo + (hi - lo) * u)
+    }
+
+    fn sign(&mut self) -> f64 {
+        if self.next() & 1 == 0 {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+}
+
+/// Random circuit-shaped polynomial of degree 1–12 drawn from `seed`.
+/// Either a gain times a product of `(1 − s/r)` factors — real roots
+/// spread over ten decades in both half-planes, repeated roots and
+/// complex-conjugate pairs, the shape TF extraction yields — or free
+/// coefficients with magnitudes from 1e-40 to 1e10. A third of the
+/// polynomials then get exact zero coefficients (leading, trailing and
+/// interior), and one in six a NaN or ±∞ coefficient.
+fn random_circuit_poly(seed: u64) -> Vec<f64> {
+    let mut rng = Xorshift(seed | 1);
+    let degree = 1 + rng.below(12);
+    let mut coeffs: Vec<f64> = if rng.below(2) == 0 {
+        let mut roots: Vec<Complex> = Vec::new();
+        while roots.len() < degree {
+            let re = rng.sign() * rng.decade(0.0, 10.0);
+            match rng.below(3) {
+                0 => roots.push(Complex::from_real(re)),
+                1 => roots.extend([Complex::from_real(re); 2]),
+                _ => {
+                    let im = re.abs() * rng.decade(-3.0, 2.0);
+                    roots.extend([Complex::new(-re.abs(), im), Complex::new(-re.abs(), -im)]);
+                }
+            }
+        }
+        roots.truncate(degree);
+        let mut c = vec![Complex::from_real(rng.sign() * rng.decade(-40.0, 10.0))];
+        for r in roots {
+            // c · (1 − s/r)
+            let t = Complex::ONE / r;
+            let mut next = c.clone();
+            next.push(Complex::ZERO);
+            for (k, &ck) in c.iter().enumerate() {
+                next[k + 1] -= ck * t;
+            }
+            c = next;
+        }
+        c.into_iter().map(|z| z.re).collect()
+    } else {
+        (0..=degree)
+            .map(|_| rng.sign() * rng.decade(-40.0, 10.0))
+            .collect()
+    };
+    if rng.below(3) == 0 {
+        for c in coeffs.iter_mut() {
+            if rng.below(4) == 0 {
+                *c = 0.0;
+            }
+        }
+    }
+    if rng.below(6) == 0 {
+        let k = rng.below(coeffs.len());
+        coeffs[k] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+    }
+    coeffs
+}
+
+proptest! {
+    // Badly scaled polynomials run both iterations to their 200-sweep
+    // cap; 2000 cases keep the root oracle test near half a second.
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+    /// The exact-decision Aberth iteration returns the `hypot` oracle's
+    /// roots bit for bit (NaN payloads included) on random circuit-shaped
+    /// polynomials.
+    #[test]
+    fn poly_roots_match_hypot_oracle_bitwise(seed in 0u64..u64::MAX) {
+        let coeffs = random_circuit_poly(seed);
+        let (fast, oracle) = (poly_roots(&coeffs), poly_roots_reference(&coeffs));
+        prop_assert_eq!(fast.len(), oracle.len(), "coeffs {:?}", &coeffs);
+        for (x, y) in fast.iter().zip(&oracle) {
+            prop_assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "coeffs {:?}: {:?} vs {:?}", &coeffs, x, y
+            );
+        }
+    }
+
+    /// `norm_le`/`norm_gt` equal the `hypot` comparisons on random parts
+    /// and levels across the whole exponent range, with each level also
+    /// nudged a few ulp around the exact norm.
+    #[test]
+    fn norm_level_tests_match_hypot_on_random_inputs(
+        re_exp in -330.0f64..310.0,
+        ratio_exp in -40.0f64..40.0,
+        level_exp in -330.0f64..310.0,
+        ulps in -8i64..=8,
+        signs in 0u8..4,
+    ) {
+        let re = if signs & 1 == 0 { 10f64.powf(re_exp) } else { -(10f64.powf(re_exp)) };
+        let im = if signs & 2 == 0 { re * 10f64.powf(ratio_exp) } else { -re * 10f64.powf(ratio_exp) };
+        let z = Complex::new(re, im);
+        for level in [10f64.powf(level_exp), z.norm(), step_ulps(z.norm(), ulps)] {
+            prop_assert_eq!(z.norm_le(level), z.norm() <= level, "{:?} vs {:e}", z, level);
+            prop_assert_eq!(z.norm_gt(level), z.norm() > level, "{:?} vs {:e}", z, level);
+        }
+    }
+}
+
+/// `norm_le`/`norm_gt` equal the `hypot` comparisons on an adversarial
+/// grid: levels 0, negative, subnormal, near the squaring overflow and
+/// underflow thresholds and 1e300, each paired with parts whose norm is
+/// the level moved by up to 8 ulp either way, and with ±0, ±∞, NaN,
+/// subnormal parts and parts whose squares overflow or underflow.
+#[test]
+fn norm_level_tests_match_hypot_on_adversarial_grid() {
+    let levels = [
+        0.0,
+        -0.0,
+        -1.0,
+        -1e300,
+        5e-324,
+        f64::MIN_POSITIVE,
+        1e-160,
+        1.5e-154,
+        1e-100,
+        std::f64::consts::FRAC_1_SQRT_2,
+        1.0,
+        3.3e7,
+        1e100,
+        1.3e154,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    let specials = [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.5e-310,
+        f64::MIN_POSITIVE,
+        1e-200,
+        1e-160,
+        1.0,
+        1e160,
+        -1e200,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let mut parts: Vec<Complex> = Vec::new();
+    for &a in &specials {
+        for &b in &specials {
+            parts.push(Complex::new(a, b));
+        }
+    }
+    for &level in &levels {
+        for k in -8..=8 {
+            let r = step_ulps(level, k);
+            // Axis-aligned, 3-4-5 and 45° points of norm ≈ r, plus one
+            // with a part whose square underflows.
+            parts.extend([
+                Complex::new(r, 0.0),
+                Complex::new(-0.0, -r),
+                Complex::new(0.6 * r, 0.8 * r),
+                Complex::new(r / 2f64.sqrt(), -r / 2f64.sqrt()),
+                Complex::new(r, 1e-170),
+            ]);
+        }
+    }
+    let mut checked = 0usize;
+    for z in &parts {
+        for &base in &levels {
+            for k in -8..=8 {
+                let level = step_ulps(base, k);
+                assert_eq!(z.norm_le(level), z.norm() <= level, "{z:?} <= {level:e}");
+                assert_eq!(z.norm_gt(level), z.norm() > level, "{z:?} > {level:e}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 100_000, "grid too small: {checked}");
 }

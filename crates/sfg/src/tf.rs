@@ -185,45 +185,69 @@ impl Tf {
     /// Finds the first frequency where `|H|` falls to `level` (from above),
     /// scanning upward on a log grid.
     pub fn magnitude_crossing(&self, f_lo: f64, f_hi: f64, level: f64) -> Option<f64> {
-        // Chunked SIMD magnitude scan: each lane reproduces the serial
-        // `self.magnitude(f)` bit-for-bit (same Horner fold, Smith divide
-        // and hypot), and chunk results are walked in grid order, so the
+        // Chunked SIMD level scan: each lane decides the serial
+        // `self.magnitude(f) <= level` bit-for-bit (same Horner fold and
+        // Smith divide, then `norm_le`, which agrees with `hypot` on every
+        // input), and chunk results are walked in grid order, so the
         // first-crossing bracket — and the bisected crossing — is exactly
         // the serial scan's. Points computed past the crossing inside a
         // chunk are pure speculation with no side effects.
         const SCAN_CHUNK: usize = 16;
         with_log_grid(f_lo, f_hi, |grid| {
             let mut prev_f = grid[0];
-            if self.magnitude(prev_f) <= level {
+            if self.eval_at_freq(prev_f).norm_le(level) {
                 return Some(prev_f);
             }
-            let mut mags = [0.0f64; SCAN_CHUNK];
+            let mut below = [false; SCAN_CHUNK];
             let mut idx = 1usize;
             while idx < grid.len() {
                 let take = (grid.len() - idx).min(SCAN_CHUNK);
-                adc_numerics::simd::rational_mags(
+                adc_numerics::simd::rational_le(
                     self.num.coeffs(),
                     self.den.coeffs(),
                     &grid[idx..idx + take],
-                    &mut mags[..take],
+                    level,
+                    &mut below[..take],
                 );
-                for (&f, &m) in grid[idx..idx + take].iter().zip(&mags[..take]) {
-                    if m <= level {
-                        // Bisect between prev_f and f.
-                        let (mut a, mut b) = (prev_f, f);
-                        for _ in 0..60 {
-                            let mid = (a * b).sqrt();
-                            if self.magnitude(mid) > level {
-                                a = mid;
-                            } else {
-                                b = mid;
-                            }
-                        }
-                        return Some((a * b).sqrt());
+                for (&f, &hit) in grid[idx..idx + take].iter().zip(&below[..take]) {
+                    if hit {
+                        return Some(bisect_crossing(prev_f, f, |mid| {
+                            self.eval_at_freq(mid).norm_gt(level)
+                        }));
                     }
                     prev_f = f;
                 }
                 idx += take;
+            }
+            None
+        })
+    }
+
+    /// Oracle for [`Tf::magnitude_crossing`]: the serial grid scan and a
+    /// full 60-step bisection, each decision a `hypot` magnitude compared
+    /// with `level`. Kept so tests can pin the fast search to it bit for
+    /// bit.
+    pub fn magnitude_crossing_reference(&self, f_lo: f64, f_hi: f64, level: f64) -> Option<f64> {
+        with_log_grid(f_lo, f_hi, |grid| {
+            let mut prev_f = grid[0];
+            if self.magnitude(prev_f) <= level {
+                return Some(prev_f);
+            }
+            for &f in &grid[1..] {
+                if self.magnitude(f) <= level {
+                    // Bisect between prev_f and f.
+                    let (mut a, mut b) = (prev_f, f);
+                    for _ in 0..BISECT_STEPS {
+                        let mid = (a * b).sqrt();
+                        if self.magnitude(mid) > level {
+                            a = mid;
+                        } else {
+                            b = mid;
+                        }
+                    }
+                    return Some((a * b).sqrt());
+                }
+                prev_f = f;
             }
             None
         })
@@ -309,6 +333,27 @@ impl fmt::Display for Tf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}) / ({})", self.num, self.den)
     }
+}
+
+/// Geometric bisection steps of the crossing search.
+const BISECT_STEPS: usize = 60;
+
+/// Geometric bisection of `[a, b]` for the point where `above(f)` turns
+/// false, [`BISECT_STEPS`] steps. It stops early once a step leaves the
+/// bracket unchanged: the midpoint then equals an end, and every later
+/// step would recompute the same midpoint and decision, so the result is
+/// the full search's (on the 400-point grid that happens after 47–50
+/// steps).
+fn bisect_crossing(mut a: f64, mut b: f64, above: impl Fn(f64) -> bool) -> f64 {
+    for _ in 0..BISECT_STEPS {
+        let mid = (a * b).sqrt();
+        let end = if above(mid) { &mut a } else { &mut b };
+        if end.to_bits() == mid.to_bits() {
+            break;
+        }
+        *end = mid;
+    }
+    (a * b).sqrt()
 }
 
 /// Points in the magnitude-scan log grid.
