@@ -26,7 +26,6 @@
 //! ```
 
 pub mod metrics;
-pub mod montecarlo;
 pub mod pipeline;
 pub mod sha;
 pub mod signals;

@@ -26,11 +26,11 @@
 //! two-sided).
 //!
 //! The `multi_res_flow_*` rows measure the 10/11/12/13-bit flow end to
-//! end: `multi_res_flow_waves` runs the retained PR-2 wave-barrier
-//! scheduler with no cache (the cold baseline), `multi_res_flow_cached`
-//! the dependency-driven executor with the persistent aggressive
-//! [`BlockCache`] shared across resolutions (both in blocks/s), and
-//! `multi_res_cache_hit_pct` the cross-resolution exact-hit percentage.
+//! end on the dependency-driven executor: `multi_res_flow_cold` runs each
+//! resolution with no cache (the cold baseline), `multi_res_flow_cached`
+//! with the persistent aggressive [`BlockCache`] shared across
+//! resolutions (both in blocks/s), and `multi_res_cache_hit_pct` the
+//! cross-resolution exact-hit percentage.
 //! Detailed per-resolution statistics land in `CACHE_STATS.json` (uploaded
 //! as a CI artifact next to `BENCH_EVAL.json`).
 //!
@@ -50,8 +50,8 @@ use adc_topopt::enumerate::enumerate_candidates;
 use adc_topopt::enumerate::Candidate;
 use adc_topopt::executor::ExecutorOptions;
 use adc_topopt::flow::{
-    ota_requirements, run_flow, synthesize_candidate_set_waves, synthesize_multi_resolution,
-    synthesize_ota, FlowRequest, OtaRequirements,
+    ota_requirements, run_flow, synthesize_multi_resolution, synthesize_ota, FlowRequest,
+    OtaRequirements,
 };
 use adc_topopt::verify::{build_candidate_testbench, verify_candidate, VerifyOptions};
 use std::hint::black_box;
@@ -189,9 +189,9 @@ fn main() {
         evals: warm.evaluations,
     });
 
-    // Multi-resolution flow: 10/11/12/13-bit candidate sets, wave-barrier
-    // cold baseline vs dependency-driven executor + persistent aggressive
-    // cache. Both rows report block throughput (blocks/s).
+    // Multi-resolution flow: 10/11/12/13-bit candidate sets on the
+    // dependency-driven executor, cache-free cold baseline vs the persistent
+    // aggressive cache. Both rows report block throughput (blocks/s).
     let specs: Vec<AdcSpec> = [10u32, 11, 12, 13]
         .iter()
         .map(|&k| AdcSpec::date05(k))
@@ -203,21 +203,21 @@ fn main() {
         ..Default::default()
     };
     let t2 = Instant::now();
-    let mut waves_blocks = 0usize;
-    let mut waves_evals = 0usize;
-    let mut waves_feasible = 0usize;
+    let mut cold_blocks = 0usize;
+    let mut cold_evals = 0usize;
+    let mut cold_feasible = 0usize;
     for s in &specs {
         let cands = enumerate_candidates(s.resolution, 7);
-        let blocks = synthesize_candidate_set_waves(s, &cands, &params, &flow_cfg);
-        waves_blocks += blocks.len();
-        waves_evals += blocks.iter().map(|b| b.result.evaluations).sum::<usize>();
-        waves_feasible += blocks.iter().filter(|b| b.result.feasible).count();
+        let blocks = run_flow(&FlowRequest::new(s, &cands, &params, &flow_cfg), None).blocks;
+        cold_blocks += blocks.len();
+        cold_evals += blocks.iter().map(|b| b.result.evaluations).sum::<usize>();
+        cold_feasible += blocks.iter().filter(|b| b.result.feasible).count();
     }
-    let t_waves = t2.elapsed().as_secs_f64();
+    let t_cold_flow = t2.elapsed().as_secs_f64();
     rows.push(Row {
-        name: "multi_res_flow_waves",
-        evals_per_sec: waves_blocks as f64 / t_waves,
-        evals: waves_evals,
+        name: "multi_res_flow_cold",
+        evals_per_sec: cold_blocks as f64 / t_cold_flow,
+        evals: cold_evals,
     });
 
     let mut cache = BlockCache::new(CachePolicy::Aggressive);
@@ -489,24 +489,24 @@ fn main() {
         .count();
     stats_json.push_str(&format!(
         "  ],\n  \"totals\": {{ \"blocks\": {}, \"cache_hits\": {}, \"hit_rate_pct\": {:.2}, \
-         \"feasible_blocks\": {}, \"feasible_blocks_waves\": {}, \"evaluations_spent\": {}, \
-         \"evaluations_waves\": {}, \
-         \"wall_seconds_cached\": {:.4}, \"wall_seconds_waves\": {:.4}, \"speedup\": {:.3} }}\n}}\n",
+         \"feasible_blocks\": {}, \"feasible_blocks_cold\": {}, \"evaluations_spent\": {}, \
+         \"evaluations_cold\": {}, \
+         \"wall_seconds_cached\": {:.4}, \"wall_seconds_cold\": {:.4}, \"speedup\": {:.3} }}\n}}\n",
         cached_blocks,
         hits,
         hit_pct,
         feasible,
-        waves_feasible,
+        cold_feasible,
         spent,
-        waves_evals,
+        cold_evals,
         t_cached,
-        t_waves,
-        t_waves / t_cached
+        t_cold_flow,
+        t_cold_flow / t_cached
     ));
     std::fs::write("CACHE_STATS.json", &stats_json).expect("write CACHE_STATS.json");
     eprintln!(
         "wrote CACHE_STATS.json (speedup {:.2}x)",
-        t_waves / t_cached
+        t_cold_flow / t_cached
     );
 
     let mut json = String::from("{\n");

@@ -3,17 +3,16 @@
 //! Benchmark harness regenerating **every table and figure** of the paper's
 //! evaluation:
 //!
-//! | artifact | binary | criterion bench |
-//! |----------|--------|-----------------|
-//! | Fig. 1 — stage power, 13-bit candidates | `fig1` | `fig1_stage_power` |
-//! | Fig. 2 — total power, 10–13 bits | `fig2` | `fig2_total_power` |
-//! | Fig. 3 — optimum-enumeration rules | `fig3` | `fig3_rules` |
-//! | §4 effort claim (setup vs retarget) | `effort` | `synthesis_effort` |
-//! | evaluator throughput (`BENCH_EVAL.json`) | `bench_eval` | `eval_fastpath` |
+//! | artifact | binary |
+//! |----------|--------|
+//! | Fig. 1 — stage power, 13-bit candidates | `fig1` |
+//! | Fig. 2 — total power, 10–13 bits | `fig2` |
+//! | Fig. 3 — optimum-enumeration rules | `fig3` |
+//! | §4 effort claim (setup vs retarget) | `effort` |
+//! | evaluator and flow throughput (`BENCH_EVAL.json`) | `bench_eval` |
+//! | flow-server load (`BENCH_SERVE.json`) | `bench_serve` |
 //!
-//! plus `substrate_micro` measuring the building blocks (DC Newton solve,
-//! Mason's rule, TF extraction, FFT metrics) and `eval_fastpath` comparing
-//! the allocating entry points against the reusable-workspace fast path.
+//! `bench_check` gates both reports against `BENCH_BASELINE.json`.
 //!
 //! Binaries print the same rows/series the paper reports; see
 //! `EXPERIMENTS.md` for the paper-vs-measured record and the

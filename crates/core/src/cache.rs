@@ -4,9 +4,10 @@
 //! the 10/11/12/13-bit flows share many `(m, input-accuracy)` MDAC blocks
 //! whose derived requirements are *numerically identical* (capacitor
 //! sizing, settling and gain budgets depend on the stage spec and process,
-//! not the total resolution). [`BlockCache`] makes that reuse mechanical:
+//! not the total resolution). [`SharedCache`] makes that reuse mechanical:
 //! it outlives a candidate set and a `flow` resolution run, keyed by
-//! `(template, normalized spec)`.
+//! `(template, normalized spec)`, and is the one cache implementation the
+//! flow consults. [`BlockCache`] is its one-shard form for batch callers.
 //!
 //! Two reuse tiers:
 //!
@@ -33,16 +34,12 @@
 //!   wall-clock win.
 
 use crate::flow::{OtaRequirements, TemplateKind};
-
-fn template_tag(t: TemplateKind) -> u8 {
-    t.tag()
-}
 use adc_numerics::quant::Fingerprint;
 use adc_synth::SynthResult;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
-/// Reuse policy of a [`BlockCache`].
+/// Reuse policy of a [`SharedCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Only provenance-exact hits; no near-hit seeding. Bit-identical to
@@ -54,7 +51,7 @@ pub enum CachePolicy {
     Aggressive,
 }
 
-/// Cumulative counters over the lifetime of a [`BlockCache`].
+/// Cumulative counters over the lifetime of a [`SharedCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Exact-hit lookups attempted.
@@ -132,10 +129,11 @@ struct StoredEntry {
     integrity: u64,
 }
 
-/// Persistent block store keyed by `(template, normalized spec)`; see the
-/// module docs for the reuse tiers and policies.
+/// One lock's worth of a [`SharedCache`]: the block store keyed by
+/// `(template, normalized spec)`; see the module docs for the reuse tiers
+/// and policies.
 #[derive(Debug, Default)]
-pub struct BlockCache {
+struct Shard {
     policy: CachePolicy,
     /// `(template tag, normalized spec fingerprint)` → entries, newest
     /// first. `BTreeMap` so every scan order is deterministic.
@@ -151,53 +149,20 @@ pub fn key_distance(a: (u32, u32), b: (u32, u32)) -> i64 {
     (i64::from(a.0) - i64::from(b.0)).abs() * 16 + (i64::from(a.1) - i64::from(b.1)).abs()
 }
 
-impl BlockCache {
-    /// An empty cache with the given policy.
-    #[must_use]
-    pub fn new(policy: CachePolicy) -> Self {
-        BlockCache {
+impl Shard {
+    fn new(policy: CachePolicy) -> Self {
+        Shard {
             policy,
-            ..BlockCache::default()
+            ..Shard::default()
         }
     }
 
-    /// The reuse policy.
-    #[must_use]
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Number of stored entries across all buckets.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.buckets.values().map(Vec::len).sum()
     }
 
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drops all entries (statistics are kept).
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-    }
-
-    /// Exact lookup for a block about to be planned. `config` is the run's
-    /// configuration fingerprint — entries computed under a different
-    /// process/budget/evaluator setup never match, under either policy.
-    /// `provenance` is the fingerprint the current plan computes for the
-    /// block; under [`CachePolicy::Reproducible`] a hit must match it (and
-    /// the exact requirement bits), under [`CachePolicy::Aggressive`] the
-    /// newest same-spec same-config entry wins.
-    pub fn lookup(
+    /// [`SharedCache::lookup`] within this shard.
+    fn lookup(
         &mut self,
         template: TemplateKind,
         spec_fp: u64,
@@ -206,7 +171,7 @@ impl BlockCache {
         config: u64,
     ) -> Option<CacheEntry> {
         self.stats.lookups += 1;
-        let bucket = self.buckets.get_mut(&(template_tag(template), spec_fp))?;
+        let bucket = self.buckets.get_mut(&(template.tag(), spec_fp))?;
         // Integrity sweep: entries whose stored result drifted from the
         // stamp taken at commit time are dropped, never served.
         let before = bucket.len();
@@ -225,39 +190,13 @@ impl BlockCache {
         hit
     }
 
-    /// Nearest same-template same-config entry to `key` in the block
-    /// metric — the warm-start seed for a miss. `better_than` (the
-    /// distance of the planner's in-set warm source, if any) bounds the
-    /// search: only an entry **strictly** closer is returned, so ties keep
-    /// the legacy in-set behaviour. Ties between entries resolve to the
-    /// earliest in deterministic bucket order. Only consulted (and
-    /// counted) under [`CachePolicy::Aggressive`].
-    pub fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        if self.policy != CachePolicy::Aggressive {
-            return None;
-        }
-        let seed = self
-            .nearest_scored(template, key, better_than, config)
-            .map(|(_, _, e)| e);
-        if seed.is_some() {
-            self.stats.near_seeds += 1;
-        }
-        seed
-    }
-
-    /// The policy-free core of [`BlockCache::nearest`]: sweeps integrity,
+    /// The policy-free core of [`SharedCache::nearest`]: sweeps integrity,
     /// then returns the best entry with its `(distance, spec_fp)` score.
     /// Scan order is ascending `(template, spec_fp)` with strict `<`, so
     /// the winner is the minimum under `(distance, spec_fp, bucket index)`
     /// — the ordering [`SharedCache`] merges shard-local winners by to stay
-    /// shard-count-invariant. Does not count `near_seeds` (callers own the
-    /// accounting).
+    /// shard-count-invariant. Does not count `near_seeds` (the caller owns
+    /// the accounting).
     fn nearest_scored(
         &mut self,
         template: TemplateKind,
@@ -265,7 +204,7 @@ impl BlockCache {
         better_than: Option<i64>,
         config: u64,
     ) -> Option<(i64, u64, CacheEntry)> {
-        let tag = template_tag(template);
+        let tag = template.tag();
         // Integrity sweep over every bucket the scan would touch.
         for ((t, _), bucket) in self.buckets.iter_mut() {
             if *t != tag {
@@ -296,15 +235,10 @@ impl BlockCache {
         best.map(|(fp, e)| (best_dist, fp, e.clone()))
     }
 
-    /// Stores a synthesized block. Re-inserting an existing provenance is a
-    /// no-op; buckets keep only the newest few provenance chains
-    /// (`BUCKET_CAP`). The entry is stamped with an integrity fingerprint
-    /// of its result, verified on every later lookup.
-    pub fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        let bucket = self
-            .buckets
-            .entry((template_tag(template), spec_fp))
-            .or_default();
+    /// [`SharedCache::insert`] within this shard; buckets keep the newest
+    /// `BUCKET_CAP` provenance chains.
+    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
+        let bucket = self.buckets.entry((template.tag(), spec_fp)).or_default();
         if bucket
             .iter()
             .any(|s| s.entry.provenance == entry.provenance)
@@ -371,7 +305,7 @@ impl BlockCache {
         }
         let bucket = self
             .buckets
-            .entry((template_tag(e.entry.req.template), e.spec_fp))
+            .entry((e.entry.req.template.tag(), e.spec_fp))
             .or_default();
         if bucket.len() >= BUCKET_CAP
             || bucket
@@ -402,89 +336,15 @@ pub struct SnapshotEntry {
     pub integrity: u64,
 }
 
-/// The cache consultation surface [`crate::flow::run_flow`] plans and
-/// commits through — implemented by an exclusively borrowed [`BlockCache`]
-/// and by a [`SharedCache`] reference that locks one shard per call.
-pub(crate) trait FlowCache {
-    /// Exact lookup (see [`BlockCache::lookup`]).
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry>;
-    /// Near-hit seed (see [`BlockCache::nearest`]).
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry>;
-    /// Commit (see [`BlockCache::insert`]).
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry);
-}
-
-impl FlowCache for BlockCache {
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        BlockCache::lookup(self, template, spec_fp, req, provenance, config)
-    }
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        BlockCache::nearest(self, template, key, better_than, config)
-    }
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        BlockCache::insert(self, template, spec_fp, entry);
-    }
-}
-
-impl FlowCache for &SharedCache {
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        SharedCache::lookup(self, template, spec_fp, req, provenance, config)
-    }
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        SharedCache::nearest(self, template, key, better_than, config)
-    }
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        SharedCache::insert(self, template, spec_fp, entry);
-    }
-}
-
 /// Default shard count of a [`SharedCache`] — enough that a worker pool
 /// sized for commodity cores rarely collides on one lock, small enough
 /// that merged-stats scans stay trivial.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// A [`BlockCache`] split across N independently locked shards — the
-/// resident flow server's cache substrate, replacing the single
-/// `Mutex<BlockCache>` whose one lock every worker funnelled through.
+/// The persistent block store, split across N independently locked
+/// shards — the one cache implementation every flow consults. The
+/// resident flow server runs it with [`DEFAULT_SHARDS`]; batch callers
+/// hold a one-shard [`BlockCache`].
 ///
 /// A block's shard is chosen by its existing normalized-spec
 /// [`Fingerprint`] (`spec_fp % shards`), so placement is a deterministic
@@ -500,7 +360,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct SharedCache {
     policy: CachePolicy,
-    shards: Vec<Mutex<BlockCache>>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl SharedCache {
@@ -510,7 +370,7 @@ impl SharedCache {
         SharedCache {
             policy,
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(BlockCache::new(policy)))
+                .map(|_| Mutex::new(Shard::new(policy)))
                 .collect(),
         }
     }
@@ -527,15 +387,9 @@ impl SharedCache {
         self.policy
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `spec_fp`. Deterministic in the fingerprint and
     /// the shard count alone.
-    fn shard(&self, spec_fp: u64) -> std::sync::MutexGuard<'_, BlockCache> {
+    fn shard(&self, spec_fp: u64) -> std::sync::MutexGuard<'_, Shard> {
         let idx = (spec_fp % self.shards.len() as u64) as usize;
         self.shards[idx]
             .lock()
@@ -563,7 +417,7 @@ impl SharedCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(PoisonError::into_inner).stats();
+            let s = shard.lock().unwrap_or_else(PoisonError::into_inner).stats;
             total.lookups += s.lookups;
             total.hits += s.hits;
             total.near_seeds += s.near_seeds;
@@ -576,11 +430,22 @@ impl SharedCache {
     /// Drops all entries in every shard (statistics are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
+            shard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .buckets
+                .clear();
         }
     }
 
-    /// [`BlockCache::lookup`] against the owning shard (one lock).
+    /// Exact lookup for a block about to be planned, against the owning
+    /// shard (one lock). `config` is the run's configuration fingerprint —
+    /// entries computed under a different process/budget/evaluator setup
+    /// never match, under either policy. `provenance` is the fingerprint
+    /// the current plan computes for the block; under
+    /// [`CachePolicy::Reproducible`] a hit must match it (and the exact
+    /// requirement bits), under [`CachePolicy::Aggressive`] the newest
+    /// same-spec same-config entry wins.
     pub fn lookup(
         &self,
         template: TemplateKind,
@@ -593,12 +458,19 @@ impl SharedCache {
             .lookup(template, spec_fp, req, provenance, config)
     }
 
-    /// [`BlockCache::nearest`] across all shards: each shard reports its
-    /// local winner (already minimal under `(distance, spec_fp, bucket
-    /// index)`), and the global winner is the minimum under `(distance,
-    /// spec_fp)` — exactly the order a single unsharded scan encounters
-    /// entries in, so the answer does not depend on the shard count. The
-    /// `near_seeds` count lands in the winning entry's shard.
+    /// Nearest same-template same-config entry to `key` in the block
+    /// metric — the warm-start seed for a miss. `better_than` (the
+    /// distance of the planner's in-set warm source, if any) bounds the
+    /// search: only an entry **strictly** closer is returned, so ties keep
+    /// the legacy in-set behaviour. Only consulted (and counted) under
+    /// [`CachePolicy::Aggressive`].
+    ///
+    /// Each shard reports its local winner (already minimal under
+    /// `(distance, spec_fp, bucket index)`), and the global winner is the
+    /// minimum under `(distance, spec_fp)` — exactly the order a single
+    /// unsharded scan encounters entries in, so the answer does not depend
+    /// on the shard count. The `near_seeds` count lands in the winning
+    /// entry's shard.
     pub fn nearest(
         &self,
         template: TemplateKind,
@@ -628,7 +500,10 @@ impl SharedCache {
         })
     }
 
-    /// [`BlockCache::insert`] against the owning shard (one lock).
+    /// Stores a synthesized block in the owning shard (one lock).
+    /// Re-inserting an existing provenance is a no-op; buckets keep only
+    /// the newest few provenance chains. The entry is stamped with an
+    /// integrity fingerprint of its result, verified on every later lookup.
     pub fn insert(&self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
         self.shard(spec_fp).insert(template, spec_fp, entry);
     }
@@ -649,13 +524,14 @@ impl SharedCache {
         // Bucket order within a shard is already deterministic; a stable
         // sort on the bucket key makes the concatenation shard-invariant
         // while preserving each bucket's newest-first entry order.
-        all.sort_by_key(|e| (template_tag(e.entry.req.template), e.spec_fp));
+        all.sort_by_key(|e| (e.entry.req.template.tag(), e.spec_fp));
         all
     }
 
     /// Restores one exported entry into its shard (integrity re-verified;
-    /// corrupt entries dropped and counted — see [`BlockCache`] restore
-    /// semantics). Returns whether the entry was kept.
+    /// corrupt entries dropped and counted; entries restored in export
+    /// order rebuild the original newest-first buckets). Returns whether
+    /// the entry was kept.
     pub fn restore_entry(&self, entry: SnapshotEntry) -> bool {
         self.shard(entry.spec_fp).restore(entry)
     }
@@ -672,14 +548,66 @@ impl SharedCache {
     }
 }
 
-#[cfg(test)]
+/// The batch callers' cache: a one-shard [`SharedCache`] held by
+/// exclusive borrow across a candidate set or a multi-resolution sweep.
+/// It answers every lookup, near-hit seed and commit exactly as a sharded
+/// cache with the same content does.
+#[derive(Debug)]
+pub struct BlockCache(SharedCache);
+
 impl BlockCache {
+    /// An empty cache with the given policy.
+    #[must_use]
+    pub fn new(policy: CachePolicy) -> Self {
+        BlockCache(SharedCache::new(policy, 1))
+    }
+
+    /// The reuse policy.
+    #[must_use]
+    pub fn policy(&self) -> CachePolicy {
+        self.0.policy()
+    }
+
+    /// Number of stored entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the cache holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Cumulative statistics.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
+    }
+
+    /// Drops all entries (statistics are kept).
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The underlying one-shard cache the flow consults.
+    pub(crate) fn shared(&self) -> &SharedCache {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl SharedCache {
     /// Flips a bit in every stored result — simulates storage corruption
     /// without going through the fault-injection registry.
-    fn corrupt_all_for_test(&mut self) {
-        for bucket in self.buckets.values_mut() {
-            for s in bucket.iter_mut() {
-                s.entry.result.best_cost += 1.0;
+    fn corrupt_all_for_test(&self) {
+        for shard in &self.shards {
+            let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            for bucket in guard.buckets.values_mut() {
+                for s in bucket.iter_mut() {
+                    s.entry.result.best_cost += 1.0;
+                }
             }
         }
     }
@@ -724,7 +652,7 @@ mod tests {
 
     #[test]
     fn reproducible_requires_provenance_and_exact_req() {
-        let mut c = BlockCache::new(CachePolicy::Reproducible);
+        let c = SharedCache::new(CachePolicy::Reproducible, 1);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 7, CFG)
@@ -756,7 +684,7 @@ mod tests {
 
     #[test]
     fn aggressive_ignores_provenance_and_seeds_near_hits() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = SharedCache::new(CachePolicy::Aggressive, 1);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 999, CFG)
@@ -790,7 +718,7 @@ mod tests {
             .is_some());
         assert_eq!(c.stats().near_seeds, 2);
 
-        let mut repro = BlockCache::new(CachePolicy::Reproducible);
+        let repro = SharedCache::new(CachePolicy::Reproducible, 1);
         repro.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(repro
             .nearest(TemplateKind::Telescopic, (2, 9), None, CFG)
@@ -799,7 +727,7 @@ mod tests {
 
     #[test]
     fn buckets_dedup_and_cap() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = SharedCache::new(CachePolicy::Aggressive, 1);
         for p in 0..10 {
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p));
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p)); // dup
@@ -815,7 +743,7 @@ mod tests {
 
     #[test]
     fn corrupted_entries_are_dropped_not_served() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = SharedCache::new(CachePolicy::Aggressive, 1);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         c.corrupt_all_for_test();
         assert!(

@@ -1,28 +1,21 @@
 //! Dependency-driven task executor for block synthesis.
 //!
-//! The PR-2 scheduler ran warm-start DAGs in scoped-thread **waves**: every
-//! block of wave *w* had to finish before any block of wave *w + 1*
-//! started, so a long retarget chain serialized each wave's tail. This
-//! executor replaces the barrier with a shared **ready queue**: a block is
-//! enqueued the moment its (single) warm-start dependency completes, and
-//! idle workers steal the next ready block regardless of which chain it
-//! belongs to — occupancy is limited only by the DAG's critical path.
+//! Warm-start DAGs run on a shared **ready queue**: a block is enqueued
+//! the moment its (single) warm-start dependency completes, and idle
+//! workers steal the next ready block regardless of which chain it belongs
+//! to — occupancy is limited only by the DAG's critical path.
 //!
 //! ## Failure isolation
 //!
-//! [`run_dag_outcomes`] is the fault-tolerant entry point the flow layer
-//! builds on: each task returns `Result<R, BlockFailure>` and each slot of
-//! the output is a [`BlockOutcome`] — a panicking or failing task is
-//! *recorded*, never unwound across the scope. Dependents of a failed task
-//! still run, with `warm = None` (the flow demotes them from a warm
-//! retarget to a cold start). A worker that panics while holding the mutex
-//! can no longer cascade: every lock acquisition recovers from poisoning
-//! via [`PoisonError::into_inner`], so the first failure is the one
-//! reported, not a secondary `PoisonError` unwind.
-//!
-//! [`run_dag`] keeps the original panic-propagating contract (it is a thin
-//! wrapper that re-raises the first recorded failure) for callers that
-//! treat any failure as fatal.
+//! [`run_dag_outcomes`] is the entry point the flow layer builds on: each
+//! task returns `Result<R, BlockFailure>` and each slot of the output is a
+//! [`BlockOutcome`] — a panicking or failing task is *recorded*, never
+//! unwound across the scope. Dependents of a failed task still run, with
+//! `warm = None` (the flow demotes them from a warm retarget to a cold
+//! start). A worker that panics while holding the mutex can no longer
+//! cascade: every lock acquisition recovers from poisoning via
+//! [`PoisonError::into_inner`], so the first failure is the one reported,
+//! not a secondary `PoisonError` unwind.
 //!
 //! ## Determinism contract
 //!
@@ -132,14 +125,6 @@ pub enum BlockOutcome<R> {
 impl<R> BlockOutcome<R> {
     /// The result, if the block succeeded.
     pub fn ok(&self) -> Option<&R> {
-        match self {
-            BlockOutcome::Ok(r) => Some(r),
-            BlockOutcome::Failed(_) => None,
-        }
-    }
-
-    /// The result by value, if the block succeeded.
-    pub fn into_ok(self) -> Option<R> {
         match self {
             BlockOutcome::Ok(r) => Some(r),
             BlockOutcome::Failed(_) => None,
@@ -326,42 +311,6 @@ where
     task(idx, warm)
 }
 
-/// Runs `task(i, warm)` for every `i < deps.len()`, where `warm` is the
-/// result of task `deps[i]` (`None` for root tasks), spawning each task the
-/// moment its dependency completes. Returns the results in task order.
-///
-/// This is the all-or-nothing wrapper over [`run_dag_outcomes`]: any
-/// recorded failure (panic included) is re-raised here, after the rest of
-/// the DAG has drained.
-///
-/// # Panics
-/// Panics if a dependency is not strictly earlier than its task, or
-/// if any task panics (the first recorded failure is re-raised).
-pub fn run_dag<R, F>(deps: &[Option<usize>], opts: &ExecutorOptions, task: F) -> Vec<R>
-where
-    R: Clone + Send,
-    F: Fn(usize, Option<&R>) -> R + Sync,
-{
-    run_dag_outcomes(deps, opts, |i, warm| Ok(task(i, warm)))
-        .into_iter()
-        .map(|outcome| match outcome {
-            BlockOutcome::Ok(r) => r,
-            BlockOutcome::Failed(f) => panic!("{}", f.message),
-        })
-        .collect()
-}
-
-/// Runs an embarrassingly parallel map (no dependencies) on the executor —
-/// the degenerate DAG used by candidate-level evaluation.
-pub fn run_parallel<R, F>(n: usize, opts: &ExecutorOptions, task: F) -> Vec<R>
-where
-    R: Clone + Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let deps = vec![None; n];
-    run_dag(&deps, opts, |i, _| task(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,10 +318,10 @@ mod tests {
 
     /// A synthetic "synthesis": result encodes the whole warm chain, so any
     /// scheduling error shows up as a wrong value somewhere.
-    fn chain_task(i: usize, warm: Option<&Vec<usize>>) -> Vec<usize> {
+    fn chain_task(i: usize, warm: Option<&Vec<usize>>) -> Result<Vec<usize>, BlockFailure> {
         let mut v = warm.cloned().unwrap_or_default();
         v.push(i);
-        v
+        Ok(v)
     }
 
     fn diamond_deps() -> Vec<Option<usize>> {
@@ -393,15 +342,17 @@ mod tests {
     #[test]
     fn results_identical_across_thread_counts() {
         let deps = diamond_deps();
-        let serial = run_dag(&deps, &ExecutorOptions::with_threads(1), chain_task);
+        let serial = run_dag_outcomes(&deps, &ExecutorOptions::with_threads(1), chain_task);
+        assert!(serial.iter().all(BlockOutcome::is_ok));
         for threads in [2, 4, 8] {
-            let parallel = run_dag(&deps, &ExecutorOptions::with_threads(threads), chain_task);
+            let parallel =
+                run_dag_outcomes(&deps, &ExecutorOptions::with_threads(threads), chain_task);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
         // And the auto-sized default.
         assert_eq!(
             serial,
-            run_dag(&deps, &ExecutorOptions::default(), chain_task)
+            run_dag_outcomes(&deps, &ExecutorOptions::default(), chain_task)
         );
     }
 
@@ -409,7 +360,7 @@ mod tests {
     fn every_task_runs_exactly_once() {
         let deps = diamond_deps();
         let count = AtomicUsize::new(0);
-        let out = run_dag(&deps, &ExecutorOptions::with_threads(4), |i, w| {
+        let out = run_dag_outcomes(&deps, &ExecutorOptions::with_threads(4), |i, w| {
             count.fetch_add(1, Ordering::SeqCst);
             chain_task(i, w)
         });
@@ -424,7 +375,7 @@ mod tests {
         let deps: Vec<Option<usize>> = (0..32)
             .map(|i| if i == 0 { None } else { Some(i - 1) })
             .collect();
-        let out = run_dag(
+        let out = run_dag_outcomes(
             &deps,
             &ExecutorOptions::with_threads(4),
             |i, warm: Option<&Vec<usize>>| {
@@ -434,47 +385,23 @@ mod tests {
                 chain_task(i, warm)
             },
         );
-        assert_eq!(out[31], (0..32).collect::<Vec<_>>());
+        assert_eq!(out[31], BlockOutcome::Ok((0..32).collect::<Vec<_>>()));
     }
 
     #[test]
     fn empty_dag_is_fine() {
-        let out: Vec<u8> = run_dag(&[], &ExecutorOptions::default(), |_, _| 0);
+        let out: Vec<BlockOutcome<u8>> =
+            run_dag_outcomes(&[], &ExecutorOptions::default(), |_, _| Ok(0));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_matches_serial() {
-        let a = run_parallel(17, &ExecutorOptions::with_threads(1), |i| i * i);
-        let b = run_parallel(17, &ExecutorOptions::with_threads(4), |i| i * i);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "block 5 exploded")]
-    fn task_panics_propagate() {
-        let deps: Vec<Option<usize>> = (0..8)
-            .map(|i| if i == 0 { None } else { Some(i - 1) })
-            .collect();
-        run_dag(
-            &deps,
-            &ExecutorOptions::with_threads(2),
-            |i, w: Option<&usize>| {
-                if i == 5 {
-                    panic!("block 5 exploded");
-                }
-                w.copied().unwrap_or(0) + 1
-            },
-        );
     }
 
     #[test]
     #[should_panic(expected = "not earlier")]
     fn forward_dependency_rejected() {
-        run_dag(
+        run_dag_outcomes(
             &[Some(1), None],
             &ExecutorOptions::default(),
-            |_, _: Option<&u8>| 0u8,
+            |_, _: Option<&u8>| Ok(0u8),
         );
     }
 

@@ -7,9 +7,8 @@
 //! once and reused across candidates; retargeting a neighbouring spec
 //! warm-starts from the nearest finished design. This module extends that
 //! reuse across whole **resolution runs** through the persistent
-//! [`BlockCache`], and executes the distinct blocks of a set on the
-//! dependency-driven [`executor`](crate::executor) instead of barrier
-//! waves.
+//! [`SharedCache`], and executes the distinct blocks of a set on the
+//! dependency-driven [`executor`](crate::executor).
 //!
 //! ## Scheduling pipeline
 //!
@@ -17,15 +16,15 @@
 //!    DAG from the keys alone (pure function of the candidate list);
 //! 2. cache consultation — exact hits skip synthesis, near hits seed warm
 //!    starts (policy-gated, see [`CachePolicy`](crate::cache::CachePolicy));
-//! 3. [`executor::run_dag`](crate::executor::run_dag) — each block spawns
-//!    the moment its warm source completes;
+//! 3. [`executor::run_dag_outcomes`](crate::executor::run_dag_outcomes) —
+//!    each block spawns the moment its warm source completes;
 //! 4. deterministic merge (ascending reuse key) + cache commit.
 //!
-//! [`synthesize_candidate_set_serial`] remains the bit-identical serial
-//! oracle, and [`synthesize_candidate_set_waves`] retains the PR-2
-//! wave-barrier scheduler as a benchmarking baseline.
+//! [`run_flow`] and [`run_flow_shared`] run every request through that one
+//! pipeline; [`FlowRequest::serial`] selects the bit-identical serial
+//! oracle.
 
-use crate::cache::{key_distance, BlockCache, CacheEntry, FlowCache, SharedCache};
+use crate::cache::{key_distance, BlockCache, CacheEntry, SharedCache};
 use crate::enumerate::Candidate;
 use crate::executor::{run_dag_outcomes, BlockFailure, BlockOutcome, ExecutorOptions, FailureKind};
 use adc_mdac::opamp::{
@@ -174,7 +173,7 @@ pub enum TemplateKind {
 
 impl TemplateKind {
     /// Stable small-integer tag — the single source of truth for both the
-    /// requirement fingerprints and the [`BlockCache`] bucket keys.
+    /// requirement fingerprints and the [`SharedCache`] bucket keys.
     pub(crate) fn tag(self) -> u8 {
         match self {
             TemplateKind::Telescopic => 0,
@@ -200,7 +199,7 @@ pub struct OtaRequirements {
 
 impl OtaRequirements {
     /// Fingerprint on the **normalized-spec grid** (template + values
-    /// quantized to [`SPEC_NORM_DIGITS`]): the [`BlockCache`] map key.
+    /// quantized to [`SPEC_NORM_DIGITS`]): the [`SharedCache`] map key.
     /// Independent derivations of the same physical spec — e.g. the same
     /// `(m, input-accuracy)` block reached from two resolutions — collapse
     /// onto one key.
@@ -254,7 +253,7 @@ pub enum BlockOrigin {
     Cold,
     /// Retargeted from another block of the same candidate set.
     Retargeted,
-    /// Retargeted from a near-hit [`BlockCache`] entry (no in-run
+    /// Retargeted from a near-hit [`SharedCache`] entry (no in-run
     /// dependency — ready immediately).
     CacheSeeded,
     /// Exact cache hit: synthesis skipped, stored result returned.
@@ -633,7 +632,7 @@ fn schedule_candidate_set(
     candidates: &[Candidate],
     params: &PowerModelParams,
     cfg: &SynthConfig,
-    mut cache: Option<&mut dyn FlowCache>,
+    cache: Option<&SharedCache>,
 ) -> Vec<ScheduledBlock> {
     let planned = plan_candidate_set(spec, candidates, params);
     let cfg_fp = flow_config_fingerprint(&spec.process, cfg);
@@ -670,7 +669,7 @@ fn schedule_candidate_set(
             None => 0,
         };
         let mut provenance = chain(planned_warm_prov);
-        if let Some(cache) = cache.as_deref_mut() {
+        if let Some(cache) = cache {
             // Exact hit first: it supersedes any warm-source decision, so
             // the (whole-cache) near-hit scan only runs on a miss.
             if let Some(hit) = cache.lookup(p.req.template, spec_fp, &p.req, provenance, cfg_fp) {
@@ -929,7 +928,7 @@ fn execute_schedule_serial(
 fn finish_run(
     scheduled: Vec<ScheduledBlock>,
     outcomes: Vec<BlockOutcome<ExecutedBlock>>,
-    mut cache: Option<&mut dyn FlowCache>,
+    cache: Option<&SharedCache>,
     deadline_slack_ms: Option<i64>,
 ) -> SynthesisRun {
     let mut stats = RunStats {
@@ -972,7 +971,7 @@ fn finish_run(
             // Cache-commit gate: only results produced exactly as planned
             // carry the provenance computed at schedule time.
             if executed.as_planned {
-                if let Some(cache) = cache.as_deref_mut() {
+                if let Some(cache) = cache {
                     cache.insert(
                         b.req.template,
                         b.spec_fp,
@@ -1023,11 +1022,9 @@ impl Default for ExecutionMode {
 
 /// One complete candidate-set synthesis request: the spec, the candidates
 /// under consideration, the power-model and synthesis configurations, the
-/// fault-tolerance [`FlowOptions`], and the [`ExecutionMode`] — the single
-/// entry contract that replaced the six historical
-/// `synthesize_candidate_set*` functions. Cache policy rides separately
-/// (as the `cache` argument of [`run_flow`] / [`run_flow_shared`]) because
-/// the cache outlives any one request.
+/// fault-tolerance [`FlowOptions`], and the [`ExecutionMode`]. Cache policy
+/// rides separately (as the `cache` argument of [`run_flow`] /
+/// [`run_flow_shared`]) because the cache outlives any one request.
 #[derive(Debug, Clone)]
 pub struct FlowRequest<'a> {
     /// Converter specification (resolution, rate, supply, process).
@@ -1091,48 +1088,39 @@ impl<'a> FlowRequest<'a> {
     }
 }
 
-/// Runs one [`FlowRequest`] end to end — schedule (with cache
-/// consultation), guarded execution in the requested mode, deterministic
-/// merge + cache commit. Failed blocks are isolated, retried up the
-/// recovery ladder, and reported as [`SynthesisRun::failures`] while the
-/// survivors are ranked normally; with default [`FlowOptions`] and no
-/// faults the result is bit-identical to the historical
-/// `synthesize_candidate_set*` paths (enforced by a regression test).
-pub fn run_flow(req: &FlowRequest<'_>, mut cache: Option<&mut BlockCache>) -> SynthesisRun {
+/// The one flow body behind [`run_flow`] and [`run_flow_shared`]:
+/// schedule (with cache consultation), guarded execution in the requested
+/// mode, deterministic merge + cache commit.
+fn run(req: &FlowRequest<'_>, cache: Option<&SharedCache>) -> SynthesisRun {
     let run_deadline = req.run_deadline();
-    let scheduled = schedule_candidate_set(
-        req.spec,
-        req.candidates,
-        req.params,
-        req.cfg,
-        cache.as_deref_mut().map(|c| c as &mut dyn FlowCache),
-    );
+    let scheduled = schedule_candidate_set(req.spec, req.candidates, req.params, req.cfg, cache);
+    let process = &req.spec.process;
     let outcomes = match &req.mode {
         ExecutionMode::Parallel(exec) => execute_schedule(
-            &req.spec.process,
+            process,
             &scheduled,
             req.cfg,
             exec,
             &req.options,
             run_deadline,
         ),
-        ExecutionMode::Serial => execute_schedule_serial(
-            &req.spec.process,
-            &scheduled,
-            req.cfg,
-            &req.options,
-            run_deadline,
-        ),
+        ExecutionMode::Serial => {
+            execute_schedule_serial(process, &scheduled, req.cfg, &req.options, run_deadline)
+        }
     };
     let slack = run_deadline
         .slack_seconds()
         .map(|s| (s * 1e3).round() as i64);
-    finish_run(
-        scheduled,
-        outcomes,
-        cache.map(|c| c as &mut dyn FlowCache),
-        slack,
-    )
+    finish_run(scheduled, outcomes, cache, slack)
+}
+
+/// Runs one [`FlowRequest`] end to end against an optional exclusively
+/// held [`BlockCache`]. Failed blocks are isolated, retried up the
+/// recovery ladder, and reported as [`SynthesisRun::failures`] while the
+/// survivors are ranked normally; with default [`FlowOptions`] and no
+/// faults the result is bit-identical to the serial oracle.
+pub fn run_flow(req: &FlowRequest<'_>, cache: Option<&mut BlockCache>) -> SynthesisRun {
+    run(req, cache.map(|c| c.shared()))
 }
 
 /// [`run_flow`] against a **sharded** [`SharedCache`] — the resident
@@ -1147,139 +1135,7 @@ pub fn run_flow(req: &FlowRequest<'_>, mut cache: Option<&mut BlockCache>) -> Sy
 /// [`crate::cache::CachePolicy::Reproducible`] it is bit-identical to a
 /// cache-cold serial run for any shard or thread count.
 pub fn run_flow_shared(req: &FlowRequest<'_>, cache: &SharedCache) -> SynthesisRun {
-    let run_deadline = req.run_deadline();
-    let mut handle: &SharedCache = cache;
-    let scheduled = schedule_candidate_set(
-        req.spec,
-        req.candidates,
-        req.params,
-        req.cfg,
-        Some(&mut handle as &mut dyn FlowCache),
-    );
-    let outcomes = match &req.mode {
-        ExecutionMode::Parallel(exec) => execute_schedule(
-            &req.spec.process,
-            &scheduled,
-            req.cfg,
-            exec,
-            &req.options,
-            run_deadline,
-        ),
-        ExecutionMode::Serial => execute_schedule_serial(
-            &req.spec.process,
-            &scheduled,
-            req.cfg,
-            &req.options,
-            run_deadline,
-        ),
-    };
-    let slack = run_deadline
-        .slack_seconds()
-        .map(|s| (s * 1e3).round() as i64);
-    let mut handle: &SharedCache = cache;
-    finish_run(
-        scheduled,
-        outcomes,
-        Some(&mut handle as &mut dyn FlowCache),
-        slack,
-    )
-}
-
-/// Synthesizes every distinct MDAC of a candidate set with reuse: exact
-/// key hits are returned from the cache; otherwise the nearest same-template
-/// block (by input accuracy) warm-starts a retargeting run.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    run_flow(&FlowRequest::new(spec, candidates, params, cfg), None).blocks
-}
-
-/// [`synthesize_candidate_set`] with an optional persistent [`BlockCache`]
-/// and explicit executor options.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set_with(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    exec: &ExecutorOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).with_executor(exec.clone()),
-        cache,
-    )
-}
-
-/// [`synthesize_candidate_set_with`] with explicit fault-tolerance options.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set_guarded(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    exec: &ExecutorOptions,
-    flow: &FlowOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg)
-            .with_executor(exec.clone())
-            .with_options(*flow),
-        cache,
-    )
-}
-
-/// Sequential reference implementation of [`synthesize_candidate_set`].
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).serial(),
-        None,
-    )
-    .blocks
-}
-
-/// [`synthesize_candidate_set_serial`] with an optional cache.
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial_with(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).serial(),
-        cache,
-    )
-}
-
-/// Serial oracle with explicit fault-tolerance options.
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial_guarded(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    flow: &FlowOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg)
-            .serial()
-            .with_options(*flow),
-        cache,
-    )
+    run(req, Some(cache))
 }
 
 /// Candidates whose every required MDAC block survived a (possibly
@@ -1301,70 +1157,6 @@ pub fn surviving_candidates(
         })
         .cloned()
         .collect()
-}
-
-/// The PR-2 wave-barrier scheduler, retained verbatim as the benchmarking
-/// baseline for the dependency-driven executor (`bench_eval`'s
-/// `multi_res_flow_waves` row): blocks whose warm sources finished run in
-/// scoped-thread waves with a barrier between waves.
-pub fn synthesize_candidate_set_waves(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    let planned = plan_candidate_set(spec, candidates, params);
-    // Wave index: a block runs one wave after its warm source. (`warm` only
-    // ever points at an earlier serial index, so one forward pass settles.)
-    let mut wave = vec![0usize; planned.len()];
-    for i in 0..planned.len() {
-        if let Some(j) = planned[i].warm {
-            wave[i] = wave[j] + 1;
-        }
-    }
-    let max_wave = wave.iter().copied().max().unwrap_or(0);
-    let mut results: Vec<Option<SynthResult>> = vec![None; planned.len()];
-    for w in 0..=max_wave {
-        let batch: Vec<(usize, SynthResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = planned
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| wave[*i] == w)
-                .map(|(i, p)| {
-                    let warm = p.warm.map(|j| {
-                        results[j]
-                            .as_ref()
-                            .expect("warm source finished in an earlier wave")
-                    });
-                    scope.spawn(move || (i, synthesize_ota(&spec.process, &p.req, cfg, warm)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("MDAC synthesis panicked"))
-                .collect()
-        });
-        for (i, r) in batch {
-            results[i] = Some(r);
-        }
-    }
-    let mut blocks: Vec<MdacBlock> = planned
-        .into_iter()
-        .zip(results)
-        .map(|(p, r)| MdacBlock {
-            key: p.key,
-            requirements: p.req,
-            result: r.expect("every planned block is synthesized"),
-            retargeted: p.warm.is_some(),
-            origin: if p.warm.is_some() {
-                BlockOrigin::Retargeted
-            } else {
-                BlockOrigin::Cold
-            },
-        })
-        .collect();
-    blocks.sort_by_key(|b| b.key);
-    blocks
 }
 
 /// One resolution's worth of a multi-resolution flow.
@@ -1547,30 +1339,6 @@ mod tests {
         }
     }
 
-    /// The retained wave-barrier baseline still agrees with the executor
-    /// (same plan, different scheduling) — it exists purely as the
-    /// benchmark baseline.
-    #[test]
-    fn wave_baseline_matches_executor() {
-        let spec = AdcSpec::date05(10);
-        let params = PowerModelParams::calibrated();
-        let cands = enumerate_candidates(10, 7);
-        let cfg = SynthConfig {
-            iterations: 10,
-            nm_iterations: 2,
-            seed: 5,
-            ..Default::default()
-        };
-        let waves = synthesize_candidate_set_waves(&spec, &cands, &params, &cfg);
-        let exec = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None).blocks;
-        assert_eq!(waves.len(), exec.len());
-        for (a, b) in waves.iter().zip(exec.iter()) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.result.best_x, b.result.best_x);
-            assert_eq!(a.result.evaluations, b.result.evaluations);
-        }
-    }
-
     /// A reproducible cache warmed by one run answers a repeat of the same
     /// run entirely from provenance-exact hits, bit-identically.
     #[test]
@@ -1656,8 +1424,8 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let mut cache = BlockCache::new(CachePolicy::Reproducible);
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&mut cache));
+        let cache = BlockCache::new(CachePolicy::Reproducible);
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(cache.shared()));
         let n = scheduled.len();
         assert!(n > 0);
         // Every block fails → no survivors, no cache entries, full report.
@@ -1670,7 +1438,7 @@ mod tests {
                 ))
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(&mut cache), None);
+        let run = finish_run(scheduled, outcomes, Some(cache.shared()), None);
         assert!(run.blocks.is_empty());
         assert_eq!(run.failures.len(), n);
         assert_eq!(run.stats.failed, n);
@@ -1679,7 +1447,7 @@ mod tests {
         assert!(run.into_result().is_err());
         // Every block "recovers" off-plan → ranked survivors, still no
         // cache commits (the planned provenance no longer attests them).
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&mut cache));
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(cache.shared()));
         let fake = SynthResult {
             best_x: vec![1.0],
             best_u: vec![0.5],
@@ -1699,77 +1467,12 @@ mod tests {
                 })
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(&mut cache), None);
+        let run = finish_run(scheduled, outcomes, Some(cache.shared()), None);
         assert_eq!(run.blocks.len(), n);
         assert_eq!(run.stats.recovered, n);
         assert_eq!(run.stats.attempts, 2 * n);
         assert_eq!(cache.len(), 0, "off-plan results must never be cached");
         assert_eq!(surviving_candidates(&spec, &cands, &run).len(), cands.len());
-    }
-
-    /// The six deprecated entry points are thin wrappers over [`run_flow`]:
-    /// every one of them must stay bit-identical to the equivalent
-    /// [`FlowRequest`] — trajectories, origins, stats and all.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_bit_identical_to_run_flow() {
-        let spec = AdcSpec::date05(10);
-        let params = PowerModelParams::calibrated();
-        let cands = enumerate_candidates(10, 7);
-        let cfg = SynthConfig {
-            iterations: 8,
-            nm_iterations: 2,
-            seed: 13,
-            ..Default::default()
-        };
-        let exec = ExecutorOptions::default();
-        let flow = FlowOptions::default();
-        let assert_same = |a: &[MdacBlock], b: &[MdacBlock], label: &str| {
-            assert_eq!(a.len(), b.len(), "{label}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.key, y.key, "{label}");
-                assert_eq!(x.origin, y.origin, "{label}: key {:?}", x.key);
-                assert_eq!(x.result.best_x, y.result.best_x, "{label}: key {:?}", x.key);
-                assert_eq!(
-                    x.result.evaluations, y.result.evaluations,
-                    "{label}: key {:?}",
-                    x.key
-                );
-            }
-        };
-        let base = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None);
-        let base_serial = run_flow(
-            &FlowRequest::new(&spec, &cands, &params, &cfg).serial(),
-            None,
-        );
-
-        let w = synthesize_candidate_set(&spec, &cands, &params, &cfg);
-        assert_same(&w, &base.blocks, "synthesize_candidate_set");
-        let w = synthesize_candidate_set_with(&spec, &cands, &params, &cfg, None, &exec);
-        assert_same(&w.blocks, &base.blocks, "synthesize_candidate_set_with");
-        assert_eq!(w.stats, base.stats);
-        let w = synthesize_candidate_set_guarded(&spec, &cands, &params, &cfg, None, &exec, &flow);
-        assert_same(&w.blocks, &base.blocks, "synthesize_candidate_set_guarded");
-        assert_eq!(w.stats, base.stats);
-        let w = synthesize_candidate_set_serial(&spec, &cands, &params, &cfg);
-        assert_same(&w, &base_serial.blocks, "synthesize_candidate_set_serial");
-        let w = synthesize_candidate_set_serial_with(&spec, &cands, &params, &cfg, None);
-        assert_same(
-            &w.blocks,
-            &base_serial.blocks,
-            "synthesize_candidate_set_serial_with",
-        );
-        assert_eq!(w.stats, base_serial.stats);
-        let w = synthesize_candidate_set_serial_guarded(&spec, &cands, &params, &cfg, None, &flow);
-        assert_same(
-            &w.blocks,
-            &base_serial.blocks,
-            "synthesize_candidate_set_serial_guarded",
-        );
-        assert_eq!(w.stats, base_serial.stats);
-        // The serial oracle agrees with the parallel path (long-standing
-        // contract, restated here across the consolidated entry).
-        assert_same(&base.blocks, &base_serial.blocks, "parallel vs serial");
     }
 
     /// [`run_flow_shared`] (per-shard-locked schedule/commit, the server

@@ -2,7 +2,6 @@
 //! total power (the data behind Fig. 1 and Fig. 2) and pick the minimum.
 
 use crate::enumerate::{enumerate_candidates, Candidate};
-use crate::executor::{run_parallel, ExecutorOptions};
 use adc_mdac::power::{design_chain, PowerModelParams, StageDesign};
 use adc_mdac::specs::AdcSpec;
 
@@ -45,18 +44,6 @@ impl TopologyReport {
     }
 }
 
-/// Flattened summary row (plain strings and numbers, ready for the
-/// `report` module's text/CSV emitters).
-#[derive(Debug, Clone)]
-pub struct SummaryRow {
-    /// Configuration label, e.g. `"4-3-2"`.
-    pub config: String,
-    /// Per-stage power, mW.
-    pub stage_power_mw: Vec<f64>,
-    /// Total power, mW.
-    pub total_power_mw: f64,
-}
-
 fn evaluate_candidate(
     spec: &AdcSpec,
     params: &PowerModelParams,
@@ -89,40 +76,6 @@ pub fn optimize_topology(spec: &AdcSpec, params: &PowerModelParams) -> TopologyR
         spec: spec.clone(),
         rows,
     }
-}
-
-/// Parallel variant of [`optimize_topology`]: candidates are independent,
-/// so they evaluate as a dependency-free DAG on the block executor
-/// (useful when the designer model is swapped for an expensive
-/// circuit-backed evaluation).
-pub fn optimize_topology_parallel(spec: &AdcSpec, params: &PowerModelParams) -> TopologyReport {
-    let candidates = enumerate_candidates(spec.resolution, 7);
-    let mut rows: Vec<CandidateRow> =
-        run_parallel(candidates.len(), &ExecutorOptions::default(), |i: usize| {
-            evaluate_candidate(spec, params, candidates[i].clone())
-        });
-    rows.sort_by(|a, b| {
-        a.total_power
-            .partial_cmp(&b.total_power)
-            .expect("finite powers")
-    });
-    TopologyReport {
-        spec: spec.clone(),
-        rows,
-    }
-}
-
-/// Flattened summary of a report.
-pub fn summarize(report: &TopologyReport) -> Vec<SummaryRow> {
-    report
-        .rows
-        .iter()
-        .map(|r| SummaryRow {
-            config: r.candidate.to_string(),
-            stage_power_mw: r.stage_power.iter().map(|p| p * 1e3).collect(),
-            total_power_mw: r.total_power * 1e3,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -203,30 +156,5 @@ mod tests {
             assert!(r.best().total_power > last);
             last = r.best().total_power;
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let p = params();
-        for k in [10u32, 13] {
-            let spec = AdcSpec::date05(k);
-            let a = optimize_topology(&spec, &p);
-            let b = optimize_topology_parallel(&spec, &p);
-            assert_eq!(a.rows.len(), b.rows.len());
-            for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
-                assert_eq!(ra.candidate, rb.candidate);
-                assert_eq!(ra.total_power, rb.total_power);
-            }
-        }
-    }
-
-    #[test]
-    fn summary_rows_serialize() {
-        let r = optimize_topology(&AdcSpec::date05(10), &params());
-        let s = summarize(&r);
-        assert_eq!(s.len(), 3);
-        assert!(s[0].total_power_mw <= s[1].total_power_mw);
-        assert!(!s[0].config.is_empty());
-        assert_eq!(s[0].stage_power_mw.len(), r.rows[0].stages.len());
     }
 }

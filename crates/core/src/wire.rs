@@ -524,11 +524,18 @@ pub fn synth_config_to_json(cfg: &SynthConfig) -> JsonValue {
     ])
 }
 
+/// Most annealing iterations a wire config may request: ten times the
+/// default budget. The annealer sizes its history up front, so an
+/// unbounded count aborts the process on allocation instead of running
+/// slowly.
+const MAX_WIRE_ITERATIONS: usize = 20_000;
+
 /// Rebuilds a [`SynthConfig`] from the wire; absent fields inherit
 /// `SynthConfig::default()`.
 ///
 /// # Errors
-/// Ill-typed fields.
+/// Ill-typed fields, `iterations` above 20 000, and a `sigma0` or
+/// `sigma_end` that is not finite and positive.
 pub fn synth_config_from_json(v: &JsonValue) -> Result<SynthConfig, WireError> {
     let d = SynthConfig::default();
     let usize_or = |field: &str, default: usize| -> Result<usize, WireError> {
@@ -543,6 +550,24 @@ pub fn synth_config_from_json(v: &JsonValue) -> Result<SynthConfig, WireError> {
             Some(_) => v.f64_field(field),
         }
     };
+    let iterations = usize_or("iterations", d.iterations)?;
+    if iterations > MAX_WIRE_ITERATIONS {
+        return Err(WireError::BadType {
+            field: "iterations".to_string(),
+            expected: "an iteration count of at most 20000",
+        });
+    }
+    let step_size = |field: &str, default: f64| -> Result<f64, WireError> {
+        let sigma = f64_or(field, default)?;
+        if sigma.is_finite() && sigma > 0.0 {
+            Ok(sigma)
+        } else {
+            Err(WireError::BadType {
+                field: field.to_string(),
+                expected: "a finite positive step size",
+            })
+        }
+    };
     let cost_quant_digits = match v.get("cost_quant_digits") {
         None => d.cost_quant_digits,
         Some(JsonValue::Null) => None,
@@ -554,10 +579,10 @@ pub fn synth_config_from_json(v: &JsonValue) -> Result<SynthConfig, WireError> {
         ),
     };
     Ok(SynthConfig {
-        iterations: usize_or("iterations", d.iterations)?,
+        iterations,
         nm_iterations: usize_or("nm_iterations", d.nm_iterations)?,
-        sigma0: f64_or("sigma0", d.sigma0)?,
-        sigma_end: f64_or("sigma_end", d.sigma_end)?,
+        sigma0: step_size("sigma0", d.sigma0)?,
+        sigma_end: step_size("sigma_end", d.sigma_end)?,
         seed: u64::try_from(usize_or("seed", d.seed as usize)?).unwrap_or(d.seed),
         warm_tail_frac: f64_or("warm_tail_frac", d.warm_tail_frac)?,
         cost_quant_digits,
@@ -1041,6 +1066,33 @@ mod tests {
         assert_eq!(back, cfg);
         let defaults = synth_config_from_json(&JsonValue::parse("{}").unwrap()).unwrap();
         assert_eq!(defaults, SynthConfig::default());
+    }
+
+    /// Budgets and step sizes that would abort, panic or poison every
+    /// block are typed wire errors; the bound itself is still admitted.
+    #[test]
+    fn synth_config_rejects_hostile_budgets_and_step_sizes() {
+        let parse = |body: &str| synth_config_from_json(&JsonValue::parse(body).unwrap());
+        for (body, field) in [
+            (r#"{"iterations": 1e12}"#, "iterations"),
+            (r#"{"iterations": 1e300}"#, "iterations"),
+            (r#"{"iterations": 20001}"#, "iterations"),
+            (r#"{"sigma0": null}"#, "sigma0"),
+            (r#"{"sigma0": -1}"#, "sigma0"),
+            (r#"{"sigma0": 0}"#, "sigma0"),
+            (r#"{"sigma0": 1e400}"#, "sigma0"),
+            (r#"{"sigma_end": -0.02}"#, "sigma_end"),
+            (r#"{"sigma_end": null}"#, "sigma_end"),
+        ] {
+            match parse(body) {
+                Err(WireError::BadType { field: f, .. }) => assert_eq!(f, field, "{body}"),
+                other => panic!("{body} must be a typed error, got {other:?}"),
+            }
+        }
+        let at_bound = parse(r#"{"iterations": 20000, "sigma0": 0.5, "sigma_end": 1e-3}"#).unwrap();
+        assert_eq!(at_bound.iterations, 20_000);
+        assert_eq!(at_bound.sigma0, 0.5);
+        assert_eq!(at_bound.sigma_end, 1e-3);
     }
 
     #[test]

@@ -26,7 +26,8 @@ pub const SITE_DC_SOLVE: &str = "dc_solve";
 pub const SITE_TRAN_SOLVE: &str = "tran_solve";
 /// `Synthesizer::try_execute` entry in `adc-synth`.
 pub const SITE_SYNTH_EXECUTE: &str = "synth_execute";
-/// `BlockCache` commit in `adc-topopt` (corruption sentinel).
+/// Block-cache commit and snapshot restore in `adc-topopt` (corruption
+/// sentinel).
 pub const SITE_CACHE_COMMIT: &str = "cache_commit";
 /// Executor task body in `adc-topopt`.
 pub const SITE_EXECUTOR_TASK: &str = "executor_task";

@@ -5,8 +5,7 @@
 //! root finding, dense linear algebra (LU with partial pivoting, real and
 //! complex), sparse CSR linear algebra (LU with a reusable symbolic
 //! factorization for MNA-shaped systems), radix-2 FFT with spectral
-//! windows, explicit Runge-Kutta ODE integration, scalar
-//! root-finding/minimization, and small statistics helpers.
+//! windows, and small statistics helpers.
 //!
 //! Everything here is written from scratch (no external math crates) so the
 //! higher layers — the circuit simulator, the DPI/SFG symbolic analysis and
@@ -32,8 +31,6 @@ pub mod faults;
 pub mod fft;
 pub mod interp;
 pub mod linalg;
-pub mod ode;
-pub mod optimize1d;
 pub mod poly;
 pub mod quant;
 pub mod roots;

@@ -6,9 +6,9 @@
 //! (dense [`crate::linalg::Lu`]/[`crate::linalg::CLu`], sparse
 //! `factor_core`) — was deliberately shaped as fixed-width 4-lane chunks so
 //! intrinsics could drop in without changing accumulation order. This module
-//! is that drop-in: AVX2 kernels on `x86_64`, NEON on `aarch64`, and the
-//! original scalar 4-lane loops everywhere else (and as the bit-compared
-//! oracle under `ADC_FORCE_SCALAR=1`).
+//! is that drop-in: AVX2 kernels on `x86_64`, and the original scalar
+//! 4-lane loops everywhere else (and as the bit-compared oracle under
+//! `ADC_FORCE_SCALAR=1`).
 //!
 //! # Bit-identity contract
 //!
@@ -21,10 +21,10 @@
 //!   multiply/add/subtract, which round identically per IEEE-754 lane.
 //! - Complex products follow [`Complex`]'s exact expression order
 //!   (`re·re − im·im`, `re·im + im·re`) using one rounding per `·`, `+`,
-//!   `−` — `_mm256_addsub_pd` / a sign-flipped NEON add give the same
-//!   single-rounded results as the scalar `−`/`+`.
+//!   `−` — `_mm256_addsub_pd` gives the same single-rounded results as
+//!   the scalar `−`/`+`.
 //! - Scattered accumulation (`out[slot] += v` with possibly repeated
-//!   slots) is **inherently order-dependent**, and no AVX2/NEON scatter
+//!   slots) is **inherently order-dependent**, and no AVX2 scatter
 //!   instruction exists anyway, so the scattered adds always run in scalar
 //!   program order on every backend; SIMD only prepares the products
 //!   feeding them. `scatter_add`/`scatter_add_uniform` (pure `f64`
@@ -54,9 +54,6 @@ pub enum Backend {
     /// AVX2 256-bit kernels (x86_64, runtime-detected).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// NEON 128-bit kernels (aarch64 baseline).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 static BACKEND: OnceLock<Backend> = OnceLock::new();
@@ -69,11 +66,6 @@ fn detect() -> Backend {
     if std::arch::is_x86_feature_detected!("avx2") {
         return Backend::Avx2;
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return Backend::Neon;
-    }
-    #[allow(unreachable_code)]
     Backend::Scalar
 }
 
@@ -90,8 +82,6 @@ pub fn backend_name() -> &'static str {
         Backend::Scalar => "scalar",
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => "avx2",
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => "neon",
     }
 }
 
@@ -109,8 +99,6 @@ pub fn padded_lanes(k: usize) -> usize {
     match backend() {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => k.next_multiple_of(4).min(MAX_LANES),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => k.next_multiple_of(2).min(MAX_LANES),
         _ => k,
     }
 }
@@ -123,7 +111,7 @@ pub fn padded_lanes(k: usize) -> usize {
 /// the one shared scatter kernel behind `Matrix::scatter_add`,
 /// `CsrMatrix::scatter_add` and (product formation aside)
 /// `CCsrMatrix::scatter_add_scaled`. Scattered `+=` with repeatable slots
-/// is order-dependent and has no AVX2/NEON scatter instruction, so this
+/// is order-dependent and has no AVX2 scatter instruction, so this
 /// runs the scalar 4-lane loop on every backend; it exists here so the
 /// replay shape lives in exactly one place.
 ///
@@ -175,8 +163,6 @@ pub fn scatter_add_scaled(out: &mut [Complex], slots: &[usize], vals: &[f64], s:
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::scatter_add_scaled(out, slots, vals, s) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_add_scaled(out, slots, vals, s),
         Backend::Scalar => scatter_add_scaled_scalar(out, slots, vals, s),
     }
 }
@@ -212,8 +198,6 @@ pub fn axpy_sub(dst: &mut [f64], src: &[f64], f: f64) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::axpy_sub(dst, src, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::axpy_sub(dst, src, f),
         Backend::Scalar => axpy_sub_scalar(dst, src, f),
     }
 }
@@ -235,8 +219,6 @@ pub fn caxpy_sub(dst: &mut [Complex], src: &[Complex], f: Complex) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::caxpy_sub(dst, src, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::caxpy_sub(dst, src, f),
         Backend::Scalar => caxpy_sub_scalar(dst, src, f),
     }
 }
@@ -273,8 +255,6 @@ pub fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::scatter_axpy_sub(w, cols, vals, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_axpy_sub(w, cols, vals, f),
         Backend::Scalar => scatter_axpy_sub_scalar(w, cols, vals, f),
     }
 }
@@ -297,8 +277,6 @@ pub fn scatter_caxpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f:
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::scatter_caxpy_sub(w, cols, vals, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_caxpy_sub(w, cols, vals, f),
         Backend::Scalar => scatter_caxpy_sub_scalar(w, cols, vals, f),
     }
 }
@@ -338,8 +316,6 @@ pub fn lane_cmul_sub(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::lane_cmul_sub(dr, di, ar, ai, br, bi) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::lane_cmul_sub(dr, di, ar, ai, br, bi),
         Backend::Scalar => lane_cmul_sub_scalar(dr, di, ar, ai, br, bi),
     }
 }
@@ -392,8 +368,6 @@ pub fn lane_cdiv(qr: &mut [f64], qi: &mut [f64], ar: &[f64], ai: &[f64], br: &[f
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
         Backend::Avx2 => unsafe { avx2::lane_cdiv(qr, qi, ar, ai, br, bi) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::lane_cdiv(qr, qi, ar, ai, br, bi),
         Backend::Scalar => lane_cdiv_scalar(qr, qi, ar, ai, br, bi),
     }
 }
@@ -458,10 +432,6 @@ pub fn lane_eliminate_row(
         Backend::Avx2 if lanes % 4 == 0 => unsafe {
             avx2::lane_eliminate_row(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes)
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_eliminate_row(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes)
-        }
         _ => lane_eliminate_row_scalar(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes),
     }
 }
@@ -545,10 +515,6 @@ pub fn lane_assemble(
                 f_re, f_im, base, scatter, fill_pos, cap_slots, cap_vals, s_re, s_im, lanes,
             )
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => neon::lane_assemble(
-            f_re, f_im, base, scatter, fill_pos, cap_slots, cap_vals, s_re, s_im, lanes,
-        ),
         _ => lane_assemble_scalar(
             f_re, f_im, base, scatter, fill_pos, cap_slots, cap_vals, s_re, s_im, lanes,
         ),
@@ -596,8 +562,6 @@ pub fn lane_assemble_scalar(
 /// and Smith division (exact-zero denominators included) bit-for-bit and
 /// ends in [`Complex::norm_le`], so log-grid magnitude scans can batch
 /// points without perturbing the crossing they find.
-///
-/// aarch64 runs the scalar oracle: no CI leg executes a NEON twin.
 ///
 /// # Panics
 /// Panics if `out` is shorter than `freqs_hz`.
@@ -657,10 +621,6 @@ pub fn lane_factor_rows(
         Backend::Avx2 if lanes % 4 == 0 => unsafe {
             avx2::lane_factor_rows(f_re, f_im, f_row_ptr, f_col, f_diag, e_target, lanes, tol)
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_factor_rows(f_re, f_im, f_row_ptr, f_col, f_diag, e_target, lanes, tol)
-        }
         _ => lane_factor_rows_scalar(f_re, f_im, f_row_ptr, f_col, f_diag, e_target, lanes, tol),
     }
 }
@@ -742,10 +702,6 @@ pub fn lane_fwd_all(
                 y_re, y_im, b, row_perm, f_row_ptr, f_col, f_diag, f_re, f_im, lanes,
             )
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => neon::lane_fwd_all(
-            y_re, y_im, b, row_perm, f_row_ptr, f_col, f_diag, f_re, f_im, lanes,
-        ),
         _ => lane_fwd_all_scalar(
             y_re, y_im, b, row_perm, f_row_ptr, f_col, f_diag, f_re, f_im, lanes,
         ),
@@ -809,10 +765,6 @@ pub fn lane_bwd_all(
         Backend::Avx2 if lanes % 4 == 0 => unsafe {
             avx2::lane_bwd_all(y_re, y_im, f_row_ptr, f_col, f_diag, f_re, f_im, lanes)
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_bwd_all(y_re, y_im, f_row_ptr, f_col, f_diag, f_re, f_im, lanes)
-        }
         _ => lane_bwd_all_scalar(y_re, y_im, f_row_ptr, f_col, f_diag, f_re, f_im, lanes),
     }
 }
@@ -872,10 +824,6 @@ pub fn lane_fwd_row(
         Backend::Avx2 if lanes % 4 == 0 => unsafe {
             avx2::lane_fwd_row(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes)
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_fwd_row(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes)
-        }
         _ => lane_fwd_row_scalar(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes),
     }
 }
@@ -937,10 +885,6 @@ pub fn lane_bwd_row(
         Backend::Avx2 if lanes % 4 == 0 => unsafe {
             avx2::lane_bwd_row(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes)
         },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_bwd_row(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes)
-        }
         _ => lane_bwd_row_scalar(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes),
     }
 }
@@ -1644,564 +1588,6 @@ mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// NEON kernels (aarch64).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use crate::complex::Complex;
-    use core::arch::aarch64::*;
-
-    pub fn axpy_sub(dst: &mut [f64], src: &[f64], f: f64) {
-        let n = dst.len();
-        // SAFETY: NEON is mandatory on aarch64; loads/stores stay in-bounds.
-        unsafe {
-            let dp = dst.as_mut_ptr();
-            let sp = src.as_ptr();
-            let fv = vdupq_n_f64(f);
-            let mut i = 0usize;
-            while i + 2 <= n {
-                let s = vld1q_f64(sp.add(i));
-                let d = vld1q_f64(dp.add(i));
-                let p = vmulq_f64(fv, s);
-                vst1q_f64(dp.add(i), vsubq_f64(d, p));
-                i += 2;
-            }
-            while i < n {
-                *dp.add(i) -= f * *sp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    pub fn caxpy_sub(dst: &mut [Complex], src: &[Complex], f: Complex) {
-        let n = dst.len();
-        // SAFETY: Complex is #[repr(C)] { re, im }; one 128-bit vector holds
-        // one complex value.
-        unsafe {
-            let dp = dst.as_mut_ptr().cast::<f64>();
-            let sp = src.as_ptr().cast::<f64>();
-            let fre = vdupq_n_f64(f.re);
-            let fim = vdupq_n_f64(f.im);
-            // Sign mask flipping lane 0 only: t1 + (−t2₀, +t2₁) ≡
-            // (t1₀ − t2₀, t1₁ + t2₁), bit-identical to sub/add.
-            let signmask = vreinterpretq_f64_u64(vcombine_u64(
-                vcreate_u64(0x8000_0000_0000_0000),
-                vcreate_u64(0),
-            ));
-            for i in 0..n {
-                let v = vld1q_f64(sp.add(2 * i)); // [re, im]
-                let t1 = vmulq_f64(fre, v); // [fre·re, fre·im]
-                let vs = vextq_f64(v, v, 1); // [im, re]
-                let t2 = vmulq_f64(fim, vs); // [fim·im, fim·re]
-                let t2s = vreinterpretq_f64_u64(veorq_u64(
-                    vreinterpretq_u64_f64(t2),
-                    vreinterpretq_u64_f64(signmask),
-                ));
-                let prod = vaddq_f64(t1, t2s);
-                let d = vld1q_f64(dp.add(2 * i));
-                vst1q_f64(dp.add(2 * i), vsubq_f64(d, prod));
-            }
-        }
-    }
-
-    pub fn scatter_add_scaled(out: &mut [Complex], slots: &[usize], vals: &[f64], s: Complex) {
-        let n = vals.len();
-        // SAFETY: slot bounds are checked by the indexed accumulation below.
-        unsafe {
-            let sre = vdupq_n_f64(s.re);
-            let sim = vdupq_n_f64(s.im);
-            let mut pre = [0.0f64; 2];
-            let mut pim = [0.0f64; 2];
-            let mut k = 0usize;
-            while k + 2 <= n {
-                let v = vld1q_f64(vals.as_ptr().add(k));
-                vst1q_f64(pre.as_mut_ptr(), vmulq_f64(sre, v));
-                vst1q_f64(pim.as_mut_ptr(), vmulq_f64(sim, v));
-                for lane in 0..2 {
-                    let o = &mut out[slots[k + lane]];
-                    o.re += pre[lane];
-                    o.im += pim[lane];
-                }
-                k += 2;
-            }
-            while k < n {
-                out[slots[k]] += s * vals[k];
-                k += 1;
-            }
-        }
-    }
-
-    pub fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        let n = vals.len();
-        // SAFETY: column bounds are checked by the indexed subtraction below.
-        unsafe {
-            let fv = vdupq_n_f64(f);
-            let mut prod = [0.0f64; 2];
-            let mut q = 0usize;
-            while q + 2 <= n {
-                let v = vld1q_f64(vals.as_ptr().add(q));
-                vst1q_f64(prod.as_mut_ptr(), vmulq_f64(fv, v));
-                for lane in 0..2 {
-                    w[cols[q + lane]] -= prod[lane];
-                }
-                q += 2;
-            }
-            while q < n {
-                w[cols[q]] -= f * vals[q];
-                q += 1;
-            }
-        }
-    }
-
-    pub fn scatter_caxpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-        // One 128-bit vector per complex product; the scattered subtraction
-        // is scalar either way, so reuse the caxpy product path per entry.
-        for (&c, &v) in cols.iter().zip(vals) {
-            w[c] -= f * v;
-        }
-    }
-
-    pub fn lane_cmul_sub(
-        dr: &mut [f64],
-        di: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = dr.len();
-        // SAFETY: all six slices share length n (asserted by the caller).
-        unsafe {
-            let mut l = 0usize;
-            while l + 2 <= n {
-                let var = vld1q_f64(ar.as_ptr().add(l));
-                let vai = vld1q_f64(ai.as_ptr().add(l));
-                let vbr = vld1q_f64(br.as_ptr().add(l));
-                let vbi = vld1q_f64(bi.as_ptr().add(l));
-                let pr = vsubq_f64(vmulq_f64(var, vbr), vmulq_f64(vai, vbi));
-                let pi = vaddq_f64(vmulq_f64(var, vbi), vmulq_f64(vai, vbr));
-                let vdr = vld1q_f64(dr.as_ptr().add(l));
-                let vdi = vld1q_f64(di.as_ptr().add(l));
-                vst1q_f64(dr.as_mut_ptr().add(l), vsubq_f64(vdr, pr));
-                vst1q_f64(di.as_mut_ptr().add(l), vsubq_f64(vdi, pi));
-                l += 2;
-            }
-            while l < n {
-                let pr = ar[l] * br[l] - ai[l] * bi[l];
-                let pi = ar[l] * bi[l] + ai[l] * br[l];
-                dr[l] -= pr;
-                di[l] -= pi;
-                l += 1;
-            }
-        }
-    }
-
-    /// Two-lane Smith division, bit-identical per lane to `Complex::div`'s
-    /// branchy scalar code via operand blends on `|br| ≥ |bi|` (see the
-    /// AVX2 `smith4` notes). Does **not** reproduce the exact-zero
-    /// short-circuit — callers exclude or patch those lanes.
-    #[inline(always)]
-    unsafe fn smith2(
-        ar: float64x2_t,
-        ai: float64x2_t,
-        br: float64x2_t,
-        bi: float64x2_t,
-    ) -> (float64x2_t, float64x2_t) {
-        // Branch predicate |br| ≥ |bi| (false on NaN, like scalar).
-        let mask = vcgeq_f64(vabsq_f64(br), vabsq_f64(bi));
-        // r = (A: bi/br, B: br/bi); d = (A: br + bi·r, B: bi + br·r).
-        let num = vbslq_f64(mask, bi, br);
-        let den = vbslq_f64(mask, br, bi);
-        let r = vdivq_f64(num, den);
-        let d = vaddq_f64(den, vmulq_f64(num, r));
-        let sel_a = vbslq_f64(mask, ar, ai);
-        let sel_b = vbslq_f64(mask, ai, ar);
-        let num_re = vaddq_f64(sel_a, vmulq_f64(sel_b, r));
-        // Non-commutative imaginary part: compute both branch results,
-        // blend the results.
-        let t = vmulq_f64(sel_a, r);
-        let u = vsubq_f64(ai, t);
-        let v = vsubq_f64(t, ar);
-        let num_im = vbslq_f64(mask, u, v);
-        (vdivq_f64(num_re, d), vdivq_f64(num_im, d))
-    }
-
-    pub fn lane_cdiv(
-        qr: &mut [f64],
-        qi: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = qr.len();
-        // SAFETY: all six slices share length n (asserted by the caller).
-        unsafe {
-            let zero = vdupq_n_f64(0.0);
-            let mut l = 0usize;
-            while l + 2 <= n {
-                let var = vld1q_f64(ar.as_ptr().add(l));
-                let vai = vld1q_f64(ai.as_ptr().add(l));
-                let vbr = vld1q_f64(br.as_ptr().add(l));
-                let vbi = vld1q_f64(bi.as_ptr().add(l));
-                let (q_re, q_im) = smith2(var, vai, vbr, vbi);
-                vst1q_f64(qr.as_mut_ptr().add(l), q_re);
-                vst1q_f64(qi.as_mut_ptr().add(l), q_im);
-                // Exact-zero denominators: patch to the scalar short-circuit
-                // (divide by literal +0.0).
-                let zmask = vandq_u64(vceqq_f64(vbr, zero), vceqq_f64(vbi, zero));
-                if vgetq_lane_u64(zmask, 0) != 0 {
-                    qr[l] = ar[l] / 0.0;
-                    qi[l] = ai[l] / 0.0;
-                }
-                if vgetq_lane_u64(zmask, 1) != 0 {
-                    qr[l + 1] = ar[l + 1] / 0.0;
-                    qi[l + 1] = ai[l + 1] / 0.0;
-                }
-                l += 2;
-            }
-            while l < n {
-                let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
-                qr[l] = q.re;
-                qi[l] = q.im;
-                l += 1;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_eliminate_row(
-        w_re: &mut [f64],
-        w_im: &mut [f64],
-        jm: usize,
-        dp: usize,
-        cols: &[usize],
-        p0: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 2 == 0 && lanes <= super::MAX_LANES);
-        let groups = lanes / 2;
-        // SAFETY: slice indexing bounds-checks every vector load/store span.
-        unsafe {
-            let mut fr = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            let mut fi = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            for g in 0..groups {
-                let o = 2 * g;
-                let wr = vld1q_f64(w_re[jm + o..jm + o + 2].as_ptr());
-                let wi = vld1q_f64(w_im[jm + o..jm + o + 2].as_ptr());
-                let pr = vld1q_f64(f_re[dp + o..dp + o + 2].as_ptr());
-                let pi = vld1q_f64(f_im[dp + o..dp + o + 2].as_ptr());
-                let (qr, qi) = smith2(wr, wi, pr, pi);
-                vst1q_f64(w_re[jm + o..jm + o + 2].as_mut_ptr(), qr);
-                vst1q_f64(w_im[jm + o..jm + o + 2].as_mut_ptr(), qi);
-                fr[g] = qr;
-                fi[g] = qi;
-            }
-            for (q, &c) in cols.iter().enumerate() {
-                let cm = c * lanes;
-                let p = p0 + q * lanes;
-                for g in 0..groups {
-                    let o = 2 * g;
-                    let br = vld1q_f64(f_re[p + o..p + o + 2].as_ptr());
-                    let bi = vld1q_f64(f_im[p + o..p + o + 2].as_ptr());
-                    let pr = vsubq_f64(vmulq_f64(fr[g], br), vmulq_f64(fi[g], bi));
-                    let pi = vaddq_f64(vmulq_f64(fr[g], bi), vmulq_f64(fi[g], br));
-                    let dr = vld1q_f64(w_re[cm + o..cm + o + 2].as_ptr());
-                    let di = vld1q_f64(w_im[cm + o..cm + o + 2].as_ptr());
-                    vst1q_f64(w_re[cm + o..cm + o + 2].as_mut_ptr(), vsubq_f64(dr, pr));
-                    vst1q_f64(w_im[cm + o..cm + o + 2].as_mut_ptr(), vsubq_f64(di, pi));
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_fwd_row(
-        y_re: &mut [f64],
-        y_im: &mut [f64],
-        im: usize,
-        b_re: f64,
-        b_im: f64,
-        cols: &[usize],
-        p0: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 2 == 0 && lanes <= super::MAX_LANES);
-        let groups = lanes / 2;
-        // SAFETY: slice indexing bounds-checks every vector load/store span.
-        unsafe {
-            let mut accr = [vdupq_n_f64(b_re); super::MAX_LANES / 2];
-            let mut acci = [vdupq_n_f64(b_im); super::MAX_LANES / 2];
-            for (q, &c) in cols.iter().enumerate() {
-                let cm = c * lanes;
-                let p = p0 + q * lanes;
-                for g in 0..groups {
-                    let o = 2 * g;
-                    let ar = vld1q_f64(f_re[p + o..p + o + 2].as_ptr());
-                    let ai = vld1q_f64(f_im[p + o..p + o + 2].as_ptr());
-                    let br = vld1q_f64(y_re[cm + o..cm + o + 2].as_ptr());
-                    let bi = vld1q_f64(y_im[cm + o..cm + o + 2].as_ptr());
-                    let pr = vsubq_f64(vmulq_f64(ar, br), vmulq_f64(ai, bi));
-                    let pi = vaddq_f64(vmulq_f64(ar, bi), vmulq_f64(ai, br));
-                    accr[g] = vsubq_f64(accr[g], pr);
-                    acci[g] = vsubq_f64(acci[g], pi);
-                }
-            }
-            for g in 0..groups {
-                let o = 2 * g;
-                vst1q_f64(y_re[im + o..im + o + 2].as_mut_ptr(), accr[g]);
-                vst1q_f64(y_im[im + o..im + o + 2].as_mut_ptr(), acci[g]);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_bwd_row(
-        y_re: &mut [f64],
-        y_im: &mut [f64],
-        im: usize,
-        cols: &[usize],
-        p0: usize,
-        dp: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 2 == 0 && lanes <= super::MAX_LANES);
-        let groups = lanes / 2;
-        // SAFETY: slice indexing bounds-checks every vector load/store span.
-        unsafe {
-            let mut accr = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            let mut acci = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            for g in 0..groups {
-                let o = 2 * g;
-                accr[g] = vld1q_f64(y_re[im + o..im + o + 2].as_ptr());
-                acci[g] = vld1q_f64(y_im[im + o..im + o + 2].as_ptr());
-            }
-            for (q, &c) in cols.iter().enumerate() {
-                let cm = c * lanes;
-                let p = p0 + q * lanes;
-                for g in 0..groups {
-                    let o = 2 * g;
-                    let ar = vld1q_f64(f_re[p + o..p + o + 2].as_ptr());
-                    let ai = vld1q_f64(f_im[p + o..p + o + 2].as_ptr());
-                    let br = vld1q_f64(y_re[cm + o..cm + o + 2].as_ptr());
-                    let bi = vld1q_f64(y_im[cm + o..cm + o + 2].as_ptr());
-                    let pr = vsubq_f64(vmulq_f64(ar, br), vmulq_f64(ai, bi));
-                    let pi = vaddq_f64(vmulq_f64(ar, bi), vmulq_f64(ai, br));
-                    accr[g] = vsubq_f64(accr[g], pr);
-                    acci[g] = vsubq_f64(acci[g], pi);
-                }
-            }
-            for g in 0..groups {
-                let o = 2 * g;
-                let pr = vld1q_f64(f_re[dp + o..dp + o + 2].as_ptr());
-                let pi = vld1q_f64(f_im[dp + o..dp + o + 2].as_ptr());
-                let (qr, qi) = smith2(accr[g], acci[g], pr, pi);
-                vst1q_f64(y_re[im + o..im + o + 2].as_mut_ptr(), qr);
-                vst1q_f64(y_im[im + o..im + o + 2].as_mut_ptr(), qi);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_factor_rows(
-        f_re: &mut [f64],
-        f_im: &mut [f64],
-        f_row_ptr: &[usize],
-        f_col: &[usize],
-        f_diag: &[usize],
-        e_target: &[usize],
-        lanes: usize,
-        tol: f64,
-    ) -> Option<(usize, f64)> {
-        let n = f_diag.len();
-        let groups = lanes / 2;
-        let mut cur = 0usize;
-        for i in 0..n {
-            for pos in f_row_ptr[i]..f_diag[i] {
-                let j = f_col[pos];
-                let (d, e) = (f_diag[j] + 1, f_row_ptr[j + 1]);
-                let pm = pos * lanes;
-                let dpm = f_diag[j] * lanes;
-                // SAFETY: NEON is mandatory on aarch64; slice indexing
-                // bounds-checks every load/store span.
-                unsafe {
-                    // Multiplier lanes in place. Pivots exclude exact
-                    // zero, so smith2 needs no patch.
-                    let mut fr = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-                    let mut fi = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-                    for g in 0..groups {
-                        let o = 2 * g;
-                        let wr = vld1q_f64(f_re[pm + o..pm + o + 2].as_ptr());
-                        let wi = vld1q_f64(f_im[pm + o..pm + o + 2].as_ptr());
-                        let pr = vld1q_f64(f_re[dpm + o..dpm + o + 2].as_ptr());
-                        let pi = vld1q_f64(f_im[dpm + o..dpm + o + 2].as_ptr());
-                        let (qr, qi) = smith2(wr, wi, pr, pi);
-                        vst1q_f64(f_re[pm + o..pm + o + 2].as_mut_ptr(), qr);
-                        vst1q_f64(f_im[pm + o..pm + o + 2].as_mut_ptr(), qi);
-                        fr[g] = qr;
-                        fi[g] = qi;
-                    }
-                    for (q, &t) in (d..e).zip(&e_target[cur..cur + (e - d)]) {
-                        let qm = q * lanes;
-                        let tm = t * lanes;
-                        for g in 0..groups {
-                            let o = 2 * g;
-                            let br = vld1q_f64(f_re[qm + o..qm + o + 2].as_ptr());
-                            let bi = vld1q_f64(f_im[qm + o..qm + o + 2].as_ptr());
-                            let pr = vsubq_f64(vmulq_f64(fr[g], br), vmulq_f64(fi[g], bi));
-                            let pi = vaddq_f64(vmulq_f64(fr[g], bi), vmulq_f64(fi[g], br));
-                            let dr = vld1q_f64(f_re[tm + o..tm + o + 2].as_ptr());
-                            let di = vld1q_f64(f_im[tm + o..tm + o + 2].as_ptr());
-                            vst1q_f64(f_re[tm + o..tm + o + 2].as_mut_ptr(), vsubq_f64(dr, pr));
-                            vst1q_f64(f_im[tm + o..tm + o + 2].as_mut_ptr(), vsubq_f64(di, pi));
-                        }
-                    }
-                }
-                cur += e - d;
-            }
-            if let Some(pm) = super::pivot_fail(f_re, f_im, f_diag[i] * lanes, lanes, tol) {
-                return Some((i, pm));
-            }
-        }
-        None
-    }
-
-    /// Batched `Y(s) = base + s·C` assembly into lane-strided storage:
-    /// broadcast stores at base positions, zero stores at fill-ins, then
-    /// the cap accumulation with the lane `s` vectors held in registers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_assemble(
-        f_re: &mut [f64],
-        f_im: &mut [f64],
-        base: &[Complex],
-        scatter: &[usize],
-        fill_pos: &[usize],
-        cap_slots: &[usize],
-        cap_vals: &[f64],
-        s_re: &[f64],
-        s_im: &[f64],
-        lanes: usize,
-    ) {
-        let groups = lanes / 2;
-        // SAFETY: NEON is mandatory on aarch64; slice indexing
-        // bounds-checks every load/store span.
-        unsafe {
-            for (k, &v) in base.iter().enumerate() {
-                let p = scatter[k] * lanes;
-                // `0.0 + v` in scalar first, so signed zeros match the
-                // serial `fill(ZERO)` + `+=` result exactly.
-                let vr = vdupq_n_f64(0.0 + v.re);
-                let vi = vdupq_n_f64(0.0 + v.im);
-                for g in 0..groups {
-                    let o = 2 * g;
-                    vst1q_f64(f_re[p + o..p + o + 2].as_mut_ptr(), vr);
-                    vst1q_f64(f_im[p + o..p + o + 2].as_mut_ptr(), vi);
-                }
-            }
-            let z = vdupq_n_f64(0.0);
-            for &fp in fill_pos {
-                let p = fp * lanes;
-                for g in 0..groups {
-                    let o = 2 * g;
-                    vst1q_f64(f_re[p + o..p + o + 2].as_mut_ptr(), z);
-                    vst1q_f64(f_im[p + o..p + o + 2].as_mut_ptr(), z);
-                }
-            }
-            let mut sr = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            let mut si = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            for g in 0..groups {
-                let o = 2 * g;
-                sr[g] = vld1q_f64(s_re[o..o + 2].as_ptr());
-                si[g] = vld1q_f64(s_im[o..o + 2].as_ptr());
-            }
-            for (&slot, &c) in cap_slots.iter().zip(cap_vals) {
-                let p = scatter[slot] * lanes;
-                let cv = vdupq_n_f64(c);
-                for g in 0..groups {
-                    let o = 2 * g;
-                    let dr = vld1q_f64(f_re[p + o..p + o + 2].as_ptr());
-                    let di = vld1q_f64(f_im[p + o..p + o + 2].as_ptr());
-                    // mul-then-add, never fused: identical to `d + s·c`.
-                    vst1q_f64(
-                        f_re[p + o..p + o + 2].as_mut_ptr(),
-                        vaddq_f64(dr, vmulq_f64(sr[g], cv)),
-                    );
-                    vst1q_f64(
-                        f_im[p + o..p + o + 2].as_mut_ptr(),
-                        vaddq_f64(di, vmulq_f64(si[g], cv)),
-                    );
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_fwd_all(
-        y_re: &mut [f64],
-        y_im: &mut [f64],
-        b: &[Complex],
-        row_perm: &[usize],
-        f_row_ptr: &[usize],
-        f_col: &[usize],
-        f_diag: &[usize],
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        for i in 0..f_diag.len() {
-            let bv = b[row_perm[i]];
-            let (start, d) = (f_row_ptr[i], f_diag[i]);
-            lane_fwd_row(
-                y_re,
-                y_im,
-                i * lanes,
-                bv.re,
-                bv.im,
-                &f_col[start..d],
-                start * lanes,
-                f_re,
-                f_im,
-                lanes,
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_bwd_all(
-        y_re: &mut [f64],
-        y_im: &mut [f64],
-        f_row_ptr: &[usize],
-        f_col: &[usize],
-        f_diag: &[usize],
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        for i in (0..f_diag.len()).rev() {
-            let (d, e) = (f_diag[i], f_row_ptr[i + 1]);
-            lane_bwd_row(
-                y_re,
-                y_im,
-                i * lanes,
-                &f_col[d + 1..e],
-                (d + 1) * lanes,
-                d * lanes,
-                f_re,
-                f_im,
-                lanes,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2218,8 +1604,6 @@ mod tests {
             Backend::Scalar => assert_eq!(name, "scalar"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => assert_eq!(name, "avx2"),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => assert_eq!(name, "neon"),
         }
         assert_eq!(backend(), b, "detection is cached");
     }

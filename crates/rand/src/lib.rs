@@ -6,7 +6,7 @@
 //! The build environment has no access to crates.io, so this local crate
 //! keeps the workspace hermetic. `StdRng` here is xoshiro256++ seeded via
 //! SplitMix64 — a deterministic, high-quality non-cryptographic generator,
-//! which is all the annealer, Monte Carlo sampler, and noise models need.
+//! which is all the annealer and the noise models need.
 //! Swap this path dependency for the real crate when a registry is
 //! available (seeded streams will differ).
 

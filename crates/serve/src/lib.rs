@@ -5,9 +5,9 @@
 //!
 //! A designer-facing deployment of the paper's flow is interactive —
 //! submit a spec, poll, inspect ranked candidates, retarget — but every
-//! batch binary in the workspace dies with its process and takes the
-//! warm cross-resolution [`BlockCache`](adc_topopt::cache::BlockCache)
-//! with it. This crate keeps the cache and the executor pool resident:
+//! batch binary in the workspace dies with its process and takes its
+//! warm cross-resolution block cache with it. This crate keeps the cache
+//! and the executor pool resident:
 //!
 //! - [`server`] — from-scratch HTTP/1.1 over `std::net` (the workspace is
 //!   registry-free: no axum/tokio/hyper), an accept loop serving

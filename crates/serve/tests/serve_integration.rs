@@ -120,7 +120,7 @@ fn served_payload_matches_serial_batch_path() {
     server.shutdown();
 }
 
-/// Acceptance criterion: a second submission of the same spec to a warm
+/// Acceptance check: a second submission of the same spec to a warm
 /// server completes with a 100 % hit rate (≥ the required 50 %) and zero
 /// cold syntheses, mirroring the batch multi-resolution replay result.
 #[test]
@@ -292,6 +292,35 @@ fn error_codes_are_typed() {
         http::request(addr, "GET", &format!("/v1/runs/{id}/result"), None).unwrap();
     assert_eq!(status, 409);
     assert!(body.contains("Ready"), "{body}");
+    server.shutdown();
+}
+
+/// A config that would abort the process (a 1e12-iteration anneal sizes
+/// an 8 TB history up front) is a typed 400, and the same server still
+/// answers `/healthz` and serves a valid run afterwards.
+#[test]
+fn hostile_config_is_rejected_and_the_server_survives() {
+    let server = FlowServer::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let hostile = r#"{"spec":{"resolution":10,"fs":4e7,"full_scale":2,"t_nonoverlap":1e-9,"process":"c025"},"config":{"iterations":1e12}}"#;
+    let (status, body) = http::request(addr, "POST", "/v1/runs", Some(hostile)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("iterations"), "{body}");
+
+    let (status, body) = http::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let req = tiny_request(10);
+    let id = submit(addr, &req);
+    let done = poll_until_terminal(addr, id);
+    assert_eq!(
+        done.get("state"),
+        Some(&JsonValue::Str("Completed".to_string()))
+    );
+    assert_eq!(
+        result_subtree(&fetch_payload(addr, id)),
+        result_subtree(&serial_oracle(&req))
+    );
     server.shutdown();
 }
 

@@ -49,7 +49,6 @@ pub mod constraints;
 pub mod evaluator;
 pub mod hybrid;
 pub mod neldermead;
-pub mod pareto;
 pub mod runner;
 pub mod space;
 pub mod tran_chain;

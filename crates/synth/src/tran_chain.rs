@@ -1,6 +1,6 @@
 //! Dynamic chain sign-off: runs a flattened pipeline testbench through
 //! the clocked transient engine for N full φ1/φ2 periods and reports
-//! per-stage settling against the ½-LSB criterion, residue-transfer
+//! per-stage settling against the ½-LSB bound, residue-transfer
 //! accuracy and slew-limited intervals — the discrete-time leg the
 //! small-signal [`crate::chain`] evaluation cannot see.
 //!

@@ -3,6 +3,7 @@
 //! determinant-interpolation TF extraction (adc-sfg::nettf) — must agree on
 //! the same linearized circuit.
 
+use pipelined_adc::mdac::opamp::{build_telescopic, TelescopicParams};
 use pipelined_adc::numerics::interp::logspace;
 use pipelined_adc::sfg::dpi::DpiSfg;
 use pipelined_adc::sfg::nettf::{extract_tf, NetTfOptions};
@@ -82,6 +83,25 @@ fn three_analyses_agree_on_cascode() {
         assert!(e1 < 1e-6, "Mason vs AC at {f} Hz: {e1}");
         assert!(e2 < 1e-3, "nettf vs AC at {f} Hz: {e2}");
     }
+}
+
+/// The hybrid evaluator's equation path (TF extraction with common
+/// pole/zero cancellation) and a one-point AC sweep agree on the nominal
+/// telescopic OTA's low-frequency gain within 1 %.
+#[test]
+fn equation_and_ac_gain_agree_on_telescopic_ota() {
+    let tb = build_telescopic(&Process::c025(), &TelescopicParams::nominal(), 1e-12);
+    let op = dc_operating_point(&tb.circuit, &DcOptions::default()).unwrap();
+    let a0_eq = extract_tf(&tb.circuit, &op, tb.output, &NetTfOptions::default())
+        .unwrap()
+        .cancel_common_roots(1e-5)
+        .magnitude(1e4);
+    let sweep = ac_sweep(&tb.circuit, &op, &[1e4]).unwrap();
+    let a0_sim = sweep.voltage(tb.output, 0).norm();
+    assert!(
+        (a0_eq - a0_sim).abs() < 0.01 * a0_sim,
+        "paths disagree: {a0_eq} vs {a0_sim}"
+    );
 }
 
 proptest! {
