@@ -48,11 +48,7 @@ use adc_synth::SynthConfig;
 use adc_topopt::cache::{key_distance, BlockCache, CachePolicy};
 use adc_topopt::enumerate::enumerate_candidates;
 use adc_topopt::enumerate::Candidate;
-use adc_topopt::executor::ExecutorOptions;
-use adc_topopt::flow::{
-    ota_requirements, run_flow, synthesize_multi_resolution, synthesize_ota, FlowRequest,
-    OtaRequirements,
-};
+use adc_topopt::flow::{ota_requirements, run_flow, synthesize_ota, FlowRequest, OtaRequirements};
 use adc_topopt::verify::{build_candidate_testbench, verify_candidate, VerifyOptions};
 use std::hint::black_box;
 use std::rc::Rc;
@@ -222,18 +218,25 @@ fn main() {
 
     let mut cache = BlockCache::new(CachePolicy::Aggressive);
     let t3 = Instant::now();
-    let runs = synthesize_multi_resolution(
-        &specs,
-        &params,
-        &flow_cfg,
-        &mut cache,
-        &ExecutorOptions::default(),
-    )
-    .expect("multi-resolution flow completed without casualties");
+    // One run per resolution on the shared cache: (bits, run, wall seconds).
+    let runs: Vec<_> = specs
+        .iter()
+        .map(|s| {
+            let t = Instant::now();
+            let cands = enumerate_candidates(s.resolution, 7);
+            let run = run_flow(
+                &FlowRequest::new(s, &cands, &params, &flow_cfg),
+                Some(&mut cache),
+            )
+            .into_result()
+            .expect("multi-resolution flow completed without casualties");
+            (s.resolution, run, t.elapsed().as_secs_f64())
+        })
+        .collect();
     let t_cached = t3.elapsed().as_secs_f64();
-    let cached_blocks: usize = runs.iter().map(|r| r.stats.blocks).sum();
-    let spent: usize = runs.iter().map(|r| r.stats.evaluations_spent).sum();
-    let hits: usize = runs.iter().map(|r| r.stats.cache_hits).sum();
+    let cached_blocks: usize = runs.iter().map(|(_, r, _)| r.stats.blocks).sum();
+    let spent: usize = runs.iter().map(|(_, r, _)| r.stats.evaluations_spent).sum();
+    let hits: usize = runs.iter().map(|(_, r, _)| r.stats.cache_hits).sum();
     rows.push(Row {
         name: "multi_res_flow_cached",
         evals_per_sec: cached_blocks as f64 / t_cached,
@@ -315,7 +318,7 @@ fn main() {
     // Full-pipeline chain verification of the 13-bit winner (4-3-2),
     // reusing the blocks the multi-resolution flow just synthesized.
     let spec13 = specs.last().expect("13-bit spec present");
-    let blocks13 = &runs.last().expect("13-bit run present").blocks;
+    let blocks13 = &runs.last().expect("13-bit run present").1.blocks;
     let winner = Candidate::new(vec![4, 3, 2]);
     let verification = verify_candidate(
         spec13,
@@ -467,24 +470,24 @@ fn main() {
 
     // Cache-statistics artifact: per-resolution breakdown + totals.
     let mut stats_json = String::from("{\n  \"resolutions\": [\n");
-    for (i, r) in runs.iter().enumerate() {
+    for (i, (bits, r, wall_seconds)) in runs.iter().enumerate() {
         stats_json.push_str(&format!(
             "    {{ \"bits\": {}, \"blocks\": {}, \"cache_hits\": {}, \"cache_seeded\": {}, \
              \"cold\": {}, \"retargeted\": {}, \"evaluations_spent\": {}, \"wall_seconds\": {:.4} }}{}\n",
-            r.resolution,
+            bits,
             r.stats.blocks,
             r.stats.cache_hits,
             r.stats.cache_seeded,
             r.stats.cold,
             r.stats.retargeted,
             r.stats.evaluations_spent,
-            r.wall_seconds,
+            wall_seconds,
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
     let feasible: usize = runs
         .iter()
-        .flat_map(|r| r.blocks.iter())
+        .flat_map(|(_, r, _)| r.blocks.iter())
         .filter(|b| b.result.feasible)
         .count();
     stats_json.push_str(&format!(

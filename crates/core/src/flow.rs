@@ -41,7 +41,7 @@ use adc_spice::SolverChoice;
 use adc_synth::hybrid::{BenchSetup, BenchTuner, HybridOptions, HybridOtaEvaluator};
 use adc_synth::{
     Constraint, ConstraintKind, DesignSpace, DesignVar, SynthConfig, SynthError, SynthResult,
-    Synthesizer, WarmStart,
+    Synthesizer,
 };
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,13 +51,18 @@ use std::time::{Duration, Instant};
 /// Version salt folded into every provenance fingerprint. Bump when the
 /// synthesis pipeline changes in a way that invalidates cached results
 /// (evaluator semantics, annealing schedule, …).
-pub const FLOW_CACHE_VERSION: u64 = 1;
+///
+/// Version 2: the annealer evaluates strictly serially. Version-1 results
+/// whose warm DC starts chained through discarded speculative evaluations
+/// took different trajectories, so they must not be served as exact hits.
+pub const FLOW_CACHE_VERSION: u64 = 2;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
-/// **single source of truth** shared by [`synthesize_ota_start`] (which
-/// builds the evaluator from it) and `flow_config_fingerprint` (which
-/// folds it into every cache provenance chain). Tuning the options here
-/// automatically invalidates stale cache entries.
+/// **single source of truth** shared by [`synthesize_ota`] and the
+/// recovery ladder (which build their evaluators from it) and
+/// `flow_config_fingerprint` (which folds it into every cache provenance
+/// chain). Tuning the options here automatically invalidates stale cache
+/// entries.
 fn flow_hybrid_options() -> HybridOptions {
     HybridOptions::default()
 }
@@ -345,12 +350,13 @@ pub fn validate_template(process: &Process, req: &OtaRequirements) -> Result<(),
 
 /// Builds the synthesizer + evaluator pair for a requirement set and runs
 /// it under an explicit evaluator configuration and wall-clock deadline —
-/// the fallible core every flow path funnels through.
+/// the fallible core every flow path funnels through. `warm` selects a
+/// retarget from that result ([`Synthesizer::run`]).
 fn run_ota_synthesis(
     process: &Process,
     req: &OtaRequirements,
     cfg: &SynthConfig,
-    start: WarmStart<'_>,
+    warm: Option<&SynthResult>,
     opts: HybridOptions,
     deadline: Deadline,
 ) -> Result<SynthResult, SynthError> {
@@ -385,27 +391,7 @@ fn run_ota_synthesis(
         }
     };
     let evaluator = HybridOtaEvaluator::new(build, opts);
-    synth.try_execute(&evaluator, cfg, start, deadline)
-}
-
-/// Builds the synthesizer + evaluator pair for a requirement set and runs
-/// it from the given [`WarmStart`] mode ([`WarmStart::Reuse`] returns the
-/// cached result without touching the evaluator).
-pub fn synthesize_ota_start(
-    process: &Process,
-    req: &OtaRequirements,
-    cfg: &SynthConfig,
-    start: WarmStart<'_>,
-) -> SynthResult {
-    run_ota_synthesis(
-        process,
-        req,
-        cfg,
-        start,
-        flow_hybrid_options(),
-        Deadline::none(),
-    )
-    .unwrap_or_else(|e| panic!("unbudgeted OTA synthesis cannot time out: {e}"))
+    synth.run(&evaluator, cfg, warm, deadline)
 }
 
 /// Builds the synthesizer + evaluator pair for a requirement set and runs a
@@ -416,11 +402,15 @@ pub fn synthesize_ota(
     cfg: &SynthConfig,
     warm_start: Option<&SynthResult>,
 ) -> SynthResult {
-    let start = match warm_start {
-        Some(prev) => WarmStart::Retarget(prev),
-        None => WarmStart::Cold,
-    };
-    synthesize_ota_start(process, req, cfg, start)
+    run_ota_synthesis(
+        process,
+        req,
+        cfg,
+        warm_start,
+        flow_hybrid_options(),
+        Deadline::none(),
+    )
+    .unwrap_or_else(|e| panic!("unbudgeted OTA synthesis cannot time out: {e}"))
 }
 
 /// One scheduled block of a candidate-set synthesis: its reuse key, the
@@ -558,25 +548,6 @@ impl RunStats {
             self.cache_hits as f64 / self.blocks as f64
         }
     }
-
-    /// Accumulates another run's counters (multi-resolution totals).
-    pub fn accumulate(&mut self, other: &RunStats) {
-        self.blocks += other.blocks;
-        self.cache_hits += other.cache_hits;
-        self.cache_seeded += other.cache_seeded;
-        self.cold += other.cold;
-        self.retargeted += other.retargeted;
-        self.evaluations_spent += other.evaluations_spent;
-        self.failed += other.failed;
-        self.recovered += other.recovered;
-        self.demoted += other.demoted;
-        self.attempts += other.attempts;
-        // Tightest slack observed across the accumulated runs.
-        self.deadline_slack_ms = match (self.deadline_slack_ms, other.deadline_slack_ms) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
 }
 
 /// Result of a cache-aware candidate-set synthesis.
@@ -590,33 +561,23 @@ pub struct SynthesisRun {
     pub failures: Vec<BlockCasualty>,
 }
 
-/// Maps the first casualty of a degraded run to its typed [`FlowError`] —
-/// the shared `into_result()` contract of [`SynthesisRun`] and
-/// [`ResolutionRun`].
-fn first_casualty_error(failures: &[BlockCasualty]) -> Option<FlowError> {
-    failures.first().map(|c| {
-        if c.failure.kind == FailureKind::Timeout {
-            FlowError::Timeout {
-                key: c.key,
-                message: c.failure.message.clone(),
-            }
-        } else {
-            FlowError::BlockFailed {
-                key: c.key,
-                message: c.failure.message.clone(),
-            }
-        }
-    })
-}
-
 impl SynthesisRun {
     /// Converts a degraded run into a hard error on its first casualty —
     /// for callers that treat any failed block as fatal.
+    ///
+    /// # Errors
+    /// [`FlowError::Timeout`] when the first casualty ran out of budget,
+    /// [`FlowError::BlockFailed`] otherwise.
     pub fn into_result(self) -> Result<SynthesisRun, FlowError> {
-        match first_casualty_error(&self.failures) {
-            None => Ok(self),
-            Some(e) => Err(e),
-        }
+        let Some(c) = self.failures.first() else {
+            return Ok(self);
+        };
+        let (key, message) = (c.key, c.failure.message.clone());
+        Err(if c.failure.kind == FailureKind::Timeout {
+            FlowError::Timeout { key, message }
+        } else {
+            FlowError::BlockFailed { key, message }
+        })
     }
 }
 
@@ -809,15 +770,13 @@ fn run_block_guarded(
         }
         let start = if attempt == 0 && !demoted {
             match &b.start {
-                BlockStart::Cold => WarmStart::Cold,
-                BlockStart::Retarget(_) => {
-                    WarmStart::Retarget(&warm.expect("demotion handled above").result)
-                }
-                BlockStart::SeedFromCache(seed) => WarmStart::Retarget(seed),
+                BlockStart::Cold => None,
+                BlockStart::Retarget(_) => Some(&warm.expect("demotion handled above").result),
+                BlockStart::SeedFromCache(seed) => Some(seed),
                 BlockStart::Hit(_) => unreachable!("hits returned above"),
             }
         } else {
-            WarmStart::Cold
+            None
         };
         let opts = ladder_options(attempt, deadline);
         let scope = format!("m{}a{}r{attempt}", b.key.0, b.key.1);
@@ -1159,75 +1118,6 @@ pub fn surviving_candidates(
         .collect()
 }
 
-/// One resolution's worth of a multi-resolution flow.
-#[derive(Debug, Clone)]
-pub struct ResolutionRun {
-    /// Converter resolution K, bits.
-    pub resolution: u32,
-    /// Synthesized candidate-set blocks.
-    pub blocks: Vec<MdacBlock>,
-    /// Per-run statistics.
-    pub stats: RunStats,
-    /// Blocks that produced no result at this resolution.
-    pub failures: Vec<BlockCasualty>,
-    /// Wall-clock seconds this resolution took.
-    pub wall_seconds: f64,
-}
-
-impl ResolutionRun {
-    /// Converts a degraded resolution run into a hard error on its first
-    /// casualty — the same typed-error contract as
-    /// [`SynthesisRun::into_result`]. Replaces the historical behaviour
-    /// where a poisoned run silently dropped blocks and downstream
-    /// consumers panicked on the missing keys.
-    pub fn into_result(self) -> Result<ResolutionRun, FlowError> {
-        match first_casualty_error(&self.failures) {
-            None => Ok(self),
-            Some(e) => Err(e),
-        }
-    }
-}
-
-/// Runs candidate-set synthesis for each spec in order, sharing one
-/// persistent [`BlockCache`] across resolutions — the cross-resolution
-/// reuse ROADMAP item: later resolutions hit blocks the earlier ones
-/// synthesized (exact hits skip synthesis; under
-/// [`crate::cache::CachePolicy::Aggressive`], near hits turn would-be cold roots into
-/// retargets).
-///
-/// # Errors
-/// The first resolution whose run records a casualty aborts the sweep with
-/// that block's typed [`FlowError`] (the [`ResolutionRun::into_result`]
-/// contract). Callers that want degraded-but-ranked semantics drive
-/// [`run_flow`] per resolution themselves and keep the failures.
-pub fn synthesize_multi_resolution(
-    specs: &[AdcSpec],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: &mut BlockCache,
-    exec: &ExecutorOptions,
-) -> Result<Vec<ResolutionRun>, FlowError> {
-    specs
-        .iter()
-        .map(|spec| {
-            let t0 = std::time::Instant::now();
-            let candidates = crate::enumerate::enumerate_candidates(spec.resolution, 7);
-            let run = run_flow(
-                &FlowRequest::new(spec, &candidates, params, cfg).with_executor(exec.clone()),
-                Some(cache),
-            );
-            ResolutionRun {
-                resolution: spec.resolution,
-                blocks: run.blocks,
-                stats: run.stats,
-                failures: run.failures,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-            }
-            .into_result()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1520,27 +1410,23 @@ mod tests {
         }
     }
 
-    /// A degraded [`ResolutionRun`] converts to the typed error through the
-    /// same `into_result()` contract as [`SynthesisRun`].
+    /// A degraded [`SynthesisRun`] converts to the typed error of its
+    /// first casualty through `into_result()`.
     #[test]
-    fn resolution_run_into_result_is_typed() {
-        let clean = ResolutionRun {
-            resolution: 10,
+    fn synthesis_run_into_result_is_typed() {
+        let clean = SynthesisRun {
             blocks: Vec::new(),
             stats: RunStats::default(),
             failures: Vec::new(),
-            wall_seconds: 0.0,
         };
         assert!(clean.into_result().is_ok());
-        let poisoned = ResolutionRun {
-            resolution: 10,
+        let poisoned = SynthesisRun {
             blocks: Vec::new(),
             stats: RunStats::default(),
             failures: vec![BlockCasualty {
                 key: (3, 10),
                 failure: BlockFailure::new(FailureKind::Timeout, "budget", 0.1),
             }],
-            wall_seconds: 0.0,
         };
         match poisoned.into_result() {
             Err(FlowError::Timeout { key, .. }) => assert_eq!(key, (3, 10)),

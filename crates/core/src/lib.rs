@@ -53,9 +53,8 @@ pub use cache::{BlockCache, CachePolicy, CacheStats, SharedCache, SnapshotEntry}
 pub use enumerate::{enumerate_candidates, Candidate};
 pub use executor::{BlockFailure, BlockOutcome, ExecutorOptions, FailureKind};
 pub use flow::{
-    run_flow, run_flow_shared, surviving_candidates, synthesize_multi_resolution, BlockCasualty,
-    ExecutionMode, FlowError, FlowOptions, FlowRequest, ResolutionRun, RetryPolicy, RunStats,
-    SynthesisRun,
+    run_flow, run_flow_shared, surviving_candidates, BlockCasualty, ExecutionMode, FlowError,
+    FlowOptions, FlowRequest, RetryPolicy, RunStats, SynthesisRun,
 };
 pub use optimize::{optimize_topology, TopologyReport};
 pub use verify::{verify_candidate, ChainVerification, VerifyOptions};

@@ -1,6 +1,6 @@
 //! Plain-text and CSV emitters for the figure-regeneration binaries.
 
-use crate::flow::ResolutionRun;
+use crate::flow::SynthesisRun;
 use crate::optimize::TopologyReport;
 use crate::rules::RuleTable;
 use crate::verify::ChainVerification;
@@ -171,10 +171,11 @@ pub fn verify_table(verifications: &[ChainVerification]) -> String {
     out
 }
 
-/// Renders the fault-tolerance health of a multi-resolution flow: per-run
-/// attempts, recoveries, demotions, casualties and remaining deadline
-/// slack — the observability surface of the guarded executor.
-pub fn run_health_table(runs: &[ResolutionRun]) -> String {
+/// Renders the fault-tolerance health of flow runs, one row per
+/// `(resolution, run)`: attempts, recoveries, demotions, casualties and
+/// remaining deadline slack — the observability surface of the guarded
+/// executor.
+pub fn run_health_table(runs: &[(u32, &SynthesisRun)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Flow run health (guarded executor)");
     let _ = writeln!(
@@ -182,7 +183,7 @@ pub fn run_health_table(runs: &[ResolutionRun]) -> String {
         "{:<6}{:>8}{:>10}{:>8}{:>11}{:>9}{:>8}{:>12}",
         "bits", "blocks", "attempts", "failed", "recovered", "demoted", "hits", "slack [ms]"
     );
-    for run in runs {
+    for &(resolution, run) in runs {
         let slack = match run.stats.deadline_slack_ms {
             Some(ms) => ms.to_string(),
             None => "-".to_string(),
@@ -190,7 +191,7 @@ pub fn run_health_table(runs: &[ResolutionRun]) -> String {
         let _ = writeln!(
             out,
             "{:<6}{:>8}{:>10}{:>8}{:>11}{:>9}{:>8}{:>12}",
-            run.resolution,
+            resolution,
             run.stats.blocks,
             run.stats.attempts,
             run.stats.failed,

@@ -16,9 +16,7 @@
 //! - durations ride as fractional milliseconds (`*_ms` keys).
 
 use crate::cache::{CacheEntry, SharedCache, SnapshotEntry};
-use crate::flow::{
-    FlowOptions, OtaRequirements, ResolutionRun, RetryPolicy, RunStats, TemplateKind,
-};
+use crate::flow::{FlowOptions, OtaRequirements, RetryPolicy, RunStats, TemplateKind};
 use crate::verify::ChainVerification;
 use adc_mdac::specs::AdcSpec;
 use adc_spice::process::Process;
@@ -47,6 +45,13 @@ pub enum JsonValue {
     /// An object as an ordered pair list (insertion order preserved).
     Obj(Vec<(String, JsonValue)>),
 }
+
+/// Deepest container nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per `[` or `{`, so without a bound a hostile document a
+/// few thousand brackets deep overflows a 2 MiB thread stack. The deepest
+/// document the workspace writes (result payloads, cache snapshots) nests
+/// 5 levels.
+pub const MAX_NESTING: usize = 64;
 
 /// Typed serialization/deserialization failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,11 +219,12 @@ impl JsonValue {
     /// Parses a JSON document (trailing whitespace allowed, nothing else).
     ///
     /// # Errors
-    /// [`WireError::Parse`] with the byte offset of the first offence.
+    /// [`WireError::Parse`] with the byte offset of the first offence,
+    /// including a container nested deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<JsonValue, WireError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(WireError::Parse {
@@ -268,11 +274,16 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), WireError>
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+/// Parses one value inside `depth` open containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_NESTING => Err(fail(
+            *pos,
+            &format!("containers nested deeper than {MAX_NESTING} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -361,7 +372,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     expect_byte(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -370,7 +381,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -385,7 +396,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     expect_byte(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -398,7 +409,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect_byte(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -698,18 +709,6 @@ pub fn verification_to_json(v: &ChainVerification) -> JsonValue {
             "power_analytic".to_string(),
             JsonValue::num(v.power_analytic),
         ),
-    ])
-}
-
-/// Wire image of a multi-resolution run's health row (the JSON shape of
-/// one [`run_health_table`](crate::report::run_health_table) line).
-pub fn resolution_run_to_json(run: &ResolutionRun) -> JsonValue {
-    JsonValue::Obj(vec![
-        (
-            "resolution".to_string(),
-            JsonValue::Num(f64::from(run.resolution)),
-        ),
-        ("stats".to_string(), run_stats_to_json(&run.stats)),
     ])
 }
 
@@ -1139,6 +1138,27 @@ mod tests {
         }
         let err = JsonValue::parse("[1, 2,]").unwrap_err();
         assert!(matches!(err, WireError::Parse { .. }));
+    }
+
+    /// Nesting is bounded: [`MAX_NESTING`] levels parse, one more is a
+    /// typed parse error at the offending bracket, and a megabyte of `[`
+    /// is rejected without recursing through it.
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}1{}", r#"{"a":"#.repeat(d), "}".repeat(d));
+        assert!(JsonValue::parse(&arrays(MAX_NESTING)).is_ok());
+        assert!(JsonValue::parse(&objects(MAX_NESTING)).is_ok());
+        for (doc, offset) in [
+            (arrays(MAX_NESTING + 1), MAX_NESTING),
+            (objects(MAX_NESTING + 1), 5 * MAX_NESTING),
+            ("[".repeat(1 << 20), MAX_NESTING),
+        ] {
+            match JsonValue::parse(&doc) {
+                Err(WireError::Parse { offset: at, .. }) => assert_eq!(at, offset),
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

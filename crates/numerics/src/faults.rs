@@ -24,7 +24,7 @@ use std::sync::{Mutex, PoisonError};
 pub const SITE_DC_SOLVE: &str = "dc_solve";
 /// Transient analysis (fixed or adaptive) in `adc-spice`.
 pub const SITE_TRAN_SOLVE: &str = "tran_solve";
-/// `Synthesizer::try_execute` entry in `adc-synth`.
+/// `Synthesizer::run` entry in `adc-synth`.
 pub const SITE_SYNTH_EXECUTE: &str = "synth_execute";
 /// Block-cache commit and snapshot restore in `adc-topopt` (corruption
 /// sentinel).

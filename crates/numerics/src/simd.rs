@@ -292,53 +292,6 @@ pub fn scatter_caxpy_sub_scalar(w: &mut [Complex], cols: &[usize], vals: &[Compl
 // Batched (struct-of-arrays) complex lanes.
 // ---------------------------------------------------------------------------
 
-/// Lane-wise complex multiply-subtract over split re/im arrays:
-/// `d[l] -= a[l] · b[l]` with the product expression matching
-/// [`Complex`]'s `Mul` exactly — the inner kernel of the batched sparse
-/// complex factor/solve.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn lane_cmul_sub(
-    dr: &mut [f64],
-    di: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-) {
-    let n = dr.len();
-    assert!(
-        di.len() == n && ar.len() == n && ai.len() == n && br.len() == n && bi.len() == n,
-        "lane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::lane_cmul_sub(dr, di, ar, ai, br, bi) },
-        Backend::Scalar => lane_cmul_sub_scalar(dr, di, ar, ai, br, bi),
-    }
-}
-
-/// Scalar oracle for [`lane_cmul_sub`].
-pub fn lane_cmul_sub_scalar(
-    dr: &mut [f64],
-    di: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-) {
-    for l in 0..dr.len() {
-        // Exactly Complex::mul then SubAssign: four rounded multiplies, one
-        // rounded sub/add for each component, one rounded -= each.
-        let pr = ar[l] * br[l] - ai[l] * bi[l];
-        let pi = ar[l] * bi[l] + ai[l] * br[l];
-        dr[l] -= pr;
-        di[l] -= pi;
-    }
-}
-
 /// Lane-wise complex division over split re/im arrays:
 /// `q[l] = a[l] / b[l]` with results bit-identical to [`Complex`]'s `Div`
 /// (Smith's algorithm) per lane — the multiplier/pivot division of the
@@ -389,83 +342,16 @@ pub fn lane_cdiv_scalar(
 }
 
 // ---------------------------------------------------------------------------
-// Batched sparse LU row kernels (one call per elimination/substitution row).
+// Batched sparse LU kernels (one dispatch per factor or solve).
 //
-// The per-lane kernels above cost a dispatch + call per *nonzero*, which at
+// A lane kernel per *nonzero* would cost a dispatch + call each, which at
 // 8 lanes × a handful of flops swamps the arithmetic. These fused kernels
-// move the whole row loop (division included) behind one dispatch so the
-// multiplier lanes stay in registers across the row.
+// move every row loop (division included) behind one dispatch so the
+// multiplier lanes stay in registers across a row.
 //
 // All offsets address the batch workspaces' position-major, lane-minor
 // layout: lane `l` of factor position `p` lives at `p·lanes + l`.
 // ---------------------------------------------------------------------------
-
-/// One batched up-looking elimination step: forms the multiplier
-/// `f = w[j] / U_jj` per lane (Smith division, bit-identical to
-/// [`Complex`]'s `Div`), stores it back into `w[j]`, then applies
-/// `w[c_q] -= f · U_j[c_q]` over row `j`'s upper entries.
-///
-/// `jm` is the multiplier offset (`j·lanes`) in `w`, `dp` the pivot offset
-/// (`diag_j·lanes`) and `p0` the offset of `cols[0]`'s values in `f`.
-/// The pivot must not be exactly `0 + 0i` in any lane (factored pivots
-/// passed the singularity check, which excludes exact zeros — the scalar
-/// short-circuit branch is therefore unreachable and the vector division
-/// needs no patch).
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn lane_eliminate_row(
-    w_re: &mut [f64],
-    w_im: &mut [f64],
-    jm: usize,
-    dp: usize,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_eliminate_row(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes)
-        },
-        _ => lane_eliminate_row_scalar(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_eliminate_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_eliminate_row_scalar(
-    w_re: &mut [f64],
-    w_im: &mut [f64],
-    jm: usize,
-    dp: usize,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    for l in 0..lanes {
-        let f = Complex::new(w_re[jm + l], w_im[jm + l]) / Complex::new(f_re[dp + l], f_im[dp + l]);
-        w_re[jm + l] = f.re;
-        w_im[jm + l] = f.im;
-    }
-    for (q, &c) in cols.iter().enumerate() {
-        let cm = c * lanes;
-        let p = p0 + q * lanes;
-        for l in 0..lanes {
-            // Exactly Complex::mul then SubAssign, like lane_cmul_sub.
-            let pr = w_re[jm + l] * f_re[p + l] - w_im[jm + l] * f_im[p + l];
-            let pi = w_re[jm + l] * f_im[p + l] + w_im[jm + l] * f_re[p + l];
-            w_re[cm + l] -= pr;
-            w_im[cm + l] -= pi;
-        }
-    }
-}
 
 /// Shared pivot acceptance test of the batched factor: fails a lane iff
 /// the serial check `pivot.norm() < tol` would, using the cheap component
@@ -676,7 +562,7 @@ pub fn lane_factor_rows_scalar(
 }
 
 /// The complete batched forward substitution (`L y = P_r b`, unit
-/// diagonal) behind one dispatch — [`lane_fwd_row`] per row, inlined.
+/// diagonal) behind one dispatch, one forward-substitution row per `i`.
 ///
 /// # Panics
 /// Panics (via slice indexing) if the symbolic arrays and lane storage
@@ -741,7 +627,7 @@ pub fn lane_fwd_all_scalar(
 }
 
 /// The complete batched back substitution (`U x' = y`, pivot division per
-/// row) behind one dispatch — [`lane_bwd_row`] per row, inlined. Pivots
+/// row) behind one dispatch, one back-substitution row per `i`. Pivots
 /// passed the factor's singularity check, so exact-zero divisors are
 /// unreachable.
 ///
@@ -797,40 +683,12 @@ pub fn lane_bwd_all_scalar(
     }
 }
 
-/// One batched forward-substitution row: initializes `y[i]` to the
-/// broadcast right-hand side, then applies `y[i] -= L_i[c_q] · y[c_q]`
-/// over row `i`'s lower entries (`c_q < i`), accumulator lanes held in
-/// registers. `im` is `i·lanes` in `y`; `p0` the offset of `cols[0]`'s
-/// values in `f`.
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
+/// One batched forward-substitution row of [`lane_fwd_all_scalar`]:
+/// initializes `y[i]` to the broadcast right-hand side, then applies
+/// `y[i] -= L_i[c_q] · y[c_q]` over row `i`'s lower entries (`c_q < i`).
+/// `im` is `i·lanes` in `y`; `p0` the offset of `cols[0]`'s values in `f`.
 #[allow(clippy::too_many_arguments)]
-pub fn lane_fwd_row(
-    y_re: &mut [f64],
-    y_im: &mut [f64],
-    im: usize,
-    b_re: f64,
-    b_im: f64,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_fwd_row(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes)
-        },
-        _ => lane_fwd_row_scalar(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_fwd_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_fwd_row_scalar(
+fn lane_fwd_row_scalar(
     y_re: &mut [f64],
     y_im: &mut [f64],
     im: usize,
@@ -858,40 +716,13 @@ pub fn lane_fwd_row_scalar(
     }
 }
 
-/// One batched back-substitution row: applies
+/// One batched back-substitution row of [`lane_bwd_all_scalar`]: applies
 /// `y[i] -= U_i[c_q] · y[c_q]` over row `i`'s upper entries (`c_q > i`),
 /// then divides by the pivot `U_ii` per lane (Smith division). `im` is
 /// `i·lanes` in `y`, `p0` the offset of `cols[0]`'s values and `dp` the
-/// pivot offset in `f`. Pivots passed the singularity check, so exact-zero
-/// divisors are unreachable (see [`lane_eliminate_row`]).
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
+/// pivot offset in `f`.
 #[allow(clippy::too_many_arguments)]
-pub fn lane_bwd_row(
-    y_re: &mut [f64],
-    y_im: &mut [f64],
-    im: usize,
-    cols: &[usize],
-    p0: usize,
-    dp: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_bwd_row(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes)
-        },
-        _ => lane_bwd_row_scalar(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_bwd_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_bwd_row_scalar(
+fn lane_bwd_row_scalar(
     y_re: &mut [f64],
     y_im: &mut [f64],
     im: usize,
@@ -1062,39 +893,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lane_cmul_sub(
-        dr: &mut [f64],
-        di: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = dr.len();
-        let mut l = 0usize;
-        while l + 4 <= n {
-            let var = _mm256_loadu_pd(ar.as_ptr().add(l));
-            let vai = _mm256_loadu_pd(ai.as_ptr().add(l));
-            let vbr = _mm256_loadu_pd(br.as_ptr().add(l));
-            let vbi = _mm256_loadu_pd(bi.as_ptr().add(l));
-            let pr = _mm256_sub_pd(_mm256_mul_pd(var, vbr), _mm256_mul_pd(vai, vbi));
-            let pi = _mm256_add_pd(_mm256_mul_pd(var, vbi), _mm256_mul_pd(vai, vbr));
-            let vdr = _mm256_loadu_pd(dr.as_ptr().add(l));
-            let vdi = _mm256_loadu_pd(di.as_ptr().add(l));
-            _mm256_storeu_pd(dr.as_mut_ptr().add(l), _mm256_sub_pd(vdr, pr));
-            _mm256_storeu_pd(di.as_mut_ptr().add(l), _mm256_sub_pd(vdi, pi));
-            l += 4;
-        }
-        while l < n {
-            let pr = ar[l] * br[l] - ai[l] * bi[l];
-            let pi = ar[l] * bi[l] + ai[l] * br[l];
-            dr[l] -= pr;
-            di[l] -= pi;
-            l += 1;
-        }
-    }
-
     /// Four-lane Smith division `(ar + i·ai) / (br + i·bi)`, bit-identical
     /// per lane to `Complex::div`'s branchy scalar code by blending
     /// *operands* on the branch predicate `|br| ≥ |bi|` (one rounded op
@@ -1174,58 +972,14 @@ mod avx2 {
         }
     }
 
+    /// One forward-substitution row of [`lane_fwd_all`], accumulator
+    /// lanes held in registers.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_eliminate_row(
-        w_re: &mut [f64],
-        w_im: &mut [f64],
-        jm: usize,
-        dp: usize,
-        cols: &[usize],
-        p0: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 4 == 0 && lanes <= super::MAX_LANES);
-        // Multiplier lanes: f = w[j] / pivot, kept in registers across the
-        // row (≤ 2 register pairs at MAX_LANES = 8). Pivots exclude exact
-        // zero, so smith4 needs no patch.
-        let groups = lanes / 4;
-        let mut fr = [_mm256_setzero_pd(); super::MAX_LANES / 4];
-        let mut fi = [_mm256_setzero_pd(); super::MAX_LANES / 4];
-        for g in 0..groups {
-            let o = 4 * g;
-            let wr = _mm256_loadu_pd(w_re[jm + o..jm + o + 4].as_ptr());
-            let wi = _mm256_loadu_pd(w_im[jm + o..jm + o + 4].as_ptr());
-            let pr = _mm256_loadu_pd(f_re[dp + o..dp + o + 4].as_ptr());
-            let pi = _mm256_loadu_pd(f_im[dp + o..dp + o + 4].as_ptr());
-            let (qr, qi) = smith4(wr, wi, pr, pi);
-            _mm256_storeu_pd(w_re[jm + o..jm + o + 4].as_mut_ptr(), qr);
-            _mm256_storeu_pd(w_im[jm + o..jm + o + 4].as_mut_ptr(), qi);
-            fr[g] = qr;
-            fi[g] = qi;
-        }
-        for (q, &c) in cols.iter().enumerate() {
-            let cm = c * lanes;
-            let p = p0 + q * lanes;
-            for g in 0..groups {
-                let o = 4 * g;
-                let br = _mm256_loadu_pd(f_re[p + o..p + o + 4].as_ptr());
-                let bi = _mm256_loadu_pd(f_im[p + o..p + o + 4].as_ptr());
-                let pr = _mm256_sub_pd(_mm256_mul_pd(fr[g], br), _mm256_mul_pd(fi[g], bi));
-                let pi = _mm256_add_pd(_mm256_mul_pd(fr[g], bi), _mm256_mul_pd(fi[g], br));
-                let dr = _mm256_loadu_pd(w_re[cm + o..cm + o + 4].as_ptr());
-                let di = _mm256_loadu_pd(w_im[cm + o..cm + o + 4].as_ptr());
-                _mm256_storeu_pd(w_re[cm + o..cm + o + 4].as_mut_ptr(), _mm256_sub_pd(dr, pr));
-                _mm256_storeu_pd(w_im[cm + o..cm + o + 4].as_mut_ptr(), _mm256_sub_pd(di, pi));
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_fwd_row(
+    unsafe fn lane_fwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -1263,9 +1017,14 @@ mod avx2 {
         }
     }
 
+    /// One back-substitution row of [`lane_bwd_all`], accumulator lanes
+    /// held in registers.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_bwd_row(
+    unsafe fn lane_bwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -1728,26 +1487,6 @@ mod tests {
             let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
             assert_eq!(bits(qr[l]), bits(q.re), "l={l} re");
             assert_eq!(bits(qi[l]), bits(q.im), "l={l} im");
-        }
-    }
-
-    #[test]
-    fn lane_cmul_sub_matches_scalar_bitwise() {
-        for n in [1usize, 2, 3, 4, 5, 8] {
-            let ar: Vec<f64> = (0..n).map(|l| 0.3 + l as f64).collect();
-            let ai: Vec<f64> = (0..n).map(|l| -1.2 * l as f64).collect();
-            let br: Vec<f64> = (0..n).map(|l| (l as f64).cos()).collect();
-            let bi: Vec<f64> = (0..n).map(|l| (l as f64 * 2.0).sin()).collect();
-            let mut dr1: Vec<f64> = (0..n).map(|l| l as f64 * 0.7).collect();
-            let mut di1: Vec<f64> = (0..n).map(|l| 1.0 - l as f64).collect();
-            let mut dr2 = dr1.clone();
-            let mut di2 = di1.clone();
-            lane_cmul_sub(&mut dr1, &mut di1, &ar, &ai, &br, &bi);
-            lane_cmul_sub_scalar(&mut dr2, &mut di2, &ar, &ai, &br, &bi);
-            for l in 0..n {
-                assert_eq!(bits(dr1[l]), bits(dr2[l]), "n={n} l={l}");
-                assert_eq!(bits(di1[l]), bits(di2[l]), "n={n} l={l}");
-            }
         }
     }
 }

@@ -1052,9 +1052,11 @@ const ML: usize = crate::simd::MAX_LANES;
 /// memory walks that are identical across samples. Splitting values into
 /// re/im lane arrays (position-major, lane-minor, stride = the batch's
 /// actual lane count so partial batches touch proportionally less memory)
-/// makes the inner elimination update a contiguous
-/// [`crate::simd::lane_cmul_sub`] and the multiplier/pivot divisions a
-/// [`crate::simd::lane_cdiv`] over lanes.
+/// lets the elimination and both substitutions run as fused lane kernels
+/// ([`crate::simd::lane_factor_rows`], [`crate::simd::lane_fwd_all`],
+/// [`crate::simd::lane_bwd_all`]): contiguous complex multiply-subtract
+/// updates and Smith divisions over lanes, one dispatch per factor or
+/// solve.
 ///
 /// **Bit-identity:** every lane reproduces the serial
 /// [`CSparseLu::factor_into`] / [`CSparseLu::solve_into`] /

@@ -15,12 +15,14 @@
 //! reconnects when the server hangs up (idle timeout or per-connection
 //! request bound) — the path `bench_serve` and smoke mode measure.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-/// Cap on header block and body sizes: a malformed or hostile client must
-/// not balloon server memory.
-const MAX_HEADER_BYTES: usize = 16 * 1024;
+/// Cap on the request line plus headers: a malformed or hostile client
+/// must not balloon server memory. Each line is read against what is left
+/// of it, so a line that never ends is cut off here too.
+pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+/// Cap on a request body.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// Seconds advertised in the `Retry-After` header of every 429 response:
@@ -51,7 +53,7 @@ pub struct Request {
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    match read_header_line(reader, MAX_HEADER_BYTES, &mut line) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         // An idle read timeout between requests is a clean close, not an
@@ -81,19 +83,13 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut header_bytes = line.len();
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_header_line(reader, MAX_HEADER_BYTES - header_bytes, &mut header)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "connection closed inside headers",
             ));
         }
         header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "header block too large",
-            ));
-        }
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
             break;
@@ -119,6 +115,29 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
         body,
         keep_alive,
     }))
+}
+
+/// Reads one line of the header block into `line`, reading at most
+/// `budget` bytes. Without the bound a client that never sends a newline
+/// grows the line without limit: the per-read idle timeout never fires
+/// while bytes keep arriving.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidData`] ("header block too large") when the
+/// budget runs out before a newline; socket errors as [`BufRead::read_line`].
+fn read_header_line<R: BufRead>(
+    reader: &mut R,
+    budget: usize,
+    line: &mut String,
+) -> io::Result<usize> {
+    let n = reader.by_ref().take(budget as u64).read_line(line)?;
+    if n == budget && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "header block too large",
+        ));
+    }
+    Ok(n)
 }
 
 /// Writes a complete response and flushes. The body is always JSON (the

@@ -24,7 +24,7 @@ use adc_topopt::cache::SharedCache;
 use adc_topopt::enumerate::{enumerate_candidates, Candidate};
 use adc_topopt::executor::FailureKind;
 use adc_topopt::flow::{
-    run_flow_shared, surviving_candidates, FlowOptions, FlowRequest, ResolutionRun, SynthesisRun,
+    run_flow_shared, surviving_candidates, FlowOptions, FlowRequest, SynthesisRun,
 };
 use adc_topopt::optimize::optimize_topology;
 use adc_topopt::report::run_health_table;
@@ -249,19 +249,12 @@ pub fn render_payload(
 /// Assembles the payload around an already-built `result` subtree (fresh
 /// or memoized — the bytes are identical either way).
 fn payload_with_result(req: &SubmitRequest, run: &SynthesisRun, result: JsonValue) -> String {
-    let health_run = ResolutionRun {
-        resolution: req.spec.resolution,
-        blocks: run.blocks.clone(),
-        stats: run.stats,
-        failures: run.failures.clone(),
-        wall_seconds: 0.0,
-    };
     JsonValue::Obj(vec![
         ("request".to_string(), req.canonical()),
         ("stats".to_string(), run_stats_to_json(&run.stats)),
         (
             "health".to_string(),
-            JsonValue::Str(run_health_table(std::slice::from_ref(&health_run))),
+            JsonValue::Str(run_health_table(&[(req.spec.resolution, run)])),
         ),
         ("result".to_string(), result),
     ])

@@ -324,6 +324,71 @@ fn hostile_config_is_rejected_and_the_server_survives() {
     server.shutdown();
 }
 
+/// A body nested 100 000 arrays deep is a typed 400 (the JSON parser
+/// bounds its recursion instead of overflowing the connection thread's
+/// stack and aborting the process), and the same server still answers
+/// `/healthz` and serves a valid run afterwards.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_survives() {
+    let server = FlowServer::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let hostile = "[".repeat(100_000);
+    let (status, body) = http::request(addr, "POST", "/v1/runs", Some(&hostile)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested deeper"), "{body}");
+
+    let (status, body) = http::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let req = tiny_request(10);
+    let id = submit(addr, &req);
+    let done = poll_until_terminal(addr, id);
+    assert_eq!(
+        done.get("state"),
+        Some(&JsonValue::Str("Completed".to_string()))
+    );
+    assert_eq!(
+        result_subtree(&fetch_payload(addr, id)),
+        result_subtree(&serial_oracle(&req))
+    );
+    server.shutdown();
+}
+
+/// A request line that never ends is cut off at the header-block cap:
+/// the server answers 400 once `MAX_HEADER_BYTES` arrive without a
+/// newline, instead of buffering for as long as the client keeps sending.
+#[test]
+fn endless_request_line_is_cut_off_at_the_header_cap() {
+    use std::io::{Read, Write};
+    let server = FlowServer::start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream
+        .write_all(&vec![b'A'; http::MAX_HEADER_BYTES + 1])
+        .unwrap();
+    // The server may reset the connection over the byte it never read,
+    // so keep whatever arrived before the first error.
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+    assert!(reply.contains("header block too large"), "{reply}");
+
+    let (status, body) = http::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
 /// Shed submissions (past the in-flight cap) carry a `Retry-After`
 /// header, and `/healthz` reports the cumulative shed count next to the
 /// inflight gauge and the cache statistics.

@@ -7,9 +7,9 @@
 
 use crate::constraints::{all_satisfied, total_violation, Constraint};
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
+use crate::runner::SynthConfig;
 use crate::space::DesignSpace;
 use adc_numerics::quant::quantize_rel;
-use adc_numerics::simd::MAX_LANES;
 use adc_numerics::Deadline;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,53 +17,6 @@ use rand::{Rng, SeedableRng};
 /// Penalty weight on normalized constraint violations relative to the
 /// normalized objective.
 pub const PENALTY_WEIGHT: f64 = 1e3;
-
-/// Annealing schedule and budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnealConfig {
-    /// Total candidate evaluations.
-    pub iterations: usize,
-    /// Starting neighbourhood scale (normalized units).
-    pub sigma0: f64,
-    /// Final neighbourhood scale.
-    pub sigma_end: f64,
-    /// RNG seed (runs are reproducible).
-    pub seed: u64,
-    /// Fraction of the schedule's tail run with the evaluator's **local
-    /// phase** enabled ([`Evaluator::set_local_phase`]): late-annealing
-    /// candidates cluster tightly, so a simulation-backed evaluator may
-    /// warm-start its DC solve there. Requires cost quantization to keep
-    /// trajectories identical to the cold path; 0.0 disables.
-    pub warm_tail_frac: f64,
-    /// Significant decimal digits accepted costs are quantized to
-    /// ([`adc_numerics::quant::quantize_rel`]). The grid sits well above
-    /// DC-solver noise (warm and cold operating points agree to ~1e-9
-    /// relative and better), so warm-started tail evaluations make
-    /// bit-identical accept/reject decisions to cold ones — the property
-    /// that lets [`AnnealConfig::warm_tail_frac`] > 0 leave trajectories
-    /// unperturbed. `None` compares raw costs.
-    pub cost_quant_digits: Option<u32>,
-    /// Cooperative wall-clock budget, checked once per annealing step. An
-    /// expired deadline stops the schedule early and marks the result
-    /// [`AnnealResult::timed_out`]; the default is unlimited and the check
-    /// costs nothing. Never part of any fingerprint — an unexpired
-    /// deadline leaves the trajectory bit-identical to no deadline.
-    pub deadline: Deadline,
-}
-
-impl Default for AnnealConfig {
-    fn default() -> Self {
-        AnnealConfig {
-            iterations: 2000,
-            sigma0: 0.25,
-            sigma_end: 0.02,
-            seed: 1,
-            warm_tail_frac: 0.3,
-            cost_quant_digits: Some(6),
-            deadline: Deadline::none(),
-        }
-    }
-}
 
 /// Result of one annealing run.
 #[derive(Debug, Clone)]
@@ -76,15 +29,12 @@ pub struct AnnealResult {
     pub best_perf: Option<Performance>,
     /// Whether the best point satisfies all constraints.
     pub feasible: bool,
-    /// Number of candidate evaluations **consumed** by the schedule —
-    /// identical to a strictly serial run. Speculative batch evaluations
-    /// discarded at an accepted move (see [`Evaluator::batch_width`]) are
-    /// not counted.
+    /// Evaluator calls.
     pub evaluations: usize,
     /// Best-cost trace (one entry per iteration).
     pub history: Vec<f64>,
-    /// The schedule stopped early because [`AnnealConfig::deadline`]
-    /// expired. The partial best-so-far is still reported.
+    /// The schedule stopped early because the deadline passed to
+    /// [`anneal`] expired. The partial best-so-far is still reported.
     pub timed_out: bool,
 }
 
@@ -108,14 +58,23 @@ pub fn outcome_cost(
     }
 }
 
-/// Runs simulated annealing; `start` (normalized) warm-starts the search.
+/// Runs simulated annealing on the schedule, seed, warm tail and cost
+/// grid of `cfg` (its `nm_iterations` are the polish's, not used here);
+/// `start` (normalized) warm-starts the search.
+///
+/// `deadline` is a cooperative wall-clock budget, checked once per
+/// annealing step. An expired deadline stops the schedule early and marks
+/// the result [`AnnealResult::timed_out`]; [`Deadline::none`] costs
+/// nothing. It is never part of any fingerprint: an unexpired deadline
+/// leaves the trajectory bit-identical to no deadline.
 pub fn anneal<E: Evaluator>(
     space: &DesignSpace,
     evaluator: &E,
     constraints: &[Constraint],
     objective: &str,
-    cfg: &AnnealConfig,
+    cfg: &SynthConfig,
     start: Option<&[f64]>,
+    deadline: Deadline,
 ) -> AnnealResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut evaluations = 0usize;
@@ -124,16 +83,14 @@ pub fn anneal<E: Evaluator>(
     let mut obj_ref = 1.0;
     for _ in 0..8 {
         let u = space.random_point(&mut rng);
+        evaluations += 1;
         if let EvalOutcome::Ok(p) = evaluator.evaluate(&space.denormalize(&u)) {
-            evaluations += 1;
             if let Some(v) = p.get(objective) {
                 if v.is_finite() && v != 0.0 {
                     obj_ref = v.abs();
                     break;
                 }
             }
-        } else {
-            evaluations += 1;
         }
     }
 
@@ -189,39 +146,16 @@ pub fn anneal<E: Evaluator>(
     let t_end = spread * 1e-5;
 
     let mut history = Vec::with_capacity(cfg.iterations);
-    let mut timed_out = cfg.deadline.expired();
+    let mut timed_out = false;
     let n = cfg.iterations.max(1);
     // First iteration of the warm-start tail (n → tail disabled).
     let tail_len = (cfg.warm_tail_frac.clamp(0.0, 1.0) * n as f64) as usize;
     let tail_start = n - tail_len.min(n);
     let mut local_phase_on = false;
-    // Speculative batching: in the cold tail of the schedule (where the
-    // acceptance rate is low and candidates cluster), propose up to
-    // `spec_width` moves from the current point under the assumption that
-    // each intermediate move is **rejected through a consumed Metropolis
-    // draw** — the dominant outcome late in the schedule — evaluate them
-    // as one batch, then replay the serial acceptance rule over the
-    // cached outcomes, consuming them while the assumption holds and
-    // discarding the rest at the first accept (or draw-free reject).
-    // Proposals come from a cloned RNG and are re-drawn from the real one
-    // during replay, so the trajectory, history trace and evaluation
-    // count are bit-identical to the strictly serial schedule.
-    //
-    // The window adapts to the observed acceptance pattern: it starts at
-    // 1, doubles (up to the evaluator's width) each time a batch is
-    // consumed in full, and resets to 1 the moment a replay breaks the
-    // all-rejected assumption. Streaks of rejections — the regime the
-    // speculation targets — quickly earn full-width batches, while an
-    // accept-heavy stretch pays at most one discarded outcome per step.
-    // The window depends only on the replayed trajectory, so it is as
-    // deterministic as the trajectory itself.
-    let spec_width = evaluator.batch_width().clamp(1, MAX_LANES);
-    let mut spec_window = 1usize;
-    let mut k = 0usize;
-    while k < n {
+    for k in 0..n {
         // Deadline check at anneal-step granularity; the partial search
         // state (best-so-far, history prefix) is preserved.
-        if cfg.deadline.expired() {
+        if deadline.expired() {
             timed_out = true;
             break;
         }
@@ -229,78 +163,28 @@ pub fn anneal<E: Evaluator>(
             evaluator.set_local_phase(true);
             local_phase_on = true;
         }
-        let speculating = spec_width > 1 && k >= tail_start;
-        let window = if speculating {
-            (n - k).min(spec_window)
-        } else {
-            1
-        };
-        let mut spec_rng = rng.clone();
-        let mut cands = Vec::with_capacity(window);
-        for i in k..k + window {
-            let frac = i as f64 / n as f64;
-            let sigma = cfg.sigma0 * (cfg.sigma_end / cfg.sigma0).powf(frac);
-            cands.push(space.neighbor(&cur_u, sigma, &mut spec_rng));
-            let _assumed_reject = spec_rng.gen::<f64>();
-        }
-        let denorm: Vec<Vec<f64>> = cands.iter().map(|u| space.denormalize(u)).collect();
-        let outs = if window == 1 {
-            vec![evaluator.evaluate(&denorm[0])]
-        } else {
-            evaluator.evaluate_batch(&denorm)
-        };
-        assert_eq!(
-            outs.len(),
-            window,
-            "Evaluator::evaluate_batch must return one outcome per candidate"
-        );
-        // Serial replay over the cached outcomes.
-        let mut advanced = 0usize;
-        for (idx, out) in outs.into_iter().enumerate() {
-            if idx > 0 && cfg.deadline.expired() {
-                timed_out = true;
-                break;
-            }
-            let frac = (k + idx) as f64 / n as f64;
-            let temp = t0 * (t_end / t0).powf(frac);
-            let sigma = cfg.sigma0 * (cfg.sigma_end / cfg.sigma0).powf(frac);
-            let cand_u = space.neighbor(&cur_u, sigma, &mut rng);
-            debug_assert_eq!(cand_u, cands[idx], "speculative replay out of sync");
-            evaluations += 1;
-            let cost = q(outcome_cost(&out, constraints, objective, obj_ref));
-            let accept = cost <= cur_cost
-                || (cost.is_finite() && rng.gen::<f64>() < ((cur_cost - cost) / temp).exp());
-            // The next cached outcome is valid only if this move was
-            // rejected with a consumed draw, as speculated.
-            let path_holds = !accept && cost.is_finite();
-            if accept {
-                cur_u = cand_u;
-                cur_cost = cost;
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_u = cur_u.clone();
-                    if let EvalOutcome::Ok(p) = out {
-                        best_perf = Some(p);
-                    }
+        let frac = k as f64 / n as f64;
+        let temp = t0 * (t_end / t0).powf(frac);
+        let sigma = cfg.sigma0 * (cfg.sigma_end / cfg.sigma0).powf(frac);
+        let cand_u = space.neighbor(&cur_u, sigma, &mut rng);
+        let out = evaluator.evaluate(&space.denormalize(&cand_u));
+        evaluations += 1;
+        // Metropolis test; the RNG draws only for a finite uphill move.
+        let cost = q(outcome_cost(&out, constraints, objective, obj_ref));
+        let accept = cost <= cur_cost
+            || (cost.is_finite() && rng.gen::<f64>() < ((cur_cost - cost) / temp).exp());
+        if accept {
+            cur_u = cand_u;
+            cur_cost = cost;
+            if cost < best_cost {
+                best_cost = cost;
+                best_u = cur_u.clone();
+                if let EvalOutcome::Ok(p) = out {
+                    best_perf = Some(p);
                 }
             }
-            history.push(best_cost);
-            advanced = idx + 1;
-            if !path_holds {
-                break;
-            }
         }
-        k += advanced;
-        if speculating {
-            spec_window = if advanced == window {
-                (spec_window * 2).min(spec_width)
-            } else {
-                1
-            };
-        }
-        if timed_out {
-            break;
-        }
+        history.push(best_cost);
     }
     if local_phase_on {
         evaluator.set_local_phase(false);
@@ -343,14 +227,24 @@ mod tests {
         ])
     }
 
+    /// Anneals toward `"obj"` over [`space2`] with no deadline.
+    fn anneal2<E: Evaluator>(
+        eval: &E,
+        cs: &[Constraint],
+        cfg: &SynthConfig,
+        start: Option<&[f64]>,
+    ) -> AnnealResult {
+        anneal(&space2(), eval, cs, "obj", cfg, start, Deadline::none())
+    }
+
     #[test]
     fn minimizes_sphere() {
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 3000,
             seed: 3,
             ..Default::default()
         };
-        let r = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
+        let r = anneal2(&sphere_eval, &[], &cfg, None);
         let x = space2().denormalize(&r.best_u);
         assert!((x[0] - 3.0).abs() < 0.3, "{x:?}");
         assert!((x[1] - 3.0).abs() < 0.3, "{x:?}");
@@ -362,12 +256,12 @@ mod tests {
         // Minimize distance to (3,3) subject to sum ≥ 12 — optimum on the
         // constraint boundary near (6,6).
         let cs = vec![Constraint::new("sum", ConstraintKind::AtLeast, 12.0)];
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 6000,
             seed: 4,
             ..Default::default()
         };
-        let r = anneal(&space2(), &sphere_eval, &cs, "obj", &cfg, None);
+        let r = anneal2(&sphere_eval, &cs, &cfg, None);
         assert!(r.feasible);
         let x = space2().denormalize(&r.best_u);
         assert!(x[0] + x[1] >= 11.9, "{x:?}");
@@ -376,13 +270,13 @@ mod tests {
 
     #[test]
     fn reproducible_with_seed() {
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 500,
             seed: 9,
             ..Default::default()
         };
-        let a = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
-        let b = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
+        let a = anneal2(&sphere_eval, &[], &cfg, None);
+        let b = anneal2(&sphere_eval, &[], &cfg, None);
         assert_eq!(a.best_u, b.best_u);
         assert_eq!(a.evaluations, b.evaluations);
     }
@@ -391,20 +285,20 @@ mod tests {
     fn warm_start_speeds_convergence() {
         let space = space2();
         let target_u = space.normalize(&[3.0, 3.0]);
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 150,
             sigma0: 0.05,
             sigma_end: 0.01,
             seed: 5,
             ..Default::default()
         };
-        let warm = anneal(&space, &sphere_eval, &[], "obj", &cfg, Some(&target_u));
-        let cold_cfg = AnnealConfig {
+        let warm = anneal2(&sphere_eval, &[], &cfg, Some(&target_u));
+        let cold_cfg = SynthConfig {
             iterations: 150,
             seed: 5,
             ..Default::default()
         };
-        let cold = anneal(&space, &sphere_eval, &[], "obj", &cold_cfg, None);
+        let cold = anneal2(&sphere_eval, &[], &cold_cfg, None);
         assert!(warm.best_cost <= cold.best_cost + 1e-9);
     }
 
@@ -417,12 +311,12 @@ mod tests {
                 sphere_eval(x)
             }
         };
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 2000,
             seed: 6,
             ..Default::default()
         };
-        let r = anneal(&space2(), &eval, &[], "obj", &cfg, None);
+        let r = anneal2(&eval, &[], &cfg, None);
         let x = space2().denormalize(&r.best_u);
         assert!(x[0] >= 5.0, "{x:?}");
         assert!(r.best_perf.is_some());
@@ -430,76 +324,35 @@ mod tests {
 
     #[test]
     fn expired_deadline_stops_early_with_partial_best() {
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 3000,
             seed: 3,
-            deadline: Deadline::within(std::time::Duration::from_secs(0)),
             ..Default::default()
         };
-        let r = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
+        let expired = Deadline::within(std::time::Duration::from_secs(0));
+        let r = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None, expired);
         assert!(r.timed_out);
         // The probe phase still ran, so a best-so-far exists and history
         // holds no main-loop entries.
         assert!(r.best_perf.is_some());
         assert!(r.history.is_empty());
         // An unlimited deadline is not reported as a timeout.
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 50,
             seed: 3,
             ..Default::default()
         };
-        assert!(!anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None).timed_out);
-    }
-
-    /// A batch-capable evaluator must leave the annealing trajectory —
-    /// best point, history trace and evaluation count — bit-identical to
-    /// the strictly serial schedule, while actually engaging the
-    /// speculative batch path in the tail.
-    #[test]
-    fn speculative_batches_leave_trajectory_bit_identical() {
-        struct BatchSphere {
-            batch_calls: std::cell::Cell<usize>,
-        }
-        impl Evaluator for BatchSphere {
-            fn evaluate(&self, x: &[f64]) -> EvalOutcome {
-                sphere_eval(x)
-            }
-            fn batch_width(&self) -> usize {
-                8
-            }
-            fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<EvalOutcome> {
-                self.batch_calls.set(self.batch_calls.get() + 1);
-                xs.iter().map(|x| self.evaluate(x)).collect()
-            }
-        }
-        for seed in [2, 11, 42] {
-            let cfg = AnnealConfig {
-                iterations: 800,
-                seed,
-                ..Default::default()
-            };
-            let serial = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
-            let batched = BatchSphere {
-                batch_calls: std::cell::Cell::new(0),
-            };
-            let spec = anneal(&space2(), &batched, &[], "obj", &cfg, None);
-            assert!(batched.batch_calls.get() > 0, "speculation must engage");
-            assert_eq!(serial.best_u, spec.best_u);
-            assert_eq!(serial.best_cost.to_bits(), spec.best_cost.to_bits());
-            assert_eq!(serial.best_perf, spec.best_perf);
-            assert_eq!(serial.history, spec.history);
-            assert_eq!(serial.evaluations, spec.evaluations);
-        }
+        assert!(!anneal2(&sphere_eval, &[], &cfg, None).timed_out);
     }
 
     #[test]
     fn history_is_monotone_nonincreasing() {
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 300,
             seed: 7,
             ..Default::default()
         };
-        let r = anneal(&space2(), &sphere_eval, &[], "obj", &cfg, None);
+        let r = anneal2(&sphere_eval, &[], &cfg, None);
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0]);
         }

@@ -54,25 +54,6 @@ pub trait Evaluator {
     /// be independent of history. Default: ignored (analytic evaluators
     /// have no state to reuse).
     fn set_local_phase(&self, _local: bool) {}
-
-    /// Maximum number of candidates worth proposing to
-    /// [`Evaluator::evaluate_batch`] in one speculative batch. `1` (the
-    /// default) disables speculation — the optimizer proposes and
-    /// evaluates strictly serially. Simulation-backed evaluators whose
-    /// batch path amortizes work across candidates report a larger width.
-    fn batch_width(&self) -> usize {
-        1
-    }
-
-    /// Evaluates a batch of candidates, in order. The default maps
-    /// [`Evaluator::evaluate`] serially through the same persistent
-    /// state. Implementations must return exactly `xs.len()` outcomes
-    /// with outcome `i` identical to what `self.evaluate(&xs[i])` would
-    /// produce at that point of the sequence — optimizer trajectories
-    /// depend on it bitwise.
-    fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<EvalOutcome> {
-        xs.iter().map(|x| self.evaluate(x)).collect()
-    }
 }
 
 impl<F> Evaluator for F

@@ -235,19 +235,6 @@ where
         self.local_phase.set(local);
     }
 
-    /// [`adc_numerics::simd::MAX_LANES`], which turns on the annealer's
-    /// speculative window in the schedule tail. The window saves no work
-    /// here: this evaluator keeps the serial default
-    /// [`Evaluator::evaluate_batch`] (warm DC starts rely on evaluating in
-    /// sequence), so each lane the replay discards at an accepted move
-    /// costs a full evaluation — about 8 % of all evaluations on the
-    /// 10–13-bit flows. The window stays because discarded lanes still
-    /// seed the next lane's warm DC start: turning it off changes some
-    /// synthesis results, so that is a change of its own.
-    fn batch_width(&self) -> usize {
-        adc_numerics::simd::MAX_LANES
-    }
-
     fn evaluate(&self, x: &[f64]) -> EvalOutcome {
         let mut state = self.state.borrow_mut();
         let state = &mut *state;

@@ -21,6 +21,7 @@
 //! use adc_synth::constraints::{Constraint, ConstraintKind};
 //! use adc_synth::evaluator::{EvalOutcome, Evaluator, Performance};
 //! use adc_synth::runner::{SynthConfig, Synthesizer};
+//! use adc_numerics::Deadline;
 //!
 //! struct Toy;
 //! impl Evaluator for Toy {
@@ -38,7 +39,8 @@
 //! ]);
 //! let constraints = vec![Constraint::new("gain", ConstraintKind::AtLeast, 20.0)];
 //! let synth = Synthesizer::new(space, constraints, "power");
-//! let run = synth.synthesize(&Toy, &SynthConfig { iterations: 4000, seed: 7, ..Default::default() });
+//! let cfg = SynthConfig { iterations: 4000, seed: 7, ..Default::default() };
+//! let run = synth.run(&Toy, &cfg, None, Deadline::none()).unwrap();
 //! assert!(run.feasible);
 //! assert!(run.best_perf.get("gain").unwrap() >= 19.9);
 //! ```
@@ -56,7 +58,7 @@ pub mod tran_chain;
 pub use chain::{ChainEvaluator, ChainOptions, ChainReport};
 pub use constraints::{Constraint, ConstraintKind};
 pub use evaluator::{EvalOutcome, Evaluator, Performance};
-pub use runner::{SynthConfig, SynthError, SynthResult, Synthesizer, WarmStart};
+pub use runner::{SynthConfig, SynthError, SynthResult, Synthesizer};
 pub use space::{DesignSpace, DesignVar};
 pub use tran_chain::{
     TranChainError, TranChainEvaluator, TranChainOptions, TranChainReport, TranChainSetup,

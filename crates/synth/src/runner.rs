@@ -1,7 +1,7 @@
 //! The synthesis driver: anneal globally, polish locally, and support
 //! warm-started *retargeting* of a previous design to a new specification.
 
-use crate::anneal::{anneal, outcome_cost, AnnealConfig, AnnealResult};
+use crate::anneal::{anneal, outcome_cost, AnnealResult};
 use crate::constraints::{all_satisfied, constraints_fingerprint, Constraint};
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use crate::neldermead::nelder_mead;
@@ -10,7 +10,7 @@ use adc_numerics::quant::Fingerprint;
 use adc_numerics::Deadline;
 use std::cell::Cell;
 
-/// Typed failure of a budgeted synthesis run ([`Synthesizer::try_execute`]).
+/// Typed failure of a budgeted synthesis run ([`Synthesizer::run`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SynthError {
     /// The wall-clock budget expired before the search finished.
@@ -49,18 +49,25 @@ pub struct SynthConfig {
     pub iterations: usize,
     /// Nelder–Mead polish iterations.
     pub nm_iterations: usize,
-    /// Starting neighbourhood scale.
+    /// Starting neighbourhood scale (normalized units).
     pub sigma0: f64,
     /// Final neighbourhood scale.
     pub sigma_end: f64,
-    /// RNG seed.
+    /// RNG seed (runs are reproducible).
     pub seed: u64,
-    /// Fraction of the annealing tail run with evaluator warm starts
-    /// enabled (see [`crate::anneal::AnnealConfig::warm_tail_frac`]).
+    /// Fraction of the schedule's tail run with the evaluator's **local
+    /// phase** enabled ([`Evaluator::set_local_phase`]): late-annealing
+    /// candidates cluster tightly, so a simulation-backed evaluator may
+    /// warm-start its DC solve there. Requires cost quantization to keep
+    /// trajectories identical to the cold path; 0.0 disables.
     pub warm_tail_frac: f64,
-    /// Cost-quantization grid that keeps warm-tail trajectories identical
-    /// to cold ones (see
-    /// [`crate::anneal::AnnealConfig::cost_quant_digits`]).
+    /// Significant decimal digits accepted costs are quantized to
+    /// ([`adc_numerics::quant::quantize_rel`]). The grid sits well above
+    /// DC-solver noise (warm and cold operating points agree to ~1e-9
+    /// relative and better), so warm-started tail evaluations make
+    /// bit-identical accept/reject decisions to cold ones — the property
+    /// that lets [`SynthConfig::warm_tail_frac`] > 0 leave trajectories
+    /// unperturbed. `None` compares raw costs.
     pub cost_quant_digits: Option<u32>,
 }
 
@@ -123,22 +130,9 @@ pub struct SynthResult {
     pub best_cost: f64,
     /// All constraints satisfied?
     pub feasible: bool,
-    /// Total evaluator calls consumed.
+    /// Evaluator calls (annealing, polish and the polished point's
+    /// re-evaluation).
     pub evaluations: usize,
-}
-
-/// How a synthesis run starts — the cache-aware entry point used by block
-/// caches layered above the synthesizer.
-#[derive(Debug, Clone, Copy)]
-pub enum WarmStart<'a> {
-    /// Cold synthesis: global annealing from scratch.
-    Cold,
-    /// Retargeting: warm-start the (reduced-budget) search from a previous
-    /// result for a neighbouring spec.
-    Retarget(&'a SynthResult),
-    /// Cache hit: the previous result *is* the answer for this exact
-    /// problem + config; return it verbatim without touching the evaluator.
-    Reuse(&'a SynthResult),
 }
 
 /// A reusable synthesis problem: space + constraints + objective.
@@ -168,11 +162,6 @@ impl Synthesizer {
     /// The constraint set.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// Replaces the constraint set (spec retargeting).
-    pub fn set_constraints(&mut self, constraints: Vec<Constraint>) {
-        self.constraints = constraints;
     }
 
     /// Deterministic fingerprint of the synthesis *problem* — design-space
@@ -264,141 +253,53 @@ impl Synthesizer {
         }
     }
 
-    /// Anneal + polish with a cooperative deadline: the annealing schedule
-    /// checks it per step, and the Nelder–Mead polish is only entered when
+    /// Runs one synthesis: global annealing, then a Nelder–Mead polish.
+    ///
+    /// `warm` selects the start. `None` runs a cold synthesis on `cfg`.
+    /// `Some(prev)` retargets: the reduced
+    /// [`SynthConfig::retarget_budget`] search starts from `prev.best_u`
+    /// (the paper's "1 day instead of 2–3 weeks" reuse of a neighbouring
+    /// design).
+    ///
+    /// `deadline` is a cooperative wall-clock budget: the annealing
+    /// schedule checks it per step, and the polish is only entered when
     /// budget remains (a result that survives polish is a success even if
-    /// the deadline expires at the very end).
-    fn run_budgeted<E: Evaluator>(
-        &self,
-        evaluator: &E,
-        sa_cfg: AnnealConfig,
-        start_u: Option<&[f64]>,
-        nm_iterations: usize,
-    ) -> Result<SynthResult, SynthError> {
-        let deadline = sa_cfg.deadline;
-        let sa = anneal(
-            &self.space,
-            evaluator,
-            &self.constraints,
-            &self.objective,
-            &sa_cfg,
-            start_u,
-        );
-        if sa.timed_out {
-            return Err(SynthError::Timeout {
-                evaluations: sa.evaluations,
-            });
-        }
-        if deadline.expired() {
-            return Err(SynthError::Timeout {
-                evaluations: sa.evaluations,
-            });
-        }
-        Ok(self.finish(evaluator, sa, nm_iterations))
-    }
-
-    /// Cold synthesis: global annealing + local polish.
-    pub fn synthesize<E: Evaluator>(&self, evaluator: &E, cfg: &SynthConfig) -> SynthResult {
-        let sa_cfg = AnnealConfig {
-            iterations: cfg.iterations,
-            sigma0: cfg.sigma0,
-            sigma_end: cfg.sigma_end,
-            seed: cfg.seed,
-            warm_tail_frac: cfg.warm_tail_frac,
-            cost_quant_digits: cfg.cost_quant_digits,
-            deadline: Deadline::none(),
-        };
-        self.run_budgeted(evaluator, sa_cfg, None, cfg.nm_iterations)
-            .expect("unlimited deadline cannot time out")
-    }
-
-    /// Retargeting: re-synthesize with a warm start from a previous result,
-    /// on a fraction of the cold budget (the paper's "1 day instead of 2–3
-    /// weeks" reuse).
-    pub fn retarget<E: Evaluator>(
-        &self,
-        evaluator: &E,
-        previous: &SynthResult,
-        cfg: &SynthConfig,
-    ) -> SynthResult {
-        let r = cfg.retarget_budget();
-        let sa_cfg = AnnealConfig {
-            iterations: r.iterations,
-            sigma0: r.sigma0,
-            sigma_end: r.sigma_end,
-            seed: r.seed,
-            warm_tail_frac: r.warm_tail_frac,
-            cost_quant_digits: r.cost_quant_digits,
-            deadline: Deadline::none(),
-        };
-        self.run_budgeted(evaluator, sa_cfg, Some(&previous.best_u), r.nm_iterations)
-            .expect("unlimited deadline cannot time out")
-    }
-
-    /// Unified entry point dispatching on the [`WarmStart`] mode.
-    /// [`WarmStart::Reuse`] is the cache hit path: the stored result is
-    /// returned **verbatim** (including its recorded evaluation count), so
-    /// a cache hit is bit-indistinguishable from re-running the original
-    /// synthesis; callers account the evaluations actually *spent* in a
-    /// run separately.
-    pub fn execute<E: Evaluator>(
+    /// the deadline expires at the very end). An unexpired deadline leaves
+    /// the result bit-identical to [`Deadline::none`].
+    ///
+    /// # Errors
+    /// [`SynthError::Timeout`] when `deadline` expires before the polish;
+    /// [`SynthError::Failed`] only from injected faults.
+    pub fn run<E: Evaluator>(
         &self,
         evaluator: &E,
         cfg: &SynthConfig,
-        start: WarmStart<'_>,
-    ) -> SynthResult {
-        match start {
-            WarmStart::Cold => self.synthesize(evaluator, cfg),
-            WarmStart::Retarget(prev) => self.retarget(evaluator, prev, cfg),
-            WarmStart::Reuse(hit) => hit.clone(),
-        }
-    }
-
-    /// [`Synthesizer::execute`] with a cooperative wall-clock budget and a
-    /// typed error channel: an expired `deadline` yields
-    /// [`SynthError::Timeout`] instead of an open-ended search. An
-    /// unlimited deadline takes a path bit-identical to
-    /// [`Synthesizer::execute`]. [`WarmStart::Reuse`] never times out —
-    /// returning a stored result consumes no budget.
-    pub fn try_execute<E: Evaluator>(
-        &self,
-        evaluator: &E,
-        cfg: &SynthConfig,
-        start: WarmStart<'_>,
+        warm: Option<&SynthResult>,
         deadline: Deadline,
     ) -> Result<SynthResult, SynthError> {
         #[cfg(feature = "faults")]
         if let Some(e) = injected_synth_fault() {
             return Err(e);
         }
-        match start {
-            WarmStart::Reuse(hit) => Ok(hit.clone()),
-            WarmStart::Cold => {
-                let sa_cfg = AnnealConfig {
-                    iterations: cfg.iterations,
-                    sigma0: cfg.sigma0,
-                    sigma_end: cfg.sigma_end,
-                    seed: cfg.seed,
-                    warm_tail_frac: cfg.warm_tail_frac,
-                    cost_quant_digits: cfg.cost_quant_digits,
-                    deadline,
-                };
-                self.run_budgeted(evaluator, sa_cfg, None, cfg.nm_iterations)
-            }
-            WarmStart::Retarget(prev) => {
-                let r = cfg.retarget_budget();
-                let sa_cfg = AnnealConfig {
-                    iterations: r.iterations,
-                    sigma0: r.sigma0,
-                    sigma_end: r.sigma_end,
-                    seed: r.seed,
-                    warm_tail_frac: r.warm_tail_frac,
-                    cost_quant_digits: r.cost_quant_digits,
-                    deadline,
-                };
-                self.run_budgeted(evaluator, sa_cfg, Some(&prev.best_u), r.nm_iterations)
-            }
+        let (cfg, start) = match warm {
+            None => (cfg.clone(), None),
+            Some(prev) => (cfg.retarget_budget(), Some(prev.best_u.as_slice())),
+        };
+        let sa = anneal(
+            &self.space,
+            evaluator,
+            &self.constraints,
+            &self.objective,
+            &cfg,
+            start,
+            deadline,
+        );
+        if sa.timed_out || deadline.expired() {
+            return Err(SynthError::Timeout {
+                evaluations: sa.evaluations,
+            });
         }
+        Ok(self.finish(evaluator, sa, cfg.nm_iterations))
     }
 }
 
@@ -456,7 +357,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let run = synth.synthesize(&amp_eval, &cfg);
+        let run = synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
         assert!(run.feasible, "{:?}", run.best_perf);
         // Power should approach the analytic minimum: constraints active.
         let gain = run.best_perf.get("gain").unwrap();
@@ -465,17 +366,19 @@ mod tests {
 
     #[test]
     fn retarget_uses_fewer_evaluations() {
-        let mut synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
+        let synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
         let cfg = SynthConfig {
             iterations: 3000,
             seed: 12,
             ..Default::default()
         };
-        let cold = synth.synthesize(&amp_eval, &cfg);
+        let cold = synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
         assert!(cold.feasible);
         // New spec: slightly different gain/bandwidth targets.
-        synth.set_constraints(amp_constraints(50.0, 1.2e6));
-        let warm = synth.retarget(&amp_eval, &cold, &cfg);
+        let synth = Synthesizer::new(amp_space(), amp_constraints(50.0, 1.2e6), "power");
+        let warm = synth
+            .run(&amp_eval, &cfg, Some(&cold), Deadline::none())
+            .unwrap();
         assert!(warm.feasible, "{:?}", warm.best_perf);
         assert!(
             warm.evaluations * 3 < cold.evaluations,
@@ -498,35 +401,54 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let run = synth.synthesize(&amp_eval, &cfg);
+        let run = synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
         assert!(!run.feasible);
     }
 
     #[test]
-    fn try_execute_unlimited_matches_execute_and_zero_budget_times_out() {
+    fn run_unlimited_completes_and_zero_budget_times_out() {
         let synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
         let cfg = SynthConfig {
             iterations: 600,
             seed: 14,
             ..Default::default()
         };
-        let plain = synth.execute(&amp_eval, &cfg, WarmStart::Cold);
-        let budgeted = synth
-            .try_execute(&amp_eval, &cfg, WarmStart::Cold, Deadline::none())
-            .unwrap();
-        assert_eq!(plain.best_x, budgeted.best_x);
-        assert_eq!(plain.evaluations, budgeted.evaluations);
+        synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
 
         let expired = Deadline::within(std::time::Duration::from_secs(0));
-        match synth.try_execute(&amp_eval, &cfg, WarmStart::Cold, expired) {
+        match synth.run(&amp_eval, &cfg, None, expired) {
             Err(SynthError::Timeout { .. }) => {}
             other => panic!("expected timeout, got {other:?}"),
         }
-        // Reuse is a cache hit: no budget consumed, never a timeout.
-        let reused = synth
-            .try_execute(&amp_eval, &cfg, WarmStart::Reuse(&plain), expired)
+    }
+
+    /// [`SynthResult::evaluations`] counts every evaluator call: the
+    /// annealing schedule, the polish and the polished point's
+    /// re-evaluation, cold and retargeted alike.
+    #[test]
+    fn evaluations_count_every_evaluator_call() {
+        let synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
+        let cfg = SynthConfig {
+            iterations: 600,
+            seed: 15,
+            ..Default::default()
+        };
+        let calls = Cell::new(0usize);
+        let counted = |x: &[f64]| {
+            calls.set(calls.get() + 1);
+            amp_eval(x)
+        };
+        let cold = synth.run(&counted, &cfg, None, Deadline::none()).unwrap();
+        assert_eq!(cold.evaluations, calls.get());
+
+        calls.set(0);
+        let warm = synth
+            .run(&counted, &cfg, Some(&cold), Deadline::none())
             .unwrap();
-        assert_eq!(reused.best_x, plain.best_x);
+        assert_eq!(warm.evaluations, calls.get());
+        // More calls than the retarget's annealing can make (≤ 8 probes,
+        // the start, 10 temperature probes, the schedule): the polish ran.
+        assert!(calls.get() > 8 + 1 + 10 + cfg.retarget_budget().iterations);
     }
 
     #[test]
@@ -537,8 +459,8 @@ mod tests {
             seed: 14,
             ..Default::default()
         };
-        let a = synth.synthesize(&amp_eval, &cfg);
-        let b = synth.synthesize(&amp_eval, &cfg);
+        let a = synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
+        let b = synth.run(&amp_eval, &cfg, None, Deadline::none()).unwrap();
         assert_eq!(a.best_x, b.best_x);
         assert_eq!(a.evaluations, b.evaluations);
     }

@@ -387,10 +387,11 @@ fn chain_pattern_fill_is_near_linear() {
 #[test]
 fn warm_tail_trajectories_match_cold_on_telescopic_bench() {
     use pipelined_adc::mdac::opamp::{build_telescopic, TelescopicHandles};
+    use pipelined_adc::numerics::Deadline;
     use pipelined_adc::spice::netlist::Circuit;
-    use pipelined_adc::synth::anneal::{anneal, AnnealConfig};
+    use pipelined_adc::synth::anneal::anneal;
     use pipelined_adc::synth::hybrid::{BenchTuner, HybridOptions, HybridOtaEvaluator};
-    use pipelined_adc::synth::{Constraint, ConstraintKind, DesignSpace, DesignVar};
+    use pipelined_adc::synth::{Constraint, ConstraintKind, DesignSpace, DesignVar, SynthConfig};
     use std::rc::Rc;
 
     let proc = spice_process();
@@ -421,14 +422,22 @@ fn warm_tail_trajectories_match_cold_on_telescopic_bench() {
     ];
     let run = |warm_tail_frac: f64| {
         let evaluator = HybridOtaEvaluator::new(build.clone(), HybridOptions::default());
-        let cfg = AnnealConfig {
+        let cfg = SynthConfig {
             iterations: 120,
             seed: 17,
             warm_tail_frac,
             cost_quant_digits: Some(6),
             ..Default::default()
         };
-        anneal(&space, &evaluator, &constraints, "power", &cfg, None)
+        anneal(
+            &space,
+            &evaluator,
+            &constraints,
+            "power",
+            &cfg,
+            None,
+            Deadline::none(),
+        )
     };
     let warm = run(0.4);
     let cold = run(0.0);
