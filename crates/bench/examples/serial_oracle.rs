@@ -9,7 +9,16 @@
 //! cat DIR/*.json | sha256sum
 //! ```
 //!
-//! Each file is `DIR/s{seed}_b{bits}.json`.
+//! Each file is `DIR/s{seed}_b{bits}.json`. `serial_oracle.sha256` next
+//! to this file pins every payload; CI checks both SIMD backends against
+//! it, and a failure names each payload that moved:
+//!
+//! ```text
+//! cd DIR && sha256sum -c --quiet .../crates/bench/examples/serial_oracle.sha256
+//! ```
+//!
+//! A change that moves a payload on purpose regenerates the manifest
+//! (`sha256sum *.json` in `DIR`) and bumps `FLOW_CACHE_VERSION`.
 
 use adc_mdac::power::PowerModelParams;
 use adc_mdac::specs::AdcSpec;
