@@ -10,7 +10,9 @@ use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Relative gap between `|z|²` and `level²` below which
-/// [`Complex::norm_le`] and [`Complex::norm_gt`] fall back to `hypot`.
+/// [`Complex::norm_le`], [`Complex::norm_lt`] and [`Complex::norm_gt`]
+/// fall back to `hypot`; [`Complex::max_norm`] calls `hypot` for every
+/// square within it of the largest.
 const NORM_SQR_GUARD: f64 = 1e-12;
 
 /// A complex number `re + i·im` over `f64`.
@@ -82,6 +84,17 @@ impl Complex {
         }
     }
 
+    /// Exactly `self.norm() < level`, usually without the `hypot`.
+    ///
+    /// See [`Complex::norm_gt`] for when the squared norm decides.
+    #[inline]
+    pub fn norm_lt(self, level: f64) -> bool {
+        match self.norm_below(level) {
+            Some(below) => below,
+            None => self.norm() < level,
+        }
+    }
+
     /// Exactly `self.norm() > level`, usually without the `hypot`.
     ///
     /// The squared norm decides when `level ≥ 0`, `norm_sqr()` and
@@ -114,6 +127,41 @@ impl Complex {
             }
         }
         None
+    }
+
+    /// Exactly `zs.iter().map(|z| z.norm()).fold(0.0, f64::max)`, with
+    /// `hypot` only for the entries whose `norm_sqr()` lies within a
+    /// relative 1e-12 of the largest.
+    ///
+    /// Every other entry's `hypot` lies below the largest square's, by
+    /// the argument of [`Complex::norm_gt`], so it cannot be the maximum.
+    /// That needs every square to carry its few-ulp error: when any
+    /// square is subnormal, infinite or NaN, or is zero while a part is
+    /// not, the full `hypot` fold runs instead.
+    pub fn max_norm(zs: &[Complex]) -> f64 {
+        let mut top = 0.0f64;
+        for &z in zs {
+            let s = z.norm_sqr();
+            if !(s.is_normal() || z.is_zero()) {
+                return zs.iter().map(|z| z.norm()).fold(0.0, f64::max);
+            }
+            top = top.max(s);
+        }
+        if top == 0.0 {
+            return 0.0;
+        }
+        let floor = top * (1.0 - NORM_SQR_GUARD);
+        zs.iter()
+            .filter(|z| z.norm_sqr() >= floor)
+            .map(|z| z.norm())
+            .fold(0.0, f64::max)
+    }
+
+    /// Exactly `self.norm() == 0.0`: `hypot` is zero only when both parts
+    /// are.
+    #[inline]
+    pub fn is_zero(self) -> bool {
+        self.re == 0.0 && self.im == 0.0
     }
 
     /// Principal argument in `(-π, π]`.

@@ -166,16 +166,11 @@ fn snap_real(z: &mut [Complex]) {
     }
 }
 
-/// Exactly `c.norm() == 0.0`: `hypot` is zero only when both parts are.
-fn is_zero(c: Complex) -> bool {
-    c.re == 0.0 && c.im == 0.0
-}
-
 /// Exactly `c.norm() > 0.0`: `hypot` is +∞ when either part is infinite
 /// (even beside a NaN), NaN when a part is NaN and neither is infinite,
 /// and otherwise positive unless both parts are zero.
 fn norm_positive(c: Complex) -> bool {
-    c.re.is_infinite() || c.im.is_infinite() || !(c.is_nan() || is_zero(c))
+    c.re.is_infinite() || c.im.is_infinite() || !(c.is_nan() || c.is_zero())
 }
 
 /// Exactly `c.norm() > 1e-300`. Without a NaN part, `hypot` is at least
@@ -200,7 +195,7 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
         let mut converged = true;
         for i in 0..n {
             let (p, dp) = eval_with_derivative(coeffs, z[i]);
-            if is_zero(p) {
+            if p.is_zero() {
                 continue;
             }
             let newton = if norm_positive(dp) {
@@ -223,7 +218,7 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
     for zi in z.iter_mut() {
         for _ in 0..3 {
             let (p, dp) = eval_with_derivative(coeffs, *zi);
-            if is_zero(dp) {
+            if dp.is_zero() {
                 break;
             }
             let step = p / dp;

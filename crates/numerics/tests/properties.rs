@@ -617,9 +617,14 @@ impl Xorshift {
         (self.next() % bound as u64) as usize
     }
 
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     /// `10^e` with `e` uniform in `[lo, hi)`.
     fn decade(&mut self, lo: f64, hi: f64) -> f64 {
-        let u = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+        let u = self.unit();
         10f64.powf(lo + (hi - lo) * u)
     }
 
@@ -707,7 +712,7 @@ proptest! {
         }
     }
 
-    /// `norm_le`/`norm_gt` equal the `hypot` comparisons on random parts
+    /// `norm_le`/`norm_lt`/`norm_gt` equal the `hypot` comparisons on random parts
     /// and levels across the whole exponent range, with each level also
     /// nudged a few ulp around the exact norm.
     #[test]
@@ -723,12 +728,113 @@ proptest! {
         let z = Complex::new(re, im);
         for level in [10f64.powf(level_exp), z.norm(), step_ulps(z.norm(), ulps)] {
             prop_assert_eq!(z.norm_le(level), z.norm() <= level, "{:?} vs {:e}", z, level);
+            prop_assert_eq!(z.norm_lt(level), z.norm() < level, "{:?} vs {:e}", z, level);
             prop_assert_eq!(z.norm_gt(level), z.norm() > level, "{:?} vs {:e}", z, level);
         }
     }
 }
 
-/// `norm_le`/`norm_gt` equal the `hypot` comparisons on an adversarial
+/// Random slice for the `max_norm` oracle test, drawn from `seed`: 1–64
+/// entries whose magnitudes share a band of 0.5, 3 or 40 decades placed
+/// anywhere from 1e-320 to 1e300 (or span all of it; one slice in eight
+/// sits where the squares turn subnormal), on an axis or at a random
+/// angle, or all on one circle. Then, each with its own chance: exact ties of the largest entry
+/// (swapped or sign-flipped parts), entries of its norm at other angles,
+/// copies of either with one or both parts 1–3 ulp smaller or larger, an
+/// all-zero slice, subnormal parts, ±∞ and NaN parts.
+fn random_norm_slice(seed: u64) -> Vec<Complex> {
+    let mut rng = Xorshift(seed | 1);
+    let len = 1 + rng.below(64);
+    let (lo, span) = if rng.below(8) == 0 {
+        (-162.0 + 6.0 * rng.unit(), 0.5)
+    } else {
+        let span = [0.5, 3.0, 40.0, 620.0][rng.below(4)];
+        (-320.0 + rng.unit() * (620.0 - span), span)
+    };
+    // One slice in four puts every entry on one circle: their norms tie
+    // to within rounding, where the largest square and the largest
+    // `hypot` can belong to different entries.
+    let circle = rng.below(4) == 0;
+    let r = rng.decade(lo, lo + span);
+    let mut zs: Vec<Complex> = (0..len)
+        .map(|_| {
+            if circle {
+                return Complex::from_polar(r, std::f64::consts::TAU * rng.unit());
+            }
+            let m = rng.sign() * rng.decade(lo, lo + span);
+            match rng.below(4) {
+                0 => Complex::new(m, 0.0),
+                1 => Complex::new(-0.0, m),
+                _ => Complex::new(m, rng.sign() * m * rng.decade(-3.0, 3.0)),
+            }
+        })
+        .collect();
+    let top = *zs
+        .iter()
+        .max_by(|a, b| a.norm().total_cmp(&b.norm()))
+        .expect("non-empty");
+    if rng.below(2) == 0 {
+        for _ in 0..1 + rng.below(4) {
+            let k = rng.below(len);
+            zs[k] = match rng.below(3) {
+                0 => Complex::new(top.im, top.re),
+                1 => Complex::new(-top.re, top.im),
+                _ => top.conj(),
+            };
+        }
+    }
+    if rng.below(2) == 0 {
+        for _ in 0..1 + rng.below(32) {
+            let k = rng.below(len);
+            let z = if rng.below(4) == 0 {
+                top
+            } else {
+                Complex::from_polar(top.norm(), std::f64::consts::TAU * rng.unit())
+            };
+            let d = (1 + rng.below(3) as i64) * if rng.below(4) == 0 { 1 } else { -1 };
+            zs[k] = match rng.below(4) {
+                0 => z,
+                1 => Complex::new(step_ulps(z.re, d), z.im),
+                2 => Complex::new(z.re, step_ulps(z.im, d)),
+                _ => Complex::new(step_ulps(z.re, d), step_ulps(z.im, d)),
+            };
+        }
+    }
+    if rng.below(16) == 0 {
+        zs.iter_mut().for_each(|z| {
+            *z = Complex::new(0.0 * rng.sign(), 0.0 * rng.sign());
+        });
+    }
+    let specials = [5e-324, -2.5e-310, f64::MIN_POSITIVE, 1e-170, 1.5e154];
+    if rng.below(6) == 0 {
+        let k = rng.below(len);
+        zs[k].re = rng.sign() * specials[rng.below(specials.len())];
+    }
+    if rng.below(8) == 0 {
+        let k = rng.below(len);
+        zs[k].im = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+    }
+    if rng.below(8) == 0 {
+        let k = rng.below(len);
+        zs[k].re = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+    }
+    zs
+}
+
+proptest! {
+    // One circle slice in about 180 has its largest square and its
+    // largest `hypot` on different entries; 20 000 cases take ~0.1 s.
+    #![proptest_config(ProptestConfig::with_cases(20000))]
+    /// `max_norm` returns the `hypot` fold's maximum bit for bit.
+    #[test]
+    fn max_norm_matches_hypot_fold_bitwise(seed in 0u64..u64::MAX) {
+        let zs = random_norm_slice(seed);
+        let fold = zs.iter().map(|z| z.norm()).fold(0.0, f64::max);
+        prop_assert_eq!(Complex::max_norm(&zs).to_bits(), fold.to_bits(), "{:?}", &zs);
+    }
+}
+
+/// `norm_le`/`norm_lt`/`norm_gt` equal the `hypot` comparisons on an adversarial
 /// grid: levels 0, negative, subnormal, near the squaring overflow and
 /// underflow thresholds and 1e300, each paired with parts whose norm is
 /// the level moved by up to 8 ulp either way, and with ±0, ±∞, NaN,
@@ -797,6 +903,7 @@ fn norm_level_tests_match_hypot_on_adversarial_grid() {
             for k in -8..=8 {
                 let level = step_ulps(base, k);
                 assert_eq!(z.norm_le(level), z.norm() <= level, "{z:?} <= {level:e}");
+                assert_eq!(z.norm_lt(level), z.norm() < level, "{z:?} < {level:e}");
                 assert_eq!(z.norm_gt(level), z.norm() > level, "{z:?} > {level:e}");
                 checked += 1;
             }

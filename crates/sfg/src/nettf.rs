@@ -146,11 +146,11 @@ fn coeffs_from_samples(
     // is comparable to the sample magnitudes; circuit polynomials have
     // wildly scaled raw coefficients (G·G vs C·C), so trimming after the
     // r^j division would delete real high-order terms.
-    let max = work.iter().map(|c| c.norm()).fold(0.0, f64::max);
+    let max = Complex::max_norm(work);
     let mut real = Vec::with_capacity(m);
     let mut rj = 1.0;
     for c in work.iter().take(m) {
-        let v = if c.norm() < trim_rel * max { 0.0 } else { c.re };
+        let v = if c.norm_lt(trim_rel * max) { 0.0 } else { c.re };
         real.push(v / (m as f64 * rj));
         rj *= radius;
     }
@@ -228,7 +228,7 @@ pub fn extract_tf_with(
         .map_err(|(k, _)| singular_err(k))?;
     for k in 0..m {
         let det = ws.dets[k];
-        if det.norm() == 0.0 {
+        if det.is_zero() {
             return Err(singular_err(k));
         }
         let h = ws.xs[k * dim + out_row];
@@ -237,16 +237,11 @@ pub fn extract_tf_with(
     }
 
     // Normalize sample scale (in place) to keep the DFT well-conditioned.
-    let dscale = ws.den_samples.iter().map(|d| d.norm()).fold(0.0, f64::max);
+    let dscale = Complex::max_norm(&ws.den_samples);
     if dscale == 0.0 {
         return Err(SfgError::SingularGraph);
     }
-    let nscale = ws
-        .num_samples
-        .iter()
-        .map(|d| d.norm())
-        .fold(0.0, f64::max)
-        .max(1e-300);
+    let nscale = Complex::max_norm(&ws.num_samples).max(1e-300);
     ws.den_samples.iter_mut().for_each(|d| *d = *d / dscale);
     ws.num_samples.iter_mut().for_each(|n| *n = *n / nscale);
 
