@@ -55,7 +55,11 @@ use std::time::{Duration, Instant};
 /// Version 2: the annealer evaluates strictly serially. Version-1 results
 /// whose warm DC starts chained through discarded speculative evaluations
 /// took different trajectories, so they must not be served as exact hits.
-pub const FLOW_CACHE_VERSION: u64 = 2;
+///
+/// Version 3: phase margin sums over the roots that survive pole/zero
+/// cancellation instead of re-finding the roots of their re-expanded
+/// polynomials, which moves the last bits of `pm` (and of some costs).
+pub const FLOW_CACHE_VERSION: u64 = 3;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
 /// **single source of truth** shared by [`synthesize_ota`] and the

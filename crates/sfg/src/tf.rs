@@ -1,10 +1,15 @@
 //! Numeric rational transfer functions and their AC characteristics.
 //!
-//! Once the symbolic DPI/SFG transfer function is bound to the extracted
-//! small-signal values, everything the synthesis constraints need —
-//! poles/zeros, DC gain, unity-gain frequency, phase margin — is read off
-//! the numeric rational function here. This is the "fast equation
-//! evaluation" leg of the paper's hybrid methodology.
+//! Everything the synthesis constraints need — DC gain, unity-gain
+//! frequency, phase margin, and the poles and zeros behind them — is read
+//! off the numeric rational function here. This is the "fast equation
+//! evaluation" leg of the paper's hybrid methodology. In the flow the
+//! function comes from [`crate::nettf`], which samples `det Y(s)` of the
+//! linearized testbench and interpolates its coefficients; poles and
+//! zeros come from the Aberth root finder in `adc_numerics::roots`. The
+//! paper's DPI/SFG route ([`crate::dpi`] with Mason's rule) also yields a
+//! `Tf`, but no flow runs it: `tests/circuit_sfg_consistency.rs` checks it
+//! against `nettf` and AC analysis on small amplifiers.
 
 use adc_numerics::complex::Complex;
 use adc_numerics::interp::logspace;
@@ -15,10 +20,14 @@ use std::sync::OnceLock;
 
 /// A numeric transfer function `H(s) = num(s)/den(s)`.
 ///
-/// Roots of both polynomials are computed lazily and cached: the root
-/// finder is deterministic, so the cache returns exactly the bits a
-/// fresh computation would — repeated phase/stability queries stop
-/// re-finding the same roots.
+/// Roots of both polynomials are cached, so repeated phase/stability
+/// queries stop re-finding them. A `Tf` made by [`Tf::new`] computes them
+/// lazily, and the root finder is deterministic, so the cache holds
+/// exactly the bits a fresh computation would. A `Tf` returned by
+/// [`Tf::cancel_common_roots`] usually starts with the roots that
+/// survived cancellation instead; they agree with a fresh computation on
+/// its re-expanded polynomials only to rounding. `PartialEq` compares the
+/// polynomials alone, never the cached roots.
 #[derive(Debug, Clone)]
 pub struct Tf {
     num: Poly,
@@ -153,6 +162,13 @@ impl Tf {
 
     /// Removes matching pole/zero pairs closer than `rel_tol` (relative to
     /// magnitude). Useful after determinant-based extraction.
+    ///
+    /// The surviving roots are re-expanded into the returned polynomials
+    /// and, when each survivor set is closed under conjugation, also seed
+    /// its root caches, so that poles, zeros and phase need no second
+    /// root-finding. A set that is not closed keeps empty caches: its
+    /// re-expansion keeps only real parts and no longer has the survivors
+    /// as roots.
     pub fn cancel_common_roots(&self, rel_tol: f64) -> Tf {
         let mut zeros = self.zeros();
         let mut poles = self.poles();
@@ -173,7 +189,12 @@ impl Tf {
         }
         let num = Poly::from_complex_roots(&zeros).scale(num_lead);
         let den = Poly::from_complex_roots(&poles).scale(den_lead);
-        Tf::new(num, den)
+        let mut tf = Tf::new(num, den);
+        if conjugate_closed(&zeros) && conjugate_closed(&poles) {
+            tf.num_roots = OnceLock::from(zeros);
+            tf.den_roots = OnceLock::from(poles);
+        }
+        tf
     }
 
     /// Finds the unity-gain frequency by scanning `[f_lo, f_hi]` on a log
@@ -333,6 +354,24 @@ impl fmt::Display for Tf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}) / ({})", self.num, self.den)
     }
+}
+
+/// Whether every complex root in `roots` has its own partner within
+/// `1e-9·(1 + |r|)` of its conjugate `r̄`.
+fn conjugate_closed(roots: &[Complex]) -> bool {
+    let mut paired = vec![false; roots.len()];
+    for (i, &r) in roots.iter().enumerate() {
+        if r.im == 0.0 || paired[i] {
+            continue;
+        }
+        paired[i] = true;
+        let tol = 1e-9 * (1.0 + r.norm());
+        match (0..roots.len()).find(|&j| !paired[j] && (roots[j] - r.conj()).norm() <= tol) {
+            Some(j) => paired[j] = true,
+            None => return false,
+        }
+    }
+    true
 }
 
 /// Geometric bisection steps of the crossing search.
