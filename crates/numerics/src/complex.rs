@@ -133,11 +133,12 @@ impl Complex {
     /// `hypot` only for the entries whose `norm_sqr()` lies within a
     /// relative 1e-12 of the largest.
     ///
-    /// Every other entry's `hypot` lies below the largest square's, by
-    /// the argument of [`Complex::norm_gt`], so it cannot be the maximum.
-    /// That needs every square to carry its few-ulp error: when any
-    /// square is subnormal, infinite or NaN, or is zero while a part is
-    /// not, the full `hypot` fold runs instead.
+    /// Every other entry's `hypot` lies below the `hypot` of the entry
+    /// with the largest square, by the argument of [`Complex::norm_gt`],
+    /// so it cannot be the maximum. That needs every square to carry only
+    /// its few-ulp error: when any square is subnormal, infinite or NaN,
+    /// or is zero while a part is not, the full `hypot` fold runs
+    /// instead.
     pub fn max_norm(zs: &[Complex]) -> f64 {
         let mut top = 0.0f64;
         for &z in zs {

@@ -123,23 +123,19 @@ proptest! {
     }
 }
 
-/// `Tf::new(num, den)` for the zeros `−1e6 ± 1i` and the poles `−1e6` and
-/// `−1e9`, all of which the quadratic formula returns exactly.
-fn lone_pair_member_tf() -> Tf {
-    Tf::new(
-        Poly::new(vec![1e12 + 1.0, 2e6, 1.0]),
-        Poly::new(vec![1e15, 1.001e9, 1.0]),
-    )
-}
-
 /// Cancellation that leaves one member of a complex pair: the zero
-/// `−1e6 + 1i` cancels the pole at `−1e6`, and `−1e6 − 1i` survives alone.
-/// The re-expanded numerator keeps only its real part, so it no longer
-/// has the survivor as a root; the cancelled TF must then keep empty root
-/// caches and stay bit-identical to a fresh `Tf` of its polynomials.
+/// `−1e6 + 1i` cancels the pole at `−1e6`, and `−1e6 − 1i` survives alone
+/// (the quadratic formula returns all four roots exactly). The
+/// re-expanded numerator keeps only the survivor's real part, so it no
+/// longer has the survivor as a root; the cancelled TF must then keep
+/// empty root caches and stay bit-identical to a fresh `Tf` of its
+/// polynomials.
 #[test]
 fn lone_complex_survivor_is_not_seeded() {
-    let tf = lone_pair_member_tf();
+    let tf = Tf::new(
+        Poly::new(vec![1e12 + 1.0, 2e6, 1.0]),
+        Poly::new(vec![1e15, 1.001e9, 1.0]),
+    );
     assert_eq!(
         tf.zeros(),
         vec![Complex::new(-1e6, 1.0), Complex::new(-1e6, -1.0)]
@@ -172,19 +168,18 @@ fn conjugate_closed_survivors_seed_the_root_caches() {
         Poly::new(vec![1e12, 1.000001e9, 1.0]),
     );
     let h = tf.cancel_common_roots(1e-5);
-    let zeros = tf.zeros();
-    let survivors: Vec<Complex> = zeros.iter().copied().filter(|z| z.im != 0.0).collect();
-    assert_eq!(survivors.len(), 2, "{zeros:?}");
-    let mut seeded = h.zeros();
-    seeded.sort_by(|a, b| a.im.total_cmp(&b.im));
-    let mut expected = survivors;
-    expected.sort_by(|a, b| a.im.total_cmp(&b.im));
-    for (a, b) in seeded.iter().zip(&expected) {
-        assert_eq!(
-            (a.re.to_bits(), a.im.to_bits()),
-            (b.re.to_bits(), b.im.to_bits())
-        );
-    }
+    let mut survivors = tf.zeros();
+    let k = survivors
+        .iter()
+        .position(|z| z.im == 0.0)
+        .expect("zero at −1e3");
+    survivors.swap_remove(k);
+    let bits = |zs: &[Complex]| -> Vec<(u64, u64)> {
+        zs.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&h.zeros()), bits(&survivors));
     assert_eq!(h.poles().len(), 1);
     assert_eq!(h.poles()[0], Complex::from_real(-1e9));
     let num = Poly::from_complex_roots(&h.zeros()).scale(tf.num().leading());

@@ -10,18 +10,22 @@
 //! The evaluator holds one persistent testbench plus DC/TF workspaces:
 //! when the testbench carries a [`BenchTuner`], each candidate is applied
 //! by **in-place retuning** (no netlist rebuild), and the DC Newton loop
-//! and TF sampling run entirely in preallocated buffers — the steady-state
-//! evaluation path is allocation-free. On OTA-sized testbenches both
-//! workspaces factor CSR-**sparse** against a symbolic factorization the
-//! engines freeze once per topology (see `adc_numerics::sparse`), so every
-//! Newton iteration and every `det Y(s)` sample pays only for structural
-//! nonzeros; the selection is automatic and the dense path remains the
-//! oracle.
+//! and the TF sampling reuse preallocated matrices and factor buffers.
+//! The evaluation still allocates: each DC solve's `OperatingPoint`
+//! builds two name-keyed maps, and coefficient recovery, pole/zero
+//! cancellation and the re-expanded polynomials build small vectors. On
+//! OTA-sized testbenches both workspaces factor CSR-**sparse** against a
+//! symbolic factorization the engines freeze once per topology (see
+//! `adc_numerics::sparse`), so every Newton iteration and every
+//! `det Y(s)` sample pays only for structural nonzeros; the selection is
+//! automatic and the dense path remains the oracle.
 //!
-//! On the 10–13-bit serial flows an evaluation takes about 60 µs on a
-//! 2-vCPU AVX2 VM: the DC solve and the TF extraction about a quarter
-//! each, and the equation leg (pole/zero cancellation, unity-gain search,
-//! phase margin — mostly Aberth root refinement) the other half.
+//! On the 10–13-bit serial flows an evaluation takes about 63 µs on a
+//! 2-vCPU AVX2 VM: the DC solve about 22 µs, the TF extraction about
+//! 17 µs, and the equation leg about 25 µs — pole/zero cancellation with
+//! its Aberth root refinement about 15, the unity-gain search about 9,
+//! and phase margin, which sums over the roots cancellation kept, about
+//! 1.
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
