@@ -1,0 +1,349 @@
+//! Bit-level pin of the real-valued Jacobian engines behind DC and
+//! transient analysis.
+//!
+//! Every output of both analyses is folded, `to_bits` by `to_bits`, into
+//! an FNV-1a digest, once per engine: forced dense, forced sparse and
+//! automatic selection. The DC rows cover cold and warm operating points
+//! under both [`DcDamping`] strategies; the transient rows cover the time
+//! axis, every node sample and the [`TranStats`] of fixed-step and
+//! adaptive runs on clocked fixtures. Each row also asserts which engine
+//! ran on each fixture, so two rows can never silently pin the same one.
+//!
+//! A refactor of the engines must leave every digest unchanged. A change
+//! that moves solver bits on purpose runs
+//! `cargo test -p adc-spice --test engine_pin -- --nocapture`, which
+//! prints the digests it computed, replaces the constants below with
+//! them, and says in its change record which rows moved and why. Run it on
+//! both SIMD backends (`ADC_FORCE_SCALAR=1` too): the digests must agree.
+
+use adc_spice::dc::{
+    dc_operating_point_warm, dc_operating_point_with, DcDamping, DcOptions, DcWorkspace,
+};
+use adc_spice::netlist::{Circuit, ClockPhase, Element, NodeId};
+use adc_spice::process::Process;
+use adc_spice::tran::{
+    transient_adaptive, transient_with, Clock, InitialCondition, TimeStepConfig, TranOptions,
+    TranResult, TranWorkspace,
+};
+use adc_spice::waveform::Waveform;
+use adc_spice::{OperatingPoint, SolverChoice};
+
+/// Expected digests: `(label, engine, DC digest, transient digest)`.
+const PINS: [(&str, SolverChoice, u64, u64); 3] = [
+    (
+        "dense",
+        SolverChoice::Dense,
+        0x6b5c_eb99_54ac_cbcd,
+        0xf133_0304_a169_016e,
+    ),
+    (
+        "sparse",
+        SolverChoice::Sparse,
+        0xf959_f237_8030_4256,
+        0x6b69_d53a_609a_ef82,
+    ),
+    (
+        "auto",
+        SolverChoice::Auto,
+        0xf959_f237_8030_4256,
+        0x7e50_ba4a_1b00_19da,
+    ),
+];
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+}
+
+/// Output-servo bias network of the synthesis testbenches: a slow
+/// low-pass of the output drives a VCVS that sets the input bias.
+fn add_servo(c: &mut Circuit, out: NodeId, inverting: bool) -> NodeId {
+    let vt = c.node("servo_target");
+    let lp = c.node("servo_lp");
+    let vb = c.node("servo_bias");
+    c.add_vsource("VTGT", vt, Circuit::GROUND, 1.65);
+    c.add_resistor("RLP", out, lp, 1e6);
+    c.add_capacitor("CLP", lp, Circuit::GROUND, 1e-3);
+    if inverting {
+        c.add_vcvs("ESRV", vb, Circuit::GROUND, lp, vt, 200.0);
+    } else {
+        c.add_vcvs("ESRV", vb, Circuit::GROUND, vt, lp, 200.0);
+    }
+    vb
+}
+
+/// Telescopic-cascode OTA with its bias servo; `vin` drives the input in
+/// series with the servo bias. Returns the circuit and its output node.
+fn telescopic(vin: Waveform) -> (Circuit, NodeId) {
+    let p = Process::c025();
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let g = c.node("g");
+    let nc = c.node("ncasc");
+    let out = c.node("out");
+    let np = c.node("npcasc");
+    let vbn = c.node("vbn");
+    let vbp1 = c.node("vbp1");
+    let vbp2 = c.node("vbp2");
+    c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
+    c.add_vsource("VBN", vbn, Circuit::GROUND, 1.3);
+    c.add_vsource("VBP1", vbp1, Circuit::GROUND, 1.9);
+    c.add_vsource("VBP2", vbp2, Circuit::GROUND, 2.45);
+    let gnd = Circuit::GROUND;
+    c.add_mosfet("M1", nc, g, gnd, gnd, p.nmos, 60e-6, 0.5e-6);
+    c.add_mosfet("M2", out, vbn, nc, gnd, p.nmos, 60e-6, 0.5e-6);
+    c.add_mosfet("M3", out, vbp1, np, vdd, p.pmos, 120e-6, 0.5e-6);
+    c.add_mosfet("M4", np, vbp2, vdd, vdd, p.pmos, 120e-6, 0.5e-6);
+    c.add_capacitor("CL", out, gnd, 1e-12);
+    let vb = add_servo(&mut c, out, true);
+    c.add_vsource_wave("VIN", g, vb, vin, 1.0);
+    (c, out)
+}
+
+/// Two-stage Miller OTA with a zero-nulling resistor and its bias servo.
+fn two_stage() -> Circuit {
+    let p = Process::c025();
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let g = c.node("g");
+    let n1 = c.node("n1");
+    let out = c.node("out");
+    let cz = c.node("cz");
+    let vbp = c.node("vbp");
+    let vbn2 = c.node("vbn2");
+    c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
+    c.add_vsource("VBP", vbp, Circuit::GROUND, 2.45);
+    c.add_vsource("VBN2", vbn2, Circuit::GROUND, 0.75);
+    let gnd = Circuit::GROUND;
+    c.add_mosfet("M1", n1, g, gnd, gnd, p.nmos, 40e-6, 0.6e-6);
+    c.add_mosfet("M2", n1, vbp, vdd, vdd, p.pmos, 60e-6, 0.6e-6);
+    c.add_mosfet("M3", out, n1, vdd, vdd, p.pmos, 200e-6, 0.5e-6);
+    c.add_mosfet("M4", out, vbn2, gnd, gnd, p.nmos, 40e-6, 0.5e-6);
+    c.add_capacitor("CC", n1, cz, 1.5e-12);
+    c.add_resistor("RZ", cz, out, 500.0);
+    c.add_capacitor("CL", out, gnd, 2e-12);
+    let vb = add_servo(&mut c, out, false);
+    c.add_vsource_wave("VIN", g, vb, Waveform::Dc(0.0), 1.0);
+    c
+}
+
+/// Resistively loaded common-source stage behind a clocked sampling
+/// switch: small enough that automatic selection keeps it dense.
+fn common_source(vg: Waveform) -> (Circuit, NodeId) {
+    let p = Process::c025();
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let g = c.node("g");
+    let d = c.node("d");
+    let out = c.node("out");
+    c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
+    c.add_vsource_wave("VG", g, Circuit::GROUND, vg, 0.0);
+    c.add_resistor("RD", vdd, d, 10e3);
+    let gnd = Circuit::GROUND;
+    c.add_mosfet("M1", d, g, gnd, gnd, p.nmos, 20e-6, 0.5e-6);
+    c.add_switch("S1", d, out, 200.0, 1e12, ClockPhase::Phi1, true);
+    c.add_capacitor("CL", out, gnd, 1e-12);
+    (c, out)
+}
+
+/// Scales every MOSFET width by `1 + 0.04·k` (a synthesis-style retune
+/// that keeps the topology).
+fn retune(c: &mut Circuit, k: usize) {
+    let devices: Vec<(String, f64, f64)> = c
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::Mosfet { name, w, l, .. } => Some((name.clone(), *w, *l)),
+            _ => None,
+        })
+        .collect();
+    for (name, w, l) in devices {
+        let (id, _) = c.find_element(&name).expect("device exists");
+        c.set_device_geometry(id, w * (1.0 + 0.04 * k as f64), l);
+    }
+}
+
+fn hash_op(h: &mut Fnv, c: &Circuit, op: &OperatingPoint) {
+    for &v in op.voltages() {
+        h.float(v);
+    }
+    for e in c.elements() {
+        if let Some(i) = op.branch_current(e.name()) {
+            h.float(i);
+        }
+        if let Some(ev) = op.mos_eval(e.name()) {
+            for v in [ev.id, ev.gm, ev.gds, ev.gmb] {
+                h.float(v);
+            }
+        }
+    }
+}
+
+fn hash_tran(h: &mut Fnv, node_count: usize, r: &TranResult) {
+    for (k, &t) in r.times().iter().enumerate() {
+        h.float(t);
+        for n in 0..node_count {
+            h.float(r.voltage_at(NodeId::from_index(n), k));
+        }
+    }
+    let st = r.stats();
+    h.word(st.accepted as u64);
+    h.word(st.rejected as u64);
+    h.word(st.newton_iters as u64);
+    h.float(st.min_dt);
+    h.word(u64::from(st.sparse));
+}
+
+/// DC row: cold solve, three warm solves along a retune path and a cold
+/// re-solve, per fixture and damping. Returns the digest and the engine
+/// each fixture ran on.
+fn dc_row(choice: SolverChoice) -> (u64, Vec<bool>) {
+    let mut h = Fnv::new();
+    let mut sparse = Vec::new();
+    let fixtures: [fn() -> Circuit; 3] = [
+        || telescopic(Waveform::Dc(0.0)).0,
+        two_stage,
+        || common_source(Waveform::Dc(0.9)).0,
+    ];
+    for fixture in fixtures {
+        for damping in [DcDamping::Global, DcDamping::PerNode] {
+            let mut c = fixture();
+            let opts = DcOptions {
+                damping,
+                ..DcOptions::default()
+            };
+            let mut ws = DcWorkspace::with_solver(&c, choice).unwrap();
+            let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
+            hash_op(&mut h, &c, &op);
+            for k in 1..=3 {
+                retune(&mut c, k);
+                let op = dc_operating_point_warm(&mut ws, &c, &opts).unwrap();
+                hash_op(&mut h, &c, &op);
+            }
+            let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
+            hash_op(&mut h, &c, &op);
+            if damping == DcDamping::Global {
+                sparse.push(ws.is_sparse());
+            }
+        }
+    }
+    (h.0, sparse)
+}
+
+/// Transient row: fixed-step and adaptive runs of two clocked fixtures,
+/// the OTA starting from its DC operating point.
+fn tran_row(choice: SolverChoice) -> (u64, Vec<bool>) {
+    let mut h = Fnv::new();
+    let mut sparse = Vec::new();
+    let clock = Clock {
+        freq: 10e6,
+        nonoverlap: 2e-9,
+    };
+    let step = |v0: f64, v1: f64| Waveform::Pulse {
+        v0,
+        v1,
+        delay: 20e-9,
+        rise: 1e-9,
+        fall: 1e-9,
+        width: 1.0,
+        period: 0.0,
+    };
+
+    let (mut ota, out) = telescopic(Waveform::Dc(0.0));
+    let op = dc_operating_point_with(
+        &mut DcWorkspace::new(&ota).unwrap(),
+        &ota,
+        &DcOptions::default(),
+    )
+    .unwrap();
+    let hold = ota.node("hold");
+    ota.add_switch("S1", out, hold, 500.0, 1e12, ClockPhase::Phi1, false);
+    ota.add_capacitor("CH", hold, Circuit::GROUND, 0.5e-12);
+    ota.add_switch(
+        "S2",
+        hold,
+        Circuit::GROUND,
+        500.0,
+        1e12,
+        ClockPhase::Phi2,
+        false,
+    );
+    let (id, _) = ota.find_element("VIN").unwrap();
+    ota.set_waveform(id, step(0.0, 2e-4));
+    let mut ic = op.voltages().to_vec();
+    ic.push(0.0); // the hold node starts discharged
+    let (cs, _) = common_source(step(0.8, 1.1));
+
+    for (c, ic) in [
+        (&ota, InitialCondition::Voltages(ic)),
+        (&cs, InitialCondition::Zero),
+    ] {
+        let opts = TranOptions {
+            tstop: 300e-9,
+            dt: 0.5e-9,
+            clock: Some(clock),
+            ic,
+            ..TranOptions::default()
+        };
+        let mut ws = TranWorkspace::with_solver(c, choice).unwrap();
+        let fixed = transient_with(&mut ws, c, &opts).unwrap();
+        hash_tran(&mut h, c.node_count(), &fixed);
+        let cfg = TimeStepConfig::for_clock(&clock);
+        let adaptive = transient_adaptive(&mut ws, c, &opts, &cfg).unwrap();
+        hash_tran(&mut h, c.node_count(), &adaptive);
+        sparse.push(ws.is_sparse());
+    }
+    (h.0, sparse)
+}
+
+/// The engine each fixture must run on: forced choices everywhere, and
+/// automatic selection sparse on the OTAs, dense on the small stage.
+fn expected_sparse(choice: SolverChoice, fixtures: usize) -> Vec<bool> {
+    (0..fixtures)
+        .map(|i| match choice {
+            SolverChoice::Dense => false,
+            SolverChoice::Sparse => true,
+            SolverChoice::Auto => i + 1 < fixtures,
+        })
+        .collect()
+}
+
+#[test]
+fn real_engines_are_pinned_bit_for_bit() {
+    let rows: Vec<_> = PINS
+        .iter()
+        .map(|&(label, choice, _, _)| (label, choice, dc_row(choice), tran_row(choice)))
+        .collect();
+    for (label, _, (dc, _), (tran, _)) in &rows {
+        println!("{label:>6}: dc {dc:#018x}  tran {tran:#018x}");
+    }
+    for ((label, choice, (dc, dc_sparse), (tran, tran_sparse)), pin) in rows.iter().zip(PINS) {
+        assert_eq!(
+            *dc_sparse,
+            expected_sparse(*choice, 3),
+            "{label}: DC engines"
+        );
+        assert_eq!(
+            *tran_sparse,
+            expected_sparse(*choice, 2),
+            "{label}: transient engines"
+        );
+        assert_eq!(*dc, pin.2, "{label}: DC digest moved");
+        assert_eq!(*tran, pin.3, "{label}: transient digest moved");
+    }
+}
