@@ -24,6 +24,10 @@ use std::sync::{Mutex, PoisonError};
 pub const SITE_DC_SOLVE: &str = "dc_solve";
 /// Transient analysis (fixed or adaptive) in `adc-spice`.
 pub const SITE_TRAN_SOLVE: &str = "tran_solve";
+/// Sparse LU refactorization in `adc-spice`'s real Jacobian engine (DC and
+/// transient): `Panic` panics, every other action reports an underflowed
+/// static pivot, which the engine answers with its dense fallback.
+pub const SITE_SPARSE_PIVOT: &str = "sparse_pivot";
 /// `Synthesizer::run` entry in `adc-synth`.
 pub const SITE_SYNTH_EXECUTE: &str = "synth_execute";
 /// Block-cache commit and snapshot restore in `adc-topopt` (corruption

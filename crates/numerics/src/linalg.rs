@@ -90,6 +90,12 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
+    /// Mutable row-major value array (stamp through slots from
+    /// [`Matrix::slot`]).
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Adds `v` to entry `(i, j)` — the MNA "stamp" primitive.
     #[inline]
     pub fn add_at(&mut self, i: usize, j: usize, v: f64) {

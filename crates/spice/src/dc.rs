@@ -6,15 +6,14 @@
 //! candidate OTA's bias point here, then hands the extracted gm/gds/C to the
 //! equation-based transfer-function analysis.
 
+use crate::engine::Engine;
 use crate::linearize::SolverChoice;
 use crate::mna::{add_opt, MnaMap};
 use crate::mosfet::eval_mosfet;
 use crate::netlist::{Circuit, Element};
 use crate::op::OperatingPoint;
 use crate::{SpiceError, SpiceResult};
-use adc_numerics::linalg::Lu;
-use adc_numerics::sparse::{prefer_sparse, CsrMatrix, CsrPattern, SparseLu, Symbolic};
-use adc_numerics::{Deadline, Matrix};
+use adc_numerics::Deadline;
 use std::collections::HashMap;
 
 /// Newton step-limiting strategy.
@@ -75,10 +74,9 @@ impl Default for DcOptions {
 
 /// Walks the constant linear stamps (everything except MOSFETs and g_min):
 /// Jacobian entries go through `add(row, col, value)`, independent-source
-/// contributions accumulate into `rhs`. Both the dense and the sparse
-/// engine assemble through this single traversal — and the sparse slot
-/// maps are recorded from it too, so the two can never disagree on stamp
-/// order.
+/// contributions accumulate into `rhs`. The base segment of the stamp
+/// pattern is recorded from this same traversal, so recording and
+/// restamping can never disagree on stamp order.
 fn stamp_linear(
     circuit: &Circuit,
     map: &MnaMap,
@@ -227,90 +225,29 @@ pub(crate) fn stamp_mosfets(
     }
 }
 
-/// Builds the dense engine storage for a circuit, recording the MOSFET
-/// companion stamp pattern as flat slots so the per-iteration restamp
-/// replays through the chunked [`Matrix::scatter_add`] kernel — the dense
-/// twin of the CSR slot replay.
-fn dense_engine(circuit: &Circuit, map: &MnaMap) -> DcEngine {
-    let dim = map.dim();
-    let zeros = vec![0.0; dim];
-    let mut scratch = vec![0.0; dim];
-    let mut mos_slots: Vec<usize> = Vec::new();
-    stamp_mosfets(circuit, map, &zeros, &mut scratch, &mut |r, c, _| {
-        mos_slots.push(r * dim + c);
-    });
-    let mos_len = mos_slots.len();
-    DcEngine::Dense {
-        base_jac: Matrix::zeros(dim, dim),
-        jac: Matrix::zeros(dim, dim),
-        lu: Lu::with_dim(dim),
-        mos_slots,
-        mos_vals: Vec::with_capacity(mos_len),
-    }
-}
+/// Slot segments of the DC stamp pattern after the linear base (segment
+/// 0): the g_min node diagonals, then the MOSFET companion entries.
+const GMIN: usize = 1;
+const MOSFETS: usize = 2;
 
-/// The linear-solver engine inside a [`DcWorkspace`]: dense partial-pivot
-/// LU (the oracle), or CSR with a symbolic factorization frozen once per
-/// topology and MOSFET restamps writing through precomputed slot indices.
-#[derive(Debug)]
-enum DcEngine {
-    Dense {
-        /// Constant linear-stamp Jacobian (g_min excluded; it varies per
-        /// homotopy stage and is added per iteration).
-        base_jac: Matrix,
-        jac: Matrix,
-        lu: Lu,
-        /// Flat (row-major) MOSFET companion stamp slots in traversal
-        /// order, mirroring the sparse engine's slot map.
-        mos_slots: Vec<usize>,
-        /// Scratch for the buffered companion values, replayed through the
-        /// chunked [`Matrix::scatter_add`] kernel each iteration.
-        mos_vals: Vec<f64>,
-    },
-    Sparse {
-        /// Linear base values aligned with the pattern's nonzeros.
-        base_vals: Vec<f64>,
-        jac: CsrMatrix,
-        lu: SparseLu,
-        /// Stamp slots in traversal order: linear stamps, then the g_min
-        /// node diagonals, then the MOSFET companion entries.
-        slots: Vec<usize>,
-        linear_len: usize,
-        gmin_len: usize,
-        /// Scratch for MOSFET companion values, buffered per assembly so
-        /// the restamp replays through the chunked
-        /// [`CsrMatrix::scatter_add`] kernel instead of per-entry adds.
-        mos_vals: Vec<f64>,
-    },
-}
-
-/// Reusable DC-solve workspace: the [`MnaMap`] is built once per circuit
-/// topology, the **constant linear stamps** (resistors, switches, source
-/// patterns, controlled sources) are assembled once per solve, and every
-/// Newton iteration only memcpy's the linear base back and restamps the
-/// MOSFET companions — the iteration loop performs **zero heap
-/// allocation**. On OTA-sized testbenches (≥ ~90 % structural zeros) the
-/// Jacobian lives in CSR form and each iteration refactors against a
-/// symbolic factorization computed once per topology; tiny or dense
-/// systems keep the dense partial-pivoting path, which also remains the
-/// fallback oracle if a static sparse pivot ever underflows.
+/// Reusable DC-solve workspace: the MNA map and stamp pattern are bound
+/// once per circuit topology, the **constant linear stamps** (resistors,
+/// switches, source patterns, controlled sources) are assembled once per
+/// solve, and every Newton iteration only copies the linear base back and
+/// restamps g_min and the MOSFET companions — the iteration loop performs
+/// **zero heap allocation**. The Jacobian engine (dense, or CSR on
+/// OTA-sized systems, with the dense fallback on an underflowed sparse
+/// pivot) is the one shared with transient analysis; the crate-private
+/// `engine` module documents its slot contract and fallback policy.
 ///
 /// Retuned element *values* are picked up automatically (the base is
 /// restamped at the start of each [`dc_operating_point_with`] call); a
-/// changed *topology* (node or element count) rebuilds the workspace.
+/// changed *topology* (node or element count, or wiring) rebuilds the
+/// workspace with the same [`SolverChoice`].
 #[derive(Debug)]
 pub struct DcWorkspace {
-    map: MnaMap,
-    elem_count: usize,
-    /// Wiring fingerprint ([`Circuit::topology_fingerprint`]) the stamp
-    /// slot maps were recorded for — rewired circuits with coincidentally
-    /// equal node/element counts must rebuild, not reuse.
-    fingerprint: u64,
-    /// Engine selection this workspace was created with; topology-change
-    /// rebuilds preserve it (a dense-forced oracle workspace must not
-    /// silently go back to automatic selection).
-    choice: SolverChoice,
-    /// Constant source vector: linear residual = `base_jac·x − scale·base_rhs`.
+    engine: Engine,
+    /// Constant source vector: linear residual = `base·x − scale·base_rhs`.
     base_rhs: Vec<f64>,
     res: Vec<f64>,
     dx: Vec<f64>,
@@ -319,10 +256,6 @@ pub struct DcWorkspace {
     /// `x` holds a converged solution from a previous solve (used by
     /// [`dc_operating_point_warm`] to skip the homotopy ladder).
     warm_valid: bool,
-    engine: DcEngine,
-    /// Set when the sparse engine hit a numerically unlucky static pivot;
-    /// the solve entry points demote to dense and retry.
-    sparse_failed: bool,
 }
 
 impl DcWorkspace {
@@ -342,77 +275,30 @@ impl DcWorkspace {
     /// # Errors
     /// [`SpiceError::BadNetlist`] if the circuit has no unknowns.
     pub fn with_solver(circuit: &Circuit, choice: SolverChoice) -> SpiceResult<Self> {
-        let map = MnaMap::new(circuit);
-        let dim = map.dim();
-        if dim == 0 {
-            return Err(SpiceError::BadNetlist("circuit has no unknowns".into()));
-        }
-        let engine = DcWorkspace::build_engine(circuit, &map, choice);
+        let engine = Engine::new(circuit, choice, |map, p| {
+            let zeros = vec![0.0; map.dim()];
+            let mut scratch = zeros.clone();
+            stamp_linear(circuit, map, &mut scratch, &mut |r, c, _| p.push(r, c));
+            p.close();
+            for row in 0..map.node_count() - 1 {
+                p.push(row, row);
+            }
+            p.close();
+            stamp_mosfets(circuit, map, &zeros, &mut scratch, &mut |r, c, _| {
+                p.push(r, c)
+            });
+            p.close();
+        })?;
+        let dim = engine.map().dim();
         Ok(DcWorkspace {
-            map,
-            elem_count: circuit.elements().len(),
-            fingerprint: circuit.topology_fingerprint(),
-            choice,
+            engine,
             base_rhs: vec![0.0; dim],
             res: vec![0.0; dim],
             dx: vec![0.0; dim],
             x: vec![0.0; dim],
             x0: vec![0.0; dim],
             warm_valid: false,
-            engine,
-            sparse_failed: false,
         })
-    }
-
-    /// Records the full stamp pattern (linear + g_min diagonals + MOSFET
-    /// companions) and chooses the engine.
-    fn build_engine(circuit: &Circuit, map: &MnaMap, choice: SolverChoice) -> DcEngine {
-        let dim = map.dim();
-        if choice == SolverChoice::Dense {
-            return dense_engine(circuit, map);
-        }
-        // Record every stamp position in traversal order.
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        let mut scratch_rhs = vec![0.0; dim];
-        stamp_linear(circuit, map, &mut scratch_rhs, &mut |r, c, _| {
-            entries.push((r, c));
-        });
-        let linear_len = entries.len();
-        for row in 0..(map.node_count() - 1) {
-            entries.push((row, row));
-        }
-        let gmin_len = entries.len() - linear_len;
-        let zeros = vec![0.0; dim];
-        let mut scratch_res = vec![0.0; dim];
-        stamp_mosfets(circuit, map, &zeros, &mut scratch_res, &mut |r, c, _| {
-            entries.push((r, c));
-        });
-        let (pattern, slots) = CsrPattern::from_entries(dim, &entries);
-        let go_sparse = match choice {
-            SolverChoice::Auto => prefer_sparse(dim, pattern.nnz()),
-            SolverChoice::Sparse => true,
-            SolverChoice::Dense => unreachable!("handled above"),
-        };
-        if !go_sparse {
-            return dense_engine(circuit, map);
-        }
-        match Symbolic::analyze(&pattern) {
-            Ok(sym) => {
-                let mos_len = slots.len() - linear_len - gmin_len;
-                DcEngine::Sparse {
-                    base_vals: vec![0.0; pattern.nnz()],
-                    jac: CsrMatrix::zeros(pattern),
-                    lu: SparseLu::new(sym),
-                    slots,
-                    linear_len,
-                    gmin_len,
-                    mos_vals: Vec::with_capacity(mos_len),
-                }
-            }
-            // Structurally singular patterns get the dense oracle's
-            // per-iteration singularity reporting instead.
-            Err(_) => dense_engine(circuit, map),
-        }
     }
 
     /// Whether this workspace was built for `circuit`'s topology (same
@@ -420,160 +306,56 @@ impl DcWorkspace {
     /// retuning keeps it valid, while a reordered, rewired or
     /// kind-swapped element list rebuilds).
     pub fn matches(&self, circuit: &Circuit) -> bool {
-        self.elem_count == circuit.elements().len()
-            && self.map.matches(circuit)
-            && self.fingerprint == circuit.topology_fingerprint()
-    }
-
-    /// The MNA index map.
-    pub fn map(&self) -> &MnaMap {
-        &self.map
+        self.engine.matches(circuit)
     }
 
     /// Whether the Newton Jacobian currently factors sparse.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.engine, DcEngine::Sparse { .. })
+        self.engine.is_sparse()
     }
 
-    /// Replaces the engine with the dense oracle (sparse static pivot
-    /// underflowed).
-    fn demote_to_dense(&mut self, circuit: &Circuit) {
-        self.engine = dense_engine(circuit, &self.map);
-        self.sparse_failed = false;
+    /// Starts a solve: rebuilds on a topology change, then restamps the
+    /// linear base.
+    fn prepare(&mut self, circuit: &Circuit) -> SpiceResult<()> {
+        if !self.matches(circuit) {
+            *self = DcWorkspace::with_solver(circuit, self.engine.choice())?;
+        }
+        self.stamp_linear_base(circuit);
+        Ok(())
     }
 
     /// Stamps the constant linear part (everything except MOSFETs and
-    /// g_min) into the engine's base storage. Called once per solve so
-    /// value retuning is picked up.
+    /// g_min) into the engine's base and the source vector.
     fn stamp_linear_base(&mut self, circuit: &Circuit) {
-        let map = &self.map;
         let rhs = &mut self.base_rhs;
         rhs.fill(0.0);
-        match &mut self.engine {
-            DcEngine::Dense { base_jac, .. } => {
-                base_jac.clear();
-                stamp_linear(circuit, map, rhs, &mut |r, c, v| base_jac.add_at(r, c, v));
-            }
-            DcEngine::Sparse {
-                base_vals,
-                slots,
-                linear_len,
-                ..
-            } => {
-                base_vals.fill(0.0);
-                let mut k = 0usize;
-                stamp_linear(circuit, map, rhs, &mut |_, _, v| {
-                    base_vals[slots[k]] += v;
-                    k += 1;
-                });
-                debug_assert_eq!(k, *linear_len, "stamp traversal drifted from slot map");
-            }
-        }
+        self.engine.restamp_base(|map, vals| {
+            stamp_linear(circuit, map, rhs, &mut |_, _, v| vals.push(v));
+        });
     }
 
     /// Assembles the Jacobian and residual at the current `x` without
-    /// allocating: memcpy the linear base back, evaluate the linear
-    /// residual as a mat-vec, then restamp only the MOSFET companions —
-    /// through precomputed slot indices on the sparse engine.
+    /// allocating: copy the linear base back, evaluate the linear residual
+    /// as a mat-vec, then add g_min and restamp the MOSFET companions.
     ///
     /// `source_scale` multiplies all independent sources (for source
     /// stepping); `gmin` is added from every node to ground.
     fn assemble(&mut self, circuit: &Circuit, gmin: f64, source_scale: f64) {
-        let map = &self.map;
-        let x = &self.x;
-        let res = &mut self.res;
-        match &mut self.engine {
-            DcEngine::Dense {
-                base_jac,
-                jac,
-                mos_slots,
-                mos_vals,
-                ..
-            } => {
-                jac.copy_from(base_jac);
-                jac.mul_vec_into(x, res);
-                for (r, b) in res.iter_mut().zip(self.base_rhs.iter()) {
-                    *r -= source_scale * b;
-                }
-                // g_min from every non-ground node to ground.
-                for row in 0..(map.node_count() - 1) {
-                    jac.add_at(row, row, gmin);
-                    res[row] += gmin * x[row];
-                }
-                // MOSFET companions: buffer the traversal's values, then
-                // scatter through the chunked kernel — same accumulation
-                // order as direct stamping, so results are bit-identical.
-                mos_vals.clear();
-                stamp_mosfets(circuit, map, x, res, &mut |_, _, v| {
-                    mos_vals.push(v);
-                });
-                debug_assert_eq!(
-                    mos_vals.len(),
-                    mos_slots.len(),
-                    "stamp traversal drifted from slot map"
-                );
-                jac.scatter_add(mos_slots, mos_vals);
-            }
-            DcEngine::Sparse {
-                base_vals,
-                jac,
-                slots,
-                linear_len,
-                gmin_len,
-                mos_vals,
-                ..
-            } => {
-                jac.values_mut().copy_from_slice(base_vals);
-                jac.mul_vec_into(x, res);
-                for (r, b) in res.iter_mut().zip(self.base_rhs.iter()) {
-                    *r -= source_scale * b;
-                }
-                // g_min node diagonals: the residual update is a contiguous
-                // axpy over the node rows, the matrix update a chunked
-                // uniform slot replay.
-                let gmin_slots = &slots[*linear_len..*linear_len + *gmin_len];
-                for (r, &xi) in res[..*gmin_len].iter_mut().zip(x[..*gmin_len].iter()) {
-                    *r += gmin * xi;
-                }
-                jac.scatter_add_uniform(gmin_slots, gmin);
-                // MOSFET companions: buffer the traversal's values, then
-                // scatter through the chunked kernel in the same order.
-                mos_vals.clear();
-                stamp_mosfets(circuit, map, x, res, &mut |_, _, v| {
-                    mos_vals.push(v);
-                });
-                let mos_slots = &slots[*linear_len + *gmin_len..];
-                debug_assert_eq!(
-                    mos_vals.len(),
-                    mos_slots.len(),
-                    "stamp traversal drifted from slot map"
-                );
-                jac.scatter_add(mos_slots, mos_vals);
-            }
+        let engine = &mut self.engine;
+        let (x, res) = (&self.x, &mut self.res);
+        engine.load_base();
+        engine.mul_vec(x, res);
+        for (r, b) in res.iter_mut().zip(self.base_rhs.iter()) {
+            *r -= source_scale * b;
         }
-    }
-
-    /// Factors the assembled Jacobian and solves `J·dx = res` into `dx`.
-    /// Returns `false` on a singular factorization (sparse failures also
-    /// raise `sparse_failed` so the entry points can demote to dense).
-    fn factor_and_solve(&mut self) -> bool {
-        match &mut self.engine {
-            DcEngine::Dense { jac, lu, .. } => {
-                if lu.factor_into(jac).is_err() {
-                    return false;
-                }
-                lu.solve_into(&self.res, &mut self.dx);
-                true
-            }
-            DcEngine::Sparse { jac, lu, .. } => {
-                if lu.factor_into(jac).is_err() {
-                    self.sparse_failed = true;
-                    return false;
-                }
-                lu.solve_into(&self.res, &mut self.dx);
-                true
-            }
+        let nv = engine.map().node_count() - 1;
+        for (r, &xi) in res[..nv].iter_mut().zip(x[..nv].iter()) {
+            *r += gmin * xi;
         }
+        engine.scatter_uniform(GMIN, gmin);
+        engine.stamp(MOSFETS, |map, vals| {
+            stamp_mosfets(circuit, map, x, res, &mut |_, _, v| vals.push(v));
+        });
     }
 }
 
@@ -588,8 +370,8 @@ struct NewtonOutcome {
 }
 
 /// Damped Newton on the workspace's `x`. The loop is allocation-free: the
-/// Jacobian is memcpy'd from the linear base, the LU refactors into the
-/// workspace's [`Lu`], and the update solves into the preallocated `dx`.
+/// Jacobian is copied from the linear base, the LU refactors in place, and
+/// the update solves into the preallocated `dx`.
 fn newton(
     ws: &mut DcWorkspace,
     circuit: &Circuit,
@@ -615,7 +397,7 @@ fn newton(
         last_res = rnorm;
         // Newton step: J·dx = −res, reusing res as the negated rhs.
         ws.res.iter_mut().for_each(|r| *r = -*r);
-        if !ws.factor_and_solve() {
+        if !ws.engine.factor_solve(&ws.res, &mut ws.dx) {
             return NewtonOutcome {
                 converged: false,
                 iterations: it,
@@ -626,7 +408,7 @@ fn newton(
         // Damping: cap node-voltage updates (the *requested* max update
         // drives the convergence check in both strategies, so a clipped
         // creep can never false-converge).
-        let nv = ws.map.node_count() - 1;
+        let nv = ws.engine.map().node_count() - 1;
         let max_dv = ws.dx[..nv].iter().fold(0.0_f64, |m, &d| m.max(d.abs()));
         let applied_dv = match opts.damping {
             DcDamping::Global => {
@@ -714,30 +496,8 @@ pub fn dc_operating_point_with(
     if let Some(e) = injected_dc_fault() {
         return Err(e);
     }
-    if !ws.matches(circuit) {
-        *ws = DcWorkspace::with_solver(circuit, ws.choice)?;
-    }
-    // Scope the demotion decision to *this* solve: a transient pivot
-    // failure in an earlier, ultimately successful solve must not demote
-    // a later unrelated convergence failure.
-    ws.sparse_failed = false;
-    ws.stamp_linear_base(circuit);
-    let out = solve_cold(ws, circuit, opts);
-    if retry_dense(&out) && ws.sparse_failed {
-        // A static sparse pivot underflowed somewhere in the ladder; the
-        // dense oracle's partial pivoting may still converge.
-        ws.demote_to_dense(circuit);
-        ws.stamp_linear_base(circuit);
-        return solve_cold(ws, circuit, opts);
-    }
-    out
-}
-
-/// Whether a failed cold solve is worth retrying on the dense engine: an
-/// expired deadline is not — the budget is gone, and a dense re-solve
-/// would only blow further past it.
-fn retry_dense(out: &SpiceResult<OperatingPoint>) -> bool {
-    matches!(out, Err(e) if !matches!(e, SpiceError::Timeout { .. }))
+    ws.prepare(circuit)?;
+    solve_cold_or_dense(ws, circuit, opts)
 }
 
 /// Maps an armed `dc_solve` fault-injection rule to the failure the rest
@@ -786,11 +546,7 @@ pub fn dc_operating_point_warm(
     if let Some(e) = injected_dc_fault() {
         return Err(e);
     }
-    if !ws.matches(circuit) {
-        *ws = DcWorkspace::with_solver(circuit, ws.choice)?;
-    }
-    ws.sparse_failed = false;
-    ws.stamp_linear_base(circuit);
+    ws.prepare(circuit)?;
     if ws.warm_valid {
         // Converge the warm attempt well past the cold tolerances: a good
         // initial guess makes the extra quadratic-convergence iterations
@@ -809,7 +565,11 @@ pub fn dc_operating_point_warm(
         };
         let out = newton(ws, circuit, &tight, tight.gmin, 1.0, WARM_MAX_ITER);
         if out.converged {
-            return Ok(OperatingPoint::from_solution(circuit, &ws.map, &ws.x));
+            return Ok(OperatingPoint::from_solution(
+                circuit,
+                ws.engine.map(),
+                &ws.x,
+            ));
         }
         if out.timed_out {
             return Err(SpiceError::Timeout {
@@ -819,13 +579,22 @@ pub fn dc_operating_point_warm(
         }
         ws.warm_valid = false;
     }
+    solve_cold_or_dense(ws, circuit, opts)
+}
+
+/// [`solve_cold`], rerun once on the dense engine when it failed after an
+/// underflowed sparse pivot (the fallback policy of the `engine` module).
+fn solve_cold_or_dense(
+    ws: &mut DcWorkspace,
+    circuit: &Circuit,
+    opts: &DcOptions,
+) -> SpiceResult<OperatingPoint> {
     let out = solve_cold(ws, circuit, opts);
-    if retry_dense(&out) && ws.sparse_failed {
-        ws.demote_to_dense(circuit);
-        ws.stamp_linear_base(circuit);
-        return solve_cold(ws, circuit, opts);
+    if !ws.engine.fall_back(&out) {
+        return out;
     }
-    out
+    ws.stamp_linear_base(circuit);
+    solve_cold(ws, circuit, opts)
 }
 
 /// The cold-start homotopy ladder (plain Newton, then g_min stepping, then
@@ -839,7 +608,7 @@ fn solve_cold(
     ws.x.fill(0.0);
     for (name, v) in &opts.nodeset {
         if let Some(node) = circuit.find_node(name) {
-            if let Some(r) = ws.map.node_row(node) {
+            if let Some(r) = ws.engine.map().node_row(node) {
                 ws.x[r] = *v;
             }
         }
@@ -857,7 +626,11 @@ fn solve_cold(
     total_iters += out.iterations;
     if out.converged {
         ws.warm_valid = true;
-        return Ok(OperatingPoint::from_solution(circuit, &ws.map, &ws.x));
+        return Ok(OperatingPoint::from_solution(
+            circuit,
+            ws.engine.map(),
+            &ws.x,
+        ));
     }
     if out.timed_out {
         return Err(timeout(total_iters));
@@ -884,7 +657,11 @@ fn solve_cold(
         total_iters += out.iterations;
         if out.converged {
             ws.warm_valid = true;
-            return Ok(OperatingPoint::from_solution(circuit, &ws.map, &ws.x));
+            return Ok(OperatingPoint::from_solution(
+                circuit,
+                ws.engine.map(),
+                &ws.x,
+            ));
         }
         if out.timed_out {
             return Err(timeout(total_iters));
@@ -913,7 +690,11 @@ fn solve_cold(
         total_iters += out.iterations;
         if out.converged {
             ws.warm_valid = true;
-            return Ok(OperatingPoint::from_solution(circuit, &ws.map, &ws.x));
+            return Ok(OperatingPoint::from_solution(
+                circuit,
+                ws.engine.map(),
+                &ws.x,
+            ));
         }
         if out.timed_out {
             return Err(timeout(total_iters));

@@ -34,6 +34,7 @@
 
 pub mod ac;
 pub mod dc;
+mod engine;
 pub mod linearize;
 pub mod mna;
 pub mod mosfet;
@@ -55,7 +56,7 @@ pub use process::Process;
 pub use subckt::{Instance, Subckt};
 pub use tran::{
     transient, transient_adaptive, transient_with, Clock, InitialCondition, TimeStepConfig,
-    TimeStepState, TranOptions, TranResult, TranStats, TranWorkspace,
+    TranOptions, TranResult, TranStats, TranWorkspace,
 };
 
 /// Errors produced by the simulation engines.

@@ -12,29 +12,30 @@
 //!   as the **oracle**: every element restamps a dense Jacobian each
 //!   Newton iteration. Slow, simple, trusted.
 //! * [`TranWorkspace`] + [`transient_with`] / [`transient_adaptive`] — the
-//!   production engine on the sparse workspace substrate. The
-//!   companion-model sparsity pattern is fixed per topology (a capacitor
-//!   stamps the same four positions whatever `dt` is; a switch stamps the
-//!   same four positions whatever phase is active), so the CSR pattern and
-//!   symbolic factorization are frozen once and capacitor/switch/MOSFET
-//!   restamps replay through precomputed slot maps — the timestep loop
-//!   performs **zero heap allocation**. Newton warm-starts from the
-//!   previous timestep, and [`transient_adaptive`] adds LTE-based step
-//!   doubling/halving with clock-edge-aligned breakpoints.
+//!   production path, on the Newton Jacobian engine shared with DC
+//!   analysis (the crate-private `engine` module: stamp segments and
+//!   slots, dense or CSR, and the dense fallback). The companion-model
+//!   sparsity pattern is fixed per topology (a capacitor stamps the same
+//!   four positions whatever `dt` is; a switch stamps the same four
+//!   positions whatever phase is active), so the pattern and symbolic
+//!   factorization are frozen once and capacitor/switch/MOSFET restamps
+//!   replay through precomputed slots — the timestep loop performs **zero
+//!   heap allocation**. Newton warm-starts from the previous timestep, and
+//!   [`transient_adaptive`] adds LTE-based step doubling/halving with
+//!   clock-edge-aligned breakpoints.
 //!
 //! Capacitors use the trapezoidal companion model (A-stable, second-order);
 //! MOSFETs are evaluated as static nonlinearities — charge storage must be
 //! modeled with explicit capacitors, which the OTA templates do.
 
 use crate::dc::stamp_mosfets;
+use crate::engine::Engine;
 use crate::linearize::SolverChoice;
 use crate::mna::{add_opt, stamp_conductance, stamp_vccs, MnaMap};
 use crate::mosfet::eval_mosfet;
 use crate::netlist::{Circuit, ClockPhase, Element, NodeId};
 use crate::{SpiceError, SpiceResult};
-use adc_numerics::linalg::Lu;
 use adc_numerics::quant::quantize_rel;
-use adc_numerics::sparse::{prefer_sparse, CsrMatrix, CsrPattern, SparseLu, Symbolic};
 use adc_numerics::{Deadline, Matrix};
 
 /// Floating-node leak conductance added to every node diagonal, S.
@@ -489,107 +490,32 @@ struct CapSlot {
     i_old: f64,
 }
 
-/// The linear-solver engine inside a [`TranWorkspace`]: dense
-/// partial-pivot LU, or CSR with a symbolic factorization frozen once per
-/// topology and every time-varying stamp writing through precomputed slot
-/// indices.
-#[derive(Debug)]
-enum TranEngine {
-    Dense {
-        /// Constant static stamps (resistors, source patterns, controlled
-        /// sources); switch/cap/g_min/MOSFET stamps are scattered on top
-        /// per assembly.
-        base_jac: Matrix,
-        jac: Matrix,
-        lu: Lu,
-        /// Flat (row-major) stamp slots in element order, mirroring the
-        /// sparse engine's slot segments.
-        sw_slots: Vec<usize>,
-        cap_slots: Vec<usize>,
-        mos_slots: Vec<usize>,
-    },
-    Sparse {
-        /// Static base values aligned with the pattern's nonzeros.
-        base_vals: Vec<f64>,
-        jac: CsrMatrix,
-        lu: SparseLu,
-        /// Stamp slots in traversal order: static stamps, then switch
-        /// conductances, then capacitor companions, then the g_min node
-        /// diagonals, then the MOSFET companion entries.
-        slots: Vec<usize>,
-        static_len: usize,
-        sw_len: usize,
-        cap_len: usize,
-        gmin_len: usize,
-    },
-}
+/// Slot segments of the transient stamp pattern after the static base
+/// (segment 0), in recording order.
+const SWITCHES: usize = 1;
+const CAPS: usize = 2;
+const GMIN: usize = 3;
+const MOSFETS: usize = 4;
 
-/// Builds the dense engine storage, recording switch/capacitor/MOSFET
-/// stamp patterns as flat slots so restamps replay through the chunked
-/// [`Matrix::scatter_add`] kernel — the dense twin of the CSR slot replay.
-fn dense_tran_engine(circuit: &Circuit, map: &MnaMap) -> TranEngine {
-    let dim = map.dim();
-    let mut sw_slots: Vec<usize> = Vec::new();
-    let mut cap_slots: Vec<usize> = Vec::new();
-    for e in circuit.elements() {
-        match e {
-            Element::Switch { a, b, .. } => {
-                cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                    sw_slots.push(r * dim + c);
-                });
-            }
-            Element::Capacitor { a, b, .. } => {
-                cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                    cap_slots.push(r * dim + c);
-                });
-            }
-            _ => {}
-        }
-    }
-    let zeros = vec![0.0; dim];
-    let mut scratch = vec![0.0; dim];
-    let mut mos_slots: Vec<usize> = Vec::new();
-    stamp_mosfets(circuit, map, &zeros, &mut scratch, &mut |r, c, _| {
-        mos_slots.push(r * dim + c);
-    });
-    TranEngine::Dense {
-        base_jac: Matrix::zeros(dim, dim),
-        jac: Matrix::zeros(dim, dim),
-        lu: Lu::with_dim(dim),
-        sw_slots,
-        cap_slots,
-        mos_slots,
-    }
-}
-
-/// Reusable transient workspace: the [`MnaMap`], stamp slot maps and (on
+/// Reusable transient workspace: the MNA map, the stamp pattern and (on
 /// the sparse engine) the symbolic factorization are built once per
 /// circuit topology; every run restamps the static base (so value
 /// retuning is picked up), and the timestep loop itself performs **zero
 /// heap allocation** — switch and capacitor companion restamps replay
-/// buffered values through frozen slot maps exactly like the MOSFET
+/// buffered values through the frozen slots exactly like the MOSFET
 /// restamp path, and Newton warm-starts each step from the previous one.
+/// The Jacobian engine is the one shared with DC analysis; the
+/// crate-private `engine` module documents its slot contract and fallback
+/// policy.
 #[derive(Debug)]
 pub struct TranWorkspace {
-    map: MnaMap,
-    elem_count: usize,
-    /// Wiring fingerprint ([`Circuit::topology_fingerprint`]) the stamp
-    /// slot maps were recorded for.
-    fingerprint: u64,
-    /// Engine selection this workspace was created with.
-    choice: SolverChoice,
-    engine: TranEngine,
-    /// Set when the sparse engine hit a numerically unlucky static pivot;
-    /// the run entry points demote to dense and retry.
-    sparse_failed: bool,
+    engine: Engine,
     switches: Vec<SwitchSlot>,
     caps: Vec<CapSlot>,
     /// Buffered switch conductance values (refreshed on phase change only).
     sw_vals: Vec<f64>,
     /// Buffered capacitor companion values (refreshed on dt change only).
     cap_vals: Vec<f64>,
-    /// Scratch for MOSFET companion values, buffered per assembly.
-    mos_vals: Vec<f64>,
     /// Time-varying source vector: residual = `A·x − b(t)` + MOSFET
     /// currents, where `b` holds source waveforms at `t` and capacitor
     /// history terms.
@@ -620,24 +546,43 @@ impl TranWorkspace {
     /// # Errors
     /// [`SpiceError::BadNetlist`] if the circuit has no unknowns.
     pub fn with_solver(circuit: &Circuit, choice: SolverChoice) -> SpiceResult<Self> {
-        let map = MnaMap::new(circuit);
-        let dim = map.dim();
-        if dim == 0 {
-            return Err(SpiceError::BadNetlist("circuit has no unknowns".into()));
-        }
-        let engine = TranWorkspace::build_engine(circuit, &map, choice);
+        let engine = Engine::new(circuit, choice, |map, p| {
+            stamp_tran_static(circuit, map, &mut |r, c, _| p.push(r, c));
+            p.close();
+            for e in circuit.elements() {
+                if let Element::Switch { a, b, .. } = e {
+                    cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
+                        p.push(r, c);
+                    });
+                }
+            }
+            p.close();
+            for e in circuit.elements() {
+                if let Element::Capacitor { a, b, .. } = e {
+                    cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
+                        p.push(r, c);
+                    });
+                }
+            }
+            p.close();
+            for row in 0..map.node_count() - 1 {
+                p.push(row, row);
+            }
+            p.close();
+            let zeros = vec![0.0; map.dim()];
+            let mut scratch = zeros.clone();
+            stamp_mosfets(circuit, map, &zeros, &mut scratch, &mut |r, c, _| {
+                p.push(r, c)
+            });
+            p.close();
+        })?;
+        let dim = engine.map().dim();
         Ok(TranWorkspace {
-            map,
-            elem_count: circuit.elements().len(),
-            fingerprint: circuit.topology_fingerprint(),
-            choice,
             engine,
-            sparse_failed: false,
             switches: Vec::new(),
             caps: Vec::new(),
             sw_vals: Vec::new(),
             cap_vals: Vec::new(),
-            mos_vals: Vec::new(),
             b: vec![0.0; dim],
             res: vec![0.0; dim],
             dx: vec![0.0; dim],
@@ -649,100 +594,29 @@ impl TranWorkspace {
         })
     }
 
-    /// Records the full stamp pattern (static, switch, capacitor, g_min,
-    /// MOSFET — in that order) and chooses the engine.
-    fn build_engine(circuit: &Circuit, map: &MnaMap, choice: SolverChoice) -> TranEngine {
-        if choice == SolverChoice::Dense {
-            return dense_tran_engine(circuit, map);
-        }
-        let dim = map.dim();
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        stamp_tran_static(circuit, map, &mut |r, c, _| entries.push((r, c)));
-        let static_len = entries.len();
-        for e in circuit.elements() {
-            if let Element::Switch { a, b, .. } = e {
-                cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                    entries.push((r, c));
-                });
-            }
-        }
-        let sw_len = entries.len() - static_len;
-        for e in circuit.elements() {
-            if let Element::Capacitor { a, b, .. } = e {
-                cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                    entries.push((r, c));
-                });
-            }
-        }
-        let cap_len = entries.len() - static_len - sw_len;
-        for row in 0..(map.node_count() - 1) {
-            entries.push((row, row));
-        }
-        let gmin_len = map.node_count() - 1;
-        let zeros = vec![0.0; dim];
-        let mut scratch = vec![0.0; dim];
-        stamp_mosfets(circuit, map, &zeros, &mut scratch, &mut |r, c, _| {
-            entries.push((r, c));
-        });
-        let (pattern, slots) = CsrPattern::from_entries(dim, &entries);
-        let go_sparse = match choice {
-            SolverChoice::Auto => prefer_sparse(dim, pattern.nnz()),
-            SolverChoice::Sparse => true,
-            SolverChoice::Dense => unreachable!("handled above"),
-        };
-        if !go_sparse {
-            return dense_tran_engine(circuit, map);
-        }
-        match Symbolic::analyze(&pattern) {
-            Ok(sym) => TranEngine::Sparse {
-                base_vals: vec![0.0; pattern.nnz()],
-                jac: CsrMatrix::zeros(pattern),
-                lu: SparseLu::new(sym),
-                slots,
-                static_len,
-                sw_len,
-                cap_len,
-                gmin_len,
-            },
-            // Structurally singular patterns get the dense oracle's
-            // per-iteration singularity reporting instead.
-            Err(_) => dense_tran_engine(circuit, map),
-        }
-    }
-
     /// Whether this workspace was built for `circuit`'s topology (value
     /// retuning keeps it valid; rewiring rebuilds).
     pub fn matches(&self, circuit: &Circuit) -> bool {
-        self.elem_count == circuit.elements().len()
-            && self.map.matches(circuit)
-            && self.fingerprint == circuit.topology_fingerprint()
-    }
-
-    /// The MNA index map.
-    pub fn map(&self) -> &MnaMap {
-        &self.map
+        self.engine.matches(circuit)
     }
 
     /// Whether the Newton Jacobian currently factors sparse.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.engine, TranEngine::Sparse { .. })
+        self.engine.is_sparse()
     }
 
-    /// Replaces the engine with the dense oracle (sparse static pivot
-    /// underflowed).
-    fn demote_to_dense(&mut self, circuit: &Circuit) {
-        self.engine = dense_tran_engine(circuit, &self.map);
-        self.sparse_failed = false;
-    }
-
-    /// Per-run setup: applies the initial condition, (re)collects the
-    /// switch/capacitor restamp slots so value retuning is picked up,
-    /// restamps the static base and invalidates the phase/dt buffers.
+    /// Per-run setup: restamps the static base, applies the initial
+    /// condition, (re)collects the switch/capacitor restamp data so value
+    /// retuning is picked up and invalidates the phase/dt buffers.
     fn prepare(&mut self, circuit: &Circuit, ic: &InitialCondition) -> SpiceResult<()> {
         if !self.matches(circuit) {
-            *self = TranWorkspace::with_solver(circuit, self.choice)?;
+            *self = TranWorkspace::with_solver(circuit, self.engine.choice())?;
         }
-        apply_ic(&self.map, ic, &mut self.x)?;
+        self.engine.restamp_base(|map, vals| {
+            stamp_tran_static(circuit, map, &mut |_, _, v| vals.push(v));
+        });
+        let map = self.engine.map();
+        apply_ic(map, ic, &mut self.x)?;
         self.x_prev.copy_from_slice(&self.x);
         self.switches.clear();
         self.caps.clear();
@@ -756,14 +630,14 @@ impl TranWorkspace {
                     phase,
                     ..
                 } => self.switches.push(SwitchSlot {
-                    ra: self.map.node_row(*a),
-                    rb: self.map.node_row(*b),
+                    ra: map.node_row(*a),
+                    rb: map.node_row(*b),
                     gon: 1.0 / ron,
                     goff: 1.0 / roff,
                     phase: *phase,
                 }),
                 Element::Capacitor { a, b, farads, .. } => {
-                    let (ra, rb) = (self.map.node_row(*a), self.map.node_row(*b));
+                    let (ra, rb) = (map.node_row(*a), map.node_row(*b));
                     let va = ra.map_or(0.0, |r| self.x[r]);
                     let vb = rb.map_or(0.0, |r| self.x[r]);
                     self.caps.push(CapSlot {
@@ -778,7 +652,6 @@ impl TranWorkspace {
                 _ => {}
             }
         }
-        self.stamp_static_base(circuit);
         // Pre-size the value buffers so the first set_phase/set_dt in the
         // timestep loop rewrites in place instead of growing.
         let sw_vals = &mut self.sw_vals;
@@ -794,31 +667,6 @@ impl TranWorkspace {
         self.phase_valid = false;
         self.cur_dt = 0.0;
         Ok(())
-    }
-
-    /// Stamps the run-constant static part into the engine's base storage.
-    fn stamp_static_base(&mut self, circuit: &Circuit) {
-        let map = &self.map;
-        match &mut self.engine {
-            TranEngine::Dense { base_jac, .. } => {
-                base_jac.clear();
-                stamp_tran_static(circuit, map, &mut |r, c, v| base_jac.add_at(r, c, v));
-            }
-            TranEngine::Sparse {
-                base_vals,
-                slots,
-                static_len,
-                ..
-            } => {
-                base_vals.fill(0.0);
-                let mut k = 0usize;
-                stamp_tran_static(circuit, map, &mut |_, _, v| {
-                    base_vals[slots[k]] += v;
-                    k += 1;
-                });
-                debug_assert_eq!(k, *static_len, "stamp traversal drifted from slot map");
-            }
-        }
     }
 
     /// Re-buffers switch conductances when the active phase changes
@@ -862,7 +710,7 @@ impl TranWorkspace {
     /// source waveforms plus the trapezoidal history term
     /// `h = geq·v_old + i_old` of every capacitor.
     fn assemble_b(&mut self, circuit: &Circuit, t: f64) {
-        let map = &self.map;
+        let map = self.engine.map();
         let b = &mut self.b;
         b.fill(0.0);
         for (idx, e) in circuit.elements().iter().enumerate() {
@@ -888,99 +736,24 @@ impl TranWorkspace {
     }
 
     /// Assembles the Jacobian and residual at the current `x` without
-    /// allocating: memcpy the static base back, scatter the buffered
-    /// switch/capacitor/g_min values through the frozen slot maps,
-    /// evaluate the linear residual as a mat-vec against `b(t)`, then
-    /// restamp only the MOSFET companions.
+    /// allocating: copy the static base back, scatter the buffered
+    /// switch/capacitor/g_min values through the frozen slots, evaluate
+    /// the linear residual as a mat-vec against `b(t)`, then restamp only
+    /// the MOSFET companions.
     fn assemble(&mut self, circuit: &Circuit) {
-        let map = &self.map;
-        let x = &self.x;
-        let res = &mut self.res;
-        let b = &self.b;
-        let sw_vals = &self.sw_vals;
-        let cap_vals = &self.cap_vals;
-        let mos_vals = &mut self.mos_vals;
-        match &mut self.engine {
-            TranEngine::Dense {
-                base_jac,
-                jac,
-                sw_slots,
-                cap_slots,
-                mos_slots,
-                ..
-            } => {
-                jac.copy_from(base_jac);
-                jac.scatter_add(sw_slots, sw_vals);
-                jac.scatter_add(cap_slots, cap_vals);
-                for row in 0..(map.node_count() - 1) {
-                    jac.add_at(row, row, TRAN_GMIN);
-                }
-                jac.mul_vec_into(x, res);
-                for (r, bv) in res.iter_mut().zip(b.iter()) {
-                    *r -= *bv;
-                }
-                mos_vals.clear();
-                stamp_mosfets(circuit, map, x, res, &mut |_, _, v| mos_vals.push(v));
-                debug_assert_eq!(
-                    mos_vals.len(),
-                    mos_slots.len(),
-                    "stamp traversal drifted from slot map"
-                );
-                jac.scatter_add(mos_slots, mos_vals);
-            }
-            TranEngine::Sparse {
-                base_vals,
-                jac,
-                slots,
-                static_len,
-                sw_len,
-                cap_len,
-                gmin_len,
-                ..
-            } => {
-                jac.values_mut().copy_from_slice(base_vals);
-                let sw0 = *static_len;
-                jac.scatter_add(&slots[sw0..sw0 + *sw_len], sw_vals);
-                let cap0 = sw0 + *sw_len;
-                jac.scatter_add(&slots[cap0..cap0 + *cap_len], cap_vals);
-                let g0 = cap0 + *cap_len;
-                jac.scatter_add_uniform(&slots[g0..g0 + *gmin_len], TRAN_GMIN);
-                jac.mul_vec_into(x, res);
-                for (r, bv) in res.iter_mut().zip(b.iter()) {
-                    *r -= *bv;
-                }
-                mos_vals.clear();
-                stamp_mosfets(circuit, map, x, res, &mut |_, _, v| mos_vals.push(v));
-                let mos_slots = &slots[g0 + *gmin_len..];
-                debug_assert_eq!(
-                    mos_vals.len(),
-                    mos_slots.len(),
-                    "stamp traversal drifted from slot map"
-                );
-                jac.scatter_add(mos_slots, mos_vals);
-            }
+        let engine = &mut self.engine;
+        let (x, res) = (&self.x, &mut self.res);
+        engine.load_base();
+        engine.scatter(SWITCHES, &self.sw_vals);
+        engine.scatter(CAPS, &self.cap_vals);
+        engine.scatter_uniform(GMIN, TRAN_GMIN);
+        engine.mul_vec(x, res);
+        for (r, bv) in res.iter_mut().zip(self.b.iter()) {
+            *r -= *bv;
         }
-    }
-
-    /// Factors the assembled Jacobian and solves `J·dx = res` into `dx`.
-    fn factor_and_solve(&mut self) -> bool {
-        match &mut self.engine {
-            TranEngine::Dense { jac, lu, .. } => {
-                if lu.factor_into(jac).is_err() {
-                    return false;
-                }
-                lu.solve_into(&self.res, &mut self.dx);
-                true
-            }
-            TranEngine::Sparse { jac, lu, .. } => {
-                if lu.factor_into(jac).is_err() {
-                    self.sparse_failed = true;
-                    return false;
-                }
-                lu.solve_into(&self.res, &mut self.dx);
-                true
-            }
-        }
+        engine.stamp(MOSFETS, |map, vals| {
+            stamp_mosfets(circuit, map, x, res, &mut |_, _, v| vals.push(v));
+        });
     }
 
     /// Damped Newton at one time point (assemble → solve → update),
@@ -997,10 +770,10 @@ impl TranWorkspace {
             self.assemble(circuit);
             // Newton step: J·dx = −res, reusing res as the negated rhs.
             self.res.iter_mut().for_each(|r| *r = -*r);
-            if !self.factor_and_solve() {
+            if !self.engine.factor_solve(&self.res, &mut self.dx) {
                 return Err(SpiceError::Singular(format!("t = {t:.3e}s")));
             }
-            let nv = self.map.node_count() - 1;
+            let nv = self.engine.map().node_count() - 1;
             let max_dv = self.dx[..nv].iter().fold(0.0_f64, |m, &d| m.max(d.abs()));
             let alpha = if max_dv > 1.0 { 1.0 / max_dv } else { 1.0 };
             for (xi, di) in self.x.iter_mut().zip(self.dx.iter()) {
@@ -1022,7 +795,7 @@ impl TranWorkspace {
         // limit cycle whose envelope is still far below any physical
         // bistability is accepted at loop exhaustion; a genuinely
         // non-convergent (volt-scale) cycle stays an error.
-        let nv = self.map.node_count() - 1;
+        let nv = self.engine.map().node_count() - 1;
         if prev_dv < 100.0 * stall_ceiling(&self.x[..nv]) {
             return Ok(max_iter);
         }
@@ -1107,7 +880,7 @@ impl TimeStepConfig {
 /// short history of accepted solutions for the divided-difference LTE
 /// estimate.
 #[derive(Debug, Clone)]
-pub struct TimeStepState {
+struct TimeStepState {
     /// Step proposed for the next attempt, s.
     dt: f64,
     /// Times of the retained accepted points (oldest → newest).
@@ -1120,7 +893,7 @@ pub struct TimeStepState {
 
 impl TimeStepState {
     /// Fresh controller state for a system of dimension `dim`.
-    pub fn new(cfg: &TimeStepConfig, dim: usize) -> Self {
+    fn new(cfg: &TimeStepConfig, dim: usize) -> Self {
         TimeStepState {
             dt: cfg.dt_init,
             hist_t: [0.0; 3],
@@ -1159,7 +932,7 @@ impl TimeStepState {
     /// fewer than two history points the estimate is 0 (accept — startup
     /// or just past a breakpoint); with exactly two, a conservative
     /// `h²·|DD2|` second-difference bound is used.
-    pub fn estimate_error_weighted(
+    fn estimate_error_weighted(
         &self,
         cfg: &TimeStepConfig,
         t_new: f64,
@@ -1213,7 +986,7 @@ impl TranWorkspace {
         self.prepare(circuit, &opts.ic)?;
         let n_steps = (opts.tstop / opts.dt).round() as usize;
         let mut out = TranResult::new(
-            self.map.node_count(),
+            self.engine.map().node_count(),
             &opts.probes,
             n_steps + 1,
             TranStats {
@@ -1261,11 +1034,11 @@ impl TranWorkspace {
         cfg: &TimeStepConfig,
     ) -> SpiceResult<TranResult> {
         self.prepare(circuit, &opts.ic)?;
-        let dim = self.map.dim();
-        let nv = self.map.node_count() - 1;
+        let dim = self.engine.map().dim();
+        let nv = self.engine.map().node_count() - 1;
         let mut state = TimeStepState::new(cfg, dim);
         let mut out = TranResult::new(
-            self.map.node_count(),
+            self.engine.map().node_count(),
             &opts.probes,
             0,
             TranStats {
@@ -1385,25 +1158,42 @@ pub fn transient_with(
     circuit: &Circuit,
     opts: &TranOptions,
 ) -> SpiceResult<TranResult> {
+    run_or_dense(ws, |ws| ws.run_fixed(circuit, opts))
+}
+
+/// Runs an adaptive-step transient simulation through a reusable
+/// [`TranWorkspace`]: trapezoidal LTE control with step doubling/halving
+/// ([`TimeStepConfig`]) and clock-edge-aligned breakpoints so phase
+/// transitions are never stepped over. `opts.dt` is ignored.
+///
+/// # Errors
+/// [`SpiceError::DcConvergence`] if a step's Newton loop fails at the
+/// minimum step, [`SpiceError::Singular`] if the Jacobian is singular,
+/// [`SpiceError::BadNetlist`] for a malformed initial condition.
+pub fn transient_adaptive(
+    ws: &mut TranWorkspace,
+    circuit: &Circuit,
+    opts: &TranOptions,
+    cfg: &TimeStepConfig,
+) -> SpiceResult<TranResult> {
+    run_or_dense(ws, |ws| ws.run_adaptive(circuit, opts, cfg))
+}
+
+/// Runs `run`, and once more on the dense engine when it failed after an
+/// underflowed sparse pivot (the fallback policy of the `engine` module).
+fn run_or_dense(
+    ws: &mut TranWorkspace,
+    run: impl Fn(&mut TranWorkspace) -> SpiceResult<TranResult>,
+) -> SpiceResult<TranResult> {
     #[cfg(feature = "faults")]
     if let Some(e) = injected_tran_fault() {
         return Err(e);
     }
-    ws.sparse_failed = false;
-    match ws.run_fixed(circuit, opts) {
-        // An expired budget is final: a dense re-run would only blow
-        // further past it.
-        Err(e @ SpiceError::Timeout { .. }) => Err(e),
-        Err(e) => {
-            if ws.sparse_failed {
-                ws.demote_to_dense(circuit);
-                ws.run_fixed(circuit, opts)
-            } else {
-                Err(e)
-            }
-        }
-        ok => ok,
+    let out = run(ws);
+    if ws.engine.fall_back(&out) {
+        return run(ws);
     }
+    out
 }
 
 /// Maps an armed `tran_solve` fault-injection rule to the failure the rest
@@ -1422,40 +1212,6 @@ fn injected_tran_fault() -> Option<SpiceError> {
             analysis: "tran",
             iterations: 0,
         }),
-    }
-}
-
-/// Runs an adaptive-step transient simulation through a reusable
-/// [`TranWorkspace`]: trapezoidal LTE control with step doubling/halving
-/// ([`TimeStepConfig`]) and clock-edge-aligned breakpoints so phase
-/// transitions are never stepped over. `opts.dt` is ignored.
-///
-/// # Errors
-/// [`SpiceError::DcConvergence`] if a step's Newton loop fails at the
-/// minimum step, [`SpiceError::Singular`] if the Jacobian is singular,
-/// [`SpiceError::BadNetlist`] for a malformed initial condition.
-pub fn transient_adaptive(
-    ws: &mut TranWorkspace,
-    circuit: &Circuit,
-    opts: &TranOptions,
-    cfg: &TimeStepConfig,
-) -> SpiceResult<TranResult> {
-    #[cfg(feature = "faults")]
-    if let Some(e) = injected_tran_fault() {
-        return Err(e);
-    }
-    ws.sparse_failed = false;
-    match ws.run_adaptive(circuit, opts, cfg) {
-        Err(e @ SpiceError::Timeout { .. }) => Err(e),
-        Err(e) => {
-            if ws.sparse_failed {
-                ws.demote_to_dense(circuit);
-                ws.run_adaptive(circuit, opts, cfg)
-            } else {
-                Err(e)
-            }
-        }
-        ok => ok,
     }
 }
 

@@ -9,12 +9,19 @@
 //! guarded runs are bit-identical to the unguarded historical path.
 #![cfg(feature = "faults")]
 
+use pipelined_adc::mdac::opamp::{build_telescopic, TelescopicParams};
 use pipelined_adc::mdac::power::PowerModelParams;
 use pipelined_adc::mdac::specs::AdcSpec;
 use pipelined_adc::numerics::faults::{
     self, FaultAction, FaultPlan, FaultRule, SITE_CACHE_COMMIT, SITE_EXECUTOR_TASK,
-    SITE_SYNTH_EXECUTE, SITE_TRAN_SOLVE,
+    SITE_SPARSE_PIVOT, SITE_SYNTH_EXECUTE, SITE_TRAN_SOLVE,
 };
+use pipelined_adc::spice::dc::{dc_operating_point_with, DcOptions, DcWorkspace};
+use pipelined_adc::spice::tran::{
+    transient_adaptive, transient_with, InitialCondition, TimeStepConfig, TranOptions, TranResult,
+    TranWorkspace,
+};
+use pipelined_adc::spice::{Circuit, NodeId, Process, SolverChoice};
 use pipelined_adc::synth::SynthConfig;
 use pipelined_adc::topopt::cache::{BlockCache, CachePolicy};
 use pipelined_adc::topopt::enumerate::{enumerate_candidates, Candidate};
@@ -402,4 +409,97 @@ fn transient_leg_faults_follow_their_leg_scope() {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_default();
     assert!(msg.contains("injected fault: tran_solve panic"), "{msg}");
+}
+
+/// The first sparse refactorization of a forced-sparse workspace reports
+/// an underflowed pivot (`anywhere`, so each installed plan fails exactly
+/// one refactorization).
+fn with_failed_first_pivot<T>(f: impl FnOnce() -> T) -> T {
+    faults::install(FaultPlan::single(
+        17,
+        FaultRule::anywhere(SITE_SPARSE_PIVOT, FaultAction::FailConvergence),
+    ));
+    let out = f();
+    faults::clear();
+    out
+}
+
+fn assert_tran_bit_identical(label: &str, c: &Circuit, got: &TranResult, want: &TranResult) {
+    assert_eq!(got.stats(), want.stats(), "{label}: stats");
+    assert_eq!(got.times(), want.times(), "{label}: time axis");
+    for n in 0..c.node_count() {
+        let node = NodeId::from_index(n);
+        for k in 0..got.len() {
+            assert_eq!(
+                got.voltage_at(node, k).to_bits(),
+                want.voltage_at(node, k).to_bits(),
+                "{label}: node {n} sample {k}"
+            );
+        }
+    }
+}
+
+/// An underflowed sparse pivot demotes the shared Jacobian engine to
+/// dense and reruns the DC solve or transient run from its nodeset or
+/// initial condition: every entry point still succeeds, ends on the dense
+/// engine, and matches a forced-dense workspace bit for bit.
+#[test]
+fn sparse_pivot_fault_falls_back_to_dense_bit_identically() {
+    let _g = lock();
+    faults::clear();
+    let tb = build_telescopic(&Process::c025(), &TelescopicParams::nominal(), 1e-12);
+    let c = &tb.circuit;
+    let dc = DcOptions::default();
+    let mut dense = DcWorkspace::with_solver(c, SolverChoice::Dense).unwrap();
+    let want = dc_operating_point_with(&mut dense, c, &dc).unwrap();
+    let mut ws = DcWorkspace::with_solver(c, SolverChoice::Sparse).unwrap();
+    assert!(ws.is_sparse());
+    let got = with_failed_first_pivot(|| dc_operating_point_with(&mut ws, c, &dc))
+        .expect("DC survives the pivot fault");
+    assert!(!ws.is_sparse(), "DC fell back to the dense engine");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got.voltages()), bits(want.voltages()), "DC voltages");
+
+    let opts = TranOptions {
+        tstop: 100e-9,
+        dt: 0.5e-9,
+        ic: InitialCondition::Voltages(want.voltages().to_vec()),
+        ..TranOptions::default()
+    };
+    let cfg = TimeStepConfig::default();
+    let mut dense = TranWorkspace::with_solver(c, SolverChoice::Dense).unwrap();
+    let want_fixed = transient_with(&mut dense, c, &opts).unwrap();
+    let want_adaptive = transient_adaptive(&mut dense, c, &opts, &cfg).unwrap();
+
+    let mut ws = TranWorkspace::with_solver(c, SolverChoice::Sparse).unwrap();
+    let fixed = with_failed_first_pivot(|| transient_with(&mut ws, c, &opts))
+        .expect("fixed-step run survives the pivot fault");
+    assert!(
+        !ws.is_sparse(),
+        "fixed-step run fell back to the dense engine"
+    );
+    assert_tran_bit_identical("fixed", c, &fixed, &want_fixed);
+
+    let mut ws = TranWorkspace::with_solver(c, SolverChoice::Sparse).unwrap();
+    let adaptive = with_failed_first_pivot(|| transient_adaptive(&mut ws, c, &opts, &cfg))
+        .expect("adaptive run survives the pivot fault");
+    assert!(
+        !ws.is_sparse(),
+        "adaptive run fell back to the dense engine"
+    );
+    assert_tran_bit_identical("adaptive", c, &adaptive, &want_adaptive);
+
+    // A `Panic` action panics at the refactorization.
+    faults::install(FaultPlan::single(
+        18,
+        FaultRule::anywhere(SITE_SPARSE_PIVOT, FaultAction::Panic),
+    ));
+    let mut ws = DcWorkspace::with_solver(c, SolverChoice::Sparse).unwrap();
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dc_operating_point_with(&mut ws, c, &dc)
+    }))
+    .expect_err("the pivot fault's panic must propagate");
+    faults::clear();
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(msg.contains("injected fault: sparse_pivot panic"), "{msg}");
 }
