@@ -53,12 +53,6 @@ impl AdcSpec {
     pub fn lsb(&self) -> f64 {
         self.full_scale / (1u64 << self.resolution) as f64
     }
-
-    /// Quantization-noise power `LSB²/12`, V².
-    pub fn quantization_noise_power(&self) -> f64 {
-        let l = self.lsb();
-        l * l / 12.0
-    }
 }
 
 /// Block-level specification of one front-end stage.

@@ -112,15 +112,6 @@ impl Window {
     pub fn coherent_gain(self, n: usize) -> f64 {
         self.samples(n).iter().sum::<f64>() / n as f64
     }
-
-    /// Approximate main-lobe half-width in bins (for tone masking).
-    pub fn main_lobe_bins(self) -> usize {
-        match self {
-            Window::Rectangular => 1,
-            Window::Hann => 3,
-            Window::BlackmanHarris => 5,
-        }
-    }
 }
 
 /// Single-sided power spectrum of a real windowed signal.

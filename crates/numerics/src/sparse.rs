@@ -697,12 +697,6 @@ impl Symbolic {
         self.f_col.len()
     }
 
-    /// Original `(row, column)` of the pivot used at elimination `step` —
-    /// diagnostic mapping for [`NumericsError::SingularMatrix`] reports.
-    pub fn pivot_position(&self, step: usize) -> (usize, usize) {
-        (self.row_perm[step], self.col_perm[step])
-    }
-
     /// The input pattern this analysis was computed for.
     pub fn pattern(&self) -> &Arc<CsrPattern> {
         &self.pattern
