@@ -90,8 +90,8 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
-    /// Mutable row-major value array (stamp through slots from
-    /// [`Matrix::slot`]).
+    /// Mutable row-major value array: entry `(i, j)` is at `i·cols + j`,
+    /// the slot a stamp replay scatters through.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -101,27 +101,6 @@ impl Matrix {
     pub fn add_at(&mut self, i: usize, j: usize, v: f64) {
         let c = self.cols;
         self.data[i * c + j] += v;
-    }
-
-    /// Flat storage index of entry `(i, j)` — a precomputable "slot" for
-    /// [`Matrix::scatter_add`], mirroring the CSR slot maps so dense and
-    /// sparse stamp replays share the same shape.
-    #[inline]
-    pub fn slot(&self, i: usize, j: usize) -> usize {
-        i * self.cols + j
-    }
-
-    /// Accumulates `vals[k]` into flat slot `slots[k]` for every `k`, in
-    /// order, through the same shared [`crate::simd::scatter_add`] kernel
-    /// as `CsrMatrix::scatter_add` — the dense twin of the sparse stamp
-    /// replay. Accumulation order matches a scalar [`Matrix::add_at`] loop,
-    /// so results are bit-identical even when slots repeat.
-    ///
-    /// # Panics
-    /// Panics if `slots` and `vals` differ in length or a slot is out of
-    /// range.
-    pub fn scatter_add(&mut self, slots: &[usize], vals: &[f64]) {
-        crate::simd::scatter_add(&mut self.data, slots, vals);
     }
 
     /// Matrix–vector product.
@@ -708,12 +687,9 @@ mod tests {
             scalar.add_at(i, j, v);
         }
         let mut chunked = Matrix::zeros(3, 3);
-        let slots: Vec<usize> = entries
-            .iter()
-            .map(|&(i, j, _)| chunked.slot(i, j))
-            .collect();
+        let slots: Vec<usize> = entries.iter().map(|&(i, j, _)| i * 3 + j).collect();
         let vals: Vec<f64> = entries.iter().map(|&(_, _, v)| v).collect();
-        chunked.scatter_add(&slots, &vals);
+        crate::simd::scatter_add(chunked.values_mut(), &slots, &vals);
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(scalar[(i, j)].to_bits(), chunked[(i, j)].to_bits());

@@ -1,8 +1,8 @@
 //! Explicit SIMD kernels behind a single runtime-detected dispatch point.
 //!
-//! The evaluation hot path — stamp replay ([`crate::sparse::CsrMatrix::scatter_add`],
-//! [`crate::sparse::CCsrMatrix::scatter_add_scaled`],
-//! [`crate::linalg::Matrix::scatter_add`]) and the LU inner row updates
+//! The evaluation hot path — stamp replay ([`scatter_add`],
+//! [`scatter_add_uniform`], [`crate::sparse::CCsrMatrix::scatter_add_scaled`])
+//! and the LU inner row updates
 //! (dense [`crate::linalg::Lu`]/[`crate::linalg::CLu`], sparse
 //! `factor_core`) — was deliberately shaped as fixed-width 4-lane chunks so
 //! intrinsics could drop in without changing accumulation order. This module
@@ -108,9 +108,9 @@ pub fn padded_lanes(k: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Accumulates `vals[k]` into `out[slots[k]]` for every `k`, in order —
-/// the one shared scatter kernel behind `Matrix::scatter_add`,
-/// `CsrMatrix::scatter_add` and (product formation aside)
-/// `CCsrMatrix::scatter_add_scaled`. Scattered `+=` with repeatable slots
+/// the one shared scatter kernel behind the real Newton Jacobian's stamp
+/// replay (dense row-major or CSR value arrays) and, product formation
+/// aside, `CCsrMatrix::scatter_add_scaled`. Scattered `+=` with repeatable slots
 /// is order-dependent and has no AVX2 scatter instruction, so this
 /// runs the scalar 4-lane loop on every backend; it exists here so the
 /// replay shape lives in exactly one place.

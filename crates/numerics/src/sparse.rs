@@ -192,27 +192,6 @@ impl CsrMatrix {
         self.vals[slot] += v;
     }
 
-    /// Accumulates `vals[k]` into slot `slots[k]` for every `k`, in order,
-    /// through the shared [`crate::simd::scatter_add`] kernel. Accumulation
-    /// order matches the scalar `add_slot` loop, so results are
-    /// bit-identical even when slots repeat.
-    ///
-    /// # Panics
-    /// Panics if `slots` and `vals` differ in length or a slot is out of
-    /// range.
-    pub fn scatter_add(&mut self, slots: &[usize], vals: &[f64]) {
-        crate::simd::scatter_add(&mut self.vals, slots, vals);
-    }
-
-    /// Accumulates the constant `v` into every slot of `slots` (the g_min
-    /// node-diagonal replay) through [`crate::simd::scatter_add_uniform`].
-    ///
-    /// # Panics
-    /// Panics if a slot is out of range.
-    pub fn scatter_add_uniform(&mut self, slots: &[usize], v: f64) {
-        crate::simd::scatter_add_uniform(&mut self.vals, slots, v);
-    }
-
     /// Matrix–vector product into a caller-owned buffer (no allocation).
     ///
     /// # Panics
@@ -1435,7 +1414,7 @@ mod tests {
             scalar.add_slot(s, v);
         }
         let mut chunked = CsrMatrix::zeros(Arc::clone(&pat));
-        chunked.scatter_add(&replay, &vals);
+        crate::simd::scatter_add(chunked.values_mut(), &replay, &vals);
         assert_eq!(scalar.values(), chunked.values());
 
         let mut scalar_u = CsrMatrix::zeros(Arc::clone(&pat));
@@ -1443,7 +1422,7 @@ mod tests {
             scalar_u.add_slot(s, 1e-12);
         }
         let mut chunked_u = CsrMatrix::zeros(Arc::clone(&pat));
-        chunked_u.scatter_add_uniform(&replay, 1e-12);
+        crate::simd::scatter_add_uniform(chunked_u.values_mut(), &replay, 1e-12);
         assert_eq!(scalar_u.values(), chunked_u.values());
 
         let s = Complex::new(0.25, -1.5);
