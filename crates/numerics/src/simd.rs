@@ -1,14 +1,20 @@
 //! Explicit SIMD kernels behind a single runtime-detected dispatch point.
 //!
 //! The evaluation hot path — stamp replay ([`scatter_add`],
-//! [`scatter_add_uniform`], [`crate::sparse::CCsrMatrix::scatter_add_scaled`])
-//! and the LU inner row updates
-//! (dense [`crate::linalg::Lu`]/[`crate::linalg::CLu`], sparse
-//! `factor_core`) — was deliberately shaped as fixed-width 4-lane chunks so
-//! intrinsics could drop in without changing accumulation order. This module
-//! is that drop-in: AVX2 kernels on `x86_64`, and the original scalar
-//! 4-lane loops everywhere else (and as the bit-compared oracle under
-//! `ADC_FORCE_SCALAR=1`).
+//! [`scatter_add_uniform`], [`crate::sparse::CCsrMatrix::scatter_add_scaled`]),
+//! the dense LU inner row updates ([`crate::linalg::Lu`]/[`crate::linalg::CLu`])
+//! and the batched sparse complex factor and solves
+//! ([`crate::sparse::CSparseLuBatch`]) — was deliberately shaped as
+//! fixed-width 4-lane chunks so intrinsics could drop in without changing
+//! accumulation order. This module is that drop-in: AVX2 kernels on
+//! `x86_64`, and the original scalar 4-lane loops everywhere else (and as
+//! the bit-compared oracle under `ADC_FORCE_SCALAR=1`).
+//!
+//! There is no sparse row-update kernel. The serial sparse factors
+//! ([`crate::sparse::SparseLu`], [`crate::sparse::CSparseLu`]) eliminate in
+//! place along the symbolic elimination schedule, one scalar update per
+//! factor entry; MNA factor rows are a handful of entries long, too short
+//! for a vector product to pay for its round trip through memory.
 //!
 //! # Bit-identity contract
 //!
@@ -227,64 +233,6 @@ pub fn caxpy_sub(dst: &mut [Complex], src: &[Complex], f: Complex) {
 pub fn caxpy_sub_scalar(dst: &mut [Complex], src: &[Complex], f: Complex) {
     for (d, &a) in dst.iter_mut().zip(src) {
         *d -= f * a;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU inner row updates (scattered destination, contiguous factors).
-// ---------------------------------------------------------------------------
-
-/// `w[cols[q]] -= f · vals[q]` — the sparse real elimination update. The
-/// products `f · vals` are formed SIMD-wide (contiguous), the scattered
-/// subtractions run in scalar program order (`cols` within one factor row
-/// are distinct, but order is kept anyway).
-///
-/// # Panics
-/// Panics if `cols` and `vals` differ in length or a column is out of range.
-pub fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-    assert_eq!(cols.len(), vals.len(), "length mismatch");
-    // Real MNA factor rows are short (~4 entries on the pipeline chain);
-    // there the product round-trip through a stack buffer costs more than
-    // the three multiplies it saves, measurably slowing the DC Newton
-    // loop. Every backend produces identical bits, so a length cutover
-    // cannot fork trajectories.
-    if cols.len() < 16 {
-        return scatter_axpy_sub_scalar(w, cols, vals, f);
-    }
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::scatter_axpy_sub(w, cols, vals, f) },
-        Backend::Scalar => scatter_axpy_sub_scalar(w, cols, vals, f),
-    }
-}
-
-/// Scalar oracle for [`scatter_axpy_sub`].
-pub fn scatter_axpy_sub_scalar(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        w[c] -= f * v;
-    }
-}
-
-/// `w[cols[q]] -= f · vals[q]` (complex) — the sparse complex elimination
-/// update, structured like [`scatter_axpy_sub`].
-///
-/// # Panics
-/// Panics if `cols` and `vals` differ in length or a column is out of range.
-pub fn scatter_caxpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-    assert_eq!(cols.len(), vals.len(), "length mismatch");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::scatter_caxpy_sub(w, cols, vals, f) },
-        Backend::Scalar => scatter_caxpy_sub_scalar(w, cols, vals, f),
-    }
-}
-
-/// Scalar oracle for [`scatter_caxpy_sub`].
-pub fn scatter_caxpy_sub_scalar(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        w[c] -= f * v;
     }
 }
 
@@ -840,59 +788,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        let n = vals.len();
-        let fv = _mm256_set1_pd(f);
-        let mut prod = [0.0f64; 4];
-        let mut q = 0usize;
-        while q + 4 <= n {
-            let v = _mm256_loadu_pd(vals.as_ptr().add(q));
-            _mm256_storeu_pd(prod.as_mut_ptr(), _mm256_mul_pd(fv, v));
-            for (lane, &p) in prod.iter().enumerate() {
-                *w.get_unchecked_mut(*cols.get_unchecked(q + lane)) -= p;
-            }
-            q += 4;
-        }
-        while q < n {
-            *w.get_unchecked_mut(*cols.get_unchecked(q)) -= f * *vals.get_unchecked(q);
-            q += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scatter_caxpy_sub(
-        w: &mut [Complex],
-        cols: &[usize],
-        vals: &[Complex],
-        f: Complex,
-    ) {
-        let n = vals.len();
-        let vp = vals.as_ptr().cast::<f64>();
-        let fre = _mm256_set1_pd(f.re);
-        let fim = _mm256_set1_pd(f.im);
-        let mut prod = [0.0f64; 4]; // two products, interleaved [r0, i0, r1, i1]
-        let mut q = 0usize;
-        while q + 2 <= n {
-            let v = _mm256_loadu_pd(vp.add(2 * q));
-            let t1 = _mm256_mul_pd(fre, v);
-            let vs = _mm256_permute_pd(v, 0b0101);
-            let t2 = _mm256_mul_pd(fim, vs);
-            _mm256_storeu_pd(prod.as_mut_ptr(), _mm256_addsub_pd(t1, t2));
-            for lane in 0..2 {
-                let o = w.get_unchecked_mut(*cols.get_unchecked(q + lane));
-                o.re -= prod[2 * lane];
-                o.im -= prod[2 * lane + 1];
-            }
-            q += 2;
-        }
-        while q < n {
-            let o = w.get_unchecked_mut(*cols.get_unchecked(q));
-            *o -= f * *vals.get_unchecked(q);
-            q += 1;
-        }
-    }
-
     /// Four-lane Smith division `(ar + i·ai) / (br + i·bi)`, bit-identical
     /// per lane to `Complex::div`'s branchy scalar code by blending
     /// *operands* on the branch predicate `|br| ≥ |bi|` (one rounded op
@@ -1413,31 +1308,6 @@ mod tests {
         scatter_add_scaled(&mut a, &slots, &vals, s);
         scatter_add_scaled_scalar(&mut b, &slots, &vals, s);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(bits(x.re), bits(y.re));
-            assert_eq!(bits(x.im), bits(y.im));
-        }
-
-        let mut wa: Vec<f64> = (0..6).map(|i| i as f64 * 0.5).collect();
-        let mut wb = wa.clone();
-        let cols = [5usize, 1, 4, 0, 2, 3, 1];
-        let fv: Vec<f64> = (0..cols.len()).map(|k| (k as f64 + 0.5) * -0.3).collect();
-        scatter_axpy_sub(&mut wa, &cols, &fv, 1.75);
-        scatter_axpy_sub_scalar(&mut wb, &cols, &fv, 1.75);
-        for (x, y) in wa.iter().zip(&wb) {
-            assert_eq!(bits(*x), bits(*y));
-        }
-
-        let mut ca: Vec<Complex> = (0..6)
-            .map(|i| Complex::new(i as f64, -(i as f64)))
-            .collect();
-        let mut cb = ca.clone();
-        let cvals: Vec<Complex> = (0..cols.len())
-            .map(|k| Complex::new(0.2 * k as f64, 1.0 - 0.1 * k as f64))
-            .collect();
-        let f = Complex::new(-0.8, 0.45);
-        scatter_caxpy_sub(&mut ca, &cols, &cvals, f);
-        scatter_caxpy_sub_scalar(&mut cb, &cols, &cvals, f);
-        for (x, y) in ca.iter().zip(&cb) {
             assert_eq!(bits(x.re), bits(y.re));
             assert_eq!(bits(x.im), bits(y.im));
         }

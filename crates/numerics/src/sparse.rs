@@ -15,6 +15,10 @@
 //!    change: a numeric refactorization that follows the frozen pattern
 //!    with **zero allocation and no pivot search**, mirroring the reuse
 //!    contract of the dense [`crate::linalg::Lu`] / [`crate::linalg::CLu`].
+//!    Both run one generic `factor_core`, which eliminates in place in the
+//!    factor storage along the frozen elimination schedule
+//!    (`Symbolic::e_target`, the schedule [`CSparseLuBatch`] walks lane by
+//!    lane): no dense scratch row, no copy in or out.
 //! 3. [`SparseLu::solve_into`] / [`CSparseLu::solve_into`] and
 //!    [`CSparseLu::det`] — in-place triangular solves and the determinant
 //!    from the product of pivots (the quantity the numeric TF extraction
@@ -318,8 +322,9 @@ pub struct Symbolic {
     /// factor positions *within row i* receiving row `j = f_col[pos]`'s
     /// update entries `f_diag[j]+1..row_ptr[j+1]`, flattened in order. The
     /// fill closure guarantees every update column exists in row `i`, so
-    /// the batched factor can eliminate in place — no scatter workspace,
-    /// no copy in/out — while reproducing the workspace walk's arithmetic
+    /// all three factorizations — [`SparseLu`], [`CSparseLu`] and
+    /// [`CSparseLuBatch`] — eliminate in place along this one schedule: no
+    /// scratch row, no copy in/out, and the scratch-row walk's arithmetic
     /// order exactly.
     e_target: Vec<usize>,
     /// The analyzed input pattern (refactor sanity checks).
@@ -748,11 +753,6 @@ trait Scalar:
     /// short-circuits the `hypot` for every healthy pivot (the common
     /// case by ~every pivot of a well-posed system).
     fn mag_ge(self, t: f64) -> bool;
-    /// `w[cols[q]] -= f · vals[q]` — the elimination inner update, routed
-    /// through the SIMD dispatch (product formation vectorized, scattered
-    /// subtraction in scalar program order; bit-identical to the plain
-    /// loop).
-    fn scatter_axpy_sub(w: &mut [Self], cols: &[usize], vals: &[Self], f: Self);
 }
 
 impl Scalar for f64 {
@@ -764,10 +764,6 @@ impl Scalar for f64 {
     #[inline]
     fn mag_ge(self, t: f64) -> bool {
         self.abs() >= t
-    }
-    #[inline]
-    fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        crate::simd::scatter_axpy_sub(w, cols, vals, f);
     }
 }
 
@@ -784,10 +780,6 @@ impl Scalar for Complex {
         // borderline pivots fall through to the exact norm.
         self.re.abs() > 2.0 * t || self.im.abs() > 2.0 * t || self.norm() >= t
     }
-    #[inline]
-    fn scatter_axpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-        crate::simd::scatter_caxpy_sub(w, cols, vals, f);
-    }
 }
 
 /// Guards a refactorization: the matrix must live on the analyzed pattern
@@ -801,34 +793,30 @@ fn assert_pattern_matches(pattern: &Arc<CsrPattern>, sym: &Symbolic) {
 }
 
 /// Numeric refactorization following the frozen symbolic pattern:
-/// up-looking row LU (Doolittle) with a dense scratch row, zero allocation,
-/// no pivot search.
-fn factor_core<T: Scalar>(
-    sym: &Symbolic,
-    avals: &[T],
-    fvals: &mut [T],
-    w: &mut [T],
-) -> NumResult<()> {
+/// up-looking row LU (Doolittle) in place in the factor storage, along the
+/// elimination schedule `Symbolic::e_target` — zero allocation, no pivot
+/// search, no scratch row. Each update is the rounded `f = a_ij / u_jj`,
+/// then `a_it -= f · u_jt` over row `j`'s upper entries in column order,
+/// rows `j` ascending: the scratch-row walk's operations in its order, so
+/// the factors are bit-identical to it.
+fn factor_core<T: Scalar>(sym: &Symbolic, avals: &[T], fvals: &mut [T]) -> NumResult<()> {
     assert_eq!(avals.len(), sym.scatter.len(), "pattern mismatch");
     fvals.fill(T::ZERO);
     for (k, &v) in avals.iter().enumerate() {
         fvals[sym.scatter[k]] += v;
     }
+    let mut cur = 0usize;
     for i in 0..sym.n {
-        let (start, end) = (sym.f_row_ptr[i], sym.f_row_ptr[i + 1]);
-        for pos in start..end {
-            w[sym.f_col[pos]] = fvals[pos];
-        }
         // Eliminate against every finished row j < i in this row's pattern.
-        for pos in start..sym.f_diag[i] {
+        for pos in sym.f_row_ptr[i]..sym.f_diag[i] {
             let j = sym.f_col[pos];
-            let f = w[j] / fvals[sym.f_diag[j]];
-            w[j] = f;
+            let f = fvals[pos] / fvals[sym.f_diag[j]];
+            fvals[pos] = f;
             let (d, e) = (sym.f_diag[j] + 1, sym.f_row_ptr[j + 1]);
-            T::scatter_axpy_sub(w, &sym.f_col[d..e], &fvals[d..e], f);
-        }
-        for pos in start..end {
-            fvals[pos] = w[sym.f_col[pos]];
+            for (q, &t) in (d..e).zip(&sym.e_target[cur..cur + (e - d)]) {
+                fvals[t] -= f * fvals[q];
+            }
+            cur += e - d;
         }
         let piv = fvals[sym.f_diag[i]];
         if !piv.mag_ge(SINGULAR_TOL) {
@@ -889,7 +877,6 @@ fn solve_core<T: Scalar>(sym: &Symbolic, fvals: &[T], b: &[T], y: &mut [T], x: &
 pub struct SparseLu {
     sym: Arc<Symbolic>,
     fvals: Vec<f64>,
-    w: Vec<f64>,
     y: Vec<f64>,
 }
 
@@ -900,7 +887,6 @@ impl SparseLu {
         SparseLu {
             sym,
             fvals: vec![0.0; nnz],
-            w: vec![0.0; n],
             y: vec![0.0; n],
         }
     }
@@ -923,7 +909,7 @@ impl SparseLu {
     /// analyzed for (the scatter map is pattern-specific).
     pub fn factor_into(&mut self, a: &CsrMatrix) -> NumResult<()> {
         assert_pattern_matches(a.pattern(), &self.sym);
-        factor_core(&self.sym, a.values(), &mut self.fvals, &mut self.w)
+        factor_core(&self.sym, a.values(), &mut self.fvals)
     }
 
     /// Solves `A x = b` into a caller-owned buffer using the stored
@@ -954,7 +940,6 @@ impl SparseLu {
 pub struct CSparseLu {
     sym: Arc<Symbolic>,
     fvals: Vec<Complex>,
-    w: Vec<Complex>,
     y: Vec<Complex>,
 }
 
@@ -965,7 +950,6 @@ impl CSparseLu {
         CSparseLu {
             sym,
             fvals: vec![Complex::ZERO; nnz],
-            w: vec![Complex::ZERO; n],
             y: vec![Complex::ZERO; n],
         }
     }
@@ -987,7 +971,7 @@ impl CSparseLu {
     /// analyzed for (the scatter map is pattern-specific).
     pub fn factor_into(&mut self, a: &CCsrMatrix) -> NumResult<()> {
         assert_pattern_matches(a.pattern(), &self.sym);
-        factor_core(&self.sym, a.values(), &mut self.fvals, &mut self.w)
+        factor_core(&self.sym, a.values(), &mut self.fvals)
     }
 
     /// Solves `A x = b` into a caller-owned buffer using the stored
@@ -1260,6 +1244,208 @@ impl CSparseLuBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scratch-row elimination `factor_core` replaced, kept as its
+    /// oracle: row `i` is copied into a dense row `w`, eliminated there
+    /// and copied back. The in-place factor must match it bit for bit.
+    fn factor_scratch_row<T: Scalar>(
+        sym: &Symbolic,
+        avals: &[T],
+        fvals: &mut [T],
+        w: &mut [T],
+    ) -> NumResult<()> {
+        fvals.fill(T::ZERO);
+        for (k, &v) in avals.iter().enumerate() {
+            fvals[sym.scatter[k]] += v;
+        }
+        for i in 0..sym.n {
+            let (start, end) = (sym.f_row_ptr[i], sym.f_row_ptr[i + 1]);
+            for pos in start..end {
+                w[sym.f_col[pos]] = fvals[pos];
+            }
+            for pos in start..sym.f_diag[i] {
+                let j = sym.f_col[pos];
+                let f = w[j] / fvals[sym.f_diag[j]];
+                w[j] = f;
+                for q in (sym.f_diag[j] + 1)..sym.f_row_ptr[j + 1] {
+                    w[sym.f_col[q]] -= f * fvals[q];
+                }
+            }
+            for pos in start..end {
+                fvals[pos] = w[sym.f_col[pos]];
+            }
+            let piv = fvals[sym.f_diag[i]];
+            if !piv.mag_ge(SINGULAR_TOL) {
+                return Err(NumericsError::SingularMatrix {
+                    step: i,
+                    pivot: piv.mag(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Bit patterns of real or complex values, for exact comparisons.
+    trait Bits: Copy {
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Bits for Complex {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    fn bits<T: Bits>(v: &[T]) -> Vec<[u64; 2]> {
+        v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// Both factorizations succeed, or both stop at the same step with the
+    /// same pivot bits; with an underflowing row eliminated at step `k`,
+    /// they stop by step `k`.
+    fn same_outcome(
+        got: &NumResult<()>,
+        want: &NumResult<()>,
+        underflow_step: Option<usize>,
+    ) -> proptest::CaseResult {
+        match (got, want) {
+            (Ok(()), Ok(())) => {
+                prop_assert!(underflow_step.is_none(), "{:?} passed", underflow_step);
+            }
+            (
+                Err(NumericsError::SingularMatrix { step, pivot }),
+                Err(NumericsError::SingularMatrix {
+                    step: want_step,
+                    pivot: want_pivot,
+                }),
+            ) => {
+                prop_assert_eq!((step, pivot.to_bits()), (want_step, want_pivot.to_bits()));
+                prop_assert!(underflow_step.map_or(true, |k| *step <= k));
+            }
+            _ => prop_assert!(false, "{:?} vs {:?}", got, want),
+        }
+        Ok(())
+    }
+
+    /// Random MNA-shaped system of dimension `n` drawn from `seed`, as
+    /// `(row, col, conductance, capacitance)` stamps: node rows with a
+    /// g_min floor and a grounded capacitance, a ring of RC couplings plus
+    /// random ones, one-sided transconductances, and branch rows (voltage
+    /// sources) with ±1 incidences and structurally zero diagonals.
+    fn random_mna_system(n: usize, seed: u64) -> Vec<(usize, usize, f64, f64)> {
+        let mut state = seed | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let branches = next(n / 4 + 1);
+        let nodes = n - branches;
+        let mut out: Vec<(usize, usize, f64, f64)> =
+            (0..nodes).map(|i| (i, i, 1e-3, 1e-2)).collect();
+        let ring = (0..nodes).map(|i| (i, (i + 1) % nodes));
+        let extra: Vec<(usize, usize)> = (0..next(nodes) + 1)
+            .map(|_| (next(nodes), next(nodes)))
+            .collect();
+        for (a, b) in ring.chain(extra) {
+            let g = 10f64.powf(next(600) as f64 / 100.0 - 4.0);
+            let c = next(100) as f64 * 1e-3;
+            if a != b {
+                out.extend([(a, a, g, c), (b, b, g, c), (a, b, -g, -c), (b, a, -g, -c)]);
+            }
+        }
+        for _ in 0..next(nodes / 2 + 1) {
+            let gm = (next(2000) as f64 - 1000.0) * 1e-3;
+            out.push((next(nodes), next(nodes), gm, 0.0));
+        }
+        // Voltage sources: +1 at a node of their own, −1 at its neighbour
+        // for every other one (floating).
+        let first = next(nodes);
+        for br in nodes..n {
+            let p = (first + 2 * (br - nodes)) % nodes;
+            out.extend([(p, br, 1.0, 0.0), (br, p, 1.0, 0.0)]);
+            if next(2) == 0 {
+                let m = (p + 1) % nodes;
+                out.extend([(m, br, -1.0, 0.0), (br, m, -1.0, 0.0)]);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The in-place factor reproduces the scratch-row oracle bit for
+        /// bit on random MNA-shaped systems with fill-in, real and complex:
+        /// the factor values, `det`, the `solve_into` output, and — with
+        /// one row scaled into the subnormals — the `SingularMatrix` step
+        /// and pivot of the underflow.
+        #[test]
+        fn in_place_factor_matches_scratch_row_oracle_bitwise(
+            n in 4usize..=48,
+            seed in 0u64..u64::MAX,
+            omega in 1e-2f64..1e2,
+            underflow in proptest::bool::ANY,
+        ) {
+            let stamps = random_mna_system(n, seed);
+            let entries: Vec<(usize, usize)> = stamps.iter().map(|&(r, c, _, _)| (r, c)).collect();
+            let (pat, slots) = CsrPattern::from_entries(n, &entries);
+            let sym = Symbolic::analyze(&pat);
+            prop_assume!(sym.is_ok());
+            let sym = sym.unwrap();
+            prop_assume!(sym.factor_nnz() > pat.nnz());
+            // Original row `row_perm[k]` is permuted row k: scaled by
+            // 1e-310, its pivot underflows at elimination step k.
+            let k = (seed % n as u64) as usize;
+            let underflow_step = underflow.then_some(k);
+            let tiny_row = underflow_step.map(|k| sym.row_perm[k]);
+            let scale = |r: usize| if Some(r) == tiny_row { 1e-310 } else { 1.0 };
+            let mut a = CsrMatrix::zeros(Arc::clone(&pat));
+            let mut ca = CCsrMatrix::zeros(Arc::clone(&pat));
+            for (&slot, &(r, _, g, c)) in slots.iter().zip(&stamps) {
+                a.add_slot(slot, g * scale(r));
+                ca.add_slot(slot, Complex::new(g, omega * c) * scale(r));
+            }
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let cb: Vec<Complex> = b.iter().map(|&v| Complex::new(v, 0.5 - v)).collect();
+
+            let mut lu = SparseLu::new(Arc::clone(&sym));
+            let mut oracle = SparseLu::new(Arc::clone(&sym));
+            let got = lu.factor_into(&a);
+            let want = factor_scratch_row(&sym, a.values(), &mut oracle.fvals, &mut vec![0.0; n]);
+            same_outcome(&got, &want, underflow_step)?;
+            prop_assert!(bits(&lu.fvals) == bits(&oracle.fvals), "real factor values");
+            if got.is_ok() {
+                prop_assert_eq!(lu.det().to_bits(), oracle.det().to_bits());
+                let (mut x, mut x_oracle) = (vec![0.0; n], vec![0.0; n]);
+                lu.solve_into(&b, &mut x);
+                oracle.solve_into(&b, &mut x_oracle);
+                prop_assert!(bits(&x) == bits(&x_oracle), "real solve");
+            }
+
+            let mut clu = CSparseLu::new(Arc::clone(&sym));
+            let mut coracle = CSparseLu::new(Arc::clone(&sym));
+            let got = clu.factor_into(&ca);
+            let mut w = vec![Complex::ZERO; n];
+            let want = factor_scratch_row(&sym, ca.values(), &mut coracle.fvals, &mut w);
+            same_outcome(&got, &want, underflow_step)?;
+            prop_assert!(bits(&clu.fvals) == bits(&coracle.fvals), "complex factor values");
+            if got.is_ok() {
+                prop_assert_eq!(clu.det().bits(), coracle.det().bits());
+                let (mut x, mut x_oracle) = (vec![Complex::ZERO; n], vec![Complex::ZERO; n]);
+                clu.solve_into(&cb, &mut x);
+                coracle.solve_into(&cb, &mut x_oracle);
+                prop_assert!(bits(&x) == bits(&x_oracle), "complex solve");
+            }
+        }
+    }
 
     /// Builds pattern + matrix from dense-style triplets.
     fn csr_from(n: usize, trips: &[(usize, usize, f64)]) -> (Arc<CsrPattern>, CsrMatrix) {
