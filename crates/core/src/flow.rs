@@ -59,7 +59,11 @@ use std::time::{Duration, Instant};
 /// Version 3: phase margin sums over the roots that survive pole/zero
 /// cancellation instead of re-finding the roots of their re-expanded
 /// polynomials, which moves the last bits of `pm` (and of some costs).
-pub const FLOW_CACHE_VERSION: u64 = 3;
+///
+/// Version 4: Aberth root finding starts on the circles of the Newton
+/// polygon instead of one circle, which moves the last bits of `a0`, `pm`,
+/// the unity-gain frequency and some costs.
+pub const FLOW_CACHE_VERSION: u64 = 4;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
 /// **single source of truth** shared by [`synthesize_ota`] and the

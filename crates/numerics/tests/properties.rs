@@ -719,6 +719,77 @@ proptest! {
     }
 }
 
+/// Random circuit transfer-function polynomial of the given degree drawn
+/// from `seed`, with its roots: a gain times `(1 − s/p)` for real roots
+/// and `(1 + s/(ω₀Q) + s²/ω₀²)` for complex pairs, moduli log-uniform over
+/// 1e3–1e12 rad/s, Q uniform over 0.5–5, real roots in both half-planes.
+fn spread_circuit_poly(degree: usize, seed: u64) -> (Vec<f64>, Vec<Complex>) {
+    let mut rng = Xorshift(seed | 1);
+    let mut coeffs = vec![rng.sign() * rng.decade(-3.0, 3.0)];
+    let mut roots = Vec::new();
+    let times = |coeffs: &mut Vec<f64>, factor: &[f64]| {
+        let mut next = vec![0.0; coeffs.len() + factor.len() - 1];
+        for (i, &a) in coeffs.iter().enumerate() {
+            for (j, &b) in factor.iter().enumerate() {
+                next[i + j] += a * b;
+            }
+        }
+        *coeffs = next;
+    };
+    while roots.len() < degree {
+        let w0 = rng.decade(3.0, 12.0);
+        if degree - roots.len() >= 2 && rng.below(2) == 0 {
+            let q = 0.5 + 4.5 * rng.unit();
+            let (re, im) = (-w0 / (2.0 * q), w0 * (1.0 - 1.0 / (4.0 * q * q)).sqrt());
+            roots.extend([Complex::new(re, im), Complex::new(re, -im)]);
+            times(&mut coeffs, &[1.0, 1.0 / (w0 * q), 1.0 / (w0 * w0)]);
+        } else {
+            let p = rng.sign() * w0;
+            roots.push(Complex::from_real(p));
+            times(&mut coeffs, &[1.0, -1.0 / p]);
+        }
+    }
+    (coeffs, roots)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+    /// Roots spread over nine decades come back within 1e-9 relative at
+    /// every degree 3–12, and bit for bit as the `hypot` oracle returns
+    /// them. Starts on one circle between Cauchy's bounds overflowed
+    /// Horner's rule here from degree 10 (wrong roots or NaN); the Newton
+    /// polygon's circles sit at the roots' own scales.
+    #[test]
+    fn poly_roots_recover_widely_spread_circuit_roots(
+        degree in 3usize..=12,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (coeffs, want) = spread_circuit_poly(degree, seed);
+        let (got, oracle) = (poly_roots(&coeffs), poly_roots_reference(&coeffs));
+        prop_assert_eq!(got.len(), degree, "coeffs {:?}", &coeffs);
+        for (x, y) in got.iter().zip(&oracle) {
+            prop_assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "coeffs {:?}: {:?} vs {:?}", &coeffs, x, y
+            );
+        }
+        // Each true root claims the nearest root not yet claimed.
+        let mut free = got.clone();
+        for r in &want {
+            let (k, err) = free
+                .iter()
+                .map(|z| (*z - *r).norm())
+                .enumerate()
+                .fold((0, f64::INFINITY), |best, (k, e)| if e < best.1 { (k, e) } else { best });
+            prop_assert!(
+                err <= 1e-9 * r.norm(),
+                "degree {} root {:?}: error {:e}, got {:?}", degree, r, err / r.norm(), &got
+            );
+            free.swap_remove(k);
+        }
+    }
+}
+
 /// Random slice for the `max_norm` oracle test, drawn from `seed`: 1–64
 /// entries whose magnitudes share a band of 0.5, 3 or 40 decades placed
 /// anywhere from 1e-320 to 1e300 (or span all of it; one slice in eight
