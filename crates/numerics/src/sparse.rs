@@ -747,6 +747,7 @@ trait Scalar:
     + std::ops::SubAssign
 {
     const ZERO: Self;
+    fn from_real(x: f64) -> Self;
     fn mag(self) -> f64;
     /// Pivot screen: `true` iff `self.mag() >= t` — same decision as
     /// computing the magnitude, but with a cheap component test that
@@ -757,6 +758,9 @@ trait Scalar:
 
 impl Scalar for f64 {
     const ZERO: f64 = 0.0;
+    fn from_real(x: f64) -> f64 {
+        x
+    }
     #[inline]
     fn mag(self) -> f64 {
         self.abs()
@@ -769,6 +773,9 @@ impl Scalar for f64 {
 
 impl Scalar for Complex {
     const ZERO: Complex = Complex::ZERO;
+    fn from_real(x: f64) -> Complex {
+        Complex::from_real(x)
+    }
     #[inline]
     fn mag(self) -> f64 {
         self.norm()
@@ -854,6 +861,14 @@ fn solve_core<T: Scalar>(sym: &Symbolic, fvals: &[T], b: &[T], y: &mut [T], x: &
     }
 }
 
+/// Determinant from the product of pivots in elimination order, the
+/// permutation parity folded in first.
+fn det_core<T: Scalar>(sym: &Symbolic, fvals: &[T]) -> T {
+    sym.f_diag
+        .iter()
+        .fold(T::from_real(sym.sign), |d, &p| d * fvals[p])
+}
+
 /// Reusable sparse LU of a real matrix over a frozen [`Symbolic`] — the
 /// sparse sibling of [`crate::linalg::Lu`].
 ///
@@ -925,11 +940,7 @@ impl SparseLu {
     /// Determinant from the product of pivots (permutation parity folded
     /// in).
     pub fn det(&self) -> f64 {
-        let mut d = self.sym.sign;
-        for i in 0..self.sym.n {
-            d *= self.fvals[self.sym.f_diag[i]];
-        }
-        d
+        det_core(&self.sym, &self.fvals)
     }
 }
 
@@ -987,11 +998,7 @@ impl CSparseLu {
     /// Determinant from the product of pivots (permutation parity folded
     /// in).
     pub fn det(&self) -> Complex {
-        let mut d = Complex::from_real(self.sym.sign);
-        for i in 0..self.sym.n {
-            d *= self.fvals[self.sym.f_diag[i]];
-        }
-        d
+        det_core(&self.sym, &self.fvals)
     }
 }
 
@@ -1247,14 +1254,14 @@ mod tests {
     use proptest::prelude::*;
 
     /// The scratch-row elimination `factor_core` replaced, kept as its
-    /// oracle: row `i` is copied into a dense row `w`, eliminated there
-    /// and copied back. The in-place factor must match it bit for bit.
+    /// oracle: row `i` is copied into a dense row, eliminated there and
+    /// copied back.
     fn factor_scratch_row<T: Scalar>(
         sym: &Symbolic,
         avals: &[T],
         fvals: &mut [T],
-        w: &mut [T],
     ) -> NumResult<()> {
+        let mut w = vec![T::ZERO; sym.n];
         fvals.fill(T::ZERO);
         for (k, &v) in avals.iter().enumerate() {
             fvals[sym.scatter[k]] += v;
@@ -1287,7 +1294,7 @@ mod tests {
     }
 
     /// Bit patterns of real or complex values, for exact comparisons.
-    trait Bits: Copy {
+    trait Bits: Scalar {
         fn bits(self) -> [u64; 2];
     }
 
@@ -1307,29 +1314,44 @@ mod tests {
         v.iter().map(|&x| x.bits()).collect()
     }
 
-    /// Both factorizations succeed, or both stop at the same step with the
-    /// same pivot bits; with an underflowing row eliminated at step `k`,
-    /// they stop by step `k`.
-    fn same_outcome(
-        got: &NumResult<()>,
-        want: &NumResult<()>,
+    /// Factors `avals` in place and along the scratch-row oracle. Both
+    /// succeed, or both stop at the same step with the same pivot bits
+    /// (by `underflow_step`, when given); the factor values match bit for
+    /// bit, and so do the determinant and the solution of `b` that `det`
+    /// and `solve_into` return.
+    fn pin_to_scratch_row<T: Bits>(
+        sym: &Symbolic,
+        avals: &[T],
+        b: &[T],
         underflow_step: Option<usize>,
     ) -> proptest::CaseResult {
-        match (got, want) {
-            (Ok(()), Ok(())) => {
-                prop_assert!(underflow_step.is_none(), "{:?} passed", underflow_step);
-            }
-            (
-                Err(NumericsError::SingularMatrix { step, pivot }),
-                Err(NumericsError::SingularMatrix {
-                    step: want_step,
-                    pivot: want_pivot,
-                }),
-            ) => {
-                prop_assert_eq!((step, pivot.to_bits()), (want_step, want_pivot.to_bits()));
-                prop_assert!(underflow_step.map_or(true, |k| *step <= k));
-            }
-            _ => prop_assert!(false, "{:?} vs {:?}", got, want),
+        let failure = |r: &NumResult<()>| match r {
+            Ok(()) => None,
+            Err(NumericsError::SingularMatrix { step, pivot }) => Some((*step, pivot.to_bits())),
+            Err(e) => unreachable!("{e}"),
+        };
+        let zeros = |len: usize| vec![T::ZERO; len];
+        let (mut fast, mut oracle) = (zeros(sym.factor_nnz()), zeros(sym.factor_nnz()));
+        let got = factor_core(sym, avals, &mut fast);
+        let want = factor_scratch_row(sym, avals, &mut oracle);
+        prop_assert_eq!(failure(&got), failure(&want));
+        if let Some(k) = underflow_step {
+            prop_assert!(
+                failure(&got).is_some_and(|(step, _)| step <= k),
+                "passed step {}",
+                k
+            );
+        }
+        prop_assert!(bits(&fast) == bits(&oracle), "factor values");
+        if got.is_ok() {
+            prop_assert!(
+                det_core(sym, &fast).bits() == det_core(sym, &oracle).bits(),
+                "det"
+            );
+            let (mut y, mut x, mut x_oracle) = (zeros(sym.n), zeros(sym.n), zeros(sym.n));
+            solve_core(sym, &fast, b, &mut y, &mut x);
+            solve_core(sym, &oracle, b, &mut y, &mut x_oracle);
+            prop_assert!(bits(&x) == bits(&x_oracle), "solution");
         }
         Ok(())
     }
@@ -1337,8 +1359,8 @@ mod tests {
     /// Random MNA-shaped system of dimension `n` drawn from `seed`, as
     /// `(row, col, conductance, capacitance)` stamps: node rows with a
     /// g_min floor and a grounded capacitance, a ring of RC couplings plus
-    /// random ones, one-sided transconductances, and branch rows (voltage
-    /// sources) with ±1 incidences and structurally zero diagonals.
+    /// random ones, one-sided transconductances, and voltage-source branch
+    /// rows with ±1 incidences and structurally zero diagonals.
     fn random_mna_system(n: usize, seed: u64) -> Vec<(usize, usize, f64, f64)> {
         let mut state = seed | 1;
         let mut next = move |bound: usize| {
@@ -1347,27 +1369,30 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as usize
         };
-        let branches = next(n / 4 + 1);
-        let nodes = n - branches;
-        let mut out: Vec<(usize, usize, f64, f64)> =
-            (0..nodes).map(|i| (i, i, 1e-3, 1e-2)).collect();
-        let ring = (0..nodes).map(|i| (i, (i + 1) % nodes));
-        let extra: Vec<(usize, usize)> = (0..next(nodes) + 1)
+        let nodes = n - next(n / 4 + 1);
+        let mut out: Vec<_> = (0..nodes).map(|i| (i, i, 1e-3, 1e-2)).collect();
+        let random: Vec<_> = (0..=next(nodes))
             .map(|_| (next(nodes), next(nodes)))
             .collect();
-        for (a, b) in ring.chain(extra) {
-            let g = 10f64.powf(next(600) as f64 / 100.0 - 4.0);
-            let c = next(100) as f64 * 1e-3;
+        for (a, b) in (0..nodes).map(|i| (i, (i + 1) % nodes)).chain(random) {
+            let (g, c) = (
+                10f64.powf(next(600) as f64 / 100.0 - 4.0),
+                next(100) as f64 * 1e-3,
+            );
             if a != b {
                 out.extend([(a, a, g, c), (b, b, g, c), (a, b, -g, -c), (b, a, -g, -c)]);
             }
         }
         for _ in 0..next(nodes / 2 + 1) {
-            let gm = (next(2000) as f64 - 1000.0) * 1e-3;
-            out.push((next(nodes), next(nodes), gm, 0.0));
+            out.push((
+                next(nodes),
+                next(nodes),
+                next(2000) as f64 * 1e-3 - 1.0,
+                0.0,
+            ));
         }
-        // Voltage sources: +1 at a node of their own, −1 at its neighbour
-        // for every other one (floating).
+        // Each source drives a node of its own; every other one floats
+        // against the neighbouring node.
         let first = next(nodes);
         for br in nodes..n {
             let p = (first + 2 * (br - nodes)) % nodes;
@@ -1384,9 +1409,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// The in-place factor reproduces the scratch-row oracle bit for
         /// bit on random MNA-shaped systems with fill-in, real and complex:
-        /// the factor values, `det`, the `solve_into` output, and — with
-        /// one row scaled into the subnormals — the `SingularMatrix` step
-        /// and pivot of the underflow.
+        /// factor values, `det`, the solution, and — with one row scaled
+        /// into the subnormals — the `SingularMatrix` step and pivot.
         #[test]
         fn in_place_factor_matches_scratch_row_oracle_bitwise(
             n in 4usize..=48,
@@ -1395,55 +1419,25 @@ mod tests {
             underflow in proptest::bool::ANY,
         ) {
             let stamps = random_mna_system(n, seed);
-            let entries: Vec<(usize, usize)> = stamps.iter().map(|&(r, c, _, _)| (r, c)).collect();
+            let entries: Vec<_> = stamps.iter().map(|&(r, c, _, _)| (r, c)).collect();
             let (pat, slots) = CsrPattern::from_entries(n, &entries);
             let sym = Symbolic::analyze(&pat);
-            prop_assume!(sym.is_ok());
+            prop_assume!(sym.as_ref().is_ok_and(|s| s.factor_nnz() > pat.nnz()));
             let sym = sym.unwrap();
-            prop_assume!(sym.factor_nnz() > pat.nnz());
-            // Original row `row_perm[k]` is permuted row k: scaled by
+            // Permuted row k is original row `row_perm[k]`: scaled by
             // 1e-310, its pivot underflows at elimination step k.
-            let k = (seed % n as u64) as usize;
-            let underflow_step = underflow.then_some(k);
-            let tiny_row = underflow_step.map(|k| sym.row_perm[k]);
-            let scale = |r: usize| if Some(r) == tiny_row { 1e-310 } else { 1.0 };
-            let mut a = CsrMatrix::zeros(Arc::clone(&pat));
-            let mut ca = CCsrMatrix::zeros(Arc::clone(&pat));
+            let k = underflow.then_some(seed as usize % n);
+            let tiny = k.map(|k| sym.row_perm[k]);
+            let (mut a, mut ca) = (vec![0.0; pat.nnz()], vec![Complex::ZERO; pat.nnz()]);
             for (&slot, &(r, _, g, c)) in slots.iter().zip(&stamps) {
-                a.add_slot(slot, g * scale(r));
-                ca.add_slot(slot, Complex::new(g, omega * c) * scale(r));
+                let scale = if Some(r) == tiny { 1e-310 } else { 1.0 };
+                a[slot] += g * scale;
+                ca[slot] += Complex::new(g, omega * c) * scale;
             }
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let cb: Vec<Complex> = b.iter().map(|&v| Complex::new(v, 0.5 - v)).collect();
-
-            let mut lu = SparseLu::new(Arc::clone(&sym));
-            let mut oracle = SparseLu::new(Arc::clone(&sym));
-            let got = lu.factor_into(&a);
-            let want = factor_scratch_row(&sym, a.values(), &mut oracle.fvals, &mut vec![0.0; n]);
-            same_outcome(&got, &want, underflow_step)?;
-            prop_assert!(bits(&lu.fvals) == bits(&oracle.fvals), "real factor values");
-            if got.is_ok() {
-                prop_assert_eq!(lu.det().to_bits(), oracle.det().to_bits());
-                let (mut x, mut x_oracle) = (vec![0.0; n], vec![0.0; n]);
-                lu.solve_into(&b, &mut x);
-                oracle.solve_into(&b, &mut x_oracle);
-                prop_assert!(bits(&x) == bits(&x_oracle), "real solve");
-            }
-
-            let mut clu = CSparseLu::new(Arc::clone(&sym));
-            let mut coracle = CSparseLu::new(Arc::clone(&sym));
-            let got = clu.factor_into(&ca);
-            let mut w = vec![Complex::ZERO; n];
-            let want = factor_scratch_row(&sym, ca.values(), &mut coracle.fvals, &mut w);
-            same_outcome(&got, &want, underflow_step)?;
-            prop_assert!(bits(&clu.fvals) == bits(&coracle.fvals), "complex factor values");
-            if got.is_ok() {
-                prop_assert_eq!(clu.det().bits(), coracle.det().bits());
-                let (mut x, mut x_oracle) = (vec![Complex::ZERO; n], vec![Complex::ZERO; n]);
-                clu.solve_into(&cb, &mut x);
-                coracle.solve_into(&cb, &mut x_oracle);
-                prop_assert!(bits(&x) == bits(&x_oracle), "complex solve");
-            }
+            pin_to_scratch_row(&sym, &a, &b, k)?;
+            pin_to_scratch_row(&sym, &ca, &cb, k)?;
         }
     }
 
