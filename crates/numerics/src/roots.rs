@@ -1,20 +1,20 @@
 //! Polynomial root finding.
 //!
 //! The primary entry point is [`poly_roots`], an Aberth–Ehrlich simultaneous
-//! iteration. Degrees 1 and 2 are solved in closed form (with the
-//! numerically stable quadratic formula); the iteration is used from degree
-//! 3 upward, and its results are polished with a few Newton steps.
+//! iteration polished by a few Newton steps. Degrees 1 and 2 are solved in
+//! closed form (with the numerically stable quadratic formula); the
+//! iteration is used from degree 3 upward.
 //!
-//! Transfer functions arising from the DPI/SFG analysis have modest degree
-//! (≤ ~12) but widely spread root magnitudes: circuit poles span decades,
-//! up to ~1e12 rad/s. The iteration therefore starts on the circles of the
-//! coefficients' Newton polygon (Bini's choice): the upper convex hull of
-//! `(k, ln|a_k|)` puts `m` starts on a circle of radius
-//! `(|a_i|/|a_{i+m}|)^(1/m)` for each hull edge `i → i+m`, one circle per
-//! cluster of root magnitudes. Starts on one circle between Cauchy's
-//! bounds took ~23 sweeps per call on degree 3–4 circuit polynomials and,
-//! from degree 10 with poles near 1e12 rad/s, overflowed Horner's rule; on
-//! the polygon's circles the same polynomials converge in ~5 sweeps.
+//! Transfer functions from the DPI/SFG analysis have modest degree (≤ ~12)
+//! but root magnitudes spread over decades, up to ~1e12 rad/s. The
+//! iteration therefore starts on the circles of the coefficients' Newton
+//! polygon (D. A. Bini, Numer. Algorithms 13, 1996): each edge `i → j` of
+//! the upper convex hull of `(k, ln|a_k|)` puts `j − i` starts on the
+//! circle of radius `(|a_i|/|a_j|)^(1/(j−i))`, near which that many roots
+//! lie. The textbook start, one circle between Cauchy's bounds, needs ~23
+//! sweeps per call on the degree 3–4 circuit polynomials and overflows
+//! Horner's rule from degree 10 with poles near 1e12 rad/s; the polygon's
+//! circles need ~5 sweeps.
 
 use crate::complex::Complex;
 
@@ -110,12 +110,8 @@ fn eval_with_derivative(coeffs: &[f64], z: Complex) -> (Complex, Complex) {
     (p, dp)
 }
 
-/// Initial guesses on the Newton polygon's circles (D. A. Bini, Numer.
-/// Algorithms 13, 1996). The upper convex hull of `(k, ln|a_k|)` over the
-/// nonzero coefficients splits the degree among circles: each hull edge
-/// `i → j` puts `m = j − i` starts on the circle of radius
-/// `(|a_i|/|a_j|)^(1/m)`, near which that many roots lie, so starts
-/// follow roots that span decades instead of sharing one circle.
+/// Initial guesses on the Newton polygon's circles (module docs), `m`
+/// per hull edge of length `m`.
 fn initial_guesses(coeffs: &[f64]) -> Vec<Complex> {
     use std::f64::consts::PI;
     let n = coeffs.len() - 1;

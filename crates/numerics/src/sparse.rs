@@ -17,8 +17,7 @@
 //!    contract of the dense [`crate::linalg::Lu`] / [`crate::linalg::CLu`].
 //!    Both run one generic `factor_core`, which eliminates in place in the
 //!    factor storage along the frozen elimination schedule
-//!    (`Symbolic::e_target`, the schedule [`CSparseLuBatch`] walks lane by
-//!    lane): no dense scratch row, no copy in or out.
+//!    (`Symbolic::e_target`, which [`CSparseLuBatch`] walks lane by lane).
 //! 3. [`SparseLu::solve_into`] / [`CSparseLu::solve_into`] and
 //!    [`CSparseLu::det`] — in-place triangular solves and the determinant
 //!    from the product of pivots (the quantity the numeric TF extraction
@@ -323,9 +322,8 @@ pub struct Symbolic {
     /// update entries `f_diag[j]+1..row_ptr[j+1]`, flattened in order. The
     /// fill closure guarantees every update column exists in row `i`, so
     /// all three factorizations — [`SparseLu`], [`CSparseLu`] and
-    /// [`CSparseLuBatch`] — eliminate in place along this one schedule: no
-    /// scratch row, no copy in/out, and the scratch-row walk's arithmetic
-    /// order exactly.
+    /// [`CSparseLuBatch`] — eliminate in place along this one schedule, in
+    /// the scratch-row walk's arithmetic order exactly.
     e_target: Vec<usize>,
     /// The analyzed input pattern (refactor sanity checks).
     pattern: Arc<CsrPattern>,
@@ -802,10 +800,10 @@ fn assert_pattern_matches(pattern: &Arc<CsrPattern>, sym: &Symbolic) {
 /// Numeric refactorization following the frozen symbolic pattern:
 /// up-looking row LU (Doolittle) in place in the factor storage, along the
 /// elimination schedule `Symbolic::e_target` — zero allocation, no pivot
-/// search, no scratch row. Each update is the rounded `f = a_ij / u_jj`,
-/// then `a_it -= f · u_jt` over row `j`'s upper entries in column order,
-/// rows `j` ascending: the scratch-row walk's operations in its order, so
-/// the factors are bit-identical to it.
+/// search. Each update is the rounded `f = a_ij / u_jj`, then
+/// `a_it -= f · u_jt` over row `j`'s upper entries in column order, rows
+/// `j` ascending: the scratch-row walk's operations in its order, so the
+/// factors are bit-identical to it.
 fn factor_core<T: Scalar>(sym: &Symbolic, avals: &[T], fvals: &mut [T]) -> NumResult<()> {
     assert_eq!(avals.len(), sym.scatter.len(), "pattern mismatch");
     fvals.fill(T::ZERO);

@@ -756,9 +756,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
     /// Roots spread over nine decades come back within 1e-9 relative at
     /// every degree 3–12, and bit for bit as the `hypot` oracle returns
-    /// them. Starts on one circle between Cauchy's bounds overflowed
-    /// Horner's rule here from degree 10 (wrong roots or NaN); the Newton
-    /// polygon's circles sit at the roots' own scales.
+    /// them. Guards the start circles: one circle between Cauchy's bounds
+    /// overflows Horner's rule here from degree 10 and returns wrong roots.
     #[test]
     fn poly_roots_recover_widely_spread_circuit_roots(
         degree in 3usize..=12,

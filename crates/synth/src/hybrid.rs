@@ -20,12 +20,14 @@
 //! `det Y(s)` sample pays only for structural nonzeros; the selection is
 //! automatic and the dense path remains the oracle.
 //!
-//! On the 10–13-bit serial flows an evaluation takes about 63 µs on a
-//! 2-vCPU AVX2 VM: the DC solve about 22 µs, the TF extraction about
-//! 17 µs, and the equation leg about 25 µs — pole/zero cancellation with
-//! its Aberth root refinement about 15, the unity-gain search about 9,
-//! and phase margin, which sums over the roots cancellation kept, about
-//! 1.
+//! On the 10–13-bit serial flows an evaluation takes about 32–37 µs on a
+//! 2-vCPU AVX2 VM (timed per leg in an instrumented build): the DC solve
+//! 12–15 µs, whose sparse factor and solve take 0.25–0.31 µs per Newton
+//! iteration; the TF extraction 9–11 µs; and the equation leg about
+//! 10 µs — pole/zero cancellation 3.6–4.2 µs, most of it Aberth root
+//! refinement at about 5 sweeps per call, then `a0`, the unity-gain
+//! search and phase margin, which sums over the roots cancellation kept,
+//! 6–7 µs together.
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
