@@ -5,6 +5,18 @@
 //! paper's hybrid evaluation loop (§3): every synthesis iteration solves the
 //! candidate OTA's bias point here, then hands the extracted gm/gds/C to the
 //! equation-based transfer-function analysis.
+//!
+//! Which callers run the homotopy ladder:
+//! - [`dc_operating_point`] and [`dc_operating_point_with`] run all of it:
+//!   plain Newton, then g_min stepping, then source stepping. The chain DC
+//!   of sign-off, AC analysis, the warm path's fallback
+//!   ([`dc_operating_point_warm`]) and the tests use them.
+//! - [`dc_operating_point_newton`], the synthesis evaluation's cold solve,
+//!   stops after plain Newton. On the synthesis testbenches the ladder
+//!   never rescued a solve that plain Newton lost (0 of 1 424 on the 32
+//!   serial-oracle flows), yet it spent about 300 iterations on each of
+//!   them, 9 % of all DC iterations. A failed candidate simply fails; the
+//!   flow's retry ladder still escalates a block that keeps failing.
 
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
@@ -464,7 +476,9 @@ fn newton(
 ///
 /// Strategy: plain damped Newton from the node-set/zero initial guess; if
 /// that fails, g_min stepping (decade by decade); if that fails, source
-/// stepping. This mirrors production SPICE behaviour.
+/// stepping. This mirrors production SPICE behaviour. The synthesis
+/// evaluation stops after the first stage instead
+/// ([`dc_operating_point_newton`]).
 ///
 /// # Errors
 /// [`SpiceError::DcConvergence`] if all homotopy stages fail;
@@ -582,29 +596,58 @@ pub fn dc_operating_point_warm(
     solve_cold_or_dense(ws, circuit, opts)
 }
 
-/// [`solve_cold`], rerun once on the dense engine when it failed after an
-/// underflowed sparse pivot (the fallback policy of the `engine` module).
+/// Runs `solve` on the prepared workspace and reruns it once on the dense
+/// engine when it failed after an underflowed sparse pivot (the fallback
+/// policy of the `engine` module).
+fn solve_or_dense(
+    ws: &mut DcWorkspace,
+    circuit: &Circuit,
+    solve: impl Fn(&mut DcWorkspace) -> SpiceResult<OperatingPoint>,
+) -> SpiceResult<OperatingPoint> {
+    let out = solve(ws);
+    if !ws.engine.fall_back(&out) {
+        return out;
+    }
+    ws.stamp_linear_base(circuit);
+    solve(ws)
+}
+
+/// [`solve_cold`] with the dense rerun.
 fn solve_cold_or_dense(
     ws: &mut DcWorkspace,
     circuit: &Circuit,
     opts: &DcOptions,
 ) -> SpiceResult<OperatingPoint> {
-    let out = solve_cold(ws, circuit, opts);
-    if !ws.engine.fall_back(&out) {
-        return out;
-    }
-    ws.stamp_linear_base(circuit);
-    solve_cold(ws, circuit, opts)
+    solve_or_dense(ws, circuit, |ws| solve_cold(ws, circuit, opts))
 }
 
-/// The cold-start homotopy ladder (plain Newton, then g_min stepping, then
-/// source stepping) on a freshly prepared workspace.
-fn solve_cold(
+/// The synthesis evaluation's cold DC: damped Newton from the node-set/zero
+/// initial guess, capped at [`DcOptions::max_iter`], and no homotopy
+/// ladder. On the synthesis testbenches the ladder never rescued a solve
+/// that plain Newton lost (0 of 1 424 on the serial-oracle flows) while it
+/// spent about 300 iterations on each, so a failed candidate now fails
+/// here; the flow's retry ladder still escalates a block that keeps
+/// failing. The dense rerun after an underflowed sparse pivot stays.
+///
+/// # Errors
+/// [`SpiceError::DcConvergence`] if Newton does not converge;
+/// [`SpiceError::Timeout`] if [`DcOptions::deadline`] expires.
+pub fn dc_operating_point_newton(
     ws: &mut DcWorkspace,
     circuit: &Circuit,
     opts: &DcOptions,
 ) -> SpiceResult<OperatingPoint> {
-    ws.warm_valid = false;
+    #[cfg(feature = "faults")]
+    if let Some(e) = injected_dc_fault() {
+        return Err(e);
+    }
+    ws.prepare(circuit)?;
+    solve_or_dense(ws, circuit, |ws| solve_plain(ws, circuit, opts))
+}
+
+/// Loads the node-set/zero initial guess into `x` and remembers it in `x0`
+/// for the homotopy rungs.
+fn load_initial_guess(ws: &mut DcWorkspace, circuit: &Circuit, opts: &DcOptions) {
     ws.x.fill(0.0);
     for (name, v) in &opts.nodeset {
         if let Some(node) = circuit.find_node(name) {
@@ -614,33 +657,110 @@ fn solve_cold(
         }
     }
     ws.x0.copy_from_slice(&ws.x);
+}
 
-    let mut total_iters = 0;
+/// Turns a finished Newton stage into the solve's result: the operating
+/// point when it converged (the workspace then holds a warm-start point),
+/// a timeout, or a convergence failure after `iterations` in total.
+fn finish(
+    ws: &mut DcWorkspace,
+    circuit: &Circuit,
+    out: &NewtonOutcome,
+    iterations: usize,
+) -> SpiceResult<OperatingPoint> {
+    if out.converged {
+        ws.warm_valid = true;
+        Ok(OperatingPoint::from_solution(
+            circuit,
+            ws.engine.map(),
+            &ws.x,
+        ))
+    } else if out.timed_out {
+        Err(SpiceError::Timeout {
+            analysis: "dc",
+            iterations,
+        })
+    } else {
+        Err(SpiceError::DcConvergence {
+            residual: out.residual,
+            iterations,
+        })
+    }
+}
+
+/// Plain damped Newton from the node-set/zero initial guess on a freshly
+/// prepared workspace.
+fn solve_plain(
+    ws: &mut DcWorkspace,
+    circuit: &Circuit,
+    opts: &DcOptions,
+) -> SpiceResult<OperatingPoint> {
+    ws.warm_valid = false;
+    load_initial_guess(ws, circuit, opts);
+    let out = newton(ws, circuit, opts, opts.gmin, 1.0, opts.max_iter);
+    finish(ws, circuit, &out, out.iterations)
+}
+
+/// Target of g_min stepping when [`DcOptions::gmin`] is disabled (≤ 0):
+/// the rungs step down to the default baseline, then the final solve runs
+/// without g_min.
+const GMIN_STEP_FLOOR: f64 = 1e-12;
+
+/// The rungs of g_min stepping: decades from 1e-2 S down to the baseline
+/// g_min (0.99 of it, so rounding cannot drop the last decade), or down to
+/// [`GMIN_STEP_FLOOR`] when g_min is disabled. The schedule is finite for
+/// every setting; a disabled g_min used to step down to 0 and then repeat
+/// that rung forever.
+struct GminSchedule {
+    g: f64,
+    floor: f64,
+}
+
+impl GminSchedule {
+    fn new(gmin: f64) -> Self {
+        let target = if gmin > 0.0 { gmin } else { GMIN_STEP_FLOOR };
+        GminSchedule {
+            g: 1e-2,
+            floor: target * 0.99,
+        }
+    }
+}
+
+impl Iterator for GminSchedule {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        if self.g >= self.floor {
+            let g = self.g;
+            self.g /= 10.0;
+            Some(g)
+        } else {
+            None
+        }
+    }
+}
+
+/// The cold-start homotopy ladder (plain Newton, then g_min stepping, then
+/// source stepping) on a freshly prepared workspace.
+fn solve_cold(
+    ws: &mut DcWorkspace,
+    circuit: &Circuit,
+    opts: &DcOptions,
+) -> SpiceResult<OperatingPoint> {
+    // Stage 1: plain Newton.
+    let mut total_iters = match solve_plain(ws, circuit, opts) {
+        Err(SpiceError::DcConvergence { iterations, .. }) => iterations,
+        done => return done,
+    };
     let timeout = |iters: usize| SpiceError::Timeout {
         analysis: "dc",
         iterations: iters,
     };
 
-    // Stage 1: plain Newton.
-    let out = newton(ws, circuit, opts, opts.gmin, 1.0, opts.max_iter);
-    total_iters += out.iterations;
-    if out.converged {
-        ws.warm_valid = true;
-        return Ok(OperatingPoint::from_solution(
-            circuit,
-            ws.engine.map(),
-            &ws.x,
-        ));
-    }
-    if out.timed_out {
-        return Err(timeout(total_iters));
-    }
-
     // Stage 2: g_min stepping.
     ws.x.copy_from_slice(&ws.x0);
     let mut ok = true;
-    let mut g = 1e-2;
-    while g >= opts.gmin * 0.99 {
+    for g in GminSchedule::new(opts.gmin) {
         let out = newton(ws, circuit, opts, g, 1.0, opts.max_iter);
         total_iters += out.iterations;
         if !out.converged {
@@ -650,21 +770,12 @@ fn solve_cold(
             ok = false;
             break;
         }
-        g /= 10.0;
     }
     if ok {
         let out = newton(ws, circuit, opts, opts.gmin, 1.0, opts.max_iter);
         total_iters += out.iterations;
-        if out.converged {
-            ws.warm_valid = true;
-            return Ok(OperatingPoint::from_solution(
-                circuit,
-                ws.engine.map(),
-                &ws.x,
-            ));
-        }
-        if out.timed_out {
-            return Err(timeout(total_iters));
+        if out.converged || out.timed_out {
+            return finish(ws, circuit, &out, total_iters);
         }
     }
 
@@ -688,16 +799,8 @@ fn solve_cold(
     if ok {
         let out = newton(ws, circuit, opts, opts.gmin, 1.0, opts.max_iter);
         total_iters += out.iterations;
-        if out.converged {
-            ws.warm_valid = true;
-            return Ok(OperatingPoint::from_solution(
-                circuit,
-                ws.engine.map(),
-                &ws.x,
-            ));
-        }
-        if out.timed_out {
-            return Err(timeout(total_iters));
+        if out.converged || out.timed_out {
+            return finish(ws, circuit, &out, total_iters);
         }
         last_residual = out.residual;
     }
@@ -839,6 +942,69 @@ mod tests {
             ir
         );
         assert_eq!(ev.region, crate::mosfet::Region::Saturation);
+    }
+
+    /// With g_min disabled, g_min stepping used to divide its conductance
+    /// down to 0 S and then repeat that rung forever. Plain Newton needs
+    /// more than 10 iterations here, so the solve reaches the ladder; every
+    /// rung converges, and the finite schedule ends in the final solve
+    /// without g_min. The deadline turns a regression into a timeout
+    /// instead of a hang.
+    #[test]
+    fn gmin_stepping_terminates_with_gmin_disabled() {
+        let p = Process::c025();
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let d = c.node("d");
+        c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
+        c.add_resistor("RB", vdd, d, 10e3);
+        c.add_mosfet(
+            "M1",
+            d,
+            d,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            p.nmos,
+            10e-6,
+            1e-6,
+        );
+        let opts = DcOptions {
+            gmin: 0.0,
+            max_iter: 10,
+            deadline: adc_numerics::Deadline::within(std::time::Duration::from_secs(2)),
+            ..DcOptions::default()
+        };
+        let mut ws = DcWorkspace::new(&c).unwrap();
+        assert!(
+            matches!(
+                dc_operating_point_newton(&mut ws, &c, &opts),
+                Err(SpiceError::DcConvergence { .. })
+            ),
+            "plain Newton alone must not converge within 10 iterations"
+        );
+        let op = dc_operating_point_with(&mut ws, &c, &opts).expect("the ladder converges");
+        let vgs = op.voltage(d);
+        assert!(vgs > p.nmos.vto && vgs < 2.0, "vgs = {vgs}");
+        let ir = (3.3 - vgs) / 10e3;
+        let id = op.mos_eval("M1").unwrap().id;
+        assert!((id - ir).abs() < 1e-6 * ir, "id {id} vs ir {ir}");
+    }
+
+    #[test]
+    fn gmin_schedule_keeps_the_decades() {
+        let rungs: Vec<f64> = GminSchedule::new(1e-12).collect();
+        assert_eq!(rungs.len(), 11);
+        assert_eq!(rungs[0], 1e-2);
+        // Repeated division, exactly as the rungs have always been made.
+        let mut g = 1e-2;
+        for &r in &rungs {
+            assert_eq!(r.to_bits(), f64::to_bits(g));
+            g /= 10.0;
+        }
+        for gmin in [0.0, -1.0] {
+            assert_eq!(GminSchedule::new(gmin).count(), 11, "gmin {gmin}");
+        }
+        assert_eq!(GminSchedule::new(1e-3).count(), 2);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! controlled sources; modified nodal analysis with automatic dense/sparse
 //! engine selection (CSR + reusable symbolic factorization on OTA-sized
 //! systems, dense partial-pivot LU as the oracle); damped-Newton DC
-//! operating point with g_min and source-stepping homotopy; a shared
+//! operating point with g_min and source-stepping homotopy (sign-off, AC
+//! and tests run the whole ladder; the synthesis evaluation stops after
+//! plain Newton, because on its testbenches no rung ever rescued a solve,
+//! see [`dc`]); a shared
 //! small-signal linearizer ([`linearize`]) feeding complex-valued AC
 //! sweeps and the numeric TF extraction in adc-sfg; and a trapezoidal
 //! transient engine with two-phase clocked switches for switched-capacitor
@@ -47,7 +50,8 @@ pub mod waveform;
 
 pub use ac::{ac_sweep, ac_sweep_with, AcWorkspace};
 pub use dc::{
-    dc_operating_point, dc_operating_point_warm, dc_operating_point_with, DcOptions, DcWorkspace,
+    dc_operating_point, dc_operating_point_newton, dc_operating_point_warm,
+    dc_operating_point_with, DcOptions, DcWorkspace,
 };
 pub use linearize::{ComplexMnaWorkspace, SmallSignal, SolverChoice};
 pub use netlist::{Circuit, ElementId, NodeId};

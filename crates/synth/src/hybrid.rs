@@ -32,7 +32,7 @@
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
 use adc_sfg::nettf::{extract_tf_with, NetTfOptions, NetTfWorkspace};
-use adc_spice::dc::{dc_operating_point_warm, dc_operating_point_with, DcOptions, DcWorkspace};
+use adc_spice::dc::{dc_operating_point_newton, dc_operating_point_warm, DcOptions, DcWorkspace};
 use adc_spice::mosfet::Region;
 use adc_spice::netlist::{Circuit, NodeId};
 use adc_spice::SolverChoice;
@@ -264,11 +264,12 @@ where
         let dc_ws = state.dc.as_mut().expect("workspace created above");
         // Warm-start only in the optimizer's local phase: tightly clustered
         // candidates track the continuously deformed bias point, while the
-        // global search stays on the history-free cold ladder.
+        // global search stays on history-free cold Newton (no homotopy
+        // ladder: it never rescued a synthesis solve).
         let solved = if self.opts.warm_start_local && self.local_phase.get() {
             dc_operating_point_warm(dc_ws, &bench.circuit, &self.opts.dc)
         } else {
-            dc_operating_point_with(dc_ws, &bench.circuit, &self.opts.dc)
+            dc_operating_point_newton(dc_ws, &bench.circuit, &self.opts.dc)
         };
         let op = match solved {
             Ok(op) => op,
