@@ -23,10 +23,11 @@ use crate::linearize::SolverChoice;
 use crate::mna::{add_opt, MnaMap};
 use crate::mosfet::eval_mosfet;
 use crate::netlist::{Circuit, Element};
-use crate::op::OperatingPoint;
+use crate::op::{OpLayout, OperatingPoint};
 use crate::{SpiceError, SpiceResult};
 use adc_numerics::Deadline;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Newton step-limiting strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -268,6 +269,9 @@ pub struct DcWorkspace {
     /// `x` holds a converged solution from a previous solve (used by
     /// [`dc_operating_point_warm`] to skip the homotopy ladder).
     warm_valid: bool,
+    /// Element names and result slots, shared by every operating point
+    /// this workspace returns.
+    layout: Arc<OpLayout>,
 }
 
 impl DcWorkspace {
@@ -302,6 +306,7 @@ impl DcWorkspace {
             p.close();
         })?;
         let dim = engine.map().dim();
+        let layout = Arc::new(OpLayout::new(circuit, engine.map()));
         Ok(DcWorkspace {
             engine,
             base_rhs: vec![0.0; dim],
@@ -310,6 +315,7 @@ impl DcWorkspace {
             x: vec![0.0; dim],
             x0: vec![0.0; dim],
             warm_valid: false,
+            layout,
         })
     }
 
@@ -326,11 +332,14 @@ impl DcWorkspace {
         self.engine.is_sparse()
     }
 
-    /// Starts a solve: rebuilds on a topology change, then restamps the
-    /// linear base.
+    /// Starts a solve: rebuilds on a topology change (or re-indexes the
+    /// element names when only they changed), then restamps the linear
+    /// base.
     fn prepare(&mut self, circuit: &Circuit) -> SpiceResult<()> {
         if !self.matches(circuit) {
             *self = DcWorkspace::with_solver(circuit, self.engine.choice())?;
+        } else if !self.layout.names_match(circuit) {
+            self.layout = Arc::new(OpLayout::new(circuit, self.engine.map()));
         }
         self.stamp_linear_base(circuit);
         Ok(())
@@ -579,11 +588,7 @@ pub fn dc_operating_point_warm(
         };
         let out = newton(ws, circuit, &tight, tight.gmin, 1.0, WARM_MAX_ITER);
         if out.converged {
-            return Ok(OperatingPoint::from_solution(
-                circuit,
-                ws.engine.map(),
-                &ws.x,
-            ));
+            return Ok(OperatingPoint::from_solution(circuit, &ws.layout, &ws.x));
         }
         if out.timed_out {
             return Err(SpiceError::Timeout {
@@ -670,11 +675,7 @@ fn finish(
 ) -> SpiceResult<OperatingPoint> {
     if out.converged {
         ws.warm_valid = true;
-        Ok(OperatingPoint::from_solution(
-            circuit,
-            ws.engine.map(),
-            &ws.x,
-        ))
+        Ok(OperatingPoint::from_solution(circuit, &ws.layout, &ws.x))
     } else if out.timed_out {
         Err(SpiceError::Timeout {
             analysis: "dc",

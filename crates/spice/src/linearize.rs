@@ -19,7 +19,7 @@
 //! an in-place refactorization.
 
 use crate::mna::MnaMap;
-use crate::netlist::{Circuit, Element, NodeId};
+use crate::netlist::{Circuit, Element, ElementId, NodeId};
 use crate::op::OperatingPoint;
 use crate::{SpiceError, SpiceResult};
 use adc_numerics::complex::Complex;
@@ -223,7 +223,7 @@ impl SmallSignal {
                     b: bn,
                     ..
                 } => {
-                    let ev = op.mos_eval(name).ok_or_else(|| {
+                    let ev = op.mos_eval_at(ElementId(idx)).ok_or_else(|| {
                         SpiceError::NotFound(format!("operating point for {name}"))
                     })?;
                     // id = gm·vgs + gds·vds + gmb·vbs, current d→s.

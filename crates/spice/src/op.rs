@@ -3,103 +3,212 @@
 
 use crate::mna::MnaMap;
 use crate::mosfet::{eval_mosfet, MosEval};
-use crate::netlist::{Circuit, Element, NodeId};
-use std::collections::HashMap;
+use crate::netlist::{Circuit, Element, ElementId, NodeId};
+use std::sync::Arc;
+
+/// Where an element's result sits in an [`OperatingPoint`].
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Nothing to report (passives, current sources, VCCS).
+    None,
+    /// Branch current at this row of the MNA solution.
+    Branch(usize),
+    /// MOSFET evaluation at this index of the device list.
+    Mos(usize),
+}
+
+/// The index of one circuit topology's operating points: the element
+/// names and where each element's result sits. A DC workspace builds it
+/// once and shares it with every operating point it returns, so a solve
+/// builds no name-keyed map.
+#[derive(Debug)]
+pub(crate) struct OpLayout {
+    node_count: usize,
+    names: Vec<String>,
+    slots: Vec<Slot>,
+    mosfets: usize,
+}
+
+impl OpLayout {
+    /// Indexes `circuit`'s elements against its MNA map.
+    pub(crate) fn new(circuit: &Circuit, map: &MnaMap) -> Self {
+        let mut mosfets = 0;
+        let slots = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| match e {
+                Element::VSource { .. } | Element::Vcvs { .. } => Slot::Branch(map.branch_row(i)),
+                Element::Mosfet { .. } => {
+                    mosfets += 1;
+                    Slot::Mos(mosfets - 1)
+                }
+                _ => Slot::None,
+            })
+            .collect();
+        OpLayout {
+            node_count: circuit.node_count(),
+            names: circuit
+                .elements()
+                .iter()
+                .map(|e| e.name().to_string())
+                .collect(),
+            slots,
+            mosfets,
+        }
+    }
+
+    /// Whether `circuit` names its elements as the circuit this layout was
+    /// built for (the workspace checks the topology itself).
+    pub(crate) fn names_match(&self, circuit: &Circuit) -> bool {
+        self.names.len() == circuit.elements().len()
+            && self
+                .names
+                .iter()
+                .zip(circuit.elements())
+                .all(|(n, e)| n == e.name())
+    }
+}
 
 /// Solved DC operating point of a circuit.
 ///
 /// Produced by [`crate::dc::dc_operating_point`]; consumed by the AC
 /// analysis, the DPI/SFG linearization and the synthesis evaluator.
+/// Results are stored by index: [`OperatingPoint::branch_current_at`],
+/// [`OperatingPoint::mos_eval_at`] and
+/// [`OperatingPoint::source_power_at`] read them without a name lookup,
+/// and the name accessors resolve a name through the element list shared
+/// by every operating point of one workspace.
 #[derive(Debug, Clone)]
 pub struct OperatingPoint {
-    voltages: Vec<f64>,
-    branch_currents: HashMap<String, f64>,
-    mos_evals: HashMap<String, MosEval>,
+    /// Ground (0 V), then the MNA solution: the other node voltages, then
+    /// the branch currents.
+    values: Vec<f64>,
+    /// MOSFET evaluations in element order.
+    mos: Vec<MosEval>,
+    layout: Arc<OpLayout>,
 }
 
 impl OperatingPoint {
     /// Builds the operating point from a converged MNA solution vector.
-    pub(crate) fn from_solution(circuit: &Circuit, map: &MnaMap, x: &[f64]) -> Self {
-        let mut voltages = vec![0.0; circuit.node_count()];
-        voltages[1..].copy_from_slice(&x[..circuit.node_count() - 1]);
-        let mut branch_currents = HashMap::new();
-        let mut mos_evals = HashMap::new();
-        for (i, e) in circuit.elements().iter().enumerate() {
-            match e {
-                Element::VSource { name, .. } | Element::Vcvs { name, .. } => {
-                    branch_currents.insert(name.clone(), x[map.branch_row(i)]);
-                }
-                Element::Mosfet {
-                    name,
-                    d,
-                    g,
-                    s,
-                    b,
-                    model,
-                    w,
-                    l,
-                } => {
-                    let vd = voltages[d.index()];
-                    let vg = voltages[g.index()];
-                    let vs = voltages[s.index()];
-                    let vb = voltages[b.index()];
-                    mos_evals.insert(
-                        name.clone(),
-                        eval_mosfet(model, *w, *l, vg - vs, vd - vs, vb - vs),
-                    );
-                }
-                _ => {}
+    pub(crate) fn from_solution(circuit: &Circuit, layout: &Arc<OpLayout>, x: &[f64]) -> Self {
+        let mut values = Vec::with_capacity(x.len() + 1);
+        values.push(0.0);
+        values.extend_from_slice(x);
+        let voltages = &values[..layout.node_count];
+        let mut mos = Vec::with_capacity(layout.mosfets);
+        for e in circuit.elements() {
+            if let Element::Mosfet {
+                d,
+                g,
+                s,
+                b,
+                model,
+                w,
+                l,
+                ..
+            } = e
+            {
+                let vd = voltages[d.index()];
+                let vg = voltages[g.index()];
+                let vs = voltages[s.index()];
+                let vb = voltages[b.index()];
+                mos.push(eval_mosfet(model, *w, *l, vg - vs, vd - vs, vb - vs));
             }
         }
         OperatingPoint {
-            voltages,
-            branch_currents,
-            mos_evals,
+            values,
+            mos,
+            layout: Arc::clone(layout),
         }
     }
 
     /// Voltage of a node (ground is 0).
     pub fn voltage(&self, node: NodeId) -> f64 {
-        self.voltages[node.index()]
+        self.voltages()[node.index()]
     }
 
     /// All node voltages indexed by [`NodeId::index`].
     pub fn voltages(&self) -> &[f64] {
-        &self.voltages
+        &self.values[..self.layout.node_count]
     }
 
-    /// Branch current of a named voltage source / VCVS.
+    fn slot(&self, id: ElementId) -> Slot {
+        self.layout.slots.get(id.0).copied().unwrap_or(Slot::None)
+    }
+
+    fn id_of(&self, name: &str) -> Option<ElementId> {
+        self.layout
+            .names
+            .iter()
+            .position(|n| n == name)
+            .map(ElementId)
+    }
+
+    /// Branch current of the voltage source / VCVS `id`; `None` for any
+    /// other element.
     ///
     /// Positive current flows from the positive terminal *through the
     /// source* to the negative terminal (SPICE convention), so a supply
     /// delivering power reports a negative branch current.
+    pub fn branch_current_at(&self, id: ElementId) -> Option<f64> {
+        match self.slot(id) {
+            Slot::Branch(row) => Some(self.values[1 + row]),
+            _ => None,
+        }
+    }
+
+    /// Branch current of a named voltage source / VCVS (see
+    /// [`OperatingPoint::branch_current_at`]).
     pub fn branch_current(&self, name: &str) -> Option<f64> {
-        self.branch_currents.get(name).copied()
+        self.branch_current_at(self.id_of(name)?)
+    }
+
+    /// Small-signal evaluation of the MOSFET `id`; `None` for any other
+    /// element.
+    pub fn mos_eval_at(&self, id: ElementId) -> Option<&MosEval> {
+        match self.slot(id) {
+            Slot::Mos(k) => Some(&self.mos[k]),
+            _ => None,
+        }
     }
 
     /// Small-signal evaluation of a named MOSFET.
     pub fn mos_eval(&self, name: &str) -> Option<&MosEval> {
-        self.mos_evals.get(name)
+        self.mos_eval_at(self.id_of(name)?)
     }
 
-    /// Iterator over all MOSFET evaluations.
+    /// Iterator over all MOSFET evaluations, in element order.
     pub fn mos_evals(&self) -> impl Iterator<Item = (&str, &MosEval)> {
-        self.mos_evals.iter().map(|(k, v)| (k.as_str(), v))
+        let layout = &self.layout;
+        layout
+            .names
+            .iter()
+            .zip(&layout.slots)
+            .filter_map(move |(name, slot)| match slot {
+                Slot::Mos(k) => Some((name.as_str(), &self.mos[*k])),
+                _ => None,
+            })
+    }
+
+    /// Power delivered *by* the voltage source `id` (positive when the
+    /// source feeds the circuit), W; `None` for any other element.
+    pub fn source_power_at(&self, circuit: &Circuit, id: ElementId) -> Option<f64> {
+        match circuit.element(id) {
+            Element::VSource { wave, .. } => {
+                let v = wave.dc_value();
+                let i = self.branch_current_at(id)?;
+                Some(-v * i)
+            }
+            _ => None,
+        }
     }
 
     /// Power delivered *by* a named voltage source (positive when the source
     /// feeds the circuit), W.
     pub fn source_power(&self, circuit: &Circuit, name: &str) -> Option<f64> {
-        let (_, e) = circuit.find_element(name)?;
-        match e {
-            Element::VSource { p, n, wave, .. } => {
-                let v = wave.dc_value();
-                let i = self.branch_current(name)?;
-                let _ = (p, n);
-                Some(-v * i)
-            }
-            _ => None,
-        }
+        let (id, _) = circuit.find_element(name)?;
+        self.source_power_at(circuit, id)
     }
 
     /// Total power delivered by all independent voltage sources, W.
@@ -110,9 +219,10 @@ impl OperatingPoint {
         circuit
             .elements()
             .iter()
-            .filter_map(|e| match e {
-                Element::VSource { name, wave, .. } => {
-                    let i = self.branch_current(name)?;
+            .enumerate()
+            .filter_map(|(i, e)| match e {
+                Element::VSource { wave, .. } => {
+                    let i = self.branch_current_at(ElementId(i))?;
                     Some(-wave.dc_value() * i)
                 }
                 _ => None,

@@ -11,9 +11,12 @@
 //! when the testbench carries a [`BenchTuner`], each candidate is applied
 //! by **in-place retuning** (no netlist rebuild), and the DC Newton loop
 //! and the TF sampling reuse preallocated matrices and factor buffers.
-//! The evaluation still allocates: each DC solve's `OperatingPoint`
-//! builds two name-keyed maps, and coefficient recovery, pole/zero
-//! cancellation and the re-expanded polynomials build small vectors. On
+//! The operating point is read by index: the supply and the checked
+//! devices are resolved by name once per built testbench, and the
+//! linearization walks the devices in element order. The evaluation still
+//! allocates small vectors: the operating point's solution and device
+//! list, coefficient recovery, pole/zero cancellation and the re-expanded
+//! polynomials. On
 //! OTA-sized testbenches both workspaces factor CSR-**sparse** against a
 //! symbolic factorization the engines freeze once per topology (see
 //! `adc_numerics::sparse`), so every Newton iteration and every
@@ -34,7 +37,7 @@ use adc_numerics::quant::Fingerprint;
 use adc_sfg::nettf::{extract_tf_with, NetTfOptions, NetTfWorkspace};
 use adc_spice::dc::{dc_operating_point_newton, dc_operating_point_warm, DcOptions, DcWorkspace};
 use adc_spice::mosfet::Region;
-use adc_spice::netlist::{Circuit, NodeId};
+use adc_spice::netlist::{Circuit, ElementId, NodeId};
 use adc_spice::SolverChoice;
 use std::cell::RefCell;
 use std::fmt;
@@ -196,8 +199,23 @@ impl HybridOptions {
 #[derive(Default)]
 struct EvalState {
     bench: Option<BenchSetup>,
+    /// The testbench's supply and checked devices, resolved by name when
+    /// it was built (`None`: no such element).
+    supply: Option<ElementId>,
+    devices: Vec<Option<ElementId>>,
     dc: Option<DcWorkspace>,
     tf: NetTfWorkspace,
+}
+
+impl EvalState {
+    /// Installs a freshly built testbench and resolves its named elements,
+    /// so the evaluations read the operating point by index.
+    fn install(&mut self, bench: BenchSetup) {
+        let find = |name: &str| bench.circuit.find_element(name).map(|(id, _)| id);
+        self.supply = find(&bench.supply);
+        self.devices = bench.devices.iter().map(|d| find(d)).collect();
+        self.bench = Some(bench);
+    }
 }
 
 /// Evaluator wrapping a testbench builder closure.
@@ -251,7 +269,7 @@ where
             None => false,
         };
         if !retuned {
-            state.bench = Some((self.build)(x));
+            state.install((self.build)(x));
         }
         let bench = state.bench.as_ref().expect("bench materialized above");
         // Leg 1: DC simulation (persistent workspace).
@@ -275,13 +293,16 @@ where
             Ok(op) => op,
             Err(e) => return EvalOutcome::Failed(format!("DC: {e}")),
         };
-        let power = match op.source_power(&bench.circuit, &bench.supply) {
+        let power = match state
+            .supply
+            .and_then(|id| op.source_power_at(&bench.circuit, id))
+        {
             Some(p) => p,
             None => return EvalOutcome::Failed(format!("no supply source {}", bench.supply)),
         };
         let mut saturated = 0usize;
-        for name in &bench.devices {
-            match op.mos_eval(name) {
+        for (name, id) in bench.devices.iter().zip(&state.devices) {
+            match id.and_then(|id| op.mos_eval_at(id)) {
                 Some(ev) if ev.region == Region::Saturation => saturated += 1,
                 Some(_) => {}
                 None => return EvalOutcome::Failed(format!("no such device {name}")),
