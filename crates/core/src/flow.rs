@@ -63,7 +63,14 @@ use std::time::{Duration, Instant};
 /// Version 4: Aberth root finding starts on the circles of the Newton
 /// polygon instead of one circle, which moves the last bits of `a0`, `pm`,
 /// the unity-gain frequency and some costs.
-pub const FLOW_CACHE_VERSION: u64 = 4;
+///
+/// Version 5: the global phase's DC Newton starts from the operating point
+/// of the template's nominal design instead of zero, and stops without the
+/// homotopy ladder. Converged points move in their last bits, and some
+/// sizings converge only from the new start, so annealing trajectories
+/// fork: `best_x`, costs and evaluation counts move, rankings and winners
+/// do not.
+pub const FLOW_CACHE_VERSION: u64 = 5;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
 /// **single source of truth** shared by [`synthesize_ota`] and the
@@ -356,26 +363,21 @@ pub fn validate_template(process: &Process, req: &OtaRequirements) -> Result<(),
     }
 }
 
-/// Builds the synthesizer + evaluator pair for a requirement set and runs
-/// it under an explicit evaluator configuration and wall-clock deadline —
-/// the fallible core every flow path funnels through. `warm` selects a
-/// retarget from that result ([`Synthesizer::run`]).
-fn run_ota_synthesis(
+/// The synthesis evaluator of one block: the template's testbench at the
+/// block's load, built once and retuned in place per candidate, with every
+/// cold DC solve started from the operating point of the template's
+/// nominal design ([`HybridOtaEvaluator::with_start_sizing`]).
+fn block_evaluator(
     process: &Process,
-    req: &OtaRequirements,
-    cfg: &SynthConfig,
-    warm: Option<&SynthResult>,
+    template: TemplateKind,
+    c_load: f64,
     opts: HybridOptions,
-    deadline: Deadline,
-) -> Result<SynthResult, SynthError> {
-    let space = space_for(req.template);
-    let synth = Synthesizer::new(space, constraints_for(req), "power");
+) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
     let proc = process.clone();
-    let template = req.template;
-    let c_load = req.c_load;
-    // Builder runs once per evaluator; every later candidate retunes the
-    // persistent testbench in place through the resolved element handles.
-    // The expects below are unreachable when [`validate_template`] passed.
+    // Builder runs once per evaluator (and once for the start sizing);
+    // every later candidate retunes the persistent testbench in place
+    // through the resolved element handles. The expects below are
+    // unreachable when [`validate_template`] passed.
     let build = move |x: &[f64]| -> BenchSetup {
         match template {
             TemplateKind::Telescopic => {
@@ -398,7 +400,27 @@ fn run_ota_synthesis(
             }
         }
     };
-    let evaluator = HybridOtaEvaluator::new(build, opts);
+    let nominal = match template {
+        TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
+        TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
+    };
+    HybridOtaEvaluator::new(build, opts).with_start_sizing(nominal)
+}
+
+/// Builds the synthesizer + evaluator pair for a requirement set and runs
+/// it under an explicit evaluator configuration and wall-clock deadline —
+/// the fallible core every flow path funnels through. `warm` selects a
+/// retarget from that result ([`Synthesizer::run`]).
+fn run_ota_synthesis(
+    process: &Process,
+    req: &OtaRequirements,
+    cfg: &SynthConfig,
+    warm: Option<&SynthResult>,
+    opts: HybridOptions,
+    deadline: Deadline,
+) -> Result<SynthResult, SynthError> {
+    let synth = Synthesizer::new(space_for(req.template), constraints_for(req), "power");
+    let evaluator = block_evaluator(process, req.template, req.c_load, opts);
     synth.run(&evaluator, cfg, warm, deadline)
 }
 
@@ -1463,5 +1485,216 @@ mod tests {
         let fu = run.best_perf.get("unity_freq").unwrap_or(0.0);
         assert!(a0 > req.a0_min * 0.3, "a0 {a0} vs req {}", req.a0_min);
         assert!(fu > req.unity_min * 0.3, "fu {fu} vs req {}", req.unity_min);
+    }
+}
+
+/// The synthesis-DC contract of [`block_evaluator`]: the global phase
+/// starts Newton from the operating point of the template's nominal design
+/// and stops without the homotopy ladder, it solves every sizing the
+/// ladder solves, and an evaluation stays a pure function of its
+/// candidate.
+#[cfg(test)]
+mod synth_dc_tests {
+    use super::*;
+    use adc_spice::dc::{dc_operating_point_newton, dc_operating_point_with, DcWorkspace};
+    use adc_synth::{EvalOutcome, Evaluator};
+
+    const TEMPLATES: [TemplateKind; 2] = [TemplateKind::Telescopic, TemplateKind::TwoStage];
+
+    /// Deterministic uniform stream on [0, 1) (splitmix64).
+    struct Uniform(u64);
+
+    impl Uniform {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        }
+
+        /// A sizing drawn log- or linear-uniformly over the template's
+        /// bounds, as the annealer's design space maps them.
+        fn sizing(&mut self, template: TemplateKind) -> Vec<f64> {
+            let space = space_for(template);
+            let u: Vec<f64> = (0..space.dim()).map(|_| self.next()).collect();
+            space.denormalize(&u)
+        }
+    }
+
+    fn nominal(template: TemplateKind) -> Vec<f64> {
+        match template {
+            TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
+            TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
+        }
+    }
+
+    fn testbench(template: TemplateKind, x: &[f64], c_load: f64) -> Circuit {
+        let process = Process::c025();
+        match template {
+            TemplateKind::Telescopic => {
+                build_telescopic(&process, &TelescopicParams::from_vec(x), c_load).circuit
+            }
+            TemplateKind::TwoStage => {
+                build_two_stage(&process, &TwoStageParams::from_vec(x), c_load).circuit
+            }
+        }
+    }
+
+    fn evaluator(
+        template: TemplateKind,
+        opts: HybridOptions,
+    ) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
+        block_evaluator(&Process::c025(), template, 1e-12, opts)
+    }
+
+    fn bits(out: &EvalOutcome) -> Option<Vec<(String, u64)>> {
+        match out {
+            EvalOutcome::Ok(p) => Some(
+                p.iter()
+                    .map(|(k, v)| (k.to_string(), v.to_bits()))
+                    .collect(),
+            ),
+            EvalOutcome::Failed(_) => None,
+        }
+    }
+
+    /// Every sizing that the whole ladder solves from zero, plain Newton
+    /// from the nominal operating point solves too, at the same point.
+    #[test]
+    fn synthesis_dc_solves_every_sizing_the_ladder_solves() {
+        let opts = flow_hybrid_options().dc;
+        let mut rng = Uniform(0x0d15_ea5e);
+        let (mut solved, mut only_from_start) = (0, 0);
+        for template in TEMPLATES {
+            for c_load in [0.3e-12, 1e-12, 3e-12] {
+                let c = testbench(template, &nominal(template), c_load);
+                let mut ws = DcWorkspace::new(&c).unwrap();
+                let start = dc_operating_point_with(&mut ws, &c, &opts)
+                    .expect("the nominal design solves")
+                    .solution()
+                    .to_vec();
+                for _ in 0..60 {
+                    let x = rng.sizing(template);
+                    let c = testbench(template, &x, c_load);
+                    let ladder =
+                        dc_operating_point_with(&mut DcWorkspace::new(&c).unwrap(), &c, &opts);
+                    let synth = dc_operating_point_newton(&mut ws, &c, &opts, Some(&start));
+                    match (ladder, synth) {
+                        (Ok(want), Ok(got)) => {
+                            solved += 1;
+                            for (a, b) in got.voltages().iter().zip(want.voltages()) {
+                                assert!(
+                                    (a - b).abs() <= 1e-9,
+                                    "{template:?} at {c_load:e} F, x = {x:?}: {a} V vs {b} V"
+                                );
+                            }
+                        }
+                        (Ok(_), Err(e)) => {
+                            panic!("{template:?} at {c_load:e} F, x = {x:?}: the ladder solves, the synthesis DC fails: {e}")
+                        }
+                        (Err(_), Ok(_)) => only_from_start += 1,
+                        (Err(_), Err(_)) => {}
+                    }
+                }
+            }
+        }
+        eprintln!("solved by both: {solved} of 360, only from the start: {only_from_start}");
+        assert!(solved > 250, "only {solved} of 360 sizings solved");
+    }
+
+    /// A global-phase evaluation of `x` returns the same bits from a fresh
+    /// evaluator and from one whose history holds other sizings, a DC
+    /// failure and a local-phase (warm-start) stretch.
+    #[test]
+    fn global_phase_evaluations_do_not_depend_on_history() {
+        let mut rng = Uniform(0x9a11_0c0d);
+        for template in TEMPLATES {
+            let probes: Vec<Vec<f64>> = (0..4).map(|_| rng.sizing(template)).collect();
+            let want: Vec<_> = probes
+                .iter()
+                .map(|x| bits(&evaluator(template, flow_hybrid_options()).evaluate(x)))
+                .collect();
+            assert!(
+                want.iter().any(Option::is_some),
+                "{template:?}: no probe solved"
+            );
+
+            let ev = evaluator(template, flow_hybrid_options());
+            let mut dc_failed = false;
+            for _ in 0..200 {
+                let x = rng.sizing(template);
+                if matches!(ev.evaluate(&x), EvalOutcome::Failed(m) if m.starts_with("DC")) {
+                    dc_failed = true;
+                    break;
+                }
+            }
+            assert!(dc_failed, "{template:?}: the history holds no DC failure");
+            ev.set_local_phase(true);
+            for k in 1..=5 {
+                let x: Vec<f64> = probes[0]
+                    .iter()
+                    .map(|v| v * (1.0 + 0.01 * k as f64))
+                    .collect();
+                ev.evaluate(&x);
+            }
+            ev.set_local_phase(false);
+            for (x, want) in probes.iter().zip(&want) {
+                assert_eq!(&bits(&ev.evaluate(x)), want, "{template:?}, x = {x:?}");
+            }
+        }
+    }
+
+    /// Every sparse refactorization fails: the start solve and the
+    /// synthesis DC solve each fall back to the dense engine, and the
+    /// evaluations match a forced-dense evaluator bit for bit.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn sparse_pivot_fault_in_synthesis_dc_falls_back_to_dense_bit_identically() {
+        use adc_numerics::faults::{self, FaultAction, FaultPlan, FaultRule, SITE_SPARSE_PIVOT};
+        struct Clear;
+        impl Drop for Clear {
+            fn drop(&mut self) {
+                faults::clear();
+            }
+        }
+        let scope = "synthesis-dc-pivot";
+        let with = |solver| HybridOptions {
+            solver,
+            ..flow_hybrid_options()
+        };
+        let mut rng = Uniform(0x0bad_f00d);
+        let mut engines_differ = false;
+        for template in TEMPLATES {
+            let xs: Vec<Vec<f64>> = (0..3).map(|_| rng.sizing(template)).collect();
+            let run =
+                |ev: &dyn Evaluator| xs.iter().map(|x| bits(&ev.evaluate(x))).collect::<Vec<_>>();
+            let want = run(&evaluator(template, with(SolverChoice::Dense)));
+            assert!(
+                want.iter().any(Option::is_some),
+                "{template:?}: nothing solved"
+            );
+            engines_differ |= run(&evaluator(template, with(SolverChoice::Sparse))) != want;
+
+            let _clear = Clear;
+            faults::install(FaultPlan {
+                seed: 20,
+                rules: (0..64)
+                    .map(|nth| FaultRule {
+                        site: SITE_SPARSE_PIVOT,
+                        scope_contains: Some(scope.to_string()),
+                        nth,
+                        action: FaultAction::FailConvergence,
+                    })
+                    .collect(),
+            });
+            let ev = evaluator(template, with(SolverChoice::Sparse));
+            let got = faults::with_scope(scope, || run(&ev));
+            assert_eq!(got, want, "{template:?}");
+        }
+        assert!(
+            engines_differ,
+            "sparse and dense agree bitwise: the test cannot bite"
+        );
     }
 }

@@ -133,6 +133,13 @@ impl OperatingPoint {
         &self.values[..self.layout.node_count]
     }
 
+    /// The MNA solution: the non-ground node voltages, then one branch
+    /// current per voltage source / VCVS in element order. A start for
+    /// [`crate::dc::dc_operating_point_newton`] on the same topology.
+    pub fn solution(&self) -> &[f64] {
+        &self.values[1..]
+    }
+
     fn slot(&self, id: ElementId) -> Slot {
         self.layout.slots.get(id.0).copied().unwrap_or(Slot::None)
     }

@@ -35,7 +35,10 @@
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
 use adc_sfg::nettf::{extract_tf_with, NetTfOptions, NetTfWorkspace};
-use adc_spice::dc::{dc_operating_point_newton, dc_operating_point_warm, DcOptions, DcWorkspace};
+use adc_spice::dc::{
+    dc_operating_point_newton, dc_operating_point_warm, dc_operating_point_with, DcOptions,
+    DcWorkspace,
+};
 use adc_spice::mosfet::Region;
 use adc_spice::netlist::{Circuit, ElementId, NodeId};
 use adc_spice::SolverChoice;
@@ -122,9 +125,12 @@ pub struct HybridOptions {
     /// Allow the DC solve to **warm-start** from the previous candidate's
     /// bias point during the optimizer's local phase (see
     /// [`Evaluator::set_local_phase`]). During global exploration the
-    /// solver always cold-starts, so annealing trajectories are identical
-    /// to the rebuild-everything path. Disable to force cold starts
-    /// everywhere.
+    /// solver cold-starts from a point that does not depend on history: the
+    /// operating point of the evaluator's start sizing
+    /// ([`HybridOtaEvaluator::with_start_sizing`]), falling back to the
+    /// node-set/zero guess (see [`dc_operating_point_newton`]). Annealing
+    /// trajectories are therefore identical to the rebuild-everything
+    /// path. Disable to force cold starts everywhere.
     pub warm_start_local: bool,
     /// Linear-solver engine for the DC workspace. `Auto` (the default)
     /// keeps the size-based sparse/dense selection; a recovery ladder can
@@ -204,6 +210,9 @@ struct EvalState {
     supply: Option<ElementId>,
     devices: Vec<Option<ElementId>>,
     dc: Option<DcWorkspace>,
+    /// MNA solution at the start sizing, solved by the first cold
+    /// evaluation (`Some(None)`: no start sizing, or its solve failed).
+    start: Option<Option<Vec<f64>>>,
     tf: NetTfWorkspace,
 }
 
@@ -232,6 +241,7 @@ impl EvalState {
 pub struct HybridOtaEvaluator<F> {
     build: F,
     opts: HybridOptions,
+    start_sizing: Option<Vec<f64>>,
     state: RefCell<EvalState>,
     local_phase: std::cell::Cell<bool>,
 }
@@ -245,9 +255,31 @@ where
         HybridOtaEvaluator {
             build,
             opts,
+            start_sizing: None,
             state: RefCell::new(EvalState::default()),
             local_phase: std::cell::Cell::new(false),
         }
+    }
+
+    /// Starts every cold DC solve from the operating point of the
+    /// testbench built at sizing `x` (the synthesis flow passes its
+    /// template's nominal design). That point is solved once, with the
+    /// whole homotopy ladder, by the first cold evaluation; it depends on
+    /// the testbench alone, so every evaluation stays a pure function of
+    /// its candidate. When it does not converge, the cold solves start
+    /// from the node-set/zero guess.
+    pub fn with_start_sizing(mut self, x: Vec<f64>) -> Self {
+        self.start_sizing = Some(x);
+        self
+    }
+
+    /// The MNA solution of the testbench at the start sizing, on a fresh
+    /// workspace with this evaluator's solver.
+    fn start_solution(&self) -> Option<Vec<f64>> {
+        let bench = (self.build)(self.start_sizing.as_deref()?);
+        let mut ws = DcWorkspace::with_solver(&bench.circuit, self.opts.solver).ok()?;
+        let op = dc_operating_point_with(&mut ws, &bench.circuit, &self.opts.dc).ok()?;
+        Some(op.solution().to_vec())
     }
 }
 
@@ -282,12 +314,13 @@ where
         let dc_ws = state.dc.as_mut().expect("workspace created above");
         // Warm-start only in the optimizer's local phase: tightly clustered
         // candidates track the continuously deformed bias point, while the
-        // global search stays on history-free cold Newton (no homotopy
-        // ladder: it never rescued a synthesis solve).
+        // global search starts Newton from the history-free start point (no
+        // homotopy ladder: it never rescued a synthesis solve).
         let solved = if self.opts.warm_start_local && self.local_phase.get() {
             dc_operating_point_warm(dc_ws, &bench.circuit, &self.opts.dc)
         } else {
-            dc_operating_point_newton(dc_ws, &bench.circuit, &self.opts.dc)
+            let start = state.start.get_or_insert_with(|| self.start_solution());
+            dc_operating_point_newton(dc_ws, &bench.circuit, &self.opts.dc, start.as_deref())
         };
         let op = match solved {
             Ok(op) => op,
