@@ -374,7 +374,7 @@ fn block_evaluator(
     opts: HybridOptions,
 ) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
     let proc = process.clone();
-    // Builder runs once per evaluator (and once for the start sizing);
+    // Builder runs once for the start sizing and once per evaluator;
     // every later candidate retunes the persistent testbench in place
     // through the resolved element handles. The expects below are
     // unreachable when [`validate_template`] passed.
@@ -400,11 +400,15 @@ fn block_evaluator(
             }
         }
     };
-    let nominal = match template {
+    HybridOtaEvaluator::new(build, opts).with_start_sizing(&nominal_sizing(template))
+}
+
+/// The template's nominal design, in design-space variable order.
+fn nominal_sizing(template: TemplateKind) -> Vec<f64> {
+    match template {
         TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
         TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
-    };
-    HybridOtaEvaluator::new(build, opts).with_start_sizing(nominal)
+    }
 }
 
 /// Builds the synthesizer + evaluator pair for a requirement set and runs
@@ -1522,13 +1526,6 @@ mod synth_dc_tests {
         }
     }
 
-    fn nominal(template: TemplateKind) -> Vec<f64> {
-        match template {
-            TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
-            TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
-        }
-    }
-
     fn testbench(template: TemplateKind, x: &[f64], c_load: f64) -> Circuit {
         let process = Process::c025();
         match template {
@@ -1568,7 +1565,7 @@ mod synth_dc_tests {
         let (mut solved, mut only_from_start) = (0, 0);
         for template in TEMPLATES {
             for c_load in [0.3e-12, 1e-12, 3e-12] {
-                let c = testbench(template, &nominal(template), c_load);
+                let c = testbench(template, &nominal_sizing(template), c_load);
                 let mut ws = DcWorkspace::new(&c).unwrap();
                 let start = dc_operating_point_with(&mut ws, &c, &opts)
                     .expect("the nominal design solves")
@@ -1646,7 +1643,7 @@ mod synth_dc_tests {
     }
 
     /// Every sparse refactorization fails: the start solve and the
-    /// synthesis DC solve each fall back to the dense engine, and the
+    /// synthesis DC solves each fall back to the dense engine, and the
     /// evaluations match a forced-dense evaluator bit for bit.
     #[cfg(feature = "faults")]
     #[test]
@@ -1688,8 +1685,11 @@ mod synth_dc_tests {
                     })
                     .collect(),
             });
-            let ev = evaluator(template, with(SolverChoice::Sparse));
-            let got = faults::with_scope(scope, || run(&ev));
+            // The start solve runs when the evaluator is built: build it
+            // under the faults too.
+            let got = faults::with_scope(scope, || {
+                run(&evaluator(template, with(SolverChoice::Sparse)))
+            });
             assert_eq!(got, want, "{template:?}");
         }
         assert!(

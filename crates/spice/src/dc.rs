@@ -17,6 +17,9 @@
 //!   serial-oracle flows), yet it spent about 300 iterations on each of
 //!   them, 9 % of all DC iterations. A failed candidate simply fails; the
 //!   flow's retry ladder still escalates a block that keeps failing.
+//!   Newton starts from the operating point of the template's nominal
+//!   design, which the evaluator solves once with the whole ladder, and
+//!   falls back to the node-set/zero guess.
 
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
@@ -628,7 +631,7 @@ fn solve_cold_or_dense(
 }
 
 /// The synthesis evaluation's cold DC: plain damped Newton, and no
-/// homotopy ladder.
+/// homotopy ladder (the module documentation says why).
 ///
 /// With a `start` (an MNA solution of this circuit's topology, as
 /// [`OperatingPoint::solution`] returns it), Newton first runs from there,
@@ -636,16 +639,8 @@ fn solve_cold_or_dense(
 /// a start, it runs from the node-set/zero initial guess, capped at
 /// [`DcOptions::max_iter`]. The synthesis evaluator passes the operating
 /// point of its template's nominal design, which depends on the block
-/// alone, so an evaluation stays a pure function of the candidate: on the
-/// serial-oracle flows this takes 6.8 Newton iterations per evaluation
-/// instead of 16.8.
-///
-/// On the synthesis testbenches the ladder never rescued a solve that
-/// plain Newton lost (0 of 1 424 on the serial-oracle flows) while it spent
-/// about 300 iterations on each, so a failed candidate fails here; the
-/// flow's retry ladder still escalates a block that keeps failing. The
-/// dense rerun after an underflowed sparse pivot stays: it repeats both
-/// attempts.
+/// alone, so an evaluation stays a pure function of the candidate. The
+/// dense rerun after an underflowed sparse pivot repeats both attempts.
 ///
 /// # Errors
 /// [`SpiceError::DcConvergence`] if Newton does not converge;
@@ -732,42 +727,9 @@ fn solve_plain(
 
 /// Target of g_min stepping when [`DcOptions::gmin`] is disabled (≤ 0):
 /// the rungs step down to the default baseline, then the final solve runs
-/// without g_min.
+/// without g_min. Stepping towards 0 S itself never ended: the decades
+/// underflow to 0, and that rung repeated forever.
 const GMIN_STEP_FLOOR: f64 = 1e-12;
-
-/// The rungs of g_min stepping: decades from 1e-2 S down to the baseline
-/// g_min (0.99 of it, so rounding cannot drop the last decade), or down to
-/// [`GMIN_STEP_FLOOR`] when g_min is disabled. The schedule is finite for
-/// every setting; a disabled g_min used to step down to 0 and then repeat
-/// that rung forever.
-struct GminSchedule {
-    g: f64,
-    floor: f64,
-}
-
-impl GminSchedule {
-    fn new(gmin: f64) -> Self {
-        let target = if gmin > 0.0 { gmin } else { GMIN_STEP_FLOOR };
-        GminSchedule {
-            g: 1e-2,
-            floor: target * 0.99,
-        }
-    }
-}
-
-impl Iterator for GminSchedule {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.g >= self.floor {
-            let g = self.g;
-            self.g /= 10.0;
-            Some(g)
-        } else {
-            None
-        }
-    }
-}
 
 /// The cold-start homotopy ladder (plain Newton, then g_min stepping, then
 /// source stepping) on a freshly prepared workspace.
@@ -786,10 +748,17 @@ fn solve_cold(
         iterations: iters,
     };
 
-    // Stage 2: g_min stepping.
+    // Stage 2: g_min stepping, decade by decade down to the baseline
+    // (0.99 of it, so rounding cannot drop the last decade).
     ws.x.copy_from_slice(&ws.x0);
     let mut ok = true;
-    for g in GminSchedule::new(opts.gmin) {
+    let target = if opts.gmin > 0.0 {
+        opts.gmin
+    } else {
+        GMIN_STEP_FLOOR
+    };
+    let mut g = 1e-2;
+    while g >= target * 0.99 {
         let out = newton(ws, circuit, opts, g, 1.0, opts.max_iter);
         total_iters += out.iterations;
         if !out.converged {
@@ -799,6 +768,7 @@ fn solve_cold(
             ok = false;
             break;
         }
+        g /= 10.0;
     }
     if ok {
         let out = newton(ws, circuit, opts, opts.gmin, 1.0, opts.max_iter);
@@ -1017,23 +987,6 @@ mod tests {
         let ir = (3.3 - vgs) / 10e3;
         let id = op.mos_eval("M1").unwrap().id;
         assert!((id - ir).abs() < 1e-6 * ir, "id {id} vs ir {ir}");
-    }
-
-    #[test]
-    fn gmin_schedule_keeps_the_decades() {
-        let rungs: Vec<f64> = GminSchedule::new(1e-12).collect();
-        assert_eq!(rungs.len(), 11);
-        assert_eq!(rungs[0], 1e-2);
-        // Repeated division, exactly as the rungs have always been made.
-        let mut g = 1e-2;
-        for &r in &rungs {
-            assert_eq!(r.to_bits(), f64::to_bits(g));
-            g /= 10.0;
-        }
-        for gmin in [0.0, -1.0] {
-            assert_eq!(GminSchedule::new(gmin).count(), 11, "gmin {gmin}");
-        }
-        assert_eq!(GminSchedule::new(1e-3).count(), 2);
     }
 
     #[test]

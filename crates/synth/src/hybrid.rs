@@ -16,21 +16,24 @@
 //! linearization walks the devices in element order. The evaluation still
 //! allocates small vectors: the operating point's solution and device
 //! list, coefficient recovery, pole/zero cancellation and the re-expanded
-//! polynomials. On
-//! OTA-sized testbenches both workspaces factor CSR-**sparse** against a
-//! symbolic factorization the engines freeze once per topology (see
-//! `adc_numerics::sparse`), so every Newton iteration and every
-//! `det Y(s)` sample pays only for structural nonzeros; the selection is
-//! automatic and the dense path remains the oracle.
+//! polynomials. On OTA-sized testbenches both workspaces factor
+//! CSR-**sparse** against a symbolic factorization the engines freeze
+//! once per topology (see `adc_numerics::sparse`), so every Newton
+//! iteration and every `det Y(s)` sample pays only for structural
+//! nonzeros; the selection is automatic and the dense path remains the
+//! oracle.
 //!
-//! On the 10–13-bit serial flows an evaluation takes about 32–37 µs on a
-//! 2-vCPU AVX2 VM (timed per leg in an instrumented build): the DC solve
-//! 12–15 µs, whose sparse factor and solve take 0.25–0.31 µs per Newton
-//! iteration; the TF extraction 9–11 µs; and the equation leg about
-//! 10 µs — pole/zero cancellation 3.6–4.2 µs, most of it Aberth root
-//! refinement at about 5 sweeps per call, then `a0`, the unity-gain
-//! search and phase margin, which sums over the roots cancellation kept,
-//! 6–7 µs together.
+//! On the 32 serial-oracle flows (10–13 bits) an evaluation takes about
+//! 32 µs on a 2-vCPU AVX2 VM, timed in an instrumented build (41 µs with
+//! the zero start and the homotopy ladder). The DC solve takes 6.2 µs
+//! (15.2 µs before) at 6.8 Newton iterations per evaluation (16.8 before):
+//! a global-phase solve takes 7.7 iterations from the nominal start, a
+//! local-phase warm solve 4.4, and the sparse factor and solve
+//! 0.25–0.31 µs per iteration. The TF extraction takes 9–11 µs, and the
+//! equation leg about 10 µs — pole/zero cancellation 3.6–4.2 µs, most of
+//! it Aberth root refinement at about 5 sweeps per call, then `a0`, the
+//! unity-gain search and phase margin, which sums over the roots
+//! cancellation kept, 6–7 µs together.
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
@@ -210,9 +213,6 @@ struct EvalState {
     supply: Option<ElementId>,
     devices: Vec<Option<ElementId>>,
     dc: Option<DcWorkspace>,
-    /// MNA solution at the start sizing, solved by the first cold
-    /// evaluation (`Some(None)`: no start sizing, or its solve failed).
-    start: Option<Option<Vec<f64>>>,
     tf: NetTfWorkspace,
 }
 
@@ -241,7 +241,9 @@ impl EvalState {
 pub struct HybridOtaEvaluator<F> {
     build: F,
     opts: HybridOptions,
-    start_sizing: Option<Vec<f64>>,
+    /// MNA solution of the testbench at the start sizing (`None`: no start
+    /// sizing, or its solve failed).
+    start: Option<Vec<f64>>,
     state: RefCell<EvalState>,
     local_phase: std::cell::Cell<bool>,
 }
@@ -255,7 +257,7 @@ where
         HybridOtaEvaluator {
             build,
             opts,
-            start_sizing: None,
+            start: None,
             state: RefCell::new(EvalState::default()),
             local_phase: std::cell::Cell::new(false),
         }
@@ -263,23 +265,18 @@ where
 
     /// Starts every cold DC solve from the operating point of the
     /// testbench built at sizing `x` (the synthesis flow passes its
-    /// template's nominal design). That point is solved once, with the
-    /// whole homotopy ladder, by the first cold evaluation; it depends on
-    /// the testbench alone, so every evaluation stays a pure function of
-    /// its candidate. When it does not converge, the cold solves start
-    /// from the node-set/zero guess.
-    pub fn with_start_sizing(mut self, x: Vec<f64>) -> Self {
-        self.start_sizing = Some(x);
+    /// template's nominal design). That point is solved here, once, with
+    /// the whole homotopy ladder on a fresh workspace with this
+    /// evaluator's solver; it depends on the testbench alone, so every
+    /// evaluation stays a pure function of its candidate. When it does not
+    /// converge, the cold solves start from the node-set/zero guess.
+    pub fn with_start_sizing(mut self, x: &[f64]) -> Self {
+        let bench = (self.build)(x);
+        self.start = DcWorkspace::with_solver(&bench.circuit, self.opts.solver)
+            .and_then(|mut ws| dc_operating_point_with(&mut ws, &bench.circuit, &self.opts.dc))
+            .ok()
+            .map(|op| op.solution().to_vec());
         self
-    }
-
-    /// The MNA solution of the testbench at the start sizing, on a fresh
-    /// workspace with this evaluator's solver.
-    fn start_solution(&self) -> Option<Vec<f64>> {
-        let bench = (self.build)(self.start_sizing.as_deref()?);
-        let mut ws = DcWorkspace::with_solver(&bench.circuit, self.opts.solver).ok()?;
-        let op = dc_operating_point_with(&mut ws, &bench.circuit, &self.opts.dc).ok()?;
-        Some(op.solution().to_vec())
     }
 }
 
@@ -319,8 +316,7 @@ where
         let solved = if self.opts.warm_start_local && self.local_phase.get() {
             dc_operating_point_warm(dc_ws, &bench.circuit, &self.opts.dc)
         } else {
-            let start = state.start.get_or_insert_with(|| self.start_solution());
-            dc_operating_point_newton(dc_ws, &bench.circuit, &self.opts.dc, start.as_deref())
+            dc_operating_point_newton(dc_ws, &bench.circuit, &self.opts.dc, self.start.as_deref())
         };
         let op = match solved {
             Ok(op) => op,
