@@ -267,6 +267,28 @@ mod tests {
         assert!((op.voltage(a) - 1.5).abs() < 1e-12);
     }
 
+    /// A workspace reused for a circuit of the same topology but other
+    /// element names answers name lookups with the new names.
+    #[test]
+    fn renamed_elements_are_reindexed() {
+        use crate::dc::{dc_operating_point_with, DcWorkspace};
+        let divider = |v: &str, r: &str| {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            c.add_vsource(v, a, Circuit::GROUND, 2.0);
+            c.add_resistor(r, a, Circuit::GROUND, 1e3);
+            c
+        };
+        let (first, second) = (divider("V1", "R1"), divider("VA", "RA"));
+        let mut ws = DcWorkspace::new(&first).unwrap();
+        let op = dc_operating_point_with(&mut ws, &first, &DcOptions::default()).unwrap();
+        assert!(op.branch_current("V1").is_some());
+        let op = dc_operating_point_with(&mut ws, &second, &DcOptions::default()).unwrap();
+        assert!(op.branch_current("V1").is_none());
+        assert!((op.branch_current("VA").unwrap() + 2e-3).abs() < 1e-9);
+        assert!((op.source_power(&second, "VA").unwrap() - 4e-3).abs() < 1e-9);
+    }
+
     #[test]
     fn missing_lookups_return_none() {
         let mut c = Circuit::new();
