@@ -70,7 +70,13 @@ use std::time::{Duration, Instant};
 /// sizings converge only from the new start, so annealing trajectories
 /// fork: `best_x`, costs and evaluation counts move, rankings and winners
 /// do not.
-pub const FLOW_CACHE_VERSION: u64 = 5;
+///
+/// Version 6: TF extraction samples `det Y(s)` at `(d + 1).next_power_of_two()`
+/// points of a half-step grid instead of `(2(d + 2)).next_power_of_two()`
+/// roots of unity, and fills the lower half-plane with exact conjugates,
+/// which moves the last bits of `a0`, `pm`, the unity-gain frequency and
+/// some costs.
+pub const FLOW_CACHE_VERSION: u64 = 6;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
 /// **single source of truth** shared by [`synthesize_ota`] and the

@@ -2,12 +2,26 @@
 //!
 //! For transistor-level netlists, symbolic Mason expressions can swell; the
 //! synthesis inner loop instead extracts the *numeric* rational transfer
-//! function directly: the complex MNA matrix `Y(s)` is sampled at scaled
-//! roots of unity `s_k = r·ω_m^k`, where `H(s_k)` comes from a linear solve
-//! and `D(s_k) = det Y(s_k)` from LU; since both `N = H·D` and `D` are
-//! polynomials of degree ≤ dim, one inverse DFT recovers their exact
-//! coefficients. This is the paper's "formulating the numerical transfer
-//! function" step, implemented without symbolic overhead.
+//! function directly: the complex MNA matrix `Y(s)` is sampled at `m`
+//! points on a circle of radius `r`, where `H(s_k)` comes from a linear
+//! solve and `D(s_k) = det Y(s_k)` from LU; since both `N = H·D` and `D`
+//! are polynomials of degree ≤ `d` (the capacitive-row bound, ≤ dim), one
+//! DFT recovers their coefficients. This is the paper's "formulating the
+//! numerical transfer function" step, implemented without symbolic
+//! overhead.
+//!
+//! The sample set: `m = (d + 1).next_power_of_two()` (at least 2), the
+//! fewest points on a radix-2 grid that fix a polynomial of degree `d`,
+//! with no margin over the bound. The points sit on the half-step grid
+//! `s_k = r·e^{iπ(2k+1)/m}`, so none lies on the real axis and
+//! `s_{m−1−k} = conj(s_k)`. Only the `m/2` points in the upper half-plane
+//! are factored: `G` and `C` are real, so `Y(s̄) = conj(Y(s))`, and the
+//! complex multiply, Smith division and pivot test the solvers use are
+//! conjugation-symmetric (no FMA), so a solve at `s̄` would return the exact
+//! conjugates of the solve at `s`, bit for bit. The lower half is filled
+//! with those conjugates. The DFT of the half-step samples carries a
+//! rotation `e^{iπj/m}` on coefficient `j`, which the recovery takes off
+//! again.
 //!
 //! Conditioning note: the sample radius `r` should sit near the circuit's
 //! pole cluster (geometric mean); roots many decades away from `r` lose
@@ -22,6 +36,7 @@ use adc_numerics::poly::Poly;
 use adc_spice::linearize::{ComplexMnaWorkspace, SmallSignal, SolverChoice};
 use adc_spice::netlist::{Circuit, NodeId};
 use adc_spice::op::OperatingPoint;
+use std::f64::consts::PI;
 
 /// Options for [`extract_tf`].
 #[derive(Debug, Clone, Copy)]
@@ -44,24 +59,33 @@ impl Default for NetTfOptions {
 /// Reusable TF-extraction workspace: the circuit is linearized **once per
 /// operating point** through the shared [`SmallSignal`] linearizer in
 /// adc-spice (the same routine AC analysis stamps from, so the two can
-/// never desynchronize); each of the `m` sample frequencies replays only
-/// the `s`-dependent entries into the [`ComplexMnaWorkspace`] engine, and a
-/// **single** factorization yields both `det Y(s)` (product of pivots) and
-/// the solve. On OTA-sized testbenches the engine factors CSR-sparse with
-/// a symbolic factorization reused across every sample and every retuned
-/// candidate.
+/// never desynchronize); each of the `m/2` upper-half-plane sample points
+/// replays only the `s`-dependent entries into the [`ComplexMnaWorkspace`]
+/// engine, and a **single** factorization yields both `det Y(s)` (product
+/// of pivots) and the solve; the other `m/2` samples are their exact
+/// conjugates (module doc). On OTA-sized testbenches the engine factors
+/// CSR-sparse with a symbolic factorization reused across every sample and
+/// every retuned candidate.
 ///
 /// Reused across evaluations of the same testbench (the synthesis inner
-/// loop), the matrices, factor buffers and sample vectors all persist.
+/// loop), the matrices, factor buffers and sample vectors all persist, and
+/// the sample points and de-rotation factors are recomputed only when the
+/// sample count or the radius changes, so an extraction does no
+/// trigonometry besides the FFT's.
 #[derive(Debug, Default)]
 pub struct NetTfWorkspace {
     ss: SmallSignal,
     engine: ComplexMnaWorkspace,
-    /// Sample frequencies `r·ω_m^k` of the current extraction.
-    s_samples: Vec<Complex>,
-    /// Lane-major solutions of the batched solves (`m · dim`).
+    /// `(m, radius.to_bits())` that `s_half` and `derotate` were built for
+    /// (`m` is at least 2, so the default never matches).
+    grid: (usize, u64),
+    /// The factored sample points `r·e^{iπ(2k+1)/m}`, `k < m/2`.
+    s_half: Vec<Complex>,
+    /// De-rotation factors `e^{−iπj/m}`, `j < m`.
+    derotate: Vec<Complex>,
+    /// Lane-major solutions of the batched solves (`m/2 · dim`).
     xs: Vec<Complex>,
-    /// `det Y(s_k)` per sample.
+    /// `det Y(s_k)` per factored sample.
     dets: Vec<Complex>,
     num_samples: Vec<Complex>,
     den_samples: Vec<Complex>,
@@ -127,20 +151,40 @@ impl NetTfWorkspace {
         }
         self.row_flags.iter().filter(|f| **f).count()
     }
+
+    /// Builds the `m/2` factored sample points and the `m` de-rotation
+    /// factors for an `m`-point extraction at `radius`, unless they are
+    /// already built for exactly these values.
+    fn set_grid(&mut self, m: usize, radius: f64) {
+        if self.grid == (m, radius.to_bits()) {
+            return;
+        }
+        self.grid = (m, radius.to_bits());
+        self.s_half.clear();
+        self.s_half.extend((0..m / 2).map(|k| {
+            let theta = PI * (2 * k + 1) as f64 / m as f64;
+            Complex::from_polar(radius, theta)
+        }));
+        self.derotate.clear();
+        self.derotate
+            .extend((0..m).map(|j| Complex::from_polar(1.0, -PI * j as f64 / m as f64)));
+    }
 }
 
-/// Recovers ascending polynomial coefficients from samples at `r·ω_m^k`,
-/// using `work` as FFT scratch.
+/// Recovers ascending polynomial coefficients from samples at
+/// `r·e^{iπ(2k+1)/m}`, `k < m`, using `work` as FFT scratch and
+/// `derotate[j] = e^{−iπj/m}`.
 fn coeffs_from_samples(
     samples: &[Complex],
     work: &mut Vec<Complex>,
+    derotate: &[Complex],
     radius: f64,
     trim_rel: f64,
 ) -> Poly {
     let m = samples.len();
     work.clear();
     work.extend_from_slice(samples);
-    // Forward FFT gives m·(coefficient of r^j x^j).
+    // Forward FFT gives m·(coefficient of x^j)·(r·e^{iπ/m})^j.
     fft_in_place(work);
     // Trim in the radius-scaled domain, where every legitimate coefficient
     // is comparable to the sample magnitudes; circuit polynomials have
@@ -149,8 +193,12 @@ fn coeffs_from_samples(
     let max = Complex::max_norm(work);
     let mut real = Vec::with_capacity(m);
     let mut rj = 1.0;
-    for c in work.iter().take(m) {
-        let v = if c.norm_lt(trim_rel * max) { 0.0 } else { c.re };
+    for (c, &u) in work.iter().zip(derotate) {
+        let v = if c.norm_lt(trim_rel * max) {
+            0.0
+        } else {
+            (*c * u).re
+        };
         real.push(v / (m as f64 * rj));
         rj *= radius;
     }
@@ -176,7 +224,11 @@ pub fn extract_tf(
 /// [`extract_tf`] with a caller-owned reusable [`NetTfWorkspace`]: the
 /// linearized base is restamped in place per operating point, each sample
 /// frequency reuses the factor buffers, and one LU factorization per sample
-/// provides both the determinant and the solve.
+/// provides both the determinant and the solve. With `d` the
+/// capacitive-row degree bound, it takes `m = (d + 1).next_power_of_two()`
+/// samples (at least 2), no margin over the bound, and factors only the
+/// `m/2` of them in the upper half-plane; the rest are their exact
+/// conjugates (module doc).
 ///
 /// # Errors
 /// Same contract as [`extract_tf`].
@@ -194,29 +246,22 @@ pub fn extract_tf_with(
         .node_row(output)
         .ok_or_else(|| SfgError::BadCircuit("output node is ground".into()))?;
     let dim = ws.ss.dim();
-    // Degree of det Y(s) ≤ the capacitive-row bound (≤ dim); sample with
-    // ≥ 2× margin, power of two.
+    // Degree of det Y(s) ≤ the capacitive-row bound (≤ dim); m ≥ deg + 1
+    // samples fix it, power of two.
     let deg = ws.degree_bound(dim).min(dim);
-    let m = (2 * (deg + 2)).next_power_of_two();
+    let m = (deg + 1).next_power_of_two().max(2);
+    let half = m / 2;
+    ws.set_grid(m, opts.radius);
 
-    ws.num_samples.clear();
-    ws.den_samples.clear();
-    ws.num_samples.reserve(m);
-    ws.den_samples.reserve(m);
-    // Sample det Y(s) and the output solve at all m roots of unity through
-    // the batched engine: chunks of up to MAX_LANES samples share a single
-    // symbolic traversal and SoA factor workspace, with per-sample results
-    // (and the demote-to-dense recovery ladder) bit-identical to a serial
-    // factor/solve/det loop.
-    ws.s_samples.clear();
-    for k in 0..m {
-        let theta = 2.0 * std::f64::consts::PI * k as f64 / m as f64;
-        ws.s_samples.push(Complex::from_polar(opts.radius, theta));
-    }
+    // Sample det Y(s) and the output solve at the upper-half-plane points
+    // through the batched engine: chunks of up to MAX_LANES samples share a
+    // single symbolic traversal and SoA factor workspace, with per-sample
+    // results (and the demote-to-dense recovery ladder) bit-identical to a
+    // serial factor/solve/det loop.
     ws.xs.clear();
-    ws.xs.resize(m * dim, Complex::ZERO);
+    ws.xs.resize(half * dim, Complex::ZERO);
     ws.dets.clear();
-    ws.dets.resize(m, Complex::ZERO);
+    ws.dets.resize(half, Complex::ZERO);
     let singular_err = |k: usize| {
         SfgError::BadCircuit(format!(
             "singular MNA at sample {k} (radius {:.3e})",
@@ -224,16 +269,24 @@ pub fn extract_tf_with(
         ))
     };
     ws.engine
-        .solve_det_batch(&ws.s_samples, &ws.ss, &ws.ss.b, &mut ws.xs, &mut ws.dets)
+        .solve_det_batch(&ws.s_half, &ws.ss, &ws.ss.b, &mut ws.xs, &mut ws.dets)
         .map_err(|(k, _)| singular_err(k))?;
-    for k in 0..m {
+    // Y(conj s) = conj Y(s), so sample m − 1 − k is the exact conjugate of
+    // sample k.
+    ws.num_samples.clear();
+    ws.num_samples.resize(m, Complex::ZERO);
+    ws.den_samples.clear();
+    ws.den_samples.resize(m, Complex::ZERO);
+    for k in 0..half {
         let det = ws.dets[k];
         if det.is_zero() {
             return Err(singular_err(k));
         }
         let h = ws.xs[k * dim + out_row];
-        ws.num_samples.push(h * det);
-        ws.den_samples.push(det);
+        ws.num_samples[k] = h * det;
+        ws.den_samples[k] = det;
+        ws.num_samples[m - 1 - k] = ws.num_samples[k].conj();
+        ws.den_samples[m - 1 - k] = det.conj();
     }
 
     // Normalize sample scale (in place) to keep the DFT well-conditioned.
@@ -245,9 +298,21 @@ pub fn extract_tf_with(
     ws.den_samples.iter_mut().for_each(|d| *d = *d / dscale);
     ws.num_samples.iter_mut().for_each(|n| *n = *n / nscale);
 
-    let den = coeffs_from_samples(&ws.den_samples, &mut ws.work, opts.radius, opts.trim_rel);
-    let num = coeffs_from_samples(&ws.num_samples, &mut ws.work, opts.radius, opts.trim_rel)
-        .scale(nscale / dscale);
+    let den = coeffs_from_samples(
+        &ws.den_samples,
+        &mut ws.work,
+        &ws.derotate,
+        opts.radius,
+        opts.trim_rel,
+    );
+    let num = coeffs_from_samples(
+        &ws.num_samples,
+        &mut ws.work,
+        &ws.derotate,
+        opts.radius,
+        opts.trim_rel,
+    )
+    .scale(nscale / dscale);
     if den.is_zero() {
         return Err(SfgError::SingularGraph);
     }
