@@ -3,16 +3,25 @@
 //! full-pipeline chain evaluation, plus batched-vs-serial complex solve
 //! micro-timings at both dimensions.
 //!
+//! The hybrid legs run what a flow evaluation runs, on an off-nominal
+//! telescopic candidate: the DC solve is plain Newton started from the
+//! nominal design's operating point, and the full evaluation uses the
+//! template's in-place tuner and nominal start sizing, timed in the global
+//! (cold DC) and the local (warm DC) phase.
+//!
 //! Run with `cargo run --release -p adc-bench --example prof_hotpath`.
 
-use adc_mdac::opamp::{build_telescopic, TelescopicParams};
+use adc_mdac::opamp::{build_telescopic, TelescopicHandles, TelescopicParams};
 use adc_mdac::power::{design_chain, PowerModelParams};
 use adc_mdac::specs::AdcSpec;
 use adc_numerics::complex::Complex;
-use adc_spice::dc::{dc_operating_point_with, DcOptions, DcWorkspace};
+use adc_spice::dc::{dc_operating_point_newton, dc_operating_point_with, DcOptions, DcWorkspace};
 use adc_spice::linearize::{ComplexMnaWorkspace, SmallSignal};
+use adc_spice::netlist::Circuit;
 use adc_spice::process::Process;
+use adc_synth::hybrid::{BenchSetup, BenchTuner, HybridOptions, HybridOtaEvaluator};
 use std::hint::black_box;
+use std::rc::Rc;
 use std::time::Instant;
 
 fn time_us<F: FnMut()>(label: &str, reps: usize, mut f: F) -> f64 {
@@ -82,7 +91,7 @@ fn batch_legs(ss: &SmallSignal) {
     });
 }
 
-fn solve_breakdown(name: &str, circuit: &adc_spice::netlist::Circuit, opts: &DcOptions) {
+fn solve_breakdown(name: &str, circuit: &Circuit, opts: &DcOptions) {
     let mut dc = DcWorkspace::new(circuit).unwrap();
     let op = dc_operating_point_with(&mut dc, circuit, opts).unwrap();
     let mut ss = SmallSignal::new();
@@ -116,27 +125,53 @@ fn solve_breakdown(name: &str, circuit: &adc_spice::netlist::Circuit, opts: &DcO
     batch_legs(&ss);
 }
 
+/// The telescopic evaluator a flow block builds at a 1 pF load: the
+/// testbench is retuned in place per candidate, and every global-phase DC
+/// solve starts from the nominal design's operating point.
+fn telescopic_evaluator(
+    proc: &Process,
+    opts: HybridOptions,
+) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
+    let proc = proc.clone();
+    let build = move |x: &[f64]| {
+        let tb = build_telescopic(&proc, &TelescopicParams::from_vec(x), 1e-12);
+        let handles = TelescopicHandles::resolve(&tb.circuit).expect("telescopic template handles");
+        let tuner: BenchTuner = Rc::new(move |ckt: &mut Circuit, x: &[f64]| {
+            handles.retune(ckt, &TelescopicParams::from_vec(x));
+        });
+        BenchSetup::new(tb.circuit, tb.output, tb.supply, tb.devices).with_tuner(tuner)
+    };
+    HybridOtaEvaluator::new(build, opts).with_start_sizing(&TelescopicParams::nominal().to_vec())
+}
+
 fn main() {
     use adc_synth::chain::{ChainEvaluator, ChainOptions};
     use adc_synth::evaluator::{EvalOutcome, Evaluator};
-    use adc_synth::hybrid::{BenchSetup, HybridOptions, HybridOtaEvaluator};
     use adc_topopt::verify::{build_candidate_testbench, VerifyOptions};
 
     println!("simd backend: {}", adc_numerics::simd::backend_name());
     let proc = Process::c025();
-    let nominal = TelescopicParams::nominal().to_vec();
+    let candidate = TelescopicParams {
+        w_in: 80e-6,
+        l_p: 0.3e-6,
+        vbn: 1.1,
+        ..TelescopicParams::nominal()
+    };
 
     // Hybrid leg breakdown on the telescopic OTA.
-    let tb = build_telescopic(&proc, &TelescopicParams::nominal(), 1e-12);
-    let dc_opts = DcOptions {
-        damping: adc_spice::dc::DcDamping::PerNode,
-        ..Default::default()
-    };
+    let dc_opts = HybridOptions::default().dc;
+    let nominal_tb = build_telescopic(&proc, &TelescopicParams::nominal(), 1e-12);
+    let mut nominal_dc = DcWorkspace::new(&nominal_tb.circuit).unwrap();
+    let start = dc_operating_point_with(&mut nominal_dc, &nominal_tb.circuit, &dc_opts)
+        .unwrap()
+        .solution()
+        .to_vec();
+    let tb = build_telescopic(&proc, &candidate, 1e-12);
     let mut dc = DcWorkspace::new(&tb.circuit).unwrap();
-    time_us("hybrid: DC cold", 500, || {
-        black_box(dc_operating_point_with(&mut dc, &tb.circuit, &dc_opts).unwrap());
+    time_us("hybrid: DC cold (nominal start)", 500, || {
+        black_box(dc_operating_point_newton(&mut dc, &tb.circuit, &dc_opts, Some(&start)).unwrap());
     });
-    let op = dc_operating_point_with(&mut dc, &tb.circuit, &dc_opts).unwrap();
+    let op = dc_operating_point_newton(&mut dc, &tb.circuit, &dc_opts, Some(&start)).unwrap();
     let mut tf_ws = adc_sfg::nettf::NetTfWorkspace::new();
     let nettf = adc_sfg::nettf::NetTfOptions::default();
     time_us("hybrid: extract_tf_with", 2000, || {
@@ -163,22 +198,20 @@ fn main() {
             black_box(tfc.phase_exact_deg(1e4) - tfc.phase_exact_deg(fu));
         }
     });
-    let ev = HybridOtaEvaluator::new(
-        |x: &[f64]| {
-            let tb = build_telescopic(&proc, &TelescopicParams::from_vec(x), 1e-12);
-            BenchSetup::new(tb.circuit, tb.output, tb.supply, tb.devices)
-        },
-        HybridOptions::default(),
-    );
-    ev.set_local_phase(true);
-    time_us("hybrid: full evaluate", 2000, || {
-        match ev.evaluate(&nominal) {
+    let ev = telescopic_evaluator(&proc, HybridOptions::default());
+    let x = candidate.to_vec();
+    for (label, local) in [
+        ("hybrid: full evaluate (global)", false),
+        ("hybrid: full evaluate (local)", true),
+    ] {
+        ev.set_local_phase(local);
+        time_us(label, 2000, || match ev.evaluate(&x) {
             EvalOutcome::Ok(p) => {
                 black_box(p);
             }
             EvalOutcome::Failed(e) => panic!("{e}"),
-        }
-    });
+        });
+    }
     solve_breakdown("telescopic", &tb.circuit, &dc_opts);
 
     // Chain leg breakdown on the 4-3-2 full pipeline.
