@@ -16,9 +16,10 @@
 //! `s_k = r·e^{iπ(2k+1)/m}`, so none lies on the real axis and
 //! `s_{m−1−k} = conj(s_k)`. Only the `m/2` points in the upper half-plane
 //! are factored: `G` and `C` are real, so `Y(s̄) = conj(Y(s))`, and the
-//! complex multiply, Smith division and pivot test the solvers use are
-//! conjugation-symmetric (no FMA), so a solve at `s̄` would return the exact
-//! conjugates of the solve at `s`, bit for bit. The lower half is filled
+//! complex multiply, Smith division and pivot test the solvers use round
+//! the same way under conjugation, so a solve at `s̄` would return the
+//! exact conjugates of the solve at `s`, bit for bit
+//! (`tests/conjugate_sampling.rs` pins this). The lower half is filled
 //! with those conjugates. The DFT of the half-step samples carries a
 //! rotation `e^{iπj/m}` on coefficient `j`, which the recovery takes off
 //! again.

@@ -23,17 +23,21 @@
 //! nonzeros; the selection is automatic and the dense path remains the
 //! oracle.
 //!
-//! On the 32 serial-oracle flows (10–13 bits) an evaluation takes about
-//! 32 µs on a 2-vCPU AVX2 VM, timed in an instrumented build (41 µs with
-//! the zero start and the homotopy ladder). The DC solve takes 6.2 µs
-//! (15.2 µs before) at 6.8 Newton iterations per evaluation (16.8 before):
-//! a global-phase solve takes 7.7 iterations from the nominal start, a
+//! On the 32 serial-oracle flows (10–13 bits) an evaluation takes
+//! 23.6–24.1 µs on a 2-vCPU AVX2 VM, timed in an instrumented build
+//! (33.3–34.2 µs when the TF extraction factored 32 points). The DC solve
+//! takes about 6.2 µs at 6.8 Newton iterations per evaluation: a
+//! global-phase solve takes 7.7 iterations from the nominal start, a
 //! local-phase warm solve 4.4, and the sparse factor and solve
-//! 0.25–0.31 µs per iteration. The TF extraction takes 9–11 µs, and the
-//! equation leg about 10 µs — pole/zero cancellation 3.6–4.2 µs, most of
-//! it Aberth root refinement at about 5 sweeps per call, then `a0`, the
-//! unity-gain search and phase margin, which sums over the roots
-//! cancellation kept, 6–7 µs together.
+//! 0.25–0.31 µs per iteration. The TF extraction takes 4.8–4.9 µs
+//! (13.7–14.1 µs before): `solve_det_batch` factors the 8 upper-half-plane
+//! points of a 16-point grid in one batch chunk in 2.4–2.5 µs (9.1–9.4 µs
+//! for 32 points), then come the two 16-point FFTs and the coefficient
+//! recovery. Most of the remaining ≈ 13 µs is the equation leg, now the
+//! largest: pole/zero cancellation 3.6–4.5 µs, most of it Aberth root
+//! refinement at about 5 sweeps per call, then `a0`, phase margin, which
+//! sums over the roots cancellation kept, and the unity-gain search, its
+//! largest piece at about 8 µs (`prof_hotpath`).
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
