@@ -128,10 +128,7 @@ fn solve_breakdown(name: &str, circuit: &Circuit, opts: &DcOptions) {
 /// The telescopic evaluator a flow block builds at a 1 pF load: the
 /// testbench is retuned in place per candidate, and every global-phase DC
 /// solve starts from the nominal design's operating point.
-fn telescopic_evaluator(
-    proc: &Process,
-    opts: HybridOptions,
-) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
+fn telescopic_evaluator(proc: &Process) -> HybridOtaEvaluator<impl Fn(&[f64]) -> BenchSetup> {
     let proc = proc.clone();
     let build = move |x: &[f64]| {
         let tb = build_telescopic(&proc, &TelescopicParams::from_vec(x), 1e-12);
@@ -141,7 +138,8 @@ fn telescopic_evaluator(
         });
         BenchSetup::new(tb.circuit, tb.output, tb.supply, tb.devices).with_tuner(tuner)
     };
-    HybridOtaEvaluator::new(build, opts).with_start_sizing(&TelescopicParams::nominal().to_vec())
+    HybridOtaEvaluator::new(build, HybridOptions::default())
+        .with_start_sizing(&TelescopicParams::nominal().to_vec())
 }
 
 fn main() {
@@ -198,7 +196,7 @@ fn main() {
             black_box(tfc.phase_exact_deg(1e4) - tfc.phase_exact_deg(fu));
         }
     });
-    let ev = telescopic_evaluator(&proc, HybridOptions::default());
+    let ev = telescopic_evaluator(&proc);
     let x = candidate.to_vec();
     for (label, local) in [
         ("hybrid: full evaluate (global)", false),
