@@ -1,13 +1,17 @@
-//! Bit-level pin of the real-valued Jacobian engines behind DC and
-//! transient analysis.
+//! Bit-level pin of the MNA engines: the real Jacobian engines behind DC
+//! and transient analysis, and the complex small-signal engine behind AC
+//! analysis and TF sampling.
 //!
-//! Every output of both analyses is folded, `to_bits` by `to_bits`, into
-//! an FNV-1a digest, once per engine: forced dense, forced sparse and
-//! automatic selection. The DC rows cover cold and warm operating points
-//! under both [`DcDamping`] strategies; the transient rows cover the time
-//! axis, every node sample and the [`TranStats`] of fixed-step and
-//! adaptive runs on clocked fixtures. Each row also asserts which engine
-//! ran on each fixture, so two rows can never silently pin the same one.
+//! Every output is folded, `to_bits` by `to_bits`, into an FNV-1a digest,
+//! once per engine: forced dense, forced sparse and automatic selection.
+//! The DC rows cover cold and warm operating points under both
+//! [`DcDamping`] strategies; the transient rows cover the time axis, every
+//! node sample and the [`TranStats`] of fixed-step and adaptive runs on
+//! clocked fixtures; the complex rows cover the determinant and solution
+//! of serial, batched and demoted factorizations of
+//! [`ComplexMnaWorkspace`] and an AC sweep. Each row also asserts which
+//! engine ran on each fixture, so two rows can never silently pin the
+//! same one.
 //!
 //! A refactor of the engines must leave every digest unchanged. A change
 //! that moves solver bits on purpose runs
@@ -16,6 +20,7 @@
 //! them, and says in its change record which rows moved and why. Run it on
 //! both SIMD backends (`ADC_FORCE_SCALAR=1` too): the digests must agree.
 
+use adc_numerics::complex::Complex;
 use adc_spice::dc::{
     dc_operating_point_warm, dc_operating_point_with, DcDamping, DcOptions, DcWorkspace,
 };
@@ -26,7 +31,9 @@ use adc_spice::tran::{
     TranResult, TranWorkspace,
 };
 use adc_spice::waveform::Waveform;
-use adc_spice::{OperatingPoint, SolverChoice};
+use adc_spice::{
+    ac_sweep_with, AcWorkspace, ComplexMnaWorkspace, OperatingPoint, SmallSignal, SolverChoice,
+};
 
 /// Expected digests: `(label, engine, DC digest, transient digest)`.
 const PINS: [(&str, SolverChoice, u64, u64); 3] = [
@@ -50,6 +57,13 @@ const PINS: [(&str, SolverChoice, u64, u64); 3] = [
     ),
 ];
 
+/// Expected complex-engine digests: `(label, engine, digest)`.
+const COMPLEX_PINS: [(&str, SolverChoice, u64); 3] = [
+    ("dense", SolverChoice::Dense, 0xb6ee_f365_fe43_b7fb),
+    ("sparse", SolverChoice::Sparse, 0xbd96_576b_e9c8_a960),
+    ("auto", SolverChoice::Auto, 0x692c_130f_595c_c1f2),
+];
+
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
 
@@ -67,6 +81,19 @@ impl Fnv {
 
     fn float(&mut self, v: f64) {
         self.word(v.to_bits());
+    }
+
+    fn complex(&mut self, z: Complex) {
+        self.float(z.re);
+        self.float(z.im);
+    }
+
+    /// A factorization's determinant and the solution it gave.
+    fn solve(&mut self, det: Complex, x: &[Complex]) {
+        self.complex(det);
+        for &v in x {
+            self.complex(v);
+        }
     }
 }
 
@@ -144,7 +171,7 @@ fn two_stage() -> Circuit {
 
 /// Resistively loaded common-source stage behind a clocked sampling
 /// switch: small enough that automatic selection keeps it dense.
-fn common_source(vg: Waveform) -> (Circuit, NodeId) {
+fn common_source(vg: Waveform, ac: f64) -> (Circuit, NodeId) {
     let p = Process::c025();
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
@@ -152,7 +179,7 @@ fn common_source(vg: Waveform) -> (Circuit, NodeId) {
     let d = c.node("d");
     let out = c.node("out");
     c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
-    c.add_vsource_wave("VG", g, Circuit::GROUND, vg, 0.0);
+    c.add_vsource_wave("VG", g, Circuit::GROUND, vg, ac);
     c.add_resistor("RD", vdd, d, 10e3);
     let gnd = Circuit::GROUND;
     c.add_mosfet("M1", d, g, gnd, gnd, p.nmos, 20e-6, 0.5e-6);
@@ -218,7 +245,7 @@ fn dc_row(choice: SolverChoice) -> (u64, Vec<bool>) {
     let fixtures: [fn() -> Circuit; 3] = [
         || telescopic(Waveform::Dc(0.0)).0,
         two_stage,
-        || common_source(Waveform::Dc(0.9)).0,
+        || common_source(Waveform::Dc(0.9), 0.0).0,
     ];
     for fixture in fixtures {
         for damping in [DcDamping::Global, DcDamping::PerNode] {
@@ -287,7 +314,7 @@ fn tran_row(choice: SolverChoice) -> (u64, Vec<bool>) {
     ota.set_waveform(id, step(0.0, 2e-4));
     let mut ic = op.voltages().to_vec();
     ic.push(0.0); // the hold node starts discharged
-    let (cs, _) = common_source(step(0.8, 1.1));
+    let (cs, _) = common_source(step(0.8, 1.1), 0.0);
 
     for (c, ic) in [
         (&ota, InitialCondition::Voltages(ic)),
@@ -307,6 +334,88 @@ fn tran_row(choice: SolverChoice) -> (u64, Vec<bool>) {
         let adaptive = transient_adaptive(&mut ws, c, &opts, &cfg).unwrap();
         hash_tran(&mut h, c.node_count(), &adaptive);
         sparse.push(ws.is_sparse());
+    }
+    (h.0, sparse)
+}
+
+/// `count` complex frequencies from the `first`-th point of a spiral:
+/// magnitudes 0.2 decades apart from 1e3 rad/s, angles in (0.2, 2.9) rad,
+/// so both half-planes and every regime from conductance- to
+/// capacitance-dominated are sampled.
+fn spiral(first: usize, count: usize) -> Vec<Complex> {
+    (first..first + count)
+        .map(|k| {
+            Complex::from_polar(
+                10f64.powf(3.0 + 0.2 * k as f64),
+                0.2 + (0.37 * k as f64) % 2.7,
+            )
+        })
+        .collect()
+}
+
+/// Complex row: each fixture's small-signal system (g_min 0) at its DC
+/// operating point, bound into a [`ComplexMnaWorkspace`], through a serial
+/// `factor_at_or_demote` loop, `solve_det_batch` at 8, 5, 1 and 13 points
+/// and three serial points after `demote_to_dense`, each solving a fixed
+/// right-hand side; then an 11-frequency AC sweep on the same engine
+/// choice. Returns the digest and the engine each fixture ran on.
+fn complex_row(choice: SolverChoice) -> (u64, Vec<bool>) {
+    let mut h = Fnv::new();
+    let mut sparse = Vec::new();
+    let fixtures: [fn() -> Circuit; 3] = [
+        || telescopic(Waveform::Dc(0.0)).0,
+        two_stage,
+        || common_source(Waveform::Dc(0.9), 1.0).0,
+    ];
+    let freqs: Vec<f64> = (0..11).map(|k| 10f64.powf(2.0 + 0.8 * k as f64)).collect();
+    for fixture in fixtures {
+        let c = fixture();
+        let mut dc = DcWorkspace::new(&c).unwrap();
+        let op = dc_operating_point_with(&mut dc, &c, &DcOptions::default()).unwrap();
+        let mut ss = SmallSignal::new();
+        let topo = ss.bind(&c, &op, 0.0).unwrap();
+        let dim = ss.dim();
+        let b: Vec<Complex> = (0..dim)
+            .map(|i| Complex::new((0.37 * i as f64).sin() + 0.5, (0.53 * i as f64).cos()))
+            .collect();
+        let mut eng = ComplexMnaWorkspace::new();
+        eng.set_solver(choice);
+        eng.bind(&ss, topo);
+        let bound_sparse = eng.is_sparse();
+        sparse.push(bound_sparse);
+        let mut x = vec![Complex::ZERO; dim];
+        let mut serial = |eng: &mut ComplexMnaWorkspace, h: &mut Fnv, points: Vec<Complex>| {
+            for s in points {
+                eng.factor_at_or_demote(s, &ss).unwrap();
+                eng.solve_into(&b, &mut x);
+                h.solve(eng.det(), &x);
+            }
+        };
+        serial(&mut eng, &mut h, spiral(0, 6));
+        let mut next = 6;
+        for count in [8, 5, 1, 13] {
+            let mut xs = vec![Complex::ZERO; count * dim];
+            let mut dets = vec![Complex::ZERO; count];
+            eng.solve_det_batch(&spiral(next, count), &ss, &b, &mut xs, &mut dets)
+                .unwrap();
+            for (&det, x) in dets.iter().zip(xs.chunks_exact(dim)) {
+                h.solve(det, x);
+            }
+            next += count;
+        }
+        assert_eq!(eng.is_sparse(), bound_sparse, "no sample demoted");
+        eng.demote_to_dense(&ss);
+        assert!(!eng.is_sparse(), "demoted engine is dense");
+        serial(&mut eng, &mut h, spiral(next, 3));
+
+        let mut ac = AcWorkspace::with_solver(&c, &op, choice).unwrap();
+        assert_eq!(ac.is_sparse(), bound_sparse, "AC engine");
+        let sweep = ac_sweep_with(&mut ac, &freqs).unwrap();
+        for k in 0..freqs.len() {
+            for n in 0..c.node_count() {
+                h.complex(sweep.voltage(NodeId::from_index(n), k));
+            }
+        }
     }
     (h.0, sparse)
 }
@@ -345,5 +454,24 @@ fn real_engines_are_pinned_bit_for_bit() {
         );
         assert_eq!(*dc, pin.2, "{label}: DC digest moved");
         assert_eq!(*tran, pin.3, "{label}: transient digest moved");
+    }
+}
+
+#[test]
+fn complex_engines_are_pinned_bit_for_bit() {
+    let rows: Vec<_> = COMPLEX_PINS
+        .iter()
+        .map(|&(label, choice, _)| (label, choice, complex_row(choice)))
+        .collect();
+    for (label, _, (digest, _)) in &rows {
+        println!("{label:>6}: complex {digest:#018x}");
+    }
+    for ((label, choice, (digest, sparse)), pin) in rows.iter().zip(COMPLEX_PINS) {
+        assert_eq!(
+            *sparse,
+            expected_sparse(*choice, 3),
+            "{label}: complex engines"
+        );
+        assert_eq!(*digest, pin.2, "{label}: complex digest moved");
     }
 }
