@@ -38,7 +38,8 @@ fn time_us<F: FnMut()>(label: &str, reps: usize, mut f: F) -> f64 {
 /// Times the batch workspace legs (assembly+factor, solve, det) directly
 /// against the serial sparse LU on the same system.
 fn batch_legs(ss: &SmallSignal) {
-    use adc_numerics::sparse::{CCsrMatrix, CSparseLu, CSparseLuBatch, CsrPattern, Symbolic};
+    use adc_numerics::simd;
+    use adc_numerics::sparse::{CSparseLuBatch, CsrMatrix, CsrPattern, SparseLu, Symbolic};
     use std::sync::Arc;
     let dim = ss.dim();
     let mut entries: Vec<(usize, usize)> = Vec::with_capacity(ss.base.len() + ss.cap_entries.len());
@@ -75,12 +76,12 @@ fn batch_legs(ss: &SmallSignal) {
     time_us("  batch8 det_into", 2000, || {
         batch.det_into(&mut dets);
     });
-    let mut y = CCsrMatrix::zeros(Arc::clone(&pattern));
-    let mut lu = CSparseLu::new(Arc::clone(&sym));
+    let mut y = CsrMatrix::zeros(Arc::clone(&pattern));
+    let mut lu = SparseLu::new(Arc::clone(&sym));
     let mut x1 = vec![Complex::ZERO; dim];
     time_us("  serial assemble+factor", 2000, || {
         y.values_mut().copy_from_slice(&base_vals);
-        y.scatter_add_scaled(cap_slots, &cap_vals, black_box(s8[0]));
+        simd::scatter_add_scaled(y.values_mut(), cap_slots, &cap_vals, black_box(s8[0]));
         lu.factor_into(&y).unwrap();
     });
     time_us("  serial solve_into", 2000, || {

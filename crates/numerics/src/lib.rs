@@ -2,10 +2,11 @@
 //!
 //! Numerical substrate for the pipelined-ADC topology-optimization
 //! reproduction: complex arithmetic, real/complex polynomials with robust
-//! root finding, dense linear algebra (LU with partial pivoting, real and
-//! complex), sparse CSR linear algebra (LU with a reusable symbolic
-//! factorization for MNA-shaped systems), radix-2 FFT with spectral
-//! windows, and small statistics helpers.
+//! root finding, dense and sparse CSR linear algebra over one real or
+//! complex [`linalg::Scalar`] entry type (dense LU with partial pivoting;
+//! sparse LU with a reusable symbolic factorization for MNA-shaped
+//! systems), radix-2 FFT with spectral windows, and small statistics
+//! helpers.
 //!
 //! Everything here is written from scratch (no external math crates) so the
 //! higher layers — the circuit simulator, the DPI/SFG symbolic analysis and

@@ -1,26 +1,113 @@
 //! Dense linear algebra: row-major matrices and LU factorization with
-//! partial pivoting, in both real and complex flavors.
+//! partial pivoting, generic over the entry type ([`Scalar`]: `f64` or
+//! [`Complex`]).
 //!
 //! The circuit simulator builds modified-nodal-analysis (MNA) systems of
 //! modest size (tens of unknowns); dense LU with partial pivoting is the
 //! appropriate tool. The API is **reuse-oriented**: a factorization object
-//! ([`Lu`], [`CLu`]) owns its pivot and factor buffers and can be refilled
-//! in place via [`Lu::factor_into`] / [`CLu::factor_into`], and solves write
-//! into caller-owned slices via [`Lu::solve_into`] / [`CLu::solve_into`] —
-//! so a Newton loop or an AC sweep refactors and resolves every iteration
-//! without touching the allocator. The allocating entry points
-//! ([`Matrix::solve`], [`CMatrix::solve`], [`Matrix::lu`]) remain as thin
-//! wrappers over the in-place core.
+//! ([`Lu`]) owns its pivot and factor buffers and can be refilled in place
+//! via [`Lu::factor_into`], and solves write into caller-owned slices via
+//! [`Lu::solve_into`] — so a Newton loop or an AC sweep refactors and
+//! resolves every iteration without touching the allocator. The allocating
+//! entry points ([`Matrix::solve`], [`Matrix::lu`]) remain as thin
+//! wrappers over the in-place core. [`Scalar`] is also the entry type of
+//! the CSR matrices and sparse LU in [`crate::sparse`].
 
 use crate::complex::Complex;
 use crate::{NumResult, NumericsError};
-use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Sub, SubAssign};
 
 /// Pivot magnitude below which a matrix is declared numerically singular.
-const SINGULAR_TOL: f64 = 1e-300;
+pub(crate) const SINGULAR_TOL: f64 = 1e-300;
 
-/// Dense row-major `f64` matrix.
+/// Entry type of the dense and sparse matrices and their LU
+/// factorizations: `f64` for Newton Jacobians, [`Complex`] for the
+/// small-signal `Y(s)`.
+///
+/// # Example
+/// ```
+/// use adc_numerics::complex::Complex;
+/// use adc_numerics::linalg::{Lu, Matrix};
+/// // (1+i)·x = 2i  ⇒  x = 1+i
+/// let mut a = Matrix::zeros(1, 1);
+/// a[(0, 0)] = Complex::new(1.0, 1.0);
+/// let mut lu = Lu::with_dim(1);
+/// lu.factor_into(&a).unwrap();
+/// let mut x = [Complex::ZERO];
+/// lu.solve_into(&[Complex::new(0.0, 2.0)], &mut x);
+/// assert!((x[0] - Complex::new(1.0, 1.0)).norm() < 1e-14);
+/// assert!((lu.det() - Complex::new(1.0, 1.0)).norm() < 1e-14);
+/// ```
+pub trait Scalar:
+    Copy
+    + PartialEq
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + SubAssign
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// The real number `x` as an entry.
+    fn from_real(x: f64) -> Self;
+    /// Magnitude: `abs`, or the complex `norm`.
+    fn mag(self) -> f64;
+    /// Pivot screen: `true` iff `self.mag() >= t` — same decision as
+    /// computing the magnitude, but with a cheap component test that
+    /// short-circuits the `hypot` for every healthy pivot (the common
+    /// case by ~every pivot of a well-posed system).
+    fn mag_ge(self, t: f64) -> bool;
+    /// `dst[j] -= f · src[j]`, the dense LU row update, through
+    /// [`crate::simd::axpy_sub`] or [`crate::simd::caxpy_sub`].
+    fn axpy_sub(dst: &mut [Self], src: &[Self], f: Self);
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    #[inline]
+    fn from_real(x: f64) -> f64 {
+        x
+    }
+    #[inline]
+    fn mag(self) -> f64 {
+        self.abs()
+    }
+    #[inline]
+    fn mag_ge(self, t: f64) -> bool {
+        self.abs() >= t
+    }
+    #[inline]
+    fn axpy_sub(dst: &mut [f64], src: &[f64], f: f64) {
+        crate::simd::axpy_sub(dst, src, f);
+    }
+}
+
+impl Scalar for Complex {
+    const ZERO: Complex = Complex::ZERO;
+    #[inline]
+    fn from_real(x: f64) -> Complex {
+        Complex::from_real(x)
+    }
+    #[inline]
+    fn mag(self) -> f64 {
+        self.norm()
+    }
+    #[inline]
+    fn mag_ge(self, t: f64) -> bool {
+        // |z| ≥ max(|re|, |im|), so a component beyond 2t proves |z| ≥ t
+        // (2× margin absorbs hypot rounding) without the hypot call; only
+        // borderline pivots fall through to the exact norm.
+        self.re.abs() > 2.0 * t || self.im.abs() > 2.0 * t || self.norm() >= t
+    }
+    #[inline]
+    fn axpy_sub(dst: &mut [Complex], src: &[Complex], f: Complex) {
+        crate::simd::caxpy_sub(dst, src, f);
+    }
+}
+
+/// Dense row-major matrix of [`Scalar`] entries (`f64` by default).
 ///
 /// # Example
 /// ```
@@ -31,22 +118,84 @@ const SINGULAR_TOL: f64 = 1e-300;
 /// assert!((x[1] - 1.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Matrix {
+pub struct Matrix<T = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Matrix {
+impl<T: Scalar> Matrix<T> {
     /// Creates a zero-filled `rows × cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Resets all entries to zero (reuse storage across Newton iterations).
+    pub fn clear(&mut self) {
+        self.data.fill(T::ZERO);
+    }
+
+    /// Mutable row-major value array: entry `(i, j)` is at `i·cols + j`,
+    /// the slot a stamp replay scatters through.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Adds `v` to entry `(i, j)` — the MNA "stamp" primitive.
+    #[inline]
+    pub fn add_at(&mut self, i: usize, j: usize, v: T) {
+        let c = self.cols;
+        self.data[i * c + j] += v;
+    }
+
+    /// LU factorization with partial pivoting (allocates a fresh [`Lu`];
+    /// reuse-oriented callers should keep one [`Lu`] and call
+    /// [`Lu::factor_into`] instead).
+    ///
+    /// # Errors
+    /// Returns [`NumericsError::SingularMatrix`] if a pivot underflows.
+    pub fn lu(&self) -> NumResult<Lu<T>> {
+        assert_eq!(self.rows, self.cols, "LU requires a square matrix");
+        let mut f = Lu::with_dim(self.rows);
+        f.factor_into(self)?;
+        Ok(f)
+    }
+
+    /// Solves `A x = b`, allocating a fresh factorization and solution —
+    /// a thin wrapper over [`Lu::factor_into`] + [`Lu::solve_into`]. Hot
+    /// loops (Newton iterations, AC sweeps) should hold a [`Lu`] workspace
+    /// and use the in-place pair directly.
+    ///
+    /// # Errors
+    /// Returns [`NumericsError::SingularMatrix`] for singular systems.
+    pub fn solve(&self, b: &[T]) -> NumResult<Vec<T>> {
+        Ok(self.lu()?.solve(b))
+    }
+
+    /// Determinant via LU (0 for singular matrices).
+    pub fn det(&self) -> T {
+        match self.lu() {
+            Ok(lu) => lu.det(),
+            Err(_) => T::ZERO,
+        }
+    }
+}
+
+impl Matrix {
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -75,34 +224,6 @@ impl Matrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Resets all entries to zero (reuse storage across Newton iterations).
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Mutable row-major value array: entry `(i, j)` is at `i·cols + j`,
-    /// the slot a stamp replay scatters through.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Adds `v` to entry `(i, j)` — the MNA "stamp" primitive.
-    #[inline]
-    pub fn add_at(&mut self, i: usize, j: usize, v: f64) {
-        let c = self.cols;
-        self.data[i * c + j] += v;
-    }
-
     /// Matrix–vector product.
     ///
     /// # Panics
@@ -126,19 +247,6 @@ impl Matrix {
         }
     }
 
-    /// Copies another matrix's entries into this one (reuse storage).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (src.rows, src.cols),
-            "dimension mismatch"
-        );
-        self.data.copy_from_slice(&src.data);
-    }
-
     /// Matrix–matrix product.
     ///
     /// # Panics
@@ -159,98 +267,30 @@ impl Matrix {
         }
         out
     }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// LU factorization with partial pivoting (allocates a fresh [`Lu`];
-    /// reuse-oriented callers should keep one [`Lu`] and call
-    /// [`Lu::factor_into`] instead).
-    ///
-    /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] if a pivot underflows.
-    pub fn lu(&self) -> NumResult<Lu> {
-        assert_eq!(self.rows, self.cols, "LU requires a square matrix");
-        let mut f = Lu::with_dim(self.rows);
-        f.factor_into(self)?;
-        Ok(f)
-    }
-
-    /// Solves `A x = b`, allocating a fresh factorization and solution —
-    /// a thin wrapper over [`Lu::factor_into`] + [`Lu::solve_into`]. Hot
-    /// loops (Newton iterations, AC sweeps) should hold a [`Lu`] workspace
-    /// and use the in-place pair directly.
-    ///
-    /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] for singular systems.
-    pub fn solve(&self, b: &[f64]) -> NumResult<Vec<f64>> {
-        Ok(self.lu()?.solve(b))
-    }
-
-    /// Determinant via LU (0 for singular matrices).
-    pub fn det(&self) -> f64 {
-        match self.lu() {
-            Ok(lu) => lu.det(),
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Infinity norm (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
+impl<T> Index<(usize, usize)> for Matrix<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+    fn index(&self, (i, j): (usize, usize)) -> &T {
         &self.data[i * self.cols + j]
     }
 }
 
-impl IndexMut<(usize, usize)> for Matrix {
+impl<T> IndexMut<(usize, usize)> for Matrix<T> {
     #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
         &mut self.data[i * self.cols + j]
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            write!(f, "[")?;
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{:>12.5e}", self[(i, j)])?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
-}
-
-/// LU factorization of a real matrix (P·A = L·U), doubling as a reusable
-/// factorization workspace: [`Lu::factor_into`] refills the pivot and
-/// factor buffers in place, [`Lu::solve_into`] writes the solution into a
-/// caller-owned slice — neither allocates after construction.
+/// LU factorization (P·A = L·U) with partial pivoting by magnitude,
+/// doubling as a reusable factorization workspace: [`Lu::factor_into`]
+/// refills the pivot and factor buffers in place, [`Lu::solve_into`]
+/// writes the solution into a caller-owned slice — neither allocates after
+/// construction. One factorization serves both the determinant (product
+/// of pivots, which the numeric TF extraction samples) and any number of
+/// solves.
 ///
 /// # Example
 /// ```
@@ -267,26 +307,26 @@ impl fmt::Display for Matrix {
 /// }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Lu {
+pub struct Lu<T = f64> {
     n: usize,
-    lu: Vec<f64>,
+    lu: Vec<T>,
     perm: Vec<usize>,
     sign: f64,
 }
 
-impl Default for Lu {
+impl<T: Scalar> Default for Lu<T> {
     fn default() -> Self {
         Lu::with_dim(0)
     }
 }
 
-impl Lu {
+impl<T: Scalar> Lu<T> {
     /// Creates an empty factorization workspace for `n × n` systems.
     /// [`Lu::factor_into`] must succeed before the first solve.
     pub fn with_dim(n: usize) -> Self {
         Lu {
             n,
-            lu: vec![0.0; n * n],
+            lu: vec![T::ZERO; n * n],
             perm: (0..n).collect(),
             sign: 1.0,
         }
@@ -304,16 +344,17 @@ impl Lu {
     /// non-singular matrix before solving.
     ///
     /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] if a pivot underflows.
+    /// Returns [`NumericsError::SingularMatrix`] if a pivot magnitude
+    /// underflows.
     ///
     /// # Panics
     /// Panics if `a` is not square.
-    pub fn factor_into(&mut self, a: &Matrix) -> NumResult<()> {
+    pub fn factor_into(&mut self, a: &Matrix<T>) -> NumResult<()> {
         assert_eq!(a.rows, a.cols, "LU requires a square matrix");
         let n = a.rows;
         if self.n != n {
             self.n = n;
-            self.lu.resize(n * n, 0.0);
+            self.lu.resize(n * n, T::ZERO);
             self.perm.resize(n, 0);
         }
         self.lu.copy_from_slice(&a.data);
@@ -325,9 +366,9 @@ impl Lu {
         for k in 0..n {
             // Partial pivot: find the largest magnitude in column k.
             let mut p = k;
-            let mut max = lu[k * n + k].abs();
+            let mut max = lu[k * n + k].mag();
             for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
+                let v = lu[i * n + k].mag();
                 if v > max {
                     max = v;
                     p = i;
@@ -355,8 +396,8 @@ impl Lu {
             for irow in rest.chunks_exact_mut(n) {
                 let f = irow[k] / pivot;
                 irow[k] = f;
-                if f != 0.0 {
-                    crate::simd::axpy_sub(&mut irow[k + 1..n], krow, f);
+                if f != T::ZERO {
+                    T::axpy_sub(&mut irow[k + 1..n], krow, f);
                 }
             }
         }
@@ -368,7 +409,7 @@ impl Lu {
     ///
     /// # Panics
     /// Panics if `b.len()` or `x.len()` differs from the matrix dimension.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+    pub fn solve_into(&self, b: &[T], x: &mut [T]) {
         assert_eq!(b.len(), self.n, "dimension mismatch");
         assert_eq!(x.len(), self.n, "dimension mismatch");
         let n = self.n;
@@ -379,7 +420,7 @@ impl Lu {
         for i in 1..n {
             let mut s = x[i];
             for (j, xj) in x.iter().enumerate().take(i) {
-                s -= self.lu[i * n + j] * xj;
+                s -= self.lu[i * n + j] * *xj;
             }
             x[i] = s;
         }
@@ -387,7 +428,7 @@ impl Lu {
         for i in (0..n).rev() {
             let mut s = x[i];
             for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.lu[i * n + j] * xj;
+                s -= self.lu[i * n + j] * *xj;
             }
             x[i] = s / self.lu[i * n + i];
         }
@@ -398,270 +439,16 @@ impl Lu {
     ///
     /// # Panics
     /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
+    pub fn solve(&self, b: &[T]) -> Vec<T> {
+        let mut x = vec![T::ZERO; self.n];
         self.solve_into(b, &mut x);
         x
     }
 
-    /// Determinant from the product of pivots.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.n {
-            d *= self.lu[i * self.n + i];
-        }
-        d
-    }
-}
-
-/// Dense row-major complex matrix (for AC small-signal analysis).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Complex>,
-}
-
-impl CMatrix {
-    /// Creates a zero-filled complex matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CMatrix {
-            rows,
-            cols,
-            data: vec![Complex::ZERO; rows * cols],
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Adds `v` at `(i, j)` — complex MNA stamp.
-    #[inline]
-    pub fn add_at(&mut self, i: usize, j: usize, v: Complex) {
-        let c = self.cols;
-        self.data[i * c + j] += v;
-    }
-
-    /// Resets all entries to zero (reuse storage across sweep points).
-    pub fn clear(&mut self) {
-        self.data.fill(Complex::ZERO);
-    }
-
-    /// Copies another matrix's entries into this one (reuse storage).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn copy_from(&mut self, src: &CMatrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (src.rows, src.cols),
-            "dimension mismatch"
-        );
-        self.data.copy_from_slice(&src.data);
-    }
-
-    /// Determinant via LU with partial pivoting (0 for singular) — an
-    /// allocating wrapper over [`CLu::factor_into`] + [`CLu::det`].
-    pub fn det(&self) -> Complex {
-        assert_eq!(self.rows, self.cols, "square matrix required");
-        let mut f = CLu::with_dim(self.rows);
-        match f.factor_into(self) {
-            Ok(()) => f.det(),
-            Err(_) => Complex::ZERO,
-        }
-    }
-
-    /// Solves `A x = b`, allocating a fresh factorization and solution — a
-    /// thin wrapper over [`CLu::factor_into`] + [`CLu::solve_into`]. Hot
-    /// loops (AC sweeps, TF sampling) should hold a [`CLu`] workspace and
-    /// use the in-place pair directly.
-    ///
-    /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] if a pivot magnitude
-    /// underflows.
-    pub fn solve(&self, b: &[Complex]) -> NumResult<Vec<Complex>> {
-        assert_eq!(self.rows, self.cols, "square system required");
-        let mut f = CLu::with_dim(self.rows);
-        f.factor_into(self)?;
-        let mut x = vec![Complex::ZERO; self.rows];
-        f.solve_into(b, &mut x);
-        Ok(x)
-    }
-}
-
-/// LU factorization of a complex matrix (P·A = L·U) with partial pivoting
-/// by magnitude — the complex sibling of [`Lu`], reusable in the same way.
-///
-/// One factorization serves both the determinant (product of pivots, used
-/// by the numeric TF extraction) and any number of in-place solves.
-///
-/// # Example
-/// ```
-/// use adc_numerics::complex::Complex;
-/// use adc_numerics::linalg::{CLu, CMatrix};
-/// // (1+i)·x = 2i  ⇒  x = 1+i
-/// let mut a = CMatrix::zeros(1, 1);
-/// a[(0, 0)] = Complex::new(1.0, 1.0);
-/// let mut lu = CLu::with_dim(1);
-/// lu.factor_into(&a).unwrap();
-/// let mut x = [Complex::ZERO];
-/// lu.solve_into(&[Complex::new(0.0, 2.0)], &mut x);
-/// assert!((x[0] - Complex::new(1.0, 1.0)).norm() < 1e-14);
-/// assert!((lu.det() - Complex::new(1.0, 1.0)).norm() < 1e-14);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CLu {
-    n: usize,
-    lu: Vec<Complex>,
-    perm: Vec<usize>,
-    sign: f64,
-}
-
-impl Default for CLu {
-    fn default() -> Self {
-        CLu::with_dim(0)
-    }
-}
-
-impl CLu {
-    /// Creates an empty factorization workspace for `n × n` systems.
-    /// [`CLu::factor_into`] must succeed before the first solve.
-    pub fn with_dim(n: usize) -> Self {
-        CLu {
-            n,
-            lu: vec![Complex::ZERO; n * n],
-            perm: (0..n).collect(),
-            sign: 1.0,
-        }
-    }
-
-    /// System dimension this workspace is sized for.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Refactors `a` into this workspace's buffers (no allocation when the
-    /// dimension is unchanged; resizes once when it grows).
-    ///
-    /// On error the stored factors are invalid — call again with a
-    /// non-singular matrix before solving.
-    ///
-    /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] if a pivot magnitude
-    /// underflows.
-    ///
-    /// # Panics
-    /// Panics if `a` is not square.
-    pub fn factor_into(&mut self, a: &CMatrix) -> NumResult<()> {
-        assert_eq!(a.rows, a.cols, "LU requires a square matrix");
-        let n = a.rows;
-        if self.n != n {
-            self.n = n;
-            self.lu.resize(n * n, Complex::ZERO);
-            self.perm.resize(n, 0);
-        }
-        self.lu.copy_from_slice(&a.data);
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.sign = 1.0;
-        let lu = &mut self.lu;
-        for k in 0..n {
-            let mut p = k;
-            let mut max = lu[k * n + k].norm();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].norm();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            if max < SINGULAR_TOL {
-                return Err(NumericsError::SingularMatrix {
-                    step: k,
-                    pivot: max,
-                });
-            }
-            if p != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, p * n + j);
-                }
-                self.perm.swap(k, p);
-                self.sign = -self.sign;
-            }
-            let pivot = lu[k * n + k];
-            // Complex row updates through the SIMD caxpy kernel (same split
-            // shape as the real factorization).
-            let (top, rest) = lu.split_at_mut((k + 1) * n);
-            let krow = &top[k * n + k + 1..(k + 1) * n];
-            for irow in rest.chunks_exact_mut(n) {
-                let f = irow[k] / pivot;
-                irow[k] = f;
-                if f.norm() != 0.0 {
-                    crate::simd::caxpy_sub(&mut irow[k + 1..n], krow, f);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `A x = b` into a caller-owned buffer using the stored
-    /// factors (no allocation).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` differs from the matrix dimension.
-    pub fn solve_into(&self, b: &[Complex], x: &mut [Complex]) {
-        assert_eq!(b.len(), self.n, "dimension mismatch");
-        assert_eq!(x.len(), self.n, "dimension mismatch");
-        let n = self.n;
-        for (xi, &p) in x.iter_mut().zip(self.perm.iter()) {
-            *xi = b[p];
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, xj) in x.iter().enumerate().take(i) {
-                s -= self.lu[i * n + j] * *xj;
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.lu[i * n + j] * *xj;
-            }
-            x[i] = s / self.lu[i * n + i];
-        }
-    }
-
-    /// Determinant from the product of pivots (permutation sign included).
-    pub fn det(&self) -> Complex {
-        let mut d = Complex::from_real(self.sign);
-        for i in 0..self.n {
-            d *= self.lu[i * self.n + i];
-        }
-        d
-    }
-}
-
-impl Index<(usize, usize)> for CMatrix {
-    type Output = Complex;
-    #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &Complex {
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for CMatrix {
-    #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut Complex {
-        &mut self.data[i * self.cols + j]
+    /// Determinant from the product of pivots in row order, the
+    /// permutation sign first.
+    pub fn det(&self) -> T {
+        (0..self.n).fold(T::from_real(self.sign), |d, i| d * self.lu[i * self.n + i])
     }
 }
 
@@ -760,15 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
     fn lu_reuse_for_multiple_rhs() {
         let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
         let lu = a.lu().unwrap();
@@ -784,7 +562,7 @@ mod tests {
     #[test]
     fn complex_solve_known() {
         // (1+i) x = 2i  =>  x = 2i/(1+i) = 1 + i
-        let mut a = CMatrix::zeros(1, 1);
+        let mut a = Matrix::<Complex>::zeros(1, 1);
         a[(0, 0)] = Complex::new(1.0, 1.0);
         let x = a.solve(&[Complex::new(0.0, 2.0)]).unwrap();
         assert!((x[0] - Complex::new(1.0, 1.0)).norm() < 1e-14);
@@ -792,7 +570,7 @@ mod tests {
 
     #[test]
     fn complex_solve_2x2_residual() {
-        let mut a = CMatrix::zeros(2, 2);
+        let mut a = Matrix::<Complex>::zeros(2, 2);
         a[(0, 0)] = Complex::new(2.0, 1.0);
         a[(0, 1)] = Complex::new(0.0, -1.0);
         a[(1, 0)] = Complex::new(1.0, 0.0);
@@ -811,29 +589,23 @@ mod tests {
 
     #[test]
     fn complex_det_known() {
-        let mut a = CMatrix::zeros(2, 2);
+        let mut a = Matrix::<Complex>::zeros(2, 2);
         a[(0, 0)] = Complex::new(1.0, 1.0);
         a[(1, 1)] = Complex::new(2.0, 0.0);
         a[(0, 1)] = Complex::new(0.0, 3.0);
         // triangular: det = (1+i)·2
         assert!((a.det() - Complex::new(2.0, 2.0)).norm() < 1e-14);
         // permuted rows flip sign
-        let mut b = CMatrix::zeros(2, 2);
+        let mut b = Matrix::<Complex>::zeros(2, 2);
         b[(0, 1)] = Complex::ONE;
         b[(1, 0)] = Complex::ONE;
         assert!((b.det() + Complex::ONE).norm() < 1e-14);
-        assert_eq!(CMatrix::zeros(2, 2).det(), Complex::ZERO);
+        assert_eq!(Matrix::<Complex>::zeros(2, 2).det(), Complex::ZERO);
     }
 
     #[test]
     fn complex_singular_detected() {
-        let a = CMatrix::zeros(2, 2);
+        let a = Matrix::<Complex>::zeros(2, 2);
         assert!(a.solve(&[Complex::ONE, Complex::ONE]).is_err());
-    }
-
-    #[test]
-    fn norm_inf_rowsums() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 0.5]]);
-        assert!((a.norm_inf() - 3.5).abs() < 1e-15);
     }
 }

@@ -1,18 +1,18 @@
 //! Explicit SIMD kernels behind a single runtime-detected dispatch point.
 //!
 //! The evaluation hot path — stamp replay ([`scatter_add`],
-//! [`scatter_add_uniform`], [`crate::sparse::CCsrMatrix::scatter_add_scaled`]),
-//! the dense LU inner row updates ([`crate::linalg::Lu`]/[`crate::linalg::CLu`])
-//! and the batched sparse complex factor and solves
+//! [`scatter_add_uniform`], [`scatter_add_scaled`]), the dense LU inner
+//! row updates ([`crate::linalg::Lu`], real or complex) and the batched
+//! sparse complex factor and solves
 //! ([`crate::sparse::CSparseLuBatch`]) — was deliberately shaped as
 //! fixed-width 4-lane chunks so intrinsics could drop in without changing
 //! accumulation order. This module is that drop-in: AVX2 kernels on
 //! `x86_64`, and the original scalar 4-lane loops everywhere else (and as
 //! the bit-compared oracle under `ADC_FORCE_SCALAR=1`).
 //!
-//! There is no sparse row-update kernel. The serial sparse factors
-//! ([`crate::sparse::SparseLu`], [`crate::sparse::CSparseLu`]) eliminate in
-//! place along the symbolic elimination schedule, one scalar update per
+//! There is no sparse row-update kernel. The serial sparse factor
+//! ([`crate::sparse::SparseLu`], real or complex) eliminates in place
+//! along the symbolic elimination schedule, one scalar update per
 //! factor entry; MNA factor rows are a handful of entries long, too short
 //! for a vector product to pay for its round trip through memory.
 //!
@@ -116,10 +116,10 @@ pub fn padded_lanes(k: usize) -> usize {
 /// Accumulates `vals[k]` into `out[slots[k]]` for every `k`, in order —
 /// the one shared scatter kernel behind the real Newton Jacobian's stamp
 /// replay (dense row-major or CSR value arrays) and, product formation
-/// aside, `CCsrMatrix::scatter_add_scaled`. Scattered `+=` with repeatable slots
-/// is order-dependent and has no AVX2 scatter instruction, so this
-/// runs the scalar 4-lane loop on every backend; it exists here so the
-/// replay shape lives in exactly one place.
+/// aside, [`scatter_add_scaled`]. Scattered `+=` with repeatable slots is
+/// order-dependent and has no AVX2 scatter instruction, so this runs the
+/// scalar 4-lane loop on every backend; it exists here so the replay
+/// shape lives in exactly one place.
 ///
 /// # Panics
 /// Panics if `slots` and `vals` differ in length or a slot is out of range.

@@ -1,5 +1,6 @@
 //! Sparse linear algebra for MNA systems: compressed-sparse-row storage and
-//! LU factorization with a **reusable symbolic factorization**.
+//! LU factorization with a **reusable symbolic factorization**, generic
+//! over the [`Scalar`] entry type like the dense [`crate::linalg`] types.
 //!
 //! OTA testbench matrices are ~90 % structural zeros, and the synthesis
 //! inner loop refactors the *same sparsity pattern* thousands of times (per
@@ -11,17 +12,15 @@
 //!    alone, the elimination is simulated over row/column bitsets to
 //!    predict all fill-in, and the resulting factor pattern plus scatter
 //!    maps are frozen.
-//! 2. [`SparseLu::factor_into`] / [`CSparseLu::factor_into`] — per value
-//!    change: a numeric refactorization that follows the frozen pattern
-//!    with **zero allocation and no pivot search**, mirroring the reuse
-//!    contract of the dense [`crate::linalg::Lu`] / [`crate::linalg::CLu`].
-//!    Both run one generic `factor_core`, which eliminates in place in the
-//!    factor storage along the frozen elimination schedule
-//!    (`Symbolic::e_target`, which [`CSparseLuBatch`] walks lane by lane).
-//! 3. [`SparseLu::solve_into`] / [`CSparseLu::solve_into`] and
-//!    [`CSparseLu::det`] — in-place triangular solves and the determinant
-//!    from the product of pivots (the quantity the numeric TF extraction
-//!    samples).
+//! 2. [`SparseLu::factor_into`] — per value change: a numeric
+//!    refactorization that follows the frozen pattern with **zero
+//!    allocation and no pivot search**, mirroring the reuse contract of
+//!    the dense [`crate::linalg::Lu`]. It eliminates in place in the factor
+//!    storage along the frozen elimination schedule (`Symbolic::e_target`,
+//!    which [`CSparseLuBatch`] walks lane by lane).
+//! 3. [`SparseLu::solve_into`] and [`SparseLu::det`] — in-place triangular
+//!    solves and the determinant from the product of pivots (the quantity
+//!    the numeric TF extraction samples).
 //!
 //! Static pivoting is safe here because MNA structural nonzeros are
 //! numerically nonzero in practice (conductance sums with a g_min floor on
@@ -30,13 +29,9 @@
 //! fall back to the dense partial-pivoting oracle.
 
 use crate::complex::Complex;
-use crate::linalg::{CMatrix, Matrix};
+use crate::linalg::{Matrix, Scalar, SINGULAR_TOL};
 use crate::{NumResult, NumericsError};
 use std::sync::Arc;
-
-/// Pivot magnitude below which a refactorization is declared singular
-/// (matches the dense LU threshold).
-const SINGULAR_TOL: f64 = 1e-300;
 
 /// Minimum dimension for the sparse path to pay for its indirection.
 const SPARSE_MIN_DIM: usize = 9;
@@ -151,20 +146,21 @@ impl CsrPattern {
     }
 }
 
-/// Sparse real matrix: shared [`CsrPattern`] plus a value per nonzero.
+/// Sparse matrix of [`Scalar`] entries (`f64` by default): shared
+/// [`CsrPattern`] plus a value per nonzero.
 #[derive(Debug, Clone)]
-pub struct CsrMatrix {
+pub struct CsrMatrix<T = f64> {
     pattern: Arc<CsrPattern>,
-    vals: Vec<f64>,
+    vals: Vec<T>,
 }
 
-impl CsrMatrix {
+impl<T: Scalar> CsrMatrix<T> {
     /// Zero matrix over a pattern.
     pub fn zeros(pattern: Arc<CsrPattern>) -> Self {
         let n = pattern.nnz();
         CsrMatrix {
             pattern,
-            vals: vec![0.0; n],
+            vals: vec![T::ZERO; n],
         }
     }
 
@@ -174,27 +170,36 @@ impl CsrMatrix {
     }
 
     /// The value array, aligned with the pattern's nonzeros.
-    pub fn values(&self) -> &[f64] {
+    pub fn values(&self) -> &[T] {
         &self.vals
     }
 
     /// Mutable value array (stamp through slot indices from
     /// [`CsrPattern::from_entries`]).
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    pub fn values_mut(&mut self) -> &mut [T] {
         &mut self.vals
-    }
-
-    /// Resets all values to zero, keeping the pattern.
-    pub fn clear(&mut self) {
-        self.vals.fill(0.0);
     }
 
     /// Accumulates `v` into nonzero slot `slot`.
     #[inline]
-    pub fn add_slot(&mut self, slot: usize, v: f64) {
+    pub fn add_slot(&mut self, slot: usize, v: T) {
         self.vals[slot] += v;
     }
 
+    /// Densifies to a [`Matrix`] (oracle comparisons in tests).
+    pub fn to_dense(&self) -> Matrix<T> {
+        let p = &self.pattern;
+        let mut m = Matrix::zeros(p.n, p.n);
+        for r in 0..p.n {
+            for (idx, &c) in p.row_cols(r).iter().enumerate() {
+                m[(r, c)] = self.vals[p.row_ptr[r] + idx];
+            }
+        }
+        m
+    }
+}
+
+impl CsrMatrix {
     /// Matrix–vector product into a caller-owned buffer (no allocation).
     ///
     /// # Panics
@@ -210,88 +215,6 @@ impl CsrMatrix {
             }
             *yr = s;
         }
-    }
-
-    /// Densifies to a [`Matrix`] (oracle comparisons in tests).
-    pub fn to_dense(&self) -> Matrix {
-        let p = &self.pattern;
-        let mut m = Matrix::zeros(p.n, p.n);
-        for r in 0..p.n {
-            for (idx, &c) in p.row_cols(r).iter().enumerate() {
-                m[(r, c)] = self.vals[p.row_ptr[r] + idx];
-            }
-        }
-        m
-    }
-}
-
-/// Sparse complex matrix: shared [`CsrPattern`] plus a value per nonzero.
-#[derive(Debug, Clone)]
-pub struct CCsrMatrix {
-    pattern: Arc<CsrPattern>,
-    vals: Vec<Complex>,
-}
-
-impl CCsrMatrix {
-    /// Zero matrix over a pattern.
-    pub fn zeros(pattern: Arc<CsrPattern>) -> Self {
-        let n = pattern.nnz();
-        CCsrMatrix {
-            pattern,
-            vals: vec![Complex::ZERO; n],
-        }
-    }
-
-    /// The shared sparsity pattern.
-    pub fn pattern(&self) -> &Arc<CsrPattern> {
-        &self.pattern
-    }
-
-    /// The value array, aligned with the pattern's nonzeros.
-    pub fn values(&self) -> &[Complex] {
-        &self.vals
-    }
-
-    /// Mutable value array (stamp through slot indices from
-    /// [`CsrPattern::from_entries`]).
-    pub fn values_mut(&mut self) -> &mut [Complex] {
-        &mut self.vals
-    }
-
-    /// Resets all values to zero, keeping the pattern.
-    pub fn clear(&mut self) {
-        self.vals.fill(Complex::ZERO);
-    }
-
-    /// Accumulates `v` into nonzero slot `slot`.
-    #[inline]
-    pub fn add_slot(&mut self, slot: usize, v: Complex) {
-        self.vals[slot] += v;
-    }
-
-    /// Accumulates `s · vals[k]` into slot `slots[k]` for every `k` — the
-    /// per-sample replay of `s`-scaled capacitive entries, through
-    /// [`crate::simd::scatter_add_scaled`]: the complex products are formed
-    /// SIMD-wide before the scattered accumulation; order matches the
-    /// scalar loop, so results are bit-identical.
-    ///
-    /// # Panics
-    /// Panics if `slots` and `vals` differ in length or a slot is out of
-    /// range.
-    pub fn scatter_add_scaled(&mut self, slots: &[usize], vals: &[f64], s: Complex) {
-        crate::simd::scatter_add_scaled(&mut self.vals, slots, vals, s);
-    }
-
-    /// Densifies to a [`CMatrix`] (oracle comparisons in tests).
-    pub fn to_dense(&self) -> CMatrix {
-        let p = &self.pattern;
-        let mut m = CMatrix::zeros(p.n, p.n);
-        for r in 0..p.n {
-            for (idx, &c) in p.row_cols(r).iter().enumerate() {
-                m[(r, c)] = self.vals[p.row_ptr[r] + idx];
-            }
-        }
-        m
     }
 }
 
@@ -321,7 +244,7 @@ pub struct Symbolic {
     /// factor positions *within row i* receiving row `j = f_col[pos]`'s
     /// update entries `f_diag[j]+1..row_ptr[j+1]`, flattened in order. The
     /// fill closure guarantees every update column exists in row `i`, so
-    /// all three factorizations — [`SparseLu`], [`CSparseLu`] and
+    /// both factorizations — [`SparseLu`] (real or complex) and
     /// [`CSparseLuBatch`] — eliminate in place along this one schedule, in
     /// the scratch-row walk's arithmetic order exactly.
     e_target: Vec<usize>,
@@ -734,59 +657,6 @@ fn perm_sign(perm: &[usize]) -> f64 {
     sign
 }
 
-/// Scalar abstraction shared by the real and complex numeric kernels.
-trait Scalar:
-    Copy
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::AddAssign
-    + std::ops::SubAssign
-{
-    const ZERO: Self;
-    fn from_real(x: f64) -> Self;
-    fn mag(self) -> f64;
-    /// Pivot screen: `true` iff `self.mag() >= t` — same decision as
-    /// computing the magnitude, but with a cheap component test that
-    /// short-circuits the `hypot` for every healthy pivot (the common
-    /// case by ~every pivot of a well-posed system).
-    fn mag_ge(self, t: f64) -> bool;
-}
-
-impl Scalar for f64 {
-    const ZERO: f64 = 0.0;
-    fn from_real(x: f64) -> f64 {
-        x
-    }
-    #[inline]
-    fn mag(self) -> f64 {
-        self.abs()
-    }
-    #[inline]
-    fn mag_ge(self, t: f64) -> bool {
-        self.abs() >= t
-    }
-}
-
-impl Scalar for Complex {
-    const ZERO: Complex = Complex::ZERO;
-    fn from_real(x: f64) -> Complex {
-        Complex::from_real(x)
-    }
-    #[inline]
-    fn mag(self) -> f64 {
-        self.norm()
-    }
-    #[inline]
-    fn mag_ge(self, t: f64) -> bool {
-        // |z| ≥ max(|re|, |im|), so a component beyond 2t proves |z| ≥ t
-        // (2× margin absorbs hypot rounding) without the hypot call; only
-        // borderline pivots fall through to the exact norm.
-        self.re.abs() > 2.0 * t || self.im.abs() > 2.0 * t || self.norm() >= t
-    }
-}
-
 /// Guards a refactorization: the matrix must live on the analyzed pattern
 /// (pointer fast path, structural equality fallback) or the scatter map
 /// would silently place values at wrong factor positions.
@@ -867,8 +737,9 @@ fn det_core<T: Scalar>(sym: &Symbolic, fvals: &[T]) -> T {
         .fold(T::from_real(sym.sign), |d, &p| d * fvals[p])
 }
 
-/// Reusable sparse LU of a real matrix over a frozen [`Symbolic`] — the
-/// sparse sibling of [`crate::linalg::Lu`].
+/// Reusable sparse LU over a frozen [`Symbolic`] — the sparse sibling of
+/// [`crate::linalg::Lu`], real or complex. One factorization serves both
+/// [`SparseLu::det`] (TF-extraction sampling) and any number of solves.
 ///
 /// # Example
 /// ```
@@ -887,79 +758,20 @@ fn det_core<T: Scalar>(sym: &Symbolic, fvals: &[T]) -> T {
 /// assert!((x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
-pub struct SparseLu {
+pub struct SparseLu<T = f64> {
     sym: Arc<Symbolic>,
-    fvals: Vec<f64>,
-    y: Vec<f64>,
+    fvals: Vec<T>,
+    y: Vec<T>,
 }
 
-impl SparseLu {
+impl<T: Scalar> SparseLu<T> {
     /// Creates a numeric factorization workspace over a symbolic analysis.
     pub fn new(sym: Arc<Symbolic>) -> Self {
         let (nnz, n) = (sym.factor_nnz(), sym.dim());
         SparseLu {
             sym,
-            fvals: vec![0.0; nnz],
-            y: vec![0.0; n],
-        }
-    }
-
-    /// The shared symbolic factorization.
-    pub fn symbolic(&self) -> &Arc<Symbolic> {
-        &self.sym
-    }
-
-    /// Refactors `a` (same pattern as analyzed) into the frozen fill
-    /// pattern — no allocation, no pivot search.
-    ///
-    /// # Errors
-    /// Returns [`NumericsError::SingularMatrix`] if a pivot underflows
-    /// under the static ordering; callers fall back to dense partial
-    /// pivoting.
-    ///
-    /// # Panics
-    /// Panics if `a`'s pattern is not the pattern this factorization was
-    /// analyzed for (the scatter map is pattern-specific).
-    pub fn factor_into(&mut self, a: &CsrMatrix) -> NumResult<()> {
-        assert_pattern_matches(a.pattern(), &self.sym);
-        factor_core(&self.sym, a.values(), &mut self.fvals)
-    }
-
-    /// Solves `A x = b` into a caller-owned buffer using the stored
-    /// factors (no allocation).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` differs from the dimension.
-    pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) {
-        let y = &mut self.y;
-        solve_core(&self.sym, &self.fvals, b, y, x);
-    }
-
-    /// Determinant from the product of pivots (permutation parity folded
-    /// in).
-    pub fn det(&self) -> f64 {
-        det_core(&self.sym, &self.fvals)
-    }
-}
-
-/// Reusable sparse LU of a complex matrix over a frozen [`Symbolic`] — the
-/// sparse sibling of [`crate::linalg::CLu`]. One factorization serves both
-/// [`CSparseLu::det`] (TF-extraction sampling) and any number of solves.
-#[derive(Debug)]
-pub struct CSparseLu {
-    sym: Arc<Symbolic>,
-    fvals: Vec<Complex>,
-    y: Vec<Complex>,
-}
-
-impl CSparseLu {
-    /// Creates a numeric factorization workspace over a symbolic analysis.
-    pub fn new(sym: Arc<Symbolic>) -> Self {
-        let (nnz, n) = (sym.factor_nnz(), sym.dim());
-        CSparseLu {
-            sym,
-            fvals: vec![Complex::ZERO; nnz],
-            y: vec![Complex::ZERO; n],
+            fvals: vec![T::ZERO; nnz],
+            y: vec![T::ZERO; n],
         }
     }
 
@@ -973,12 +785,13 @@ impl CSparseLu {
     ///
     /// # Errors
     /// Returns [`NumericsError::SingularMatrix`] if a pivot magnitude
-    /// underflows under the static ordering.
+    /// underflows under the static ordering; callers fall back to dense
+    /// partial pivoting.
     ///
     /// # Panics
     /// Panics if `a`'s pattern is not the pattern this factorization was
     /// analyzed for (the scatter map is pattern-specific).
-    pub fn factor_into(&mut self, a: &CCsrMatrix) -> NumResult<()> {
+    pub fn factor_into(&mut self, a: &CsrMatrix<T>) -> NumResult<()> {
         assert_pattern_matches(a.pattern(), &self.sym);
         factor_core(&self.sym, a.values(), &mut self.fvals)
     }
@@ -988,14 +801,14 @@ impl CSparseLu {
     ///
     /// # Panics
     /// Panics if `b.len()` or `x.len()` differs from the dimension.
-    pub fn solve_into(&mut self, b: &[Complex], x: &mut [Complex]) {
+    pub fn solve_into(&mut self, b: &[T], x: &mut [T]) {
         let y = &mut self.y;
         solve_core(&self.sym, &self.fvals, b, y, x);
     }
 
     /// Determinant from the product of pivots (permutation parity folded
     /// in).
-    pub fn det(&self) -> Complex {
+    pub fn det(&self) -> T {
         det_core(&self.sym, &self.fvals)
     }
 }
@@ -1021,8 +834,8 @@ const ML: usize = crate::simd::MAX_LANES;
 /// solve.
 ///
 /// **Bit-identity:** every lane reproduces the serial
-/// [`CSparseLu::factor_into`] / [`CSparseLu::solve_into`] /
-/// [`CSparseLu::det`] results bit for bit — assembly writes `0.0 + v` at
+/// [`SparseLu::factor_into`] / [`SparseLu::solve_into`] /
+/// [`SparseLu::det`] results bit for bit — assembly writes `0.0 + v` at
 /// base positions and `+0.0` at fill positions exactly as the serial
 /// `fill(ZERO)` + accumulate does (signed zeros included), elimination
 /// performs the same rounded operations per lane (no FMA), and the lane
@@ -1078,7 +891,7 @@ impl CSparseLuBatch {
     /// Factors `Y(s_l) = base + s_l·C` for every sample in `s`
     /// (`1..=MAX_LANES` lanes). `base` is the value array of the analyzed
     /// pattern; `cap_slots[j]`/`cap_vals[j]` address the `s`-scaled entries
-    /// by nonzero slot, exactly as [`CCsrMatrix::scatter_add_scaled`]
+    /// by nonzero slot, exactly as [`crate::simd::scatter_add_scaled`]
     /// replays them.
     ///
     /// # Errors
@@ -1212,7 +1025,7 @@ impl CSparseLuBatch {
     }
 
     /// Determinants of the factored lanes (product of pivots in elimination
-    /// order, permutation parity folded in — exactly [`CSparseLu::det`] per
+    /// order, permutation parity folded in — exactly [`SparseLu::det`] per
     /// lane). `dets` may cover fewer lanes than were factored — only the
     /// leading `dets.len()` lanes are emitted, which lets callers discard
     /// padding lanes added for vector alignment.
@@ -1549,7 +1362,7 @@ mod tests {
     fn complex_solve_and_det_match_dense() {
         let entries = [(0, 0), (0, 1), (1, 0), (1, 1)];
         let (pat, slots) = CsrPattern::from_entries(2, &entries);
-        let mut a = CCsrMatrix::zeros(Arc::clone(&pat));
+        let mut a = CsrMatrix::zeros(Arc::clone(&pat));
         let vals = [
             Complex::new(2.0, 1.0),
             Complex::new(0.0, -1.0),
@@ -1560,7 +1373,7 @@ mod tests {
             a.add_slot(s, v);
         }
         let sym = Symbolic::analyze(&pat).unwrap();
-        let mut lu = CSparseLu::new(sym);
+        let mut lu = SparseLu::new(sym);
         lu.factor_into(&a).unwrap();
         let b = [Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)];
         let mut x = [Complex::ZERO; 2];
@@ -1604,16 +1417,16 @@ mod tests {
         assert_eq!(scalar_u.values(), chunked_u.values());
 
         let s = Complex::new(0.25, -1.5);
-        let mut cscalar = CCsrMatrix::zeros(Arc::clone(&pat));
+        let mut cscalar = CsrMatrix::zeros(Arc::clone(&pat));
         for (&sl, &v) in replay.iter().zip(vals.iter()) {
             cscalar.add_slot(sl, s * v);
         }
-        let mut cchunked = CCsrMatrix::zeros(Arc::clone(&pat));
-        cchunked.scatter_add_scaled(&replay, &vals, s);
+        let mut cchunked = CsrMatrix::zeros(Arc::clone(&pat));
+        crate::simd::scatter_add_scaled(cchunked.values_mut(), &replay, &vals, s);
         assert_eq!(cscalar.values(), cchunked.values());
     }
 
-    /// Batched factor/solve/det must reproduce the serial `CSparseLu` path
+    /// Batched factor/solve/det must reproduce the serial `SparseLu` path
     /// bit for bit on every lane, for every batch width, including ragged
     /// final chunks.
     #[test]
@@ -1630,7 +1443,7 @@ mod tests {
             }
         }
         let (pat, slots) = CsrPattern::from_entries(n, &entries);
-        let mut base = CCsrMatrix::zeros(Arc::clone(&pat));
+        let mut base = CsrMatrix::zeros(Arc::clone(&pat));
         for (k, &s) in slots.iter().enumerate() {
             let v = Complex::new(1.5 + (k as f64 * 0.61).sin(), 0.0);
             base.add_slot(s, v);
@@ -1656,13 +1469,13 @@ mod tests {
             .collect();
 
         // Serial oracle per sample.
-        let mut serial = CSparseLu::new(Arc::clone(&sym));
+        let mut serial = SparseLu::new(Arc::clone(&sym));
         let mut y = base.clone();
         let mut serial_dets = Vec::new();
         let mut serial_xs = Vec::new();
         for &s in &samples {
             y.values_mut().copy_from_slice(base.values());
-            y.scatter_add_scaled(&cap_slots, &cap_vals, s);
+            crate::simd::scatter_add_scaled(y.values_mut(), &cap_slots, &cap_vals, s);
             serial.factor_into(&y).unwrap();
             serial_dets.push(serial.det());
             let mut x = vec![Complex::ZERO; n];
@@ -1701,7 +1514,7 @@ mod tests {
     #[test]
     fn batched_factor_reports_singular_lane() {
         let (pat, slots) = CsrPattern::from_entries(2, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
-        let mut base = CCsrMatrix::zeros(Arc::clone(&pat));
+        let mut base = CsrMatrix::zeros(Arc::clone(&pat));
         // Y(s) = [[1, 1], [1, 1 + s·1]]: singular at s = 0, regular else.
         for &s in &slots {
             base.add_slot(s, Complex::ONE);

@@ -221,19 +221,19 @@ proptest! {
         omega in 0.01f64..100.0,
         bvals in proptest::collection::vec(-2.0f64..2.0, 12),
     ) {
-        use adc_numerics::sparse::{CCsrMatrix, CsrPattern, CSparseLu, Symbolic};
+        use adc_numerics::sparse::{CsrMatrix, CsrPattern, SparseLu, Symbolic};
         let branches = 2;
         let n = 10 + branches;
         let trips = random_mna_triplets(n, branches, &offdiag);
         let entries: Vec<(usize, usize)> = trips.iter().map(|&(r, c, _)| (r, c)).collect();
         let (pat, slots) = CsrPattern::from_entries(n, &entries);
-        let mut a = CCsrMatrix::zeros(pat.clone());
+        let mut a = CsrMatrix::zeros(pat.clone());
         for (&s, &(_, _, v)) in slots.iter().zip(trips.iter()) {
             // Real conductance plus jω·C-style imaginary part on diagonals.
             a.add_slot(s, Complex::new(v, if v > 0.0 { omega * 1e-2 } else { 0.0 }));
         }
         let sym = Symbolic::analyze(&pat).unwrap();
-        let mut lu = CSparseLu::new(sym);
+        let mut lu = SparseLu::new(sym);
         lu.factor_into(&a).unwrap();
         let b: Vec<Complex> = bvals[..n].iter().map(|&v| Complex::new(v, -v)).collect();
         let mut x = vec![Complex::ZERO; n];
@@ -439,7 +439,8 @@ proptest! {
         smag in proptest::collection::vec(1e0f64..1e10, 1..9),
         bvals in proptest::collection::vec(-2.0f64..2.0, 12),
     ) {
-        use adc_numerics::sparse::{CCsrMatrix, CSparseLu, CSparseLuBatch, CsrPattern, Symbolic};
+        use adc_numerics::simd;
+        use adc_numerics::sparse::{CSparseLuBatch, CsrMatrix, CsrPattern, SparseLu, Symbolic};
         use std::sync::Arc;
         let branches = 2;
         let n = 10 + branches;
@@ -466,14 +467,14 @@ proptest! {
         let batch_res = batch.factor_scaled(&base_vals, cap_slots, &cap_vals, &s_list);
 
         // Serial reference: assemble + factor + solve + det per sample.
-        let mut y = CCsrMatrix::zeros(Arc::clone(&pat));
-        let mut lu = CSparseLu::new(Arc::clone(&sym));
+        let mut y = CsrMatrix::zeros(Arc::clone(&pat));
+        let mut lu = SparseLu::new(Arc::clone(&sym));
         let mut serial_x = vec![Complex::ZERO; k * n];
         let mut serial_det = vec![Complex::ZERO; k];
         let mut serial_err = None;
         for (l, &s) in s_list.iter().enumerate() {
             y.values_mut().copy_from_slice(&base_vals);
-            y.scatter_add_scaled(cap_slots, &cap_vals, s);
+            simd::scatter_add_scaled(y.values_mut(), cap_slots, &cap_vals, s);
             match lu.factor_into(&y) {
                 Ok(()) => {
                     lu.solve_into(&b, &mut serial_x[l * n..(l + 1) * n]);

@@ -1,23 +1,32 @@
-//! The real-valued Newton Jacobian engine behind DC ([`crate::dc`]) and
-//! transient ([`crate::tran`]) analysis: the topology binding, the stamp
-//! pattern, the dense-versus-CSR choice, assembly and factor/solve.
+//! The MNA engines: [`Solver`], the dense-or-CSR factorization of a real
+//! or complex system, and [`Engine`], the real Newton Jacobian engine
+//! behind DC ([`crate::dc`]) and transient ([`crate::tran`]) analysis —
+//! the topology binding, the stamp pattern, assembly and factor/solve. The
+//! complex small-signal engine behind AC analysis and TF sampling,
+//! [`ComplexMnaWorkspace`](crate::linearize::ComplexMnaWorkspace), holds a
+//! `Solver<Complex>` the same way.
 //!
-//! # Segments and slots
+//! # Slots
 //!
-//! A workspace records its stamp pattern once per topology, as ordered
-//! *segments* of `(row, col)` positions in exactly the order its stamp
-//! walks visit them. Segment 0 is the per-solve base: the stamps that stay
-//! constant for one whole solve or run, restamped at its start so value
-//! retuning is picked up. The later segments are replayed on every
-//! assembly (g_min and MOSFETs for DC; switches, capacitors, g_min and
-//! MOSFETs for transient). Each position becomes a *slot*: the row-major
-//! index `row·dim + col` on the dense engine, the nonzero index on the CSR
-//! engine. A walk that replays a segment yields one value per recorded
-//! position, in recording order; stamp walks depend on topology only,
-//! never on values, and the length assert of [`simd::scatter_add`] catches
-//! a walk that drifts from its segment. Repeated positions accumulate in
-//! recording order on both engines, so the dense and the sparse Jacobian
-//! sum the same terms in the same order.
+//! An engine records the `(row, col)` positions its stamps visit, in visit
+//! order, once per topology, and [`Solver::select`] turns each position
+//! into a *slot* in the value array: the row-major index `row·dim + col` on
+//! the dense engine, the nonzero index on the CSR engine. Assembly replays
+//! values through the slots, and repeated positions accumulate in
+//! recording order on both engines, so the dense and the sparse system sum
+//! the same terms in the same order.
+//!
+//! The real [`Engine`] records its positions as ordered *segments*.
+//! Segment 0 is the per-solve base: the stamps that stay constant for one
+//! whole solve or run, restamped at its start so value retuning is picked
+//! up. The later segments are replayed on every assembly (g_min and
+//! MOSFETs for DC; switches, capacitors, g_min and MOSFETs for transient).
+//! A walk that replays a segment yields one value per recorded position,
+//! in recording order; stamp walks depend on topology only, never on
+//! values, and the length assert of [`simd::scatter_add`] catches a walk
+//! that drifts from its segment. The complex engine records the base
+//! triplets, then the capacitive ones, and replays the latter scaled by
+//! `s` per sample.
 //!
 //! # Engine choice and the dense fallback
 //!
@@ -27,22 +36,24 @@
 //! [`SolverChoice::Dense`], the engine is dense LU with partial pivoting,
 //! the oracle. The CSR engine refactors against a pivot order frozen at
 //! analysis, so an unlucky pivot can underflow where partial pivoting
-//! would not: that raises the engine's failure flag. Restamping the base
-//! clears the flag, which scopes it to one solve or run. A solve or run
-//! that fails after raising it is rerun once on the dense engine, from its
-//! nodeset or initial condition, unless it failed by timeout
+//! would not. On the real engine that raises the failure flag. Restamping
+//! the base clears the flag, which scopes it to one solve or run. A solve
+//! or run that fails after raising it is rerun once on the dense engine,
+//! from its nodeset or initial condition, unless it failed by timeout
 //! ([`Engine::fall_back`]). A topology rebuild keeps the workspace's
-//! original [`SolverChoice`].
+//! original [`SolverChoice`]. The complex engine demotes to dense at the
+//! failing sample and refactors it there.
 
 use crate::linearize::SolverChoice;
 use crate::mna::MnaMap;
 use crate::netlist::Circuit;
 use crate::{SpiceError, SpiceResult};
-use adc_numerics::linalg::Lu;
+use adc_numerics::linalg::{Lu, Matrix, Scalar};
 use adc_numerics::simd;
 use adc_numerics::sparse::{prefer_sparse, CsrMatrix, CsrPattern, SparseLu, Symbolic};
-use adc_numerics::Matrix;
+use adc_numerics::NumResult;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A stamp pattern being recorded: positions in walk order, split into
 /// segments.
@@ -64,26 +75,113 @@ impl Pattern {
     }
 }
 
-/// The factorization behind an [`Engine`].
+/// A real or complex MNA system's values and their dense or CSR
+/// factorization (see the module documentation for the slot contract).
 #[derive(Debug)]
-enum Solver {
-    Dense { jac: Matrix, lu: Lu },
-    Sparse { jac: CsrMatrix, lu: SparseLu },
+pub(crate) enum Solver<T> {
+    Dense { jac: Matrix<T>, lu: Lu<T> },
+    Sparse { jac: CsrMatrix<T>, lu: SparseLu<T> },
 }
 
-impl Solver {
-    fn dense(dim: usize) -> Solver {
-        Solver::Dense {
+impl<T: Scalar> Solver<T> {
+    /// The engine `choice` selects for a `dim`-unknown system whose stamps
+    /// visit `entries`, and the slot of each entry.
+    pub(crate) fn select(
+        dim: usize,
+        entries: &[(usize, usize)],
+        choice: SolverChoice,
+    ) -> (Solver<T>, Vec<usize>) {
+        if choice != SolverChoice::Dense {
+            let (pattern, slots) = CsrPattern::from_entries(dim, entries);
+            if choice == SolverChoice::Sparse || prefer_sparse(dim, pattern.nnz()) {
+                // A structurally singular pattern gets the dense engine's
+                // per-factorization singularity reporting instead.
+                if let Ok(sym) = Symbolic::analyze(&pattern) {
+                    let solver = Solver::Sparse {
+                        jac: CsrMatrix::zeros(pattern),
+                        lu: SparseLu::new(sym),
+                    };
+                    return (solver, slots);
+                }
+            }
+        }
+        Solver::dense(dim, entries)
+    }
+
+    /// The dense engine for `entries`, and the slot of each entry.
+    pub(crate) fn dense(dim: usize, entries: &[(usize, usize)]) -> (Solver<T>, Vec<usize>) {
+        let slots = entries.iter().map(|&(r, c)| r * dim + c).collect();
+        let solver = Solver::Dense {
             jac: Matrix::zeros(dim, dim),
             lu: Lu::with_dim(dim),
+        };
+        (solver, slots)
+    }
+
+    /// Whether this is the CSR engine.
+    #[inline]
+    pub(crate) fn is_sparse(&self) -> bool {
+        matches!(self, Solver::Sparse { .. })
+    }
+
+    /// The CSR engine's symbolic factorization.
+    #[inline]
+    pub(crate) fn symbolic(&self) -> Option<&Arc<Symbolic>> {
+        match self {
+            Solver::Dense { .. } => None,
+            Solver::Sparse { lu, .. } => Some(lu.symbolic()),
         }
     }
 
-    /// The Jacobian's value array, which the slots index.
-    fn values_mut(&mut self) -> &mut [f64] {
+    /// The value array, which the slots index.
+    #[inline]
+    pub(crate) fn values_mut(&mut self) -> &mut [T] {
         match self {
             Solver::Dense { jac, .. } => jac.values_mut(),
             Solver::Sparse { jac, .. } => jac.values_mut(),
+        }
+    }
+
+    /// Factors the values as assembled.
+    ///
+    /// # Errors
+    /// [`adc_numerics::NumericsError::SingularMatrix`] when a pivot
+    /// underflows.
+    #[inline]
+    pub(crate) fn factor(&mut self) -> NumResult<()> {
+        match self {
+            Solver::Dense { jac, lu } => lu.factor_into(jac),
+            Solver::Sparse { jac, lu } => lu.factor_into(jac),
+        }
+    }
+
+    /// Solves with the factors of the last successful [`Solver::factor`].
+    #[inline]
+    pub(crate) fn solve_into(&mut self, b: &[T], x: &mut [T]) {
+        match self {
+            Solver::Dense { lu, .. } => lu.solve_into(b, x),
+            Solver::Sparse { lu, .. } => lu.solve_into(b, x),
+        }
+    }
+
+    /// Determinant from the factors of the last successful
+    /// [`Solver::factor`].
+    #[inline]
+    pub(crate) fn det(&self) -> T {
+        match self {
+            Solver::Dense { lu, .. } => lu.det(),
+            Solver::Sparse { lu, .. } => lu.det(),
+        }
+    }
+}
+
+impl Solver<f64> {
+    /// `y = J·x` with the values as assembled so far.
+    #[inline]
+    pub(crate) fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            Solver::Dense { jac, .. } => jac.mul_vec_into(x, y),
+            Solver::Sparse { jac, .. } => jac.mul_vec_into(x, y),
         }
     }
 }
@@ -110,7 +208,7 @@ pub(crate) struct Engine {
     base: Vec<f64>,
     /// Buffered values of the segment being stamped.
     vals: Vec<f64>,
-    solver: Solver,
+    solver: Solver<f64>,
     /// A sparse refactorization failed since the base was last restamped.
     sparse_failed: bool,
 }
@@ -139,45 +237,27 @@ impl Engine {
             .scan(0, |start, &end| Some(std::mem::replace(start, end)..end))
             .collect::<Vec<_>>();
         let widest = segments.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut engine = Engine {
+        let (mut solver, slots) = Solver::select(dim, &entries, choice);
+        Ok(Engine {
             map,
             elem_count: circuit.elements().len(),
             fingerprint: circuit.topology_fingerprint(),
             choice,
             entries,
             segments,
-            slots: Vec::new(),
-            base: Vec::new(),
+            slots,
+            base: vec![0.0; solver.values_mut().len()],
             vals: Vec::with_capacity(widest),
-            solver: Solver::dense(0),
+            solver,
             sparse_failed: false,
-        };
-        if choice != SolverChoice::Dense {
-            let (pattern, slots) = CsrPattern::from_entries(dim, &engine.entries);
-            if choice == SolverChoice::Sparse || prefer_sparse(dim, pattern.nnz()) {
-                // A structurally singular pattern gets the dense engine's
-                // per-iteration singularity reporting instead.
-                if let Ok(sym) = Symbolic::analyze(&pattern) {
-                    engine.base = vec![0.0; pattern.nnz()];
-                    engine.slots = slots;
-                    engine.solver = Solver::Sparse {
-                        jac: CsrMatrix::zeros(pattern),
-                        lu: SparseLu::new(sym),
-                    };
-                    return Ok(engine);
-                }
-            }
-        }
-        engine.demote();
-        Ok(engine)
+        })
     }
 
     /// Switches to the dense engine (base zeroed: restamp it next).
     fn demote(&mut self) {
         let dim = self.map.dim();
-        self.slots = self.entries.iter().map(|&(r, c)| r * dim + c).collect();
+        (self.solver, self.slots) = Solver::dense(dim, &self.entries);
         self.base = vec![0.0; dim * dim];
-        self.solver = Solver::dense(dim);
     }
 
     /// Whether this engine was bound to `circuit`'s topology (value
@@ -200,7 +280,7 @@ impl Engine {
 
     /// Whether the Jacobian currently factors sparse.
     pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.solver, Solver::Sparse { .. })
+        self.solver.is_sparse()
     }
 
     /// Starts a solve or run: restamps segment 0 from `walk`'s values and
@@ -245,31 +325,20 @@ impl Engine {
 
     /// `y = J·x` with the Jacobian as assembled so far.
     pub(crate) fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        match &self.solver {
-            Solver::Dense { jac, .. } => jac.mul_vec_into(x, y),
-            Solver::Sparse { jac, .. } => jac.mul_vec_into(x, y),
-        }
+        self.solver.mul_vec(x, y);
     }
 
     /// Factors the assembled Jacobian and solves `J·dx = rhs`. Returns
     /// `false` on a singular factorization; a sparse one also raises the
-    /// failure flag.
+    /// failure flag, and only a sparse one consults the `sparse_pivot`
+    /// fault site.
     pub(crate) fn factor_solve(&mut self, rhs: &[f64], dx: &mut [f64]) -> bool {
-        match &mut self.solver {
-            Solver::Dense { jac, lu } => {
-                if lu.factor_into(jac).is_err() {
-                    return false;
-                }
-                lu.solve_into(rhs, dx);
-            }
-            Solver::Sparse { jac, lu } => {
-                if injected_pivot_fault() || lu.factor_into(jac).is_err() {
-                    self.sparse_failed = true;
-                    return false;
-                }
-                lu.solve_into(rhs, dx);
-            }
+        let sparse = self.solver.is_sparse();
+        if (sparse && injected_pivot_fault()) || self.solver.factor().is_err() {
+            self.sparse_failed |= sparse;
+            return false;
         }
+        self.solver.solve_into(rhs, dx);
         true
     }
 

@@ -10,23 +10,24 @@
 //! entries are replayed at (`jω` for sweeps, arbitrary `s` for TF
 //! sampling).
 //!
-//! [`ComplexMnaWorkspace`] then assembles those entry lists into either a
-//! dense [`CMatrix`] or a CSR matrix with a reusable symbolic factorization
-//! ([`adc_numerics::sparse`]), selected automatically by structural fill
-//! ratio. Entries are grouped by destination row (the CSR value array is
-//! row-major — a struct-of-arrays layout), and every `factor_at` call only
-//! memcpy's base values and replays the `s`-scaled capacitive slots before
-//! an in-place refactorization.
+//! [`ComplexMnaWorkspace`] then assembles those entry lists into the dense
+//! or CSR engine the shared real/complex engine selection picks by
+//! structural fill ratio (the crate-private `engine` module; the CSR
+//! engine keeps a reusable symbolic factorization,
+//! [`adc_numerics::sparse`]). Both engines address their values through
+//! slots, so every `factor_at` call only memcpy's the base values and
+//! replays the `s`-scaled capacitive slots before an in-place
+//! refactorization; on the CSR engine the value array is row-major, so the
+//! replayed entries land grouped by destination row.
 
+use crate::engine::Solver;
 use crate::mna::MnaMap;
 use crate::netlist::{Circuit, Element, ElementId, NodeId};
 use crate::op::OperatingPoint;
 use crate::{SpiceError, SpiceResult};
 use adc_numerics::complex::Complex;
-use adc_numerics::linalg::{CLu, CMatrix};
-use adc_numerics::sparse::{
-    prefer_sparse, CCsrMatrix, CSparseLu, CSparseLuBatch, CsrPattern, Symbolic,
-};
+use adc_numerics::simd;
+use adc_numerics::sparse::CSparseLuBatch;
 use adc_numerics::NumericsError;
 use std::sync::Arc;
 
@@ -34,7 +35,9 @@ use std::sync::Arc;
 /// [`SolverChoice::Auto`] (structural fill ratio decides).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// Pick sparse or dense by [`prefer_sparse`] (the default).
+    /// Pick sparse or dense by
+    /// [`prefer_sparse`](adc_numerics::sparse::prefer_sparse) (the
+    /// default).
     #[default]
     Auto,
     /// Always dense LU with partial pivoting (the oracle).
@@ -248,35 +251,14 @@ impl SmallSignal {
     }
 }
 
-/// Dense engine storage: `(base, scratch, factors)`.
-fn make_dense(dim: usize) -> (CMatrix, CMatrix, CLu) {
-    (
-        CMatrix::zeros(dim, dim),
-        CMatrix::zeros(dim, dim),
-        CLu::with_dim(dim),
-    )
-}
-
-/// Sparse half of [`ComplexMnaWorkspace`]: CSR values over a frozen
-/// pattern, the symbolic factorization shared across every refactor, and
-/// the slot indices the triplet lists write through.
-#[derive(Debug)]
-struct SparseEngine {
-    y: CCsrMatrix,
-    base_vals: Vec<Complex>,
-    lu: CSparseLu,
-    /// Slot per `SmallSignal::base` triplet, in list order.
-    base_slots: Vec<usize>,
-    /// Slot per `SmallSignal::cap_entries` triplet; the CSR value array is
-    /// row-major, so replayed entries land grouped by destination row.
-    cap_slots: Vec<usize>,
-    /// Capacitance per `cap_entries` triplet, gathered per factorization so
-    /// the `s·C` replay runs struct-of-arrays through the chunked
-    /// [`CCsrMatrix::scatter_add_scaled`] kernel.
-    cap_vals: Vec<f64>,
-    /// Lane-batched factor/solve workspace over the same symbolic
-    /// factorization, built lazily on the first batched call.
-    batch: Option<CSparseLuBatch>,
+/// The `(row, col)` position of every base triplet, then of every
+/// capacitive one: the entries the engine's slots are derived from.
+fn entries(ss: &SmallSignal) -> Vec<(usize, usize)> {
+    ss.base
+        .iter()
+        .chain(&ss.cap_entries)
+        .map(|&(r, c, _)| (r, c))
+        .collect()
 }
 
 /// Reusable complex MNA engine: assembles a [`SmallSignal`] into a dense or
@@ -288,10 +270,22 @@ struct SparseEngine {
 pub struct ComplexMnaWorkspace {
     dim: usize,
     choice: SolverChoice,
-    /// Dense engine (also the fallback when sparse analysis/refactor
-    /// fails).
-    dense: Option<(CMatrix, CMatrix, CLu)>,
-    sparse: Option<SparseEngine>,
+    /// The engine; `None` until the first bind.
+    solver: Option<Solver<Complex>>,
+    /// Slot per `SmallSignal::base` triplet, in list order.
+    base_slots: Vec<usize>,
+    /// Slot per `SmallSignal::cap_entries` triplet, in list order.
+    cap_slots: Vec<usize>,
+    /// The base triplets accumulated through their slots: the values every
+    /// factorization starts from.
+    base_vals: Vec<Complex>,
+    /// Capacitance per `cap_entries` triplet, gathered per factorization so
+    /// the `s·C` replay runs struct-of-arrays through the chunked
+    /// [`simd::scatter_add_scaled`] kernel.
+    cap_vals: Vec<f64>,
+    /// Lane-batched factor/solve workspace over the CSR engine's symbolic
+    /// factorization, built lazily on the first batched call.
+    batch: Option<CSparseLuBatch>,
     /// Times a symbolic analysis ran (test hook: retuning must not
     /// re-analyze).
     analyses: usize,
@@ -308,14 +302,13 @@ impl ComplexMnaWorkspace {
     pub fn set_solver(&mut self, choice: SolverChoice) {
         self.choice = choice;
         // Force re-selection on the next bind.
-        self.dense = None;
-        self.sparse = None;
+        self.solver = None;
         self.dim = 0;
     }
 
     /// Whether the engine currently factors sparse.
     pub fn is_sparse(&self) -> bool {
-        self.sparse.is_some()
+        self.solver.as_ref().is_some_and(Solver::is_sparse)
     }
 
     /// Number of symbolic analyses performed so far (stays constant across
@@ -329,63 +322,30 @@ impl ComplexMnaWorkspace {
     /// factorization and every buffer are reused and only values are
     /// rewritten.
     pub fn bind(&mut self, ss: &SmallSignal, topo_changed: bool) {
-        let dim = ss.dim();
-        let rebuild = topo_changed || (self.dense.is_none() && self.sparse.is_none());
-        if rebuild {
-            self.build_storage(ss, dim);
+        if topo_changed || self.solver.is_none() {
+            let (solver, slots) = Solver::select(ss.dim(), &entries(ss), self.choice);
+            self.analyses += usize::from(solver.is_sparse());
+            self.install(solver, slots, ss.base.len());
         }
-        self.dim = dim;
-        if let Some(sp) = self.sparse.as_mut() {
-            // Refresh base values through the frozen slot map.
-            sp.base_vals.fill(Complex::ZERO);
-            debug_assert_eq!(sp.base_slots.len(), ss.base.len());
-            for (&slot, &(_, _, g)) in sp.base_slots.iter().zip(ss.base.iter()) {
-                sp.base_vals[slot] += Complex::from_real(g);
-            }
-            debug_assert_eq!(sp.cap_slots.len(), ss.cap_entries.len());
-        } else if let Some((base, _, _)) = self.dense.as_mut() {
-            base.clear();
-            for &(r, c, g) in &ss.base {
-                base.add_at(r, c, Complex::from_real(g));
-            }
+        self.dim = ss.dim();
+        // Refresh base values through the frozen slot map.
+        self.base_vals.fill(Complex::ZERO);
+        debug_assert_eq!(self.base_slots.len(), ss.base.len());
+        for (&slot, &(_, _, g)) in self.base_slots.iter().zip(ss.base.iter()) {
+            self.base_vals[slot] += Complex::from_real(g);
         }
+        debug_assert_eq!(self.cap_slots.len(), ss.cap_entries.len());
     }
 
-    /// Chooses the engine and builds pattern/symbolic/storage for a new
-    /// topology. Falls back to dense when the sparse analysis finds the
-    /// pattern structurally singular (the numeric path would too, but the
-    /// dense factorization reports it per sample, preserving the oracle
-    /// behaviour).
-    fn build_storage(&mut self, ss: &SmallSignal, dim: usize) {
-        self.dense = None;
-        self.sparse = None;
-        let mut entries: Vec<(usize, usize)> =
-            Vec::with_capacity(ss.base.len() + ss.cap_entries.len());
-        entries.extend(ss.base.iter().map(|&(r, c, _)| (r, c)));
-        entries.extend(ss.cap_entries.iter().map(|&(r, c, _)| (r, c)));
-        let (pattern, slots) = CsrPattern::from_entries(dim, &entries);
-        let go_sparse = match self.choice {
-            SolverChoice::Auto => prefer_sparse(dim, pattern.nnz()),
-            SolverChoice::Dense => false,
-            SolverChoice::Sparse => true,
-        };
-        if go_sparse {
-            if let Ok(sym) = Symbolic::analyze(&pattern) {
-                self.analyses += 1;
-                let (base_slots, cap_slots) = slots.split_at(ss.base.len());
-                self.sparse = Some(SparseEngine {
-                    y: CCsrMatrix::zeros(Arc::clone(&pattern)),
-                    base_vals: vec![Complex::ZERO; pattern.nnz()],
-                    lu: CSparseLu::new(sym),
-                    base_slots: base_slots.to_vec(),
-                    cap_slots: cap_slots.to_vec(),
-                    cap_vals: Vec::with_capacity(cap_slots.len()),
-                    batch: None,
-                });
-                return;
-            }
-        }
-        self.dense = Some(make_dense(dim));
+    /// Switches to `solver`, whose first `base_len` slots address the base
+    /// triplets and the rest the capacitive ones (base zeroed: bind next).
+    fn install(&mut self, mut solver: Solver<Complex>, mut slots: Vec<usize>, base_len: usize) {
+        self.cap_slots = slots.split_off(base_len);
+        self.base_slots = slots;
+        self.base_vals = vec![Complex::ZERO; solver.values_mut().len()];
+        self.cap_vals = Vec::with_capacity(self.cap_slots.len());
+        self.solver = Some(solver);
+        self.batch = None;
     }
 
     /// Factors `Y(s) = base + s·C` in place at one complex frequency.
@@ -394,34 +354,31 @@ impl ComplexMnaWorkspace {
     /// [`NumericsError::SingularMatrix`] when the system is singular at
     /// `s` (dense), or when a pivot underflows under the static sparse
     /// ordering.
+    ///
+    /// # Panics
+    /// Panics if nothing was bound yet, or if `caps` drifted in length
+    /// from the bound cap entry list.
     pub fn factor_at(
         &mut self,
         s: Complex,
         caps: &[(usize, usize, f64)],
     ) -> Result<(), NumericsError> {
-        if let Some(sp) = self.sparse.as_mut() {
-            sp.y.values_mut().copy_from_slice(&sp.base_vals);
-            // Hard check: a silently truncating zip would drop capacitive
-            // admittances and return a plausible but wrong Y(s).
-            assert_eq!(
-                sp.cap_slots.len(),
-                caps.len(),
-                "cap entry list drifted from bind"
-            );
-            // Gather the capacitances into a flat array, then replay the
-            // s-scaled slots through the fixed-width chunked kernel.
-            sp.cap_vals.clear();
-            sp.cap_vals.extend(caps.iter().map(|&(_, _, c)| c));
-            sp.y.scatter_add_scaled(&sp.cap_slots, &sp.cap_vals, s);
-            sp.lu.factor_into(&sp.y)
-        } else {
-            let (base, y, lu) = self.dense.as_mut().expect("engine bound");
-            y.copy_from(base);
-            for &(i, j, c) in caps {
-                y.add_at(i, j, s * c);
-            }
-            lu.factor_into(y)
-        }
+        let solver = self.solver.as_mut().expect("engine bound");
+        // Hard check: a silently truncating zip would drop capacitive
+        // admittances and return a plausible but wrong Y(s).
+        assert_eq!(
+            self.cap_slots.len(),
+            caps.len(),
+            "cap entry list drifted from bind"
+        );
+        let y = solver.values_mut();
+        y.copy_from_slice(&self.base_vals);
+        // Gather the capacitances into a flat array, then replay the
+        // s-scaled slots through the fixed-width chunked kernel.
+        self.cap_vals.clear();
+        self.cap_vals.extend(caps.iter().map(|&(_, _, c)| c));
+        simd::scatter_add_scaled(y, &self.cap_slots, &self.cap_vals, s);
+        solver.factor()
     }
 
     /// Solves with the factors from the last [`ComplexMnaWorkspace::factor_at`].
@@ -429,23 +386,13 @@ impl ComplexMnaWorkspace {
     /// # Panics
     /// Panics on dimension mismatch or if nothing was factored yet.
     pub fn solve_into(&mut self, b: &[Complex], x: &mut [Complex]) {
-        if let Some(sp) = self.sparse.as_mut() {
-            sp.lu.solve_into(b, x);
-        } else {
-            let (_, _, lu) = self.dense.as_ref().expect("engine bound");
-            lu.solve_into(b, x);
-        }
+        self.solver.as_mut().expect("engine bound").solve_into(b, x);
     }
 
     /// Determinant from the factors of the last
     /// [`ComplexMnaWorkspace::factor_at`] (product of pivots).
     pub fn det(&self) -> Complex {
-        if let Some(sp) = self.sparse.as_ref() {
-            sp.lu.det()
-        } else {
-            let (_, _, lu) = self.dense.as_ref().expect("engine bound");
-            lu.det()
-        }
+        self.solver.as_ref().expect("engine bound").det()
     }
 
     /// [`ComplexMnaWorkspace::factor_at`] with the engine's fallback policy
@@ -475,9 +422,8 @@ impl ComplexMnaWorkspace {
     /// a numerically unlucky static pivot), rebuilding dense storage from
     /// the bound `ss`.
     pub fn demote_to_dense(&mut self, ss: &SmallSignal) {
-        self.sparse = None;
-        let dim = ss.dim();
-        self.dense = Some(make_dense(dim));
+        let (solver, slots) = Solver::dense(ss.dim(), &entries(ss));
+        self.install(solver, slots, ss.base.len());
         self.bind(ss, false);
     }
 
@@ -488,7 +434,7 @@ impl ComplexMnaWorkspace {
     /// loop, **bit-identical per sample** to that serial loop.
     ///
     /// On the sparse engine, samples run in chunks of up to
-    /// [`adc_numerics::simd::MAX_LANES`] lanes through one SoA workspace
+    /// [`simd::MAX_LANES`] lanes through one SoA workspace
     /// (symbolic traversal amortized across the chunk). A chunk whose
     /// factorization underflows a pivot in any lane is discarded and redone
     /// serially with the usual demote-to-dense ladder, so per-sample
@@ -520,7 +466,7 @@ impl ComplexMnaWorkspace {
         assert_eq!(dets.len(), s_list.len(), "determinant length mismatch");
         let mut k0 = 0;
         while k0 < s_list.len() {
-            if self.sparse.is_none() {
+            let Some(sym) = self.solver.as_ref().and_then(Solver::symbolic) else {
                 // Dense (or demoted) engine: serial, sample by sample.
                 let s = s_list[k0];
                 self.factor_at_or_demote(s, ss).map_err(|e| (k0, e))?;
@@ -528,8 +474,8 @@ impl ComplexMnaWorkspace {
                 self.solve_into(b, &mut xs[k0 * dim..(k0 + 1) * dim]);
                 k0 += 1;
                 continue;
-            }
-            let take = (s_list.len() - k0).min(adc_numerics::simd::MAX_LANES);
+            };
+            let take = (s_list.len() - k0).min(simd::MAX_LANES);
             let chunk = &s_list[k0..k0 + take];
             // Pad partial chunks (by duplicating the last sample) up to a
             // vector-friendly lane count so the batched kernels keep full
@@ -537,30 +483,30 @@ impl ComplexMnaWorkspace {
             // lanes' bits are unchanged, and a padding lane fails the
             // pivot check iff its duplicated real lane does — the serial
             // recovery below triggers in exactly the same cases.
-            let lanes = adc_numerics::simd::padded_lanes(take);
-            let mut sbuf = [Complex::ZERO; adc_numerics::simd::MAX_LANES];
+            let lanes = simd::padded_lanes(take);
+            let mut sbuf = [Complex::ZERO; simd::MAX_LANES];
             sbuf[..take].copy_from_slice(chunk);
             sbuf[take..lanes].fill(chunk[take - 1]);
-            let factored = {
-                let sp = self.sparse.as_mut().expect("checked above");
-                assert_eq!(
-                    sp.cap_slots.len(),
-                    ss.cap_entries.len(),
-                    "cap entry list drifted from bind"
-                );
-                sp.cap_vals.clear();
-                sp.cap_vals
-                    .extend(ss.cap_entries.iter().map(|&(_, _, c)| c));
-                let batch = sp
-                    .batch
-                    .get_or_insert_with(|| CSparseLuBatch::new(Arc::clone(sp.lu.symbolic())));
-                batch
-                    .factor_scaled(&sp.base_vals, &sp.cap_slots, &sp.cap_vals, &sbuf[..lanes])
-                    .is_ok()
-            };
-            if factored {
-                let sp = self.sparse.as_mut().expect("checked above");
-                let batch = sp.batch.as_mut().expect("built above");
+            assert_eq!(
+                self.cap_slots.len(),
+                ss.cap_entries.len(),
+                "cap entry list drifted from bind"
+            );
+            self.cap_vals.clear();
+            self.cap_vals
+                .extend(ss.cap_entries.iter().map(|&(_, _, c)| c));
+            let batch = self
+                .batch
+                .get_or_insert_with(|| CSparseLuBatch::new(Arc::clone(sym)));
+            if batch
+                .factor_scaled(
+                    &self.base_vals,
+                    &self.cap_slots,
+                    &self.cap_vals,
+                    &sbuf[..lanes],
+                )
+                .is_ok()
+            {
                 batch.det_into(&mut dets[k0..k0 + take]);
                 batch.solve_into(b, &mut xs[k0 * dim..(k0 + take) * dim]);
             } else {
