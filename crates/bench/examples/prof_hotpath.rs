@@ -108,7 +108,7 @@ fn solve_breakdown(name: &str, circuit: &Circuit, opts: &DcOptions) {
         eng.solve_into(&ss.b, &mut x);
         black_box(eng.det());
     });
-    for k in [2usize, 4, 8] {
+    for k in [1usize, 2, 3, 4, 8] {
         let s_list: Vec<Complex> = (0..k)
             .map(|i| Complex::from_polar(1e8, 0.1 + 0.3 * i as f64))
             .collect();

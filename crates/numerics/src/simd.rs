@@ -93,15 +93,11 @@ pub fn backend_name() -> &'static str {
 
 /// Lane count a `k`-sample batch should be padded to (by duplicating a
 /// sample) so the batched row kernels dispatch to full vector groups
-/// instead of the scalar fallback. Lanes compute independently, so
-/// padding never changes a real lane's bits. Returns `k` unchanged when
-/// padding would not pay: tiny batches (`k < 3`) are cheaper scalar, and
-/// the scalar backend gains nothing from alignment.
+/// instead of the scalar fallback: the next multiple of 4 on AVX2. Lanes
+/// compute independently, so padding never changes a real lane's bits.
+/// The scalar backend gains nothing from alignment and keeps `k`.
 pub fn padded_lanes(k: usize) -> usize {
     debug_assert!((1..=MAX_LANES).contains(&k));
-    if k < 3 {
-        return k;
-    }
     match backend() {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => k.next_multiple_of(4).min(MAX_LANES),
