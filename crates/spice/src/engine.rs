@@ -175,17 +175,6 @@ impl<T: Scalar> Solver<T> {
     }
 }
 
-impl Solver<f64> {
-    /// `y = J·x` with the values as assembled so far.
-    #[inline]
-    pub(crate) fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            Solver::Dense { jac, .. } => jac.mul_vec_into(x, y),
-            Solver::Sparse { jac, .. } => jac.mul_vec_into(x, y),
-        }
-    }
-}
-
 /// One topology's Newton Jacobian: the MNA binding, the recorded stamp
 /// pattern and the engine that assembles and factors it (see the module
 /// documentation for the slot contract and the fallback policy).
@@ -325,7 +314,10 @@ impl Engine {
 
     /// `y = J·x` with the Jacobian as assembled so far.
     pub(crate) fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        self.solver.mul_vec(x, y);
+        match &self.solver {
+            Solver::Dense { jac, .. } => jac.mul_vec_into(x, y),
+            Solver::Sparse { jac, .. } => jac.mul_vec_into(x, y),
+        }
     }
 
     /// Factors the assembled Jacobian and solves `J·dx = rhs`. Returns

@@ -10,15 +10,15 @@
 //! entries are replayed at (`jω` for sweeps, arbitrary `s` for TF
 //! sampling).
 //!
-//! [`ComplexMnaWorkspace`] then assembles those entry lists into the dense
-//! or CSR engine the shared real/complex engine selection picks by
-//! structural fill ratio (the crate-private `engine` module; the CSR
-//! engine keeps a reusable symbolic factorization,
+//! [`ComplexMnaWorkspace`] then assembles those entry lists into a dense
+//! or a CSR engine, chosen by structural fill ratio exactly as for the
+//! real Newton Jacobian (the crate-private `engine` module makes both
+//! choices; the CSR engine keeps a reusable symbolic factorization,
 //! [`adc_numerics::sparse`]). Both engines address their values through
-//! slots, so every `factor_at` call only memcpy's the base values and
-//! replays the `s`-scaled capacitive slots before an in-place
-//! refactorization; on the CSR engine the value array is row-major, so the
-//! replayed entries land grouped by destination row.
+//! slots: every `factor_at` call only memcpy's the base values and replays
+//! the `s`-scaled capacitive slots before an in-place refactorization. On
+//! the CSR engine the value array is row-major, so the replayed entries
+//! land grouped by destination row.
 
 use crate::engine::Solver;
 use crate::mna::MnaMap;
