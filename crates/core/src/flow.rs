@@ -76,7 +76,12 @@ use std::time::{Duration, Instant};
 /// roots of unity, and fills the lower half-plane with exact conjugates,
 /// which moves the last bits of `a0`, `pm`, the unity-gain frequency and
 /// some costs.
-pub const FLOW_CACHE_VERSION: u64 = 6;
+///
+/// Version 7: the unity-gain search scans a 100-point grid instead of 400
+/// points and refines the crossing by safeguarded Newton steps instead of
+/// bisection, which moves the last bits of the unity-gain frequency, `pm`
+/// and some costs.
+pub const FLOW_CACHE_VERSION: u64 = 7;
 
 /// The hybrid-evaluator options every flow synthesis runs under — the
 /// **single source of truth** shared by [`synthesize_ota`] and the

@@ -197,22 +197,28 @@ impl Tf {
         tf
     }
 
-    /// Finds the unity-gain frequency by scanning `[f_lo, f_hi]` on a log
-    /// grid and bisecting the first `|H| = 1` crossing.
+    /// Finds the unity-gain frequency: the first `|H| = 1` crossing in
+    /// `[f_lo, f_hi]`, found by [`Tf::magnitude_crossing`].
     pub fn unity_gain_freq(&self, f_lo: f64, f_hi: f64) -> Option<f64> {
         self.magnitude_crossing(f_lo, f_hi, 1.0)
     }
 
-    /// Finds the first frequency where `|H|` falls to `level` (from above),
-    /// scanning upward on a log grid.
+    /// Finds the first frequency where `|H|` falls to `level` (from above).
+    ///
+    /// A scan upward on a 100-point log grid brackets the first grid
+    /// point with `|H| <= level`; a safeguarded Newton iteration on
+    /// `ln|H|` over `ln f` then refines the crossing inside that bracket.
+    /// Returns the grid's first point (`f_lo` up to rounding) when `|H|`
+    /// is already at or below `level` there, and `None` when no grid point
+    /// falls to the level.
     pub fn magnitude_crossing(&self, f_lo: f64, f_hi: f64, level: f64) -> Option<f64> {
         // Chunked SIMD level scan: each lane decides the serial
         // `self.magnitude(f) <= level` bit-for-bit (same Horner fold and
         // Smith divide, then `norm_le`, which agrees with `hypot` on every
         // input), and chunk results are walked in grid order, so the
-        // first-crossing bracket — and the bisected crossing — is exactly
-        // the serial scan's. Points computed past the crossing inside a
-        // chunk are pure speculation with no side effects.
+        // first-crossing bracket is exactly the serial scan's. Points
+        // computed past the crossing inside a chunk are pure speculation
+        // with no side effects.
         const SCAN_CHUNK: usize = 16;
         with_log_grid(f_lo, f_hi, |grid| {
             let mut prev_f = grid[0];
@@ -232,9 +238,7 @@ impl Tf {
                 );
                 for (&f, &hit) in grid[idx..idx + take].iter().zip(&below[..take]) {
                     if hit {
-                        return Some(bisect_crossing(prev_f, f, |mid| {
-                            self.eval_at_freq(mid).norm_gt(level)
-                        }));
+                        return Some(self.refine_crossing(prev_f, f, level));
                     }
                     prev_f = f;
                 }
@@ -244,10 +248,84 @@ impl Tf {
         })
     }
 
-    /// Oracle for [`Tf::magnitude_crossing`]: the serial grid scan and a
-    /// full 60-step bisection, each decision a `hypot` magnitude compared
-    /// with `level`. Kept so tests can pin the fast search to it bit for
-    /// bit.
+    /// Refines a crossing bracketed by `|H(a)| > level >= |H(b)|`.
+    ///
+    /// Newton's method on `g(f) = ln|H(j2πf)| − ln(level)` over `ln f`,
+    /// started from the secant of `g` between the ends. Each evaluation
+    /// at `f` moves the end whose `g` has the sign of `g(f)` to `f`; a
+    /// Newton step that leaves the bracket (or is NaN) becomes a geometric
+    /// bisection step instead. The iteration stops once a Newton step is
+    /// shorter than `8ε·f` or no shorter than the one before (the rounding
+    /// floor), once the bracket is `8ε` wide relative, or after
+    /// [`BISECT_STEPS`] evaluations, so the worst case costs about what
+    /// the reference's bisection does, and the result always lies in
+    /// `[a, b]`.
+    fn refine_crossing(&self, mut a: f64, mut b: f64, level: f64) -> f64 {
+        let ln_level = level.ln();
+        let (ga, _) = self.log_excess(a, ln_level);
+        let (gb, _) = self.log_excess(b, ln_level);
+        let mut f = if ga.is_finite() && gb.is_finite() && ga > gb {
+            (a.ln() + (b.ln() - a.ln()) * ga / (ga - gb)).exp()
+        } else {
+            (a * b).sqrt()
+        };
+        if !(a < f && f < b) {
+            f = (a * b).sqrt();
+        }
+        let tol = 8.0 * f64::EPSILON;
+        let mut last = f64::INFINITY;
+        for _ in 0..BISECT_STEPS {
+            let (g, slope) = self.log_excess(f, ln_level);
+            if g == 0.0 {
+                return f;
+            }
+            if g > 0.0 {
+                a = f;
+            } else {
+                b = f;
+            }
+            let next = f * (-g / slope).exp();
+            if a <= next && next <= b {
+                let step = (next - f).abs();
+                if step <= tol * f || step >= last {
+                    return next;
+                }
+                last = step;
+                f = next;
+            } else {
+                f = (a * b).sqrt();
+                if b - a <= tol * b {
+                    return f;
+                }
+            }
+        }
+        f
+    }
+
+    /// `g = ln|H(s)| − ln_level` at `s = j·2πf`, and its slope
+    /// `dg/d ln f = Re(s·(N′/N − D′/D))`, from one Horner pass per
+    /// polynomial that carries the value and the derivative together.
+    fn log_excess(&self, f_hz: f64, ln_level: f64) -> (f64, f64) {
+        let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f_hz);
+        let horner = |p: &Poly| {
+            let (mut v, mut dv) = (Complex::ZERO, Complex::ZERO);
+            for &c in p.coeffs().iter().rev() {
+                dv = dv * s + v;
+                v = v * s + c;
+            }
+            (v, dv)
+        };
+        let (n, dn) = horner(&self.num);
+        let (d, dd) = horner(&self.den);
+        let g = n.norm().ln() - d.norm().ln() - ln_level;
+        (g, (s * (dn / n - dd / d)).re)
+    }
+
+    /// Oracle for [`Tf::magnitude_crossing`]: the serial scan of the same
+    /// grid, each decision a `hypot` magnitude compared with `level`, and
+    /// a full 60-step geometric bisection of the bracket it finds. Tests
+    /// pin the fast search's bracket to it bit for bit and its refined
+    /// crossing to the bisected one within a tolerance.
     pub fn magnitude_crossing_reference(&self, f_lo: f64, f_hi: f64, level: f64) -> Option<f64> {
         with_log_grid(f_lo, f_hi, |grid| {
             let mut prev_f = grid[0];
@@ -374,29 +452,15 @@ fn conjugate_closed(roots: &[Complex]) -> bool {
     true
 }
 
-/// Geometric bisection steps of the crossing search.
+/// Evaluation cap of the crossing refinement, and the step count of the
+/// reference's bisection.
 const BISECT_STEPS: usize = 60;
 
-/// Geometric bisection of `[a, b]` for the point where `above(f)` turns
-/// false, [`BISECT_STEPS`] steps. It stops early once a step leaves the
-/// bracket unchanged: the midpoint then equals an end, and every later
-/// step would recompute the same midpoint and decision, so the result is
-/// the full search's (on the 400-point grid that happens after 47–50
-/// steps).
-fn bisect_crossing(mut a: f64, mut b: f64, above: impl Fn(f64) -> bool) -> f64 {
-    for _ in 0..BISECT_STEPS {
-        let mid = (a * b).sqrt();
-        let end = if above(mid) { &mut a } else { &mut b };
-        if end.to_bits() == mid.to_bits() {
-            break;
-        }
-        *end = mid;
-    }
-    (a * b).sqrt()
-}
-
-/// Points in the magnitude-scan log grid.
-const GRID_POINTS: usize = 400;
+/// Points in the magnitude-scan log grid: about 15 per decade over the
+/// hybrid evaluator's 1e4–5e10 Hz window. The refinement needs only a
+/// bracket, so a finer grid changes a result only where `|H|` dips below
+/// the level and back between two points of this one.
+const GRID_POINTS: usize = 100;
 
 thread_local! {
     /// Memo of recently used scan grids, keyed by the exact endpoint

@@ -23,21 +23,26 @@
 //! nonzeros; the selection is automatic and the dense path remains the
 //! oracle.
 //!
-//! On the 32 serial-oracle flows (10–13 bits) an evaluation takes
-//! 23.6–24.1 µs on a 2-vCPU AVX2 VM, timed in an instrumented build
-//! (33.3–34.2 µs when the TF extraction factored 32 points). The DC solve
-//! takes about 6.2 µs at 6.8 Newton iterations per evaluation: a
-//! global-phase solve takes 7.7 iterations from the nominal start, a
-//! local-phase warm solve 4.4, and the sparse factor and solve
-//! 0.25–0.31 µs per iteration. The TF extraction takes 4.8–4.9 µs
-//! (13.7–14.1 µs before): `solve_det_batch` factors the 8 upper-half-plane
-//! points of a 16-point grid in one batch chunk in 2.4–2.5 µs (9.1–9.4 µs
-//! for 32 points), then come the two 16-point FFTs and the coefficient
-//! recovery. Most of the remaining ≈ 13 µs is the equation leg, now the
-//! largest: pole/zero cancellation 3.6–4.5 µs, most of it Aberth root
-//! refinement at about 5 sweeps per call, then `a0`, phase margin, which
-//! sums over the roots cancellation kept, and the unity-gain search, its
-//! largest piece at about 8 µs (`prof_hotpath`).
+//! On the 32 serial-oracle flows (10–13 bits) an evaluation took
+//! 23.6–24.1 µs with the 400-point unity-gain search on a 2-vCPU AVX2 VM,
+//! timed in an instrumented build (33.3–34.2 µs when the TF extraction
+//! factored 32 points). The DC solve takes about 6.2 µs at 6.8 Newton
+//! iterations per evaluation: a global-phase solve takes 7.7 iterations
+//! from the nominal start, a local-phase warm solve 4.4, and the sparse
+//! factor and solve 0.25–0.31 µs per iteration. The TF extraction takes
+//! 4.8–4.9 µs (13.7–14.1 µs before): `solve_det_batch` factors the 8
+//! upper-half-plane points of a 16-point grid in one batch chunk in
+//! 2.4–2.5 µs (9.1–9.4 µs for 32 points), then come the two 16-point FFTs
+//! and the coefficient recovery. The rest, about 13 µs in that build, was
+//! the equation leg, and its largest piece the unity-gain search: 279
+//! points of a 400-point scan and 47 bisection steps per search,
+//! 8.0–8.8 µs in `prof_hotpath`. The search now scans 76 points of a
+//! 100-point grid and refines the crossing in 5.2 evaluations
+//! ([`adc_sfg::tf::Tf::magnitude_crossing`]), 1.9–2.0 µs, and a full
+//! global-phase evaluation there fell from 23.6–27.2 µs to 16.2–22.4 µs.
+//! Pole/zero cancellation, 3.4–4.7 µs, most of it Aberth root refinement
+//! at about 5 sweeps per call, now leads the equation leg; then come `a0`
+//! and phase margin, which sums over the roots cancellation kept.
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
