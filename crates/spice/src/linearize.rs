@@ -440,7 +440,10 @@ impl ComplexMnaWorkspace {
     /// serially with the usual demote-to-dense ladder, so per-sample
     /// outcomes — including a mid-stream engine demotion — reproduce the
     /// serial path exactly. The dense engine (pivot order is
-    /// value-dependent, so lanes cannot share a traversal) runs serially.
+    /// value-dependent, so lanes cannot share a traversal) runs serially,
+    /// and so does a sample left alone: a one-point call, or the last
+    /// sample of a list one longer than a multiple of
+    /// [`simd::MAX_LANES`].
     ///
     /// Sample `k`'s solution lands in `xs[k·dim .. (k+1)·dim]`, its
     /// determinant in `dets[k]`.
@@ -466,14 +469,19 @@ impl ComplexMnaWorkspace {
         assert_eq!(dets.len(), s_list.len(), "determinant length mismatch");
         let mut k0 = 0;
         while k0 < s_list.len() {
-            let Some(sym) = self.solver.as_ref().and_then(Solver::symbolic) else {
-                // Dense (or demoted) engine: serial, sample by sample.
-                let s = s_list[k0];
-                self.factor_at_or_demote(s, ss).map_err(|e| (k0, e))?;
-                dets[k0] = self.det();
-                self.solve_into(b, &mut xs[k0 * dim..(k0 + 1) * dim]);
-                k0 += 1;
-                continue;
+            let sym = match self.solver.as_ref().and_then(Solver::symbolic) {
+                Some(sym) if s_list.len() - k0 > 1 => sym,
+                // Dense (or demoted) engine, or a lone sample, which the
+                // serial factorization takes at half the cost of a padded
+                // batch: serial, sample by sample.
+                _ => {
+                    let s = s_list[k0];
+                    self.factor_at_or_demote(s, ss).map_err(|e| (k0, e))?;
+                    dets[k0] = self.det();
+                    self.solve_into(b, &mut xs[k0 * dim..(k0 + 1) * dim]);
+                    k0 += 1;
+                    continue;
+                }
             };
             let take = (s_list.len() - k0).min(simd::MAX_LANES);
             let chunk = &s_list[k0..k0 + take];
