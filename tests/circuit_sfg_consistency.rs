@@ -3,14 +3,18 @@
 //! determinant-interpolation TF extraction (adc-sfg::nettf) — must agree on
 //! the same linearized circuit.
 
-use pipelined_adc::mdac::opamp::{build_telescopic, TelescopicParams};
+use pipelined_adc::mdac::opamp::{
+    build_telescopic, build_two_stage, OtaTestbench, TelescopicParams, TwoStageParams,
+};
 use pipelined_adc::numerics::interp::logspace;
 use pipelined_adc::sfg::dpi::DpiSfg;
 use pipelined_adc::sfg::nettf::{extract_tf, NetTfOptions};
-use pipelined_adc::spice::ac::ac_sweep;
+use pipelined_adc::spice::ac::{ac_sweep, ac_sweep_with, AcWorkspace};
 use pipelined_adc::spice::dc::{dc_operating_point, DcOptions};
 use pipelined_adc::spice::netlist::Circuit;
 use pipelined_adc::spice::process::Process;
+use pipelined_adc::synth::evaluator::{EvalOutcome, Evaluator};
+use pipelined_adc::synth::hybrid::{BenchSetup, HybridOptions, HybridOtaEvaluator};
 use proptest::prelude::*;
 
 /// Builds a two-transistor cascode amplifier parameterized by device sizes.
@@ -101,6 +105,78 @@ fn equation_and_ac_gain_agree_on_telescopic_ota() {
     assert!(
         (a0_eq - a0_sim).abs() < 0.01 * a0_sim,
         "paths disagree: {a0_eq} vs {a0_sim}"
+    );
+}
+
+/// The hybrid evaluator's unity-gain frequency, from the flow's call of
+/// the crossing search on the cancelled TF, agrees with a crossing
+/// bisected on `|V(out)|` of AC analysis of the same testbench at its DC
+/// point. Nominal telescopic and two-stage OTAs at 0.3, 1 and 3 pF: the
+/// telescopic ones read 0.9–1.1e-10 relative apart, the two-stage ones
+/// 5.5–7.8e-10.
+#[test]
+fn evaluator_unity_freq_matches_ac_crossing() {
+    let process = Process::c025();
+    for c_load in [0.3e-12, 1e-12, 3e-12] {
+        check_unity_freq_against_ac(
+            &format!("telescopic at {c_load:e} F"),
+            |x| build_telescopic(&process, &TelescopicParams::from_vec(x), c_load),
+            &TelescopicParams::nominal().to_vec(),
+        );
+        check_unity_freq_against_ac(
+            &format!("two-stage at {c_load:e} F"),
+            |x| build_two_stage(&process, &TwoStageParams::from_vec(x), c_load),
+            &TwoStageParams::nominal().to_vec(),
+        );
+    }
+}
+
+/// Evaluates sizing `x` with a default-option evaluator started at `x`,
+/// bisects `|V(out)| = 1` in ±10 % of its `unity_freq` on one-frequency
+/// AC sweeps (60 steps), and requires agreement within 1e-8 relative.
+fn check_unity_freq_against_ac(case: &str, build: impl Fn(&[f64]) -> OtaTestbench, x: &[f64]) {
+    let opts = HybridOptions::default();
+    let evaluator = HybridOtaEvaluator::new(
+        |x: &[f64]| {
+            let tb = build(x);
+            BenchSetup::new(tb.circuit, tb.output, tb.supply, tb.devices)
+        },
+        opts.clone(),
+    )
+    .with_start_sizing(x);
+    let EvalOutcome::Ok(perf) = evaluator.evaluate(x) else {
+        panic!("{case}: evaluation failed");
+    };
+    let fu = perf.get("unity_freq").expect("unity_freq");
+    assert!(fu > 0.0, "{case}: no unity crossing");
+
+    let tb = build(x);
+    let op = dc_operating_point(&tb.circuit, &opts.dc).unwrap();
+    let mut ws = AcWorkspace::new(&tb.circuit, &op).unwrap();
+    let mut gain = |f: f64| {
+        ac_sweep_with(&mut ws, &[f])
+            .unwrap()
+            .voltage(tb.output, 0)
+            .norm()
+    };
+    let (mut a, mut b) = (0.9 * fu, 1.1 * fu);
+    assert!(
+        gain(a) > 1.0 && gain(b) <= 1.0,
+        "{case}: ±10 % misses the crossing"
+    );
+    for _ in 0..60 {
+        let mid = (a * b).sqrt();
+        if gain(mid) > 1.0 {
+            a = mid;
+        } else {
+            b = mid;
+        }
+    }
+    let fu_ac = (a * b).sqrt();
+    let rel = (fu - fu_ac).abs() / fu_ac;
+    assert!(
+        rel < 1e-8,
+        "{case}: {fu:e} vs AC {fu_ac:e} ({rel:e} relative)"
     );
 }
 
