@@ -10,15 +10,16 @@
 //! * the aggressive policy stays deterministic (serial ≡ parallel given the
 //!   same cache state), reuses strictly more, and its per-resolution
 //!   hit/seed/cold counts are pinned exactly;
-//! * executor results are identical for 1, 2 and N worker threads.
+//! * executor results are identical for 1, 2 and N worker threads;
+//! * the aggressive sweep is identical on 1, 3 and 8 cache shards.
 
 use pipelined_adc::mdac::power::PowerModelParams;
 use pipelined_adc::mdac::specs::AdcSpec;
 use pipelined_adc::synth::SynthConfig;
-use pipelined_adc::topopt::cache::{BlockCache, CachePolicy};
+use pipelined_adc::topopt::cache::{BlockCache, CachePolicy, SharedCache};
 use pipelined_adc::topopt::enumerate::enumerate_candidates;
 use pipelined_adc::topopt::executor::ExecutorOptions;
-use pipelined_adc::topopt::flow::{run_flow, FlowRequest, MdacBlock, RunStats};
+use pipelined_adc::topopt::flow::{run_flow, run_flow_shared, FlowRequest, MdacBlock, RunStats};
 
 const RESOLUTIONS: [u32; 4] = [10, 11, 12, 13];
 
@@ -166,6 +167,41 @@ fn aggressive_cache_is_deterministic_and_reuses_more() {
         "expected near-hit warm seeds, stats: {:?}",
         parallel_cache.stats()
     );
+}
+
+/// Shard-count invariance of the aggressive policy: `SharedCache` merges
+/// its shards' `nearest` winners in the order one unsharded scan meets
+/// entries, so the sweep's blocks, per-resolution counts and merged cache
+/// statistics are the same on 1, 3 and 8 shards.
+#[test]
+fn aggressive_sweep_is_shard_count_invariant() {
+    let params = PowerModelParams::calibrated();
+    let config = cfg();
+    let sweep = |shards: usize| {
+        let cache = SharedCache::new(CachePolicy::Aggressive, shards);
+        let runs: Vec<(Vec<MdacBlock>, RunStats)> = RESOLUTIONS
+            .iter()
+            .map(|&k| {
+                let spec = AdcSpec::date05(k);
+                let cands = enumerate_candidates(k, 7);
+                let req = FlowRequest::new(&spec, &cands, &params, &config);
+                let run = run_flow_shared(&req, &cache);
+                (run.blocks, run.stats)
+            })
+            .collect();
+        (runs, cache.stats())
+    };
+    let (one, one_stats) = sweep(1);
+    for shards in [3, 8] {
+        let (runs, stats) = sweep(shards);
+        for (k, ((a, a_stats), (b, b_stats))) in RESOLUTIONS.iter().zip(one.iter().zip(runs.iter()))
+        {
+            let label = format!("1 vs {shards} shards @ {k} bits");
+            assert_blocks_bit_identical(&label, a, b);
+            assert_eq!(a_stats, b_stats, "{label}");
+        }
+        assert_eq!(stats, one_stats, "1 vs {shards} shards");
+    }
 }
 
 /// Executor determinism stress: the same candidate set synthesized with 1,
