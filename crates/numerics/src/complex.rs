@@ -188,55 +188,6 @@ impl Complex {
         Complex::ONE / self
     }
 
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Complex::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal natural logarithm.
-    #[inline]
-    pub fn ln(self) -> Self {
-        Complex {
-            re: self.norm().ln(),
-            im: self.arg(),
-        }
-    }
-
-    /// Principal square root.
-    pub fn sqrt(self) -> Self {
-        if self.im == 0.0 {
-            if self.re >= 0.0 {
-                return Complex::new(self.re.sqrt(), 0.0);
-            }
-            return Complex::new(0.0, (-self.re).sqrt());
-        }
-        let r = self.norm();
-        let re = ((r + self.re) / 2.0).sqrt();
-        let im = ((r - self.re) / 2.0).sqrt().copysign(self.im);
-        Complex { re, im }
-    }
-
-    /// Raises to an integer power by repeated squaring.
-    pub fn powi(self, mut n: i32) -> Self {
-        if n == 0 {
-            return Complex::ONE;
-        }
-        let mut base = if n < 0 { self.inv() } else { self };
-        if n < 0 {
-            n = -n;
-        }
-        let mut acc = Complex::ONE;
-        while n > 0 {
-            if n & 1 == 1 {
-                acc *= base;
-            }
-            base *= base;
-            n >>= 1;
-        }
-        acc
-    }
-
     /// Returns `true` if either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -247,15 +198,6 @@ impl Complex {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Scales by a real factor.
-    #[inline]
-    pub fn scale(self, k: f64) -> Self {
-        Complex {
-            re: self.re * k,
-            im: self.im * k,
-        }
     }
 }
 
@@ -442,38 +384,6 @@ mod tests {
         let z = Complex::from_polar(2.5, 0.7);
         assert!((z.norm() - 2.5).abs() < 1e-14);
         assert!((z.arg() - 0.7).abs() < 1e-14);
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        for &(re, im) in &[
-            (4.0, 0.0),
-            (-4.0, 0.0),
-            (3.0, 4.0),
-            (-3.0, -4.0),
-            (0.0, 2.0),
-        ] {
-            let z = Complex::new(re, im);
-            let r = z.sqrt();
-            assert!(close(r * r, z, 1e-12), "sqrt failed for {z}");
-        }
-    }
-
-    #[test]
-    fn exp_ln_round_trip() {
-        let z = Complex::new(0.3, -1.2);
-        assert!(close(z.exp().ln(), z, 1e-12));
-    }
-
-    #[test]
-    fn powi_matches_repeated_multiplication() {
-        let z = Complex::new(1.1, -0.4);
-        let mut acc = Complex::ONE;
-        for n in 0..8 {
-            assert!(close(z.powi(n), acc, 1e-10));
-            acc *= z;
-        }
-        assert!(close(z.powi(-3), (z * z * z).inv(), 1e-12));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Deadline {
         }
     }
 
-    /// Deadline at a specific instant.
-    pub fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
     /// The tighter of two deadlines (used to combine a per-run budget with a
     /// per-block budget). Unlimited loses to any finite deadline.
     pub fn earliest(self, other: Deadline) -> Self {
@@ -45,11 +40,6 @@ impl Deadline {
             (Some(a), None) => Deadline { at: Some(a) },
             (None, b) => Deadline { at: b },
         }
-    }
-
-    /// `true` when no finite budget is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.at.is_none()
     }
 
     /// Has the budget run out? Unlimited deadlines never expire.
@@ -82,7 +72,6 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let d = Deadline::none();
-        assert!(d.is_unlimited());
         assert!(!d.expired());
         assert!(d.remaining().is_none());
         assert!(d.slack_seconds().is_none());
@@ -91,7 +80,7 @@ mod tests {
     #[test]
     fn zero_budget_expires_immediately() {
         let d = Deadline::within(Duration::from_secs(0));
-        assert!(!d.is_unlimited());
+        assert!(d.remaining().is_some());
         assert!(d.expired());
         assert_eq!(d.slack_seconds(), Some(0.0));
     }
@@ -110,13 +99,16 @@ mod tests {
         let combined = late.earliest(soon);
         assert!(combined.remaining().unwrap() <= Duration::from_millis(1));
         // Unlimited loses to any finite deadline, in either order.
-        assert!(!Deadline::none().earliest(soon).is_unlimited());
-        assert!(!soon.earliest(Deadline::none()).is_unlimited());
-        assert!(Deadline::none().earliest(Deadline::none()).is_unlimited());
+        assert!(Deadline::none().earliest(soon).remaining().is_some());
+        assert!(soon.earliest(Deadline::none()).remaining().is_some());
+        assert!(Deadline::none()
+            .earliest(Deadline::none())
+            .remaining()
+            .is_none());
     }
 
     #[test]
     fn default_is_unlimited() {
-        assert!(Deadline::default().is_unlimited());
+        assert_eq!(Deadline::default(), Deadline::none());
     }
 }

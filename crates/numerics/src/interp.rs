@@ -1,50 +1,4 @@
-//! Interpolation over tabulated data (Bode plots, sweep results).
-
-/// Piecewise-linear interpolation on a sorted abscissa table.
-///
-/// Outside the table the boundary value is returned (clamped extrapolation),
-/// which is the behaviour the Bode-crossing searches rely on.
-///
-/// # Panics
-/// Panics if the table is empty or lengths differ.
-pub fn lerp_table(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "length mismatch");
-    assert!(!xs.is_empty(), "empty table");
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[xs.len() - 1] {
-        return ys[ys.len() - 1];
-    }
-    // Binary search for the bracketing interval.
-    let idx = match xs.binary_search_by(|v| v.partial_cmp(&x).unwrap()) {
-        Ok(i) => return ys[i],
-        Err(i) => i,
-    };
-    let (x0, x1) = (xs[idx - 1], xs[idx]);
-    let (y0, y1) = (ys[idx - 1], ys[idx]);
-    y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-}
-
-/// Finds the abscissa where the piecewise-linear `ys(xs)` crosses `level`,
-/// scanning left to right; `None` if it never crosses.
-pub fn find_crossing(xs: &[f64], ys: &[f64], level: f64) -> Option<f64> {
-    assert_eq!(xs.len(), ys.len(), "length mismatch");
-    for i in 1..xs.len() {
-        let (a, b) = (ys[i - 1] - level, ys[i] - level);
-        if a == 0.0 {
-            return Some(xs[i - 1]);
-        }
-        if a * b < 0.0 {
-            let t = a / (a - b);
-            return Some(xs[i - 1] + t * (xs[i] - xs[i - 1]));
-        }
-    }
-    if *ys.last()? == level {
-        return xs.last().copied();
-    }
-    None
-}
+//! Frequency grids for Bode plots and sweeps.
 
 /// Generates `n` logarithmically spaced points from `a` to `b` inclusive.
 ///
@@ -59,48 +13,12 @@ pub fn logspace(a: f64, b: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Generates `n` linearly spaced points from `a` to `b` inclusive.
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn linspace(a: f64, b: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "need at least two points");
-    (0..n)
-        .map(|i| a + (b - a) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn lerp_inside_and_outside() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 10.0, 0.0];
-        assert_eq!(lerp_table(&xs, &ys, 0.5), 5.0);
-        assert_eq!(lerp_table(&xs, &ys, 1.5), 5.0);
-        assert_eq!(lerp_table(&xs, &ys, -1.0), 0.0);
-        assert_eq!(lerp_table(&xs, &ys, 5.0), 0.0);
-        assert_eq!(lerp_table(&xs, &ys, 1.0), 10.0);
-    }
-
-    #[test]
-    fn crossing_detection() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [10.0, 6.0, 2.0, -2.0];
-        let x = find_crossing(&xs, &ys, 0.0).unwrap();
-        assert!((x - 2.5).abs() < 1e-12);
-        assert!(find_crossing(&xs, &ys, 100.0).is_none());
-        // exact hit at a sample
-        let x = find_crossing(&xs, &ys, 10.0).unwrap();
-        assert_eq!(x, 0.0);
-    }
-
-    #[test]
     fn spaces() {
-        let l = linspace(0.0, 1.0, 5);
-        assert_eq!(l, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
         let g = logspace(1.0, 1000.0, 4);
         for (got, want) in g.iter().zip([1.0, 10.0, 100.0, 1000.0]) {
             assert!((got - want).abs() < 1e-9 * want);

@@ -5,8 +5,8 @@
 //! root finding, dense and sparse CSR linear algebra over one real or
 //! complex [`linalg::Scalar`] entry type (dense LU with partial pivoting;
 //! sparse LU with a reusable symbolic factorization for MNA-shaped
-//! systems), radix-2 FFT with spectral windows, and small statistics
-//! helpers.
+//! systems), radix-2 FFT with spectral windows, and log-spaced
+//! frequency grids.
 //!
 //! Everything here is written from scratch (no external math crates) so the
 //! higher layers — the circuit simulator, the DPI/SFG symbolic analysis and
@@ -37,7 +37,6 @@ pub mod quant;
 pub mod roots;
 pub mod simd;
 pub mod sparse;
-pub mod stats;
 
 pub use complex::Complex;
 pub use deadline::Deadline;

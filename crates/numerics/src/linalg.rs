@@ -134,16 +134,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Resets all entries to zero (reuse storage across Newton iterations).
     pub fn clear(&mut self) {
         self.data.fill(T::ZERO);
@@ -227,7 +217,7 @@ impl Matrix {
     /// Matrix–vector product.
     ///
     /// # Panics
-    /// Panics if `x.len() != self.cols()`.
+    /// Panics if `x.len()` is not the column count.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.rows];
         self.mul_vec_into(x, &mut y);
@@ -237,7 +227,8 @@ impl Matrix {
     /// Matrix–vector product into a caller-owned buffer (no allocation).
     ///
     /// # Panics
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
+    /// Panics if `x.len()` is not the column count or `y.len()` the row
+    /// count.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
         assert_eq!(y.len(), self.rows, "dimension mismatch");
@@ -330,11 +321,6 @@ impl<T: Scalar> Lu<T> {
             perm: (0..n).collect(),
             sign: 1.0,
         }
-    }
-
-    /// System dimension this workspace is sized for.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Refactors `a` into this workspace's buffers (no allocation when the

@@ -49,13 +49,6 @@ impl Poly {
         Poly::new(vec![c])
     }
 
-    /// The monomial `x`.
-    pub fn x() -> Self {
-        Poly {
-            coeffs: vec![0.0, 1.0],
-        }
-    }
-
     /// Builds the monic polynomial with the given real roots.
     pub fn from_roots(roots: &[f64]) -> Self {
         let mut p = Poly::one();
@@ -135,59 +128,9 @@ impl Poly {
             .fold(Complex::ZERO, |acc, &c| acc * z + c)
     }
 
-    /// First derivative.
-    pub fn derivative(&self) -> Poly {
-        if self.coeffs.len() <= 1 {
-            return Poly::zero();
-        }
-        Poly::new(
-            self.coeffs
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(k, &c)| c * k as f64)
-                .collect(),
-        )
-    }
-
-    /// Multiplies by the monomial `x^k` (shifts coefficients up).
-    pub fn mul_xpow(&self, k: usize) -> Poly {
-        if self.is_zero() {
-            return Poly::zero();
-        }
-        let mut c = vec![0.0; k];
-        c.extend_from_slice(&self.coeffs);
-        Poly { coeffs: c }
-    }
-
     /// Scales all coefficients by `k`.
     pub fn scale(&self, k: f64) -> Poly {
         Poly::new(self.coeffs.iter().map(|&c| c * k).collect())
-    }
-
-    /// Substitutes `x → a·x` (frequency scaling), returning `p(a·x)`.
-    pub fn scale_arg(&self, a: f64) -> Poly {
-        let mut pw = 1.0;
-        Poly::new(
-            self.coeffs
-                .iter()
-                .map(|&c| {
-                    let v = c * pw;
-                    pw *= a;
-                    v
-                })
-                .collect(),
-        )
-    }
-
-    /// Returns the monic version (leading coefficient 1).
-    ///
-    /// # Panics
-    /// Panics if called on the zero polynomial.
-    pub fn monic(&self) -> Poly {
-        assert!(!self.is_zero(), "monic() on the zero polynomial");
-        let lead = self.leading();
-        self.scale(1.0 / lead)
     }
 
     /// Polynomial long division: returns `(quotient, remainder)`.
@@ -220,15 +163,6 @@ impl Poly {
     /// [`crate::roots::poly_roots`]). Returns an empty vector for degree ≤ 0.
     pub fn roots(&self) -> Vec<Complex> {
         roots::poly_roots(&self.coeffs)
-    }
-
-    /// Real roots only (imaginary part below `tol` relative to magnitude).
-    pub fn real_roots(&self, tol: f64) -> Vec<f64> {
-        self.roots()
-            .into_iter()
-            .filter(|z| z.im.abs() <= tol * (1.0 + z.norm()))
-            .map(|z| z.re)
-            .collect()
     }
 
     /// Infinity norm of the coefficient vector.
@@ -395,13 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn derivative_rule() {
-        let p = Poly::new(vec![5.0, 1.0, 3.0, 2.0]);
-        assert_eq!(p.derivative().coeffs(), &[1.0, 6.0, 6.0]);
-        assert!(Poly::constant(4.0).derivative().is_zero());
-    }
-
-    #[test]
     fn from_roots_vanishes_at_roots() {
         let p = Poly::from_roots(&[1.0, -2.0, 0.5]);
         for r in [1.0, -2.0, 0.5] {
@@ -435,42 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn monic_normalizes_leading() {
-        let p = Poly::new(vec![2.0, 4.0]);
-        let m = p.monic();
-        assert!((m.leading() - 1.0).abs() < 1e-15);
-        assert!((m.coeff(0) - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn scale_arg_substitutes() {
-        let p = Poly::new(vec![1.0, 1.0, 1.0]); // 1 + x + x^2
-        let q = p.scale_arg(2.0); // 1 + 2x + 4x^2
-        assert_eq!(q.coeffs(), &[1.0, 2.0, 4.0]);
-        assert!((q.eval(3.0) - p.eval(6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn real_roots_filters_complex_pairs() {
-        // (x-1)(x^2+1): only one real root
-        let p = &Poly::from_roots(&[1.0]) * &Poly::new(vec![1.0, 0.0, 1.0]);
-        let rr = p.real_roots(1e-7);
-        assert_eq!(rr.len(), 1);
-        assert!((rr[0] - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
     fn display_readable() {
         let p = Poly::new(vec![2.0, 0.0, -1.0]);
         let s = p.to_string();
         assert!(s.contains("x^2"));
         assert_eq!(Poly::zero().to_string(), "0");
-    }
-
-    #[test]
-    fn mul_xpow_shifts() {
-        let p = Poly::new(vec![1.0, 2.0]);
-        assert_eq!(p.mul_xpow(2).coeffs(), &[0.0, 0.0, 1.0, 2.0]);
-        assert!(Poly::zero().mul_xpow(3).is_zero());
     }
 }

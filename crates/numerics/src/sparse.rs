@@ -878,16 +878,6 @@ impl CSparseLuBatch {
         }
     }
 
-    /// The shared symbolic factorization.
-    pub fn symbolic(&self) -> &Arc<Symbolic> {
-        &self.sym
-    }
-
-    /// Lanes occupied by the most recent factorization.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Factors `Y(s_l) = base + s_l·C` for every sample in `s`
     /// (`1..=MAX_LANES` lanes). `base` is the value array of the analyzed
     /// pattern; `cap_slots[j]`/`cap_vals[j]` address the `s`-scaled entries
