@@ -113,16 +113,6 @@ impl Tf {
         self.eval_at_freq(f_hz).norm()
     }
 
-    /// Magnitude at a frequency, dB.
-    pub fn magnitude_db(&self, f_hz: f64) -> f64 {
-        20.0 * self.magnitude(f_hz).max(1e-300).log10()
-    }
-
-    /// Phase at a frequency, degrees (principal value).
-    pub fn phase_deg(&self, f_hz: f64) -> f64 {
-        self.eval_at_freq(f_hz).arg().to_degrees()
-    }
-
     /// DC gain `H(0)` (may be ±∞ for integrators).
     pub fn dc_gain(&self) -> f64 {
         let n = self.num.eval(0.0);
@@ -148,16 +138,6 @@ impl Tf {
     /// Zeros in rad/s.
     pub fn zeros(&self) -> Vec<Complex> {
         self.zeros_cached().to_vec()
-    }
-
-    /// True if every pole has a strictly negative real part.
-    pub fn is_stable(&self) -> bool {
-        self.poles_cached().iter().all(|p| p.re < 0.0)
-    }
-
-    /// Cascade (series) connection: `self · other`.
-    pub fn cascade(&self, other: &Tf) -> Tf {
-        Tf::new(&self.num * &other.num, &self.den * &other.den)
     }
 
     /// Removes matching pole/zero pairs closer than `rel_tol` (relative to
@@ -407,25 +387,6 @@ impl Tf {
             zeros: self.zeros(),
         }
     }
-
-    /// Conservative linear-settling time to relative accuracy `eps`
-    /// (seconds): slowest pole dominates, `t = ln(1/eps)/|Re p|`.
-    ///
-    /// Returns `None` for unstable or pole-free functions.
-    pub fn settling_time(&self, eps: f64) -> Option<f64> {
-        let poles = self.poles_cached();
-        if poles.is_empty() {
-            return None;
-        }
-        let mut worst: f64 = 0.0;
-        for &p in poles {
-            if p.re >= 0.0 {
-                return None;
-            }
-            worst = worst.max((1.0 / eps).ln() / (-p.re));
-        }
-        Some(worst)
-    }
 }
 
 impl fmt::Display for Tf {
@@ -504,7 +465,6 @@ mod tests {
         let p = h.poles();
         assert_eq!(p.len(), 1);
         assert!((p[0].re + 2.0 * std::f64::consts::PI * 1e3).abs() < 1.0);
-        assert!(h.is_stable());
     }
 
     #[test]
@@ -526,7 +486,7 @@ mod tests {
         // A0=1000, p1=1kHz, p2=1MHz = GBW: classic ~51.8° margin point.
         let p1 = Tf::single_pole(1000.0, 2.0 * std::f64::consts::PI * 1e3);
         let p2 = Tf::single_pole(1.0, 2.0 * std::f64::consts::PI * 1e6);
-        let h = p1.cascade(&p2);
+        let h = Tf::new(p1.num() * p2.num(), p1.den() * p2.den());
         let pm = h.phase_margin_deg(1.0, 1e10).unwrap();
         assert!(pm > 45.0 && pm < 60.0, "pm = {pm}");
     }
@@ -553,19 +513,6 @@ mod tests {
         let ph = h.phase_exact_deg(1e6);
         // pole contributes ≈ −90, RHP zero ≈ −45 at f = z.
         assert!(ph < -120.0, "phase = {ph}");
-    }
-
-    #[test]
-    fn settling_time_single_pole() {
-        let h = single_pole_amp();
-        // closed... open-loop pole at 2π·1kHz: ts(0.1%) = ln(1000)/ω
-        let ts = h.settling_time(1e-3).unwrap();
-        let want = (1000.0f64).ln() / (2.0 * std::f64::consts::PI * 1e3);
-        assert!((ts - want).abs() < 1e-9 * want.abs() + 1e-12);
-        // Unstable system returns None.
-        let bad = Tf::new(Poly::constant(1.0), Poly::new(vec![-1.0, 1.0]));
-        assert!(bad.settling_time(1e-3).is_none());
-        assert!(!bad.is_stable());
     }
 
     #[test]
