@@ -72,17 +72,6 @@ pub struct MosEval {
     pub cdb: f64,
 }
 
-impl MosEval {
-    /// Intrinsic gain `gm/gds` of the device at this bias (∞-safe).
-    pub fn intrinsic_gain(&self) -> f64 {
-        if self.gds.abs() < 1e-30 {
-            f64::INFINITY
-        } else {
-            (self.gm / self.gds).abs()
-        }
-    }
-}
-
 /// Softplus and its derivative, overflow-safe.
 fn softplus(x: f64, scale: f64) -> (f64, f64) {
     let t = x / scale;
@@ -352,7 +341,7 @@ mod tests {
         let m = nmos();
         let short = eval_mosfet(&m, W, 0.25e-6, 1.0, 1.5, 0.0);
         let long = eval_mosfet(&m, W, 1.0e-6, 1.0, 1.5, 0.0);
-        assert!(long.intrinsic_gain() > 2.0 * short.intrinsic_gain());
+        assert!(long.gm / long.gds > 2.0 * short.gm / short.gds);
     }
 
     #[test]

@@ -185,19 +185,6 @@ impl OperatingPoint {
         self.mos_eval_at(self.id_of(name)?)
     }
 
-    /// Iterator over all MOSFET evaluations, in element order.
-    pub fn mos_evals(&self) -> impl Iterator<Item = (&str, &MosEval)> {
-        let layout = &self.layout;
-        layout
-            .names
-            .iter()
-            .zip(&layout.slots)
-            .filter_map(move |(name, slot)| match slot {
-                Slot::Mos(k) => Some((name.as_str(), &self.mos[*k])),
-                _ => None,
-            })
-    }
-
     /// Power delivered *by* the voltage source `id` (positive when the
     /// source feeds the circuit), W; `None` for any other element.
     pub fn source_power_at(&self, circuit: &Circuit, id: ElementId) -> Option<f64> {
@@ -217,25 +204,6 @@ impl OperatingPoint {
         let (id, _) = circuit.find_element(name)?;
         self.source_power_at(circuit, id)
     }
-
-    /// Total power delivered by all independent voltage sources, W.
-    ///
-    /// For a single-supply circuit this is the number the paper's power
-    /// optimization minimizes.
-    pub fn total_source_power(&self, circuit: &Circuit) -> f64 {
-        circuit
-            .elements()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e {
-                Element::VSource { wave, .. } => {
-                    let i = self.branch_current_at(ElementId(i))?;
-                    Some(-wave.dc_value() * i)
-                }
-                _ => None,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +220,6 @@ mod tests {
         let op = dc_operating_point(&c, &DcOptions::default()).unwrap();
         // 3 V, 1 mA → 3 mW delivered.
         assert!((op.source_power(&c, "V1").unwrap() - 3e-3).abs() < 1e-9);
-        assert!((op.total_source_power(&c) - 3e-3).abs() < 1e-9);
     }
 
     #[test]

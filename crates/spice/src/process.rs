@@ -160,14 +160,6 @@ impl Process {
         }
     }
 
-    /// Model card for the requested polarity.
-    pub fn model(&self, polarity: Polarity) -> &MosModel {
-        match polarity {
-            Polarity::Nmos => &self.nmos,
-            Polarity::Pmos => &self.pmos,
-        }
-    }
-
     /// Deterministic fingerprint of the complete process description (name,
     /// supply, geometry limits, both model cards, capacitor data). Two
     /// processes with equal fingerprints produce identical simulation
@@ -185,13 +177,6 @@ impl Process {
             .add_f64_exact(self.cap_sigma_unit)
             .add_f64_exact(self.cap_unit_area)
             .finish()
-    }
-
-    /// 1-σ relative mismatch of a capacitor of value `c` (farads), from the
-    /// usual `σ ∝ 1/√area` law.
-    pub fn cap_mismatch_sigma(&self, c: f64) -> f64 {
-        let area = c / self.cap_density;
-        self.cap_sigma_unit * (self.cap_unit_area / area.max(1e-18)).sqrt()
     }
 }
 
@@ -231,15 +216,6 @@ mod tests {
             l_short > 2.0 * l_long,
             "λ should drop with L: {l_short} vs {l_long}"
         );
-    }
-
-    #[test]
-    fn cap_mismatch_scales_with_area() {
-        let p = Process::c025();
-        let s_small = p.cap_mismatch_sigma(25e-15);
-        let s_big = p.cap_mismatch_sigma(100e-15);
-        assert!((s_small - p.cap_sigma_unit).abs() < 1e-9);
-        assert!((s_big - p.cap_sigma_unit / 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Subckt {
         })
     }
 
-    /// Template name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The template's internal circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
@@ -316,7 +311,6 @@ mod tests {
     #[test]
     fn ports_resolve_and_validate() {
         let d = divider();
-        assert_eq!(d.name(), "div");
         assert!(d.port("top").is_some());
         assert!(d.port("nope").is_none());
         assert_eq!(d.ports().count(), 2);
