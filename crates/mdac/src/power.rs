@@ -33,18 +33,6 @@ pub enum OtaTopology {
     TwoStageMiller,
 }
 
-impl OtaTopology {
-    /// All topologies in ascending power-overhead order.
-    pub fn all() -> [OtaTopology; 4] {
-        [
-            OtaTopology::Telescopic,
-            OtaTopology::GainBoostedTelescopic,
-            OtaTopology::FoldedCascode,
-            OtaTopology::TwoStageMiller,
-        ]
-    }
-}
-
 impl std::fmt::Display for OtaTopology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

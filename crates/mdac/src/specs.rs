@@ -48,11 +48,6 @@ impl AdcSpec {
     pub fn t_amplify(&self) -> f64 {
         0.5 / self.fs - self.t_nonoverlap
     }
-
-    /// LSB size at full resolution, V.
-    pub fn lsb(&self) -> f64 {
-        self.full_scale / (1u64 << self.resolution) as f64
-    }
 }
 
 /// Block-level specification of one front-end stage.
@@ -75,11 +70,6 @@ pub struct StageSpec {
 }
 
 impl StageSpec {
-    /// Effective bits resolved by this stage.
-    pub fn effective_bits(&self) -> u32 {
-        self.bits - 1
-    }
-
     /// Comparators in this stage's sub-ADC: `2^m − 2`.
     pub fn comparator_count(&self) -> usize {
         (1usize << self.bits) - 2
@@ -157,7 +147,6 @@ mod tests {
         assert_eq!(s.resolution, 13);
         assert_eq!(s.fs, 40e6);
         assert!((s.t_amplify() - 11.5e-9).abs() < 1e-15);
-        assert!((s.lsb() - 2.0 / 8192.0).abs() < 1e-15);
     }
 
     #[test]
