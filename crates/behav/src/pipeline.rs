@@ -101,16 +101,6 @@ impl PipelineAdc {
         }
     }
 
-    /// Front-end stages.
-    pub fn stages(&self) -> &[StageModel] {
-        &self.stages
-    }
-
-    /// Backend flash.
-    pub fn backend(&self) -> &FlashBackend {
-        &self.backend
-    }
-
     /// Total effective resolution `Σ(mᵢ−1) + backend bits`.
     pub fn resolution_bits(&self) -> u32 {
         self.stages.iter().map(|s| s.effective_bits()).sum::<u32>() + self.backend.bits()

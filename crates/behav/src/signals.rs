@@ -1,28 +1,5 @@
 //! Test-signal generation: coherent sine waves and linearity ramps.
 
-/// Picks a coherent test frequency near `f_target`: returns `(bin, f_exact)`
-/// such that `bin` is odd (and coprime with the power-of-two record length,
-/// guaranteeing every code is exercised) and `f_exact = bin·fs/n`.
-///
-/// # Panics
-/// Panics if `n < 4` or `f_target` is not inside `(0, fs/2)`.
-pub fn coherent_bin(fs: f64, n: usize, f_target: f64) -> (usize, f64) {
-    assert!(n >= 4, "record too short");
-    assert!(
-        f_target > 0.0 && f_target < fs / 2.0,
-        "target out of Nyquist range"
-    );
-    let raw = (f_target * n as f64 / fs).round() as usize;
-    let mut bin = raw.clamp(1, n / 2 - 1);
-    if bin % 2 == 0 {
-        bin = (bin + 1).min(n / 2 - 1);
-        if bin % 2 == 0 {
-            bin -= 1;
-        }
-    }
-    (bin, bin as f64 * fs / n as f64)
-}
-
 /// Generates `n` samples of `ampl·sin(2π·bin·k/n + phase)`.
 pub fn coherent_sine(n: usize, bin: usize, ampl: f64, phase: f64) -> Vec<f64> {
     (0..n)
@@ -45,14 +22,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coherent_bin_is_odd_and_near_target() {
-        let (bin, f) = coherent_bin(40e6, 4096, 2e6);
-        assert_eq!(bin % 2, 1);
-        assert!((f - 2e6).abs() < 40e6 / 4096.0 * 2.0);
-        assert!((f - bin as f64 * 40e6 / 4096.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn coherent_sine_closes_cleanly() {
         let s = coherent_sine(256, 7, 1.0, 0.3);
         // The wrap-around sample continues the sequence exactly.
@@ -67,11 +36,5 @@ mod tests {
         assert_eq!(r[0], -1.0);
         assert_eq!(r[10], 1.0);
         assert!((r[5] - 0.0).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "Nyquist")]
-    fn rejects_super_nyquist() {
-        coherent_bin(40e6, 1024, 30e6);
     }
 }

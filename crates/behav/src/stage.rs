@@ -73,11 +73,6 @@ impl StageModel {
         StageModel { bits, nonideal }
     }
 
-    /// Raw sub-ADC resolution `m` of this stage.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Effective resolution contributed after digital correction: `m − 1`.
     pub fn effective_bits(&self) -> u32 {
         self.bits - 1
@@ -96,11 +91,6 @@ impl StageModel {
     /// Number of comparators `2^m − 2`.
     pub fn comparator_count(&self) -> usize {
         self.levels() - 1
-    }
-
-    /// The nonideality model.
-    pub fn nonideality(&self) -> &StageNonideality {
-        &self.nonideal
     }
 
     /// Largest digit magnitude `2^{m−1} − 1`.
