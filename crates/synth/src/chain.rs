@@ -142,11 +142,6 @@ impl ChainEvaluator {
         }
     }
 
-    /// The evaluation options.
-    pub fn options(&self) -> &ChainOptions {
-        &self.opts
-    }
-
     /// `|H(j2πf)|` by direct factor+solve on the bound engine.
     fn probe_mag(&mut self, f: f64, out_row: usize) -> Result<f64, String> {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);

@@ -154,16 +154,6 @@ impl Synthesizer {
         }
     }
 
-    /// The design space.
-    pub fn space(&self) -> &DesignSpace {
-        &self.space
-    }
-
-    /// The constraint set.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
-    }
-
     /// Deterministic fingerprint of the synthesis *problem* — design-space
     /// bounds and scales, the constraint set (targets on the normalized
     /// grid) and the objective. Together with [`SynthConfig::fingerprint`]

@@ -353,11 +353,6 @@ impl TranChainEvaluator {
         }
     }
 
-    /// The evaluation options.
-    pub fn options(&self) -> &TranChainOptions {
-        &self.opts
-    }
-
     /// Runs the chain through `periods` clock periods with the adaptive
     /// stepper and reports per-stage settling, residue transfer and slew
     /// metrics.
