@@ -68,18 +68,6 @@ pub struct CacheStats {
     pub corrupt_dropped: usize,
 }
 
-impl CacheStats {
-    /// Hit fraction over all exact lookups (0.0 when none were made).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// One cached block synthesis.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
@@ -679,7 +667,6 @@ mod tests {
         );
         assert_eq!(c.stats().lookups, 5);
         assert_eq!(c.stats().hits, 1);
-        assert!((c.stats().hit_rate() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -583,18 +583,6 @@ pub struct RunStats {
     pub deadline_slack_ms: Option<i64>,
 }
 
-impl RunStats {
-    /// Exact-hit fraction of this run's blocks (0.0 for an empty run).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.blocks as f64
-        }
-    }
-}
-
 /// Result of a cache-aware candidate-set synthesis.
 #[derive(Debug, Clone)]
 pub struct SynthesisRun {

@@ -79,13 +79,6 @@ pub struct ChainVerification {
     pub power_analytic: f64,
 }
 
-impl ChainVerification {
-    /// Relative end-to-end gain error vs the ideal `∏ G`.
-    pub fn gain_error(&self) -> f64 {
-        (self.report.gain - self.gain_expected).abs() / self.gain_expected
-    }
-}
-
 /// Maps a candidate's stages onto their synthesized blocks and assembles
 /// the chain testbench. `blocks` is a candidate-set synthesis result (for
 /// this candidate or a superset, e.g. the whole enumeration's distinct
@@ -275,7 +268,8 @@ mod tests {
         assert!(v.report.mna_dim > 60, "dim {}", v.report.mna_dim);
         assert!(v.report.dc_sparse && v.report.tf_sparse);
         // Small-budget sizings still produce a working residue chain.
-        assert!(v.gain_error() < 0.15, "gain {}", v.report.gain);
+        let gain_error = (v.report.gain - v.gain_expected).abs() / v.gain_expected;
+        assert!(gain_error < 0.15, "gain {}", v.report.gain);
         assert!(v.report.power > 0.0 && v.report.power < 0.1);
         assert!(v.power_summed > 0.0);
         assert!(v.power_analytic > 0.0);
