@@ -19,7 +19,6 @@ use adc_mdac::opamp::{TelescopicParams, TwoStageParams};
 use adc_mdac::power::{design_chain, PowerModelParams};
 use adc_mdac::sizing::floor_cap;
 use adc_mdac::specs::AdcSpec;
-use adc_spice::linearize::SolverChoice;
 use adc_spice::tran::Clock;
 use adc_synth::chain::{ChainEvaluator, ChainOptions, ChainReport};
 use adc_synth::hybrid::BenchSetup;
@@ -30,29 +29,15 @@ use adc_synth::tran_chain::{
 /// Options of the chain-verification stage.
 #[derive(Debug, Clone)]
 pub struct VerifyOptions {
-    /// Chain-evaluation options. The testbench's own `.nodeset` guesses
-    /// and per-node damping **replace** whatever the supplied DC options
-    /// carry — chains do not converge without them; use
-    /// [`crate::verify::build_candidate_testbench`] plus a hand-built
-    /// [`ChainEvaluator`] for diagnostic runs that need full DC control.
-    pub chain: ChainOptions,
     /// Clocked transient sign-off options; `None` skips the dynamic leg
     /// (small-signal verification only).
     pub tran: Option<TranChainOptions>,
-    /// Solver-engine override (tests/diagnostics; [`SolverChoice::Auto`]
-    /// in production).
-    pub solver: SolverChoice,
-    /// Attach the sub-ADC comparator banks and reference ladders.
-    pub with_sub_adc: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
-            chain: ChainOptions::default(),
             tran: Some(TranChainOptions::default()),
-            solver: SolverChoice::Auto,
-            with_sub_adc: true,
         }
     }
 }
@@ -79,11 +64,6 @@ pub struct ChainVerification {
     pub power_analytic: f64,
 }
 
-/// Maps a candidate's stages onto their synthesized blocks and assembles
-/// the chain testbench. `blocks` is a candidate-set synthesis result (for
-/// this candidate or a superset, e.g. the whole enumeration's distinct
-/// blocks).
-///
 /// Pairs each stage design of a candidate with its synthesized block.
 fn stage_blocks<'a>(
     spec: &AdcSpec,
@@ -104,6 +84,13 @@ fn stage_blocks<'a>(
         .collect()
 }
 
+/// Maps a candidate's stages onto their synthesized blocks and assembles
+/// the chain testbench, sub-ADC banks included. `blocks` is a
+/// candidate-set synthesis result (for this candidate or a superset, e.g.
+/// the whole enumeration's distinct blocks). The testbench does not
+/// depend on `_opts`; callers pass the options of the verification they
+/// build it for.
+///
 /// # Errors
 /// A human-readable reason when a stage has no matching block or the
 /// netlist assembly fails.
@@ -112,10 +99,10 @@ pub fn build_candidate_testbench(
     candidate: &Candidate,
     blocks: &[MdacBlock],
     params: &PowerModelParams,
-    opts: &VerifyOptions,
+    _opts: &VerifyOptions,
 ) -> Result<PipelineTestbench, String> {
     let pairs = stage_blocks(spec, candidate, blocks, params)?;
-    build_paired_testbench(spec, &pairs, params, opts)
+    build_paired_testbench(spec, &pairs, params)
 }
 
 /// [`build_candidate_testbench`] over an already-matched stage/block list.
@@ -123,7 +110,6 @@ fn build_paired_testbench(
     spec: &AdcSpec,
     pairs: &[(adc_mdac::StageDesign, &MdacBlock)],
     params: &PowerModelParams,
-    opts: &VerifyOptions,
 ) -> Result<PipelineTestbench, String> {
     let stages: Vec<MdacStageConfig> = pairs
         .iter()
@@ -140,7 +126,6 @@ fn build_paired_testbench(
         })
         .collect();
     let pipeline_opts = PipelineOptions {
-        with_sub_adc: opts.with_sub_adc,
         backend_c_load: floor_cap(spec, 2, params) + 2.0 * params.comparator_input_cap,
         c_cmp: params.comparator_input_cap,
         ..Default::default()
@@ -191,11 +176,13 @@ pub fn verify_candidate(
     opts: &VerifyOptions,
 ) -> Result<ChainVerification, String> {
     let pairs = stage_blocks(spec, candidate, blocks, params)?;
-    let tb = build_paired_testbench(spec, &pairs, params, opts)?;
-    let mut chain_opts = opts.chain.clone();
+    let tb = build_paired_testbench(spec, &pairs, params)?;
+    // Chains do not converge without the testbench's own `.nodeset`
+    // guesses and per-node damping.
+    let mut chain_opts = ChainOptions::default();
     chain_opts.dc.nodeset = tb.nodeset();
     chain_opts.dc.damping = adc_spice::dc::DcDamping::PerNode;
-    let mut evaluator = ChainEvaluator::with_solver(opts.solver, chain_opts);
+    let mut evaluator = ChainEvaluator::new(chain_opts);
     let bench = BenchSetup::new(
         tb.circuit.clone(),
         tb.output,
@@ -210,7 +197,7 @@ pub fn verify_candidate(
         Some(tran_opts) => {
             let gains = pairs.iter().map(|(d, _)| d.spec.gain).collect();
             let mut setup = build_tran_setup(spec, &tb, gains);
-            let mut ev = TranChainEvaluator::with_solver(opts.solver, tran_opts.clone());
+            let mut ev = TranChainEvaluator::new(tran_opts.clone());
             Some(ev.evaluate(&mut setup)?)
         }
         None => None,

@@ -212,10 +212,7 @@ fn result_json(
             .find(|row| survivors.contains(&row.candidate));
         match best {
             Some(row) => {
-                let opts = VerifyOptions {
-                    tran: None,
-                    ..VerifyOptions::default()
-                };
+                let opts = VerifyOptions { tran: None };
                 match verify_candidate(&req.spec, &row.candidate, &run.blocks, &params, &opts) {
                     Ok(v) => verification_to_json(&v),
                     Err(e) => JsonValue::Obj(vec![("error".to_string(), JsonValue::Str(e))]),

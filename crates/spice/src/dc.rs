@@ -32,16 +32,19 @@ use adc_numerics::Deadline;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Largest node-voltage change per damped Newton step, V.
+pub const MAX_STEP: f64 = 0.4;
+
 /// Newton step-limiting strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DcDamping {
     /// Scale the whole update vector so the largest node-voltage change
-    /// equals `max_step` — the conservative classic that preserves the
+    /// equals [`MAX_STEP`] — the conservative classic that preserves the
     /// Newton direction. The historical default; every flat OTA testbench
     /// solves under it unchanged.
     #[default]
     Global,
-    /// Clamp each node-voltage update independently at ±`max_step` (SPICE
+    /// Clamp each node-voltage update independently at ±[`MAX_STEP`] (SPICE
     /// per-node voltage limiting). On hierarchical chain testbenches a
     /// wound-up servo output can request hundreds of volts while the
     /// supply is still ramping; global scaling then starves every other
@@ -59,8 +62,6 @@ pub struct DcOptions {
     pub vtol: f64,
     /// KCL residual tolerance, A.
     pub itol: f64,
-    /// Largest allowed node-voltage change per damped Newton step, V.
-    pub max_step: f64,
     /// Baseline diagonal g_min, S.
     pub gmin: f64,
     /// Initial node-voltage guesses by node name (SPICE `.nodeset`).
@@ -79,7 +80,6 @@ impl Default for DcOptions {
             max_iter: 150,
             vtol: 1e-9,
             itol: 1e-9,
-            max_step: 0.4,
             gmin: 1e-12,
             nodeset: HashMap::new(),
             damping: DcDamping::Global,
@@ -436,8 +436,8 @@ fn newton(
         let max_dv = ws.dx[..nv].iter().fold(0.0_f64, |m, &d| m.max(d.abs()));
         let applied_dv = match opts.damping {
             DcDamping::Global => {
-                let alpha = if max_dv > opts.max_step {
-                    opts.max_step / max_dv
+                let alpha = if max_dv > MAX_STEP {
+                    MAX_STEP / max_dv
                 } else {
                     1.0
                 };
@@ -449,7 +449,7 @@ fn newton(
             DcDamping::PerNode => {
                 for (i, (xi, di)) in ws.x.iter_mut().zip(ws.dx.iter()).enumerate() {
                     if i < nv {
-                        *xi += di.clamp(-opts.max_step, opts.max_step);
+                        *xi += di.clamp(-MAX_STEP, MAX_STEP);
                     } else {
                         // Branch currents are linear unknowns; they follow
                         // the (re-solved) node voltages unclipped.
@@ -584,7 +584,6 @@ pub fn dc_operating_point_warm(
             max_iter: opts.max_iter,
             vtol: opts.vtol.min(1e-12),
             itol: opts.itol.min(1e-12),
-            max_step: opts.max_step,
             gmin: opts.gmin,
             nodeset: HashMap::new(),
             damping: opts.damping,

@@ -41,11 +41,18 @@ use adc_numerics::{Deadline, Matrix};
 /// Floating-node leak conductance added to every node diagonal, S.
 const TRAN_GMIN: f64 = 1e-12;
 
+/// Newton iterations per time point.
+const NEWTON_MAX_ITER: usize = 60;
+
+/// Node-voltage update below which a time point's Newton loop has
+/// converged, V.
+const NEWTON_VTOL: f64 = 1e-9;
+
 /// Stall-acceptance ceiling of the transient Newton loops, relative to the
 /// iterate's node-voltage scale (clamped to ≥ 1 V): an update that is
 /// already below `ceiling = NEWTON_STALL_VTOL·max(1, max|vₖ|)` and no
 /// longer contracting (reduction by less than 2× per iteration) is
-/// float-noise limit cycling above `vtol` — amplified by the stiff
+/// float-noise limit cycling above [`NEWTON_VTOL`] — amplified by the stiff
 /// companion conductances at small dt — not real residual motion, and the
 /// iterate is accepted. Quadratically converging trajectories contract far
 /// faster than 2× per step in this regime, so the early accept never fires
@@ -157,10 +164,6 @@ pub struct TranOptions {
     pub clock: Option<Clock>,
     /// Initial condition.
     pub ic: InitialCondition,
-    /// Newton iterations per step.
-    pub max_iter: usize,
-    /// Voltage convergence tolerance.
-    pub vtol: f64,
     /// Cooperative wall-clock budget, checked once per timestep (fixed)
     /// or step attempt (adaptive). An expired deadline turns the run into
     /// [`SpiceError::Timeout`]; the default is unlimited and costs
@@ -184,8 +187,6 @@ impl Default for TranOptions {
             dt: 1e-9,
             clock: None,
             ic: InitialCondition::Zero,
-            max_iter: 60,
-            vtol: 1e-9,
             deadline: Deadline::none(),
             probes: Vec::new(),
         }
@@ -758,15 +759,9 @@ impl TranWorkspace {
 
     /// Damped Newton at one time point (assemble → solve → update),
     /// warm-started from the current `x`. Returns the iteration count.
-    fn solve_point(
-        &mut self,
-        circuit: &Circuit,
-        t: f64,
-        max_iter: usize,
-        vtol: f64,
-    ) -> SpiceResult<usize> {
+    fn solve_point(&mut self, circuit: &Circuit, t: f64) -> SpiceResult<usize> {
         let mut prev_dv = f64::INFINITY;
-        for it in 0..max_iter {
+        for it in 0..NEWTON_MAX_ITER {
             self.assemble(circuit);
             // Newton step: J·dx = −res, reusing res as the negated rhs.
             self.res.iter_mut().for_each(|r| *r = -*r);
@@ -779,11 +774,12 @@ impl TranWorkspace {
             for (xi, di) in self.x.iter_mut().zip(self.dx.iter()) {
                 *xi += alpha * di;
             }
-            if max_dv * alpha < vtol {
+            if max_dv * alpha < NEWTON_VTOL {
                 return Ok(it + 1);
             }
             // Float noise in the device-model evaluations can trap the
-            // update in a nanovolt-scale limit cycle just above `vtol`.
+            // update in a nanovolt-scale limit cycle just above the
+            // tolerance.
             // Once the step is micro-volt small and no longer contracting,
             // the point is solved for every physical purpose — accept it.
             if max_dv < stall_ceiling(&self.x[..nv]) && max_dv > 0.5 * prev_dv {
@@ -797,11 +793,11 @@ impl TranWorkspace {
         // non-convergent (volt-scale) cycle stays an error.
         let nv = self.engine.map().node_count() - 1;
         if prev_dv < 100.0 * stall_ceiling(&self.x[..nv]) {
-            return Ok(max_iter);
+            return Ok(NEWTON_MAX_ITER);
         }
         Err(SpiceError::DcConvergence {
             residual: f64::NAN,
-            iterations: max_iter,
+            iterations: NEWTON_MAX_ITER,
         })
     }
 
@@ -829,21 +825,27 @@ pub struct TimeStepConfig {
     pub dt_max: f64,
     /// First step after t=0 and after every clock-edge breakpoint, s.
     pub dt_init: f64,
-    /// Relative LTE tolerance.
-    pub reltol: f64,
-    /// Absolute LTE tolerance, V.
-    pub abstol: f64,
-    /// Step growth factor on low-error acceptance.
-    pub grow: f64,
-    /// Step shrink factor on rejection.
-    pub shrink: f64,
-    /// Error ratio below which the step doubles.
-    pub grow_threshold: f64,
-    /// Significant digits the error ratio is quantized to before every
-    /// accept/reject/grow decision, so sparse and dense engines walk an
-    /// identical step sequence despite last-ulp assembly differences.
-    pub control_digits: u32,
 }
+
+/// Relative LTE tolerance of the adaptive step controller.
+const LTE_RELTOL: f64 = 1e-3;
+
+/// Absolute LTE tolerance of the adaptive step controller, V.
+const LTE_ABSTOL: f64 = 1e-6;
+
+/// Step growth factor on low-error acceptance.
+const STEP_GROW: f64 = 2.0;
+
+/// Step shrink factor on rejection.
+const STEP_SHRINK: f64 = 0.5;
+
+/// Error ratio below which the step grows by [`STEP_GROW`].
+const GROW_THRESHOLD: f64 = 0.05;
+
+/// Significant digits the error ratio is quantized to before every
+/// accept/reject/grow decision, so sparse and dense engines walk an
+/// identical step sequence despite last-ulp assembly differences.
+const CONTROL_DIGITS: u32 = 4;
 
 impl Default for TimeStepConfig {
     fn default() -> Self {
@@ -851,12 +853,6 @@ impl Default for TimeStepConfig {
             dt_min: 1e-13,
             dt_max: 1e-7,
             dt_init: 1e-10,
-            reltol: 1e-3,
-            abstol: 1e-6,
-            grow: 2.0,
-            shrink: 0.5,
-            grow_threshold: 0.05,
-            control_digits: 4,
         }
     }
 }
@@ -871,7 +867,6 @@ impl TimeStepConfig {
             dt_init: w / 256.0,
             dt_min: w / 256.0 / 4096.0,
             dt_max: w / 8.0,
-            ..Default::default()
         }
     }
 }
@@ -927,18 +922,13 @@ impl TimeStepState {
     /// `x_new` at `t_new` against the accepted history: the trapezoidal
     /// LTE is `−h³/12·x‴`, with `x‴ ≈ 6·DD3` from the third divided
     /// difference over the last four points, giving `|LTE| = h³·|DD3|/2`
-    /// per unknown. Each node row is weighted by `reltol·|x| + abstol`
+    /// per unknown. Each node row is weighted by
+    /// [`LTE_RELTOL`]`·|x| +` [`LTE_ABSTOL`]
     /// and the maximum ratio is returned: ≤ 1 means the step passes. With
     /// fewer than two history points the estimate is 0 (accept — startup
     /// or just past a breakpoint); with exactly two, a conservative
     /// `h²·|DD2|` second-difference bound is used.
-    fn estimate_error_weighted(
-        &self,
-        cfg: &TimeStepConfig,
-        t_new: f64,
-        x_new: &[f64],
-        node_rows: usize,
-    ) -> f64 {
+    fn estimate_error_weighted(&self, t_new: f64, x_new: &[f64], node_rows: usize) -> f64 {
         if self.hist_len < 2 {
             return 0.0;
         }
@@ -953,7 +943,7 @@ impl TimeStepState {
                 let dd1b = (xn - x1) / h;
                 let dd2 = (dd1b - dd1a) / (t_new - t0);
                 let lte = h * h * dd2.abs();
-                let w = cfg.reltol * xn.abs() + cfg.abstol;
+                let w = LTE_RELTOL * xn.abs() + LTE_ABSTOL;
                 worst = worst.max(lte / w);
             }
             return worst;
@@ -971,7 +961,7 @@ impl TimeStepState {
             let dd2b = (dd1c - dd1b) / (t_new - t1);
             let dd3 = (dd2b - dd2a) / (t_new - t0);
             let lte = 0.5 * h * h * h * dd3.abs();
-            let w = cfg.reltol * xn.abs() + cfg.abstol;
+            let w = LTE_RELTOL * xn.abs() + LTE_ABSTOL;
             worst = worst.max(lte / w);
         }
         worst
@@ -1007,7 +997,7 @@ impl TranWorkspace {
             let phase = opts.clock.as_ref().and_then(|c| c.active_phase(t));
             self.set_phase(phase);
             self.assemble_b(circuit, t);
-            match self.solve_point(circuit, t, opts.max_iter, opts.vtol) {
+            match self.solve_point(circuit, t) {
                 Ok(iters) => out.stats.newton_iters += iters,
                 Err(SpiceError::DcConvergence { residual, .. }) => {
                     return Err(SpiceError::DcConvergence {
@@ -1097,14 +1087,14 @@ impl TranWorkspace {
             self.assemble_b(circuit, t_new);
             self.x_prev.copy_from_slice(&self.x);
             let can_shrink = dt_step > cfg.dt_min * (1.0 + 1e-9);
-            match self.solve_point(circuit, t_new, opts.max_iter, opts.vtol) {
+            match self.solve_point(circuit, t_new) {
                 Ok(iters) => {
                     out.stats.newton_iters += iters;
-                    let err = state.estimate_error_weighted(cfg, t_new, &self.x, nv);
-                    let err_q = quantize_rel(err, cfg.control_digits);
+                    let err = state.estimate_error_weighted(t_new, &self.x, nv);
+                    let err_q = quantize_rel(err, CONTROL_DIGITS);
                     if err_q > 1.0 && can_shrink {
                         self.x.copy_from_slice(&self.x_prev);
-                        state.dt = (dt_step * cfg.shrink).max(cfg.dt_min);
+                        state.dt = (dt_step * STEP_SHRINK).max(cfg.dt_min);
                         out.stats.rejected += 1;
                         continue;
                     }
@@ -1122,8 +1112,8 @@ impl TranWorkspace {
                         state.clear_history();
                         state.push_accepted(t, &self.x);
                         state.dt = cfg.dt_init;
-                    } else if err_q < cfg.grow_threshold && had_full_history {
-                        state.dt = (dt_step * cfg.grow).min(cfg.dt_max);
+                    } else if err_q < GROW_THRESHOLD && had_full_history {
+                        state.dt = (dt_step * STEP_GROW).min(cfg.dt_max);
                     } else {
                         state.dt = dt_step.min(cfg.dt_max);
                     }
@@ -1132,7 +1122,7 @@ impl TranWorkspace {
                     // Newton trouble is handled like an LTE rejection:
                     // retreat and retry with a smaller step.
                     self.x.copy_from_slice(&self.x_prev);
-                    state.dt = (dt_step * cfg.shrink).max(cfg.dt_min);
+                    state.dt = (dt_step * STEP_SHRINK).max(cfg.dt_min);
                     out.stats.rejected += 1;
                 }
                 Err(e) => return Err(e),
@@ -1296,7 +1286,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
         // Newton loop at this time point.
         let mut converged = false;
         let mut prev_dv = f64::INFINITY;
-        for _ in 0..opts.max_iter {
+        for _ in 0..NEWTON_MAX_ITER {
             out.stats.newton_iters += 1;
             jac.clear();
             res.iter_mut().for_each(|r| *r = 0.0);
@@ -1458,7 +1448,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
             for (xi, di) in x.iter_mut().zip(dx.iter()) {
                 *xi += alpha * di;
             }
-            if max_dv * alpha < opts.vtol {
+            if max_dv * alpha < NEWTON_VTOL {
                 converged = true;
                 break;
             }
@@ -1908,7 +1898,6 @@ mod tests {
             dt_init: tau / 1000.0,
             dt_min: tau / 100_000.0,
             dt_max: tau,
-            ..Default::default()
         };
         let adaptive = transient_adaptive(&mut ws, &c, &opts, &cfg).unwrap();
         for frac in [0.5, 1.0, 2.0, 5.0] {

@@ -98,7 +98,6 @@ proptest! {
             dt_init: tau / 500.0,
             dt_min: tau / 50_000.0,
             dt_max: tau / 2.0,
-            ..Default::default()
         };
         let adaptive = transient_adaptive(&mut ws, &c, &opts, &cfg).unwrap();
         for frac in [0.25, 0.5, 1.0, 2.0, 4.0] {
@@ -158,7 +157,6 @@ proptest! {
             dt_init: tau / 200.0,
             dt_min: tau / 20_000.0,
             dt_max: tau / 2.0,
-            ..Default::default()
         };
         let mut ws = TranWorkspace::new(&c).unwrap();
         let f1 = transient_with(&mut ws, &c, &opts).unwrap();

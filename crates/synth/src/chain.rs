@@ -25,40 +25,40 @@ use adc_spice::dc::{dc_operating_point_with, DcOptions, DcWorkspace};
 use adc_spice::linearize::{ComplexMnaWorkspace, SmallSignal, SolverChoice};
 use adc_spice::mosfet::Region;
 
+/// Upper limit for the unity-crossing and bandwidth searches, Hz.
+const F_MAX: f64 = 50e9;
+
+/// Significant decimal digits reported metrics are quantized to. The
+/// sparse and dense engines agree to ~1e-9 relative; quantizing at 6
+/// digits collapses that noise so reports are solver-agnostic bit for bit.
+pub(crate) const REPORT_DIGITS: u32 = 6;
+
 /// Options of a chain evaluation.
 #[derive(Debug, Clone)]
 pub struct ChainOptions {
     /// Frequency (Hz) at which the chain gain is probed — above every
     /// stage's servo/bias corner, below the closed-loop poles.
     pub f_probe: f64,
-    /// Upper limit for the unity-crossing and bandwidth searches, Hz.
-    pub f_max: f64,
     /// DC solver options (chain testbenches supply nodesets and per-node
     /// damping through these).
     pub dc: DcOptions,
     /// TF-extraction options.
     pub nettf: NetTfOptions,
-    /// Significant decimal digits reported metrics are quantized to. The
-    /// sparse and dense engines agree to ~1e-9 relative; quantizing at 6
-    /// digits collapses that noise so reports are solver-agnostic bit for
-    /// bit.
-    pub report_digits: u32,
 }
 
 impl Default for ChainOptions {
     fn default() -> Self {
         ChainOptions {
             f_probe: 1e6,
-            f_max: 50e9,
             dc: DcOptions::default(),
             nettf: NetTfOptions::default(),
-            report_digits: 6,
         }
     }
 }
 
 /// Chain-level metrics of one evaluation (all frequency/gain/power values
-/// quantized to [`ChainOptions::report_digits`]).
+/// quantized to six significant digits, so reports are solver-agnostic bit
+/// for bit).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainReport {
     /// Supply power of the whole chain, W.
@@ -70,10 +70,10 @@ pub struct ChainReport {
     /// (interpolation-conditioned; recorded for cross-checking).
     pub tf_gain: f64,
     /// Unity-gain crossing of the end-to-end response, Hz (0 when none
-    /// below `f_max`).
+    /// below `F_MAX`).
     pub unity_freq: f64,
     /// −3 dB closed-loop bandwidth relative to the probe gain, Hz (0 when
-    /// none found below `f_max`).
+    /// none found below `F_MAX`).
     pub bw_3db: f64,
     /// Settling time constant `1/(2π·bw_3db)`, s (0 when no bandwidth).
     pub settle_tau: f64,
@@ -188,7 +188,7 @@ impl ChainEvaluator {
         true
     }
 
-    /// Log-scan + bisection for the frequency in `[f_lo, f_max]` where
+    /// Log-scan + bisection for the frequency in `[f_lo, F_MAX]` where
     /// `|H|` first drops below `target` (the response is low-pass beyond
     /// the probe). Returns `None` when it never does.
     ///
@@ -204,14 +204,14 @@ impl ChainEvaluator {
         let mut lo = f_lo;
         let mut hi = f_lo;
         let mut found = false;
-        while !found && hi < self.opts.f_max {
+        while !found && hi < F_MAX {
             // Next batch of doubling points; generation stops once a
-            // point clamps to `f_max` (further points would repeat it).
+            // point clamps to `F_MAX` (further points would repeat it).
             let mut pts = [0.0f64; MAX_LANES];
             let mut n = 0;
             let mut h = hi;
-            while n < MAX_LANES && h < self.opts.f_max {
-                h = (h * 2.0).min(self.opts.f_max);
+            while n < MAX_LANES && h < F_MAX {
+                h = (h * 2.0).min(F_MAX);
                 pts[n] = h;
                 n += 1;
             }
@@ -392,7 +392,7 @@ impl ChainEvaluator {
         .map_err(|e| format!("TF: {e}"))?;
         let tf_gain = tf.magnitude(self.opts.f_probe);
 
-        let q = |v: f64| quantize_rel(v, self.opts.report_digits);
+        let q = |v: f64| quantize_rel(v, REPORT_DIGITS);
         Ok(ChainReport {
             power: q(power),
             gain: q(gain),
@@ -530,8 +530,8 @@ mod tests {
             // Serial reference: the pre-speculation implementation.
             let (mut lo, mut hi) = (ev.opts.f_probe, ev.opts.f_probe);
             let mut found = false;
-            while hi < ev.opts.f_max {
-                hi = (hi * 2.0).min(ev.opts.f_max);
+            while hi < F_MAX {
+                hi = (hi * 2.0).min(F_MAX);
                 if ev.probe_mag(hi, out_row).unwrap() < target {
                     found = true;
                     break;

@@ -122,14 +122,16 @@ impl fmt::Debug for BenchSetup {
     }
 }
 
+/// Frequency (Hz) at which low-frequency gain is probed (above the bias
+/// servo corner, below the amplifier poles).
+const F_PROBE: f64 = 1e4;
+
+/// Upper limit for the unity-crossing search, Hz.
+const F_MAX: f64 = 50e9;
+
 /// Options for the hybrid evaluation.
 #[derive(Debug, Clone)]
 pub struct HybridOptions {
-    /// Frequency (Hz) at which low-frequency gain is probed (above the bias
-    /// servo corner, below the amplifier poles).
-    pub f_probe: f64,
-    /// Upper limit for the unity-crossing search, Hz.
-    pub f_max: f64,
     /// Transfer-function extraction options.
     pub nettf: NetTfOptions,
     /// DC solver options.
@@ -153,8 +155,6 @@ pub struct HybridOptions {
 impl Default for HybridOptions {
     fn default() -> Self {
         HybridOptions {
-            f_probe: 1e4,
-            f_max: 50e9,
             nettf: NetTfOptions::default(),
             // Per-node step limiting: the servo-biased OTA testbenches
             // converge marginally under global damping (a wound-up servo
@@ -180,14 +180,14 @@ impl HybridOptions {
     /// different options must never alias.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new()
-            .add_f64_exact(self.f_probe)
-            .add_f64_exact(self.f_max)
+            .add_f64_exact(F_PROBE)
+            .add_f64_exact(F_MAX)
             .add_f64_exact(self.nettf.radius)
             .add_f64_exact(self.nettf.trim_rel)
             .add_u64(self.dc.max_iter as u64)
             .add_f64_exact(self.dc.vtol)
             .add_f64_exact(self.dc.itol)
-            .add_f64_exact(self.dc.max_step)
+            .add_f64_exact(adc_spice::dc::MAX_STEP)
             .add_f64_exact(self.dc.gmin)
             .add_u64(match self.dc.damping {
                 adc_spice::dc::DcDamping::Global => 0,
@@ -358,13 +358,13 @@ where
             Ok(tf) => tf.cancel_common_roots(1e-5),
             Err(e) => return EvalOutcome::Failed(format!("TF: {e}")),
         };
-        let a0 = tf.magnitude(self.opts.f_probe);
+        let a0 = tf.magnitude(F_PROBE);
         // Phase margin referenced to the amplifier's own low-frequency
         // phase (works for inverting and non-inverting configurations):
         // PM = 180° − accumulated phase lag at the unity crossing.
-        let (fu, pm) = match tf.unity_gain_freq(self.opts.f_probe, self.opts.f_max) {
+        let (fu, pm) = match tf.unity_gain_freq(F_PROBE, F_MAX) {
             Some(fu) => {
-                let lag = tf.phase_exact_deg(self.opts.f_probe) - tf.phase_exact_deg(fu);
+                let lag = tf.phase_exact_deg(F_PROBE) - tf.phase_exact_deg(fu);
                 (fu, 180.0 - lag)
             }
             None => (0.0, 0.0),

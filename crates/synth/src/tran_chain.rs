@@ -18,6 +18,7 @@
 //! quantized grid, so the sparse and dense engines walk identical step
 //! sequences and a [`TranChainReport`] is bit-identical across engines.
 
+use crate::chain::REPORT_DIGITS;
 use adc_numerics::quant::quantize_rel;
 use adc_spice::dc::{dc_operating_point_with, DcOptions, DcWorkspace};
 use adc_spice::linearize::SolverChoice;
@@ -73,18 +74,10 @@ pub struct TranChainOptions {
     /// positive. Small enough to keep every stage's residue in range
     /// without sub-ADC decisions.
     pub delta_v: f64,
-    /// Adaptive stepping controller; `None` derives one from the clock
-    /// via [`TimeStepConfig::for_clock`].
-    pub step: Option<TimeStepConfig>,
     /// Tail fraction of the amplification window used for the settling
     /// error: `settle_err = |a(t_end) − a(t_end − tail·window)|`, in
     /// (0, 1].
     pub tail_frac: f64,
-    /// Newton iterations per timestep.
-    pub max_iter: usize,
-    /// Significant decimal digits reported metrics are quantized to (the
-    /// solver-agnostic contract, as in [`crate::chain::ChainOptions`]).
-    pub report_digits: u32,
 }
 
 impl Default for TranChainOptions {
@@ -92,10 +85,7 @@ impl Default for TranChainOptions {
         TranChainOptions {
             periods: 4,
             delta_v: 3e-3,
-            step: None,
             tail_frac: 0.05,
-            max_iter: 60,
-            report_digits: 6,
         }
     }
 }
@@ -268,7 +258,6 @@ impl Leg {
             },
             clock: Some(setup.clock),
             ic: InitialCondition::Voltages(op.voltages().to_vec()),
-            max_iter: chain.max_iter,
             probes: setup.stage_outputs.clone(),
             ..Default::default()
         };
@@ -354,8 +343,8 @@ impl TranChainEvaluator {
     }
 
     /// Runs the chain through `periods` clock periods with the adaptive
-    /// stepper and reports per-stage settling, residue transfer and slew
-    /// metrics.
+    /// stepper scaled to the setup's clock ([`TimeStepConfig::for_clock`])
+    /// and reports per-stage settling, residue transfer and slew metrics.
     ///
     /// # Errors
     /// [`TranChainError`]: options that would sign off without measuring
@@ -366,10 +355,7 @@ impl TranChainEvaluator {
         setup: &mut TranChainSetup,
     ) -> Result<TranChainReport, TranChainError> {
         self.opts.validate()?;
-        let cfg = self
-            .opts
-            .step
-            .unwrap_or_else(|| TimeStepConfig::for_clock(&setup.clock));
+        let cfg = TimeStepConfig::for_clock(&setup.clock);
         self.run_pair(setup, &StepMode::Adaptive(cfg))
     }
 
@@ -423,7 +409,7 @@ impl TranChainEvaluator {
 
     /// Differential stage metrics from the ± runs.
     fn report(&self, setup: &TranChainSetup, rp: &TranResult, rm: &TranResult) -> TranChainReport {
-        let q = |v: f64| quantize_rel(v, self.opts.report_digits);
+        let q = |v: f64| quantize_rel(v, REPORT_DIGITS);
         // Left-limited sampling: a stage's output snaps discontinuously
         // the instant its amplification switches open, and the fixed-step
         // oracle places no sample exactly on the edge — interpolating
