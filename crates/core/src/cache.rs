@@ -7,7 +7,8 @@
 //! not the total resolution). [`SharedCache`] makes that reuse mechanical:
 //! it outlives a candidate set and a `flow` resolution run, keyed by
 //! `(template, normalized spec)`, and is the one cache implementation the
-//! flow consults. [`BlockCache`] is its one-shard form for batch callers.
+//! flow consults. Batch callers hold a one-shard cache ([`SharedCache::new`])
+//! by exclusive borrow; [`BlockCache`] is its name in their signatures.
 //!
 //! Two reuse tiers:
 //!
@@ -332,7 +333,8 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// The persistent block store, split across N independently locked
 /// shards — the one cache implementation every flow consults. The
 /// resident flow server runs it with [`DEFAULT_SHARDS`]; batch callers
-/// hold a one-shard [`BlockCache`].
+/// hold a one-shard cache, which answers every lookup, near-hit seed and
+/// commit exactly as a sharded cache with the same content does.
 ///
 /// A block's shard is chosen by its existing normalized-spec
 /// [`Fingerprint`] (`spec_fp % shards`), so placement is a deterministic
@@ -352,9 +354,15 @@ pub struct SharedCache {
 }
 
 impl SharedCache {
+    /// An empty one-shard cache, the batch callers' form.
+    #[must_use]
+    pub fn new(policy: CachePolicy) -> Self {
+        SharedCache::with_shards(policy, 1)
+    }
+
     /// An empty sharded cache. `shards` is clamped to at least 1.
     #[must_use]
-    pub fn new(policy: CachePolicy, shards: usize) -> Self {
+    pub fn with_shards(policy: CachePolicy, shards: usize) -> Self {
         SharedCache {
             policy,
             shards: (0..shards.max(1))
@@ -363,10 +371,10 @@ impl SharedCache {
         }
     }
 
-    /// [`SharedCache::new`] with [`DEFAULT_SHARDS`].
+    /// [`SharedCache::with_shards`] with [`DEFAULT_SHARDS`].
     #[must_use]
     pub fn with_default_shards(policy: CachePolicy) -> Self {
-        SharedCache::new(policy, DEFAULT_SHARDS)
+        SharedCache::with_shards(policy, DEFAULT_SHARDS)
     }
 
     /// The reuse policy (uniform across shards).
@@ -536,54 +544,10 @@ impl SharedCache {
     }
 }
 
-/// The batch callers' cache: a one-shard [`SharedCache`] held by
-/// exclusive borrow across a candidate set or a multi-resolution sweep.
-/// It answers every lookup, near-hit seed and commit exactly as a sharded
-/// cache with the same content does.
-#[derive(Debug)]
-pub struct BlockCache(SharedCache);
-
-impl BlockCache {
-    /// An empty cache with the given policy.
-    #[must_use]
-    pub fn new(policy: CachePolicy) -> Self {
-        BlockCache(SharedCache::new(policy, 1))
-    }
-
-    /// The reuse policy.
-    #[must_use]
-    pub fn policy(&self) -> CachePolicy {
-        self.0.policy()
-    }
-
-    /// Number of stored entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.0.stats()
-    }
-
-    /// Drops all entries (statistics are kept).
-    pub fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    /// The underlying one-shard cache the flow consults.
-    pub(crate) fn shared(&self) -> &SharedCache {
-        &self.0
-    }
-}
+/// The batch callers' name for a [`SharedCache`] they hold by exclusive
+/// borrow across a candidate set or a multi-resolution sweep, built with
+/// [`SharedCache::new`] (one shard).
+pub type BlockCache = SharedCache;
 
 #[cfg(test)]
 impl SharedCache {
@@ -640,7 +604,7 @@ mod tests {
 
     #[test]
     fn reproducible_requires_provenance_and_exact_req() {
-        let c = SharedCache::new(CachePolicy::Reproducible, 1);
+        let c = SharedCache::new(CachePolicy::Reproducible);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 7, CFG)
@@ -671,7 +635,7 @@ mod tests {
 
     #[test]
     fn aggressive_ignores_provenance_and_seeds_near_hits() {
-        let c = SharedCache::new(CachePolicy::Aggressive, 1);
+        let c = SharedCache::new(CachePolicy::Aggressive);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 999, CFG)
@@ -705,7 +669,7 @@ mod tests {
             .is_some());
         assert_eq!(c.stats().near_seeds, 2);
 
-        let repro = SharedCache::new(CachePolicy::Reproducible, 1);
+        let repro = SharedCache::new(CachePolicy::Reproducible);
         repro.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(repro
             .nearest(TemplateKind::Telescopic, (2, 9), None, CFG)
@@ -714,7 +678,7 @@ mod tests {
 
     #[test]
     fn buckets_dedup_and_cap() {
-        let c = SharedCache::new(CachePolicy::Aggressive, 1);
+        let c = SharedCache::new(CachePolicy::Aggressive);
         for p in 0..10 {
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p));
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p)); // dup
@@ -730,7 +694,7 @@ mod tests {
 
     #[test]
     fn corrupted_entries_are_dropped_not_served() {
-        let c = SharedCache::new(CachePolicy::Aggressive, 1);
+        let c = SharedCache::new(CachePolicy::Aggressive);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         c.corrupt_all_for_test();
         assert!(

@@ -1112,7 +1112,7 @@ fn run(req: &FlowRequest<'_>, cache: Option<&SharedCache>) -> SynthesisRun {
 /// survivors are ranked normally; with default [`FlowOptions`] and no
 /// faults the result is bit-identical to the serial oracle.
 pub fn run_flow(req: &FlowRequest<'_>, cache: Option<&mut BlockCache>) -> SynthesisRun {
-    run(req, cache.map(|c| c.shared()))
+    run(req, cache.as_deref())
 }
 
 /// [`run_flow`] against a **sharded** [`SharedCache`] — the resident
@@ -1348,7 +1348,7 @@ mod tests {
             ..Default::default()
         };
         let cache = BlockCache::new(CachePolicy::Reproducible);
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(cache.shared()));
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&cache));
         let n = scheduled.len();
         assert!(n > 0);
         // Every block fails → no survivors, no cache entries, full report.
@@ -1361,7 +1361,7 @@ mod tests {
                 ))
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(cache.shared()), None);
+        let run = finish_run(scheduled, outcomes, Some(&cache), None);
         assert!(run.blocks.is_empty());
         assert_eq!(run.failures.len(), n);
         assert_eq!(run.stats.failed, n);
@@ -1370,7 +1370,7 @@ mod tests {
         assert!(run.into_result().is_err());
         // Every block "recovers" off-plan → ranked survivors, still no
         // cache commits (the planned provenance no longer attests them).
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(cache.shared()));
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&cache));
         let fake = SynthResult {
             best_x: vec![1.0],
             best_u: vec![0.5],
@@ -1390,7 +1390,7 @@ mod tests {
                 })
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(cache.shared()), None);
+        let run = finish_run(scheduled, outcomes, Some(&cache), None);
         assert_eq!(run.blocks.len(), n);
         assert_eq!(run.stats.recovered, n);
         assert_eq!(run.stats.attempts, 2 * n);
@@ -1417,7 +1417,7 @@ mod tests {
         let mut exclusive_cache = BlockCache::new(CachePolicy::Reproducible);
         let exclusive = run_flow(&req, Some(&mut exclusive_cache));
         for shards in [1, 3, 8] {
-            let shared_cache = SharedCache::new(CachePolicy::Reproducible, shards);
+            let shared_cache = SharedCache::with_shards(CachePolicy::Reproducible, shards);
             let shared = run_flow_shared(&req, &shared_cache);
             assert_eq!(exclusive.stats, shared.stats, "{shards} shards");
             for (a, b) in exclusive.blocks.iter().zip(shared.blocks.iter()) {

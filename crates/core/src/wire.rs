@@ -1203,7 +1203,7 @@ mod tests {
 
         let mut renders = Vec::new();
         for shards in [1usize, 8] {
-            let cache = SharedCache::new(CachePolicy::Reproducible, shards);
+            let cache = SharedCache::with_shards(CachePolicy::Reproducible, shards);
             let req = FlowRequest::new(&spec, &candidates, &params, &cfg);
             let _ = run_flow_shared(&req, &cache);
             assert!(!cache.is_empty());
@@ -1214,7 +1214,7 @@ mod tests {
             "snapshot bytes must be shard-count-invariant"
         );
 
-        let restored = SharedCache::new(CachePolicy::Reproducible, 3);
+        let restored = SharedCache::with_shards(CachePolicy::Reproducible, 3);
         let doc = JsonValue::parse(&renders[0].1).unwrap();
         let load = cache_snapshot_restore(&restored, &doc);
         assert_eq!(load.loaded, renders[0].0);
@@ -1228,7 +1228,7 @@ mod tests {
         );
 
         let stale = renders[0].1.replace("\"version\":1", "\"version\":2");
-        let victim = SharedCache::new(CachePolicy::Reproducible, 2);
+        let victim = SharedCache::with_shards(CachePolicy::Reproducible, 2);
         let load = cache_snapshot_restore(&victim, &JsonValue::parse(&stale).unwrap());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.dropped, renders[0].0);

@@ -452,7 +452,7 @@ mod tests {
         let oracle_doc = JsonValue::parse(&oracle).unwrap();
 
         for shards in [1, 4, 8] {
-            let cache = SharedCache::new(CachePolicy::Reproducible, shards);
+            let cache = SharedCache::with_shards(CachePolicy::Reproducible, shards);
             let (_, served) = run_and_render(&req, &cache, false);
             let served_doc = JsonValue::parse(&served).unwrap();
             assert_eq!(

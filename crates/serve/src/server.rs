@@ -147,7 +147,7 @@ impl FlowServer {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: SharedCache::new(config.cache_policy, config.cache_shards),
+            cache: SharedCache::with_shards(config.cache_policy, config.cache_shards),
             memo: protocol::ResultMemo::new(),
             store: ResultStore::new(config.capacity),
             queue: Mutex::new(VecDeque::new()),

@@ -178,7 +178,7 @@ fn aggressive_sweep_is_shard_count_invariant() {
     let params = PowerModelParams::calibrated();
     let config = cfg();
     let sweep = |shards: usize| {
-        let cache = SharedCache::new(CachePolicy::Aggressive, shards);
+        let cache = SharedCache::with_shards(CachePolicy::Aggressive, shards);
         let runs: Vec<(Vec<MdacBlock>, RunStats)> = RESOLUTIONS
             .iter()
             .map(|&k| {
