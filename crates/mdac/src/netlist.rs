@@ -564,6 +564,8 @@ mod tests {
     use super::*;
     use adc_sfg::nettf::{extract_tf, NetTfOptions};
     use adc_spice::dc::dc_operating_point;
+    use adc_spice::tran::Clock;
+    use adc_spice::waveform::Waveform;
 
     fn tele_cfg(bits: u32, c_f: f64) -> MdacStageConfig {
         MdacStageConfig {
@@ -656,6 +658,54 @@ mod tests {
         assert!((g - 8.0).abs() / 8.0 < 0.08, "chain gain {g} vs expected 8");
     }
 
+    #[test]
+    fn retune_through_instance_paths_matches_rebuild() {
+        let proc = Process::c025();
+        let mut p = TelescopicParams::nominal();
+        let mut tb = build_pipeline(
+            &proc,
+            &[MdacStageConfig {
+                bits: 2,
+                c_f: 200e-15,
+                ota: OtaSizing::Telescopic(p.clone()),
+                ron: 100.0,
+            }],
+            &PipelineOptions::default(),
+        )
+        .unwrap();
+        p.w_in = 90e-6;
+        p.vbn = 1.2;
+        // Retune stage 0's OTA in place through its nested instance paths.
+        let inst = &tb.stages[0];
+        let id = |local: &str| inst.element(local).unwrap();
+        tb.circuit.set_value(id("ota.VBN"), p.vbn);
+        tb.circuit.set_value(id("ota.VBP1"), p.vbp1);
+        tb.circuit.set_value(id("ota.VBP2"), p.vbp2);
+        tb.circuit.set_device_geometry(id("ota.M1"), p.w_in, p.l_in);
+        tb.circuit
+            .set_device_geometry(id("ota.M2"), p.w_casc, p.l_in);
+        tb.circuit
+            .set_device_geometry(id("ota.M3"), p.w_pcasc, p.l_p);
+        tb.circuit
+            .set_device_geometry(id("ota.M4"), p.w_psrc, p.l_p);
+        let fresh = build_pipeline(
+            &proc,
+            &[MdacStageConfig {
+                bits: 2,
+                c_f: 200e-15,
+                ota: OtaSizing::Telescopic(p),
+                ron: 100.0,
+            }],
+            &PipelineOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(tb.circuit.elements(), fresh.circuit.elements());
+        assert_eq!(
+            tb.circuit.topology_fingerprint(),
+            fresh.circuit.topology_fingerprint()
+        );
+    }
+
     fn switch_phase(ckt: &Circuit, name: &str) -> ClockPhase {
         ckt.elements()
             .iter()
@@ -695,10 +745,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_alternates_phases() {
+    fn pipeline_alternates_phases_and_holds_input() {
         let proc = Process::c025();
         let stages = [tele_cfg(3, 400e-15), tele_cfg(2, 200e-15)];
-        let tb = build_pipeline(&proc, &stages, &PipelineOptions::default()).unwrap();
+        let mut tb = build_pipeline(&proc, &stages, &PipelineOptions::default()).unwrap();
         assert_eq!(tb.stage_amplify_phase(0), ClockPhase::Phi2);
         assert_eq!(tb.stage_amplify_phase(1), ClockPhase::Phi1);
         // The flattened netlist carries the alternation: stage 1 samples on
@@ -708,6 +758,27 @@ mod tests {
         assert_eq!(switch_phase(&tb.circuit, "adc0.SC1"), ClockPhase::Phi1);
         assert_eq!(switch_phase(&tb.circuit, "adc1.SC1"), ClockPhase::Phi2);
         assert_eq!(switch_phase(&tb.circuit, "adcb.SC1"), ClockPhase::Phi1);
+        // Probe windows hand off: stage 0's amplification window ends
+        // before stage 1's (next period) begins.
+        let clk = Clock {
+            freq: 40e6,
+            nonoverlap: 1e-9,
+        };
+        let (a0, b0) = clk.phase_window(0, tb.stage_amplify_phase(0));
+        let (a1, b1) = clk.phase_window(1, tb.stage_amplify_phase(1));
+        assert!(a0 < b0 && b0 <= a1 && a1 < b1);
+        // Input hold replaces the drive waveform but keeps the AC
+        // magnitude, so the same testbench still sweeps.
+        let (id, _) = tb.circuit.find_element(&tb.input_source).unwrap();
+        tb.circuit.set_waveform(id, Waveform::Dc(1.7));
+        let (_, e) = tb.circuit.find_element("VIN").unwrap();
+        match e {
+            adc_spice::netlist::Element::VSource { wave, ac_mag, .. } => {
+                assert_eq!(*wave, Waveform::Dc(1.7));
+                assert_eq!(*ac_mag, 1.0);
+            }
+            _ => panic!("VIN is not a source"),
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! The returned [`Instance`] is the **path-resolution handle**: it maps
 //! local element/node names to the flattened [`ElementId`]s/[`NodeId`]s, so
 //! in-place retuning ([`Circuit::set_value`],
-//! [`Circuit::set_device_geometry`]) works through instance paths exactly
-//! as it does on flat netlists — a retuned chain reuses its workspaces
-//! unchanged.
+//! [`Circuit::set_device_geometry`]) of an [`Instance::element`] works
+//! through instance paths exactly as it does on flat netlists — a retuned
+//! chain reuses its workspaces unchanged.
 //!
 //! Hierarchy composes: a subcircuit's template may itself contain
 //! instances (its element names already carry dots), and flattening simply
@@ -131,33 +131,6 @@ impl Instance {
     /// in no particular order.
     pub fn elements(&self) -> impl Iterator<Item = (&str, ElementId)> {
         self.elems.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Retunes a local element's scalar value through the instance path —
-    /// [`Circuit::set_value`] resolved hierarchically.
-    ///
-    /// # Panics
-    /// Panics if the path does not resolve (mirrors the flat API's contract
-    /// of panicking on misuse rather than failing silently).
-    pub fn set_value(&self, ckt: &mut Circuit, local: &str, value: f64) {
-        let id = self
-            .elems
-            .get(local)
-            .unwrap_or_else(|| panic!("instance {}: no element {local}", self.prefix));
-        ckt.set_value(*id, value);
-    }
-
-    /// Retunes a local MOSFET's geometry through the instance path —
-    /// [`Circuit::set_device_geometry`] resolved hierarchically.
-    ///
-    /// # Panics
-    /// Panics if the path does not resolve.
-    pub fn set_device_geometry(&self, ckt: &mut Circuit, local: &str, w: f64, l: f64) {
-        let id = self
-            .elems
-            .get(local)
-            .unwrap_or_else(|| panic!("instance {}: no element {local}", self.prefix));
-        ckt.set_device_geometry(*id, w, l);
     }
 }
 
@@ -404,7 +377,7 @@ mod tests {
         let inst = c
             .instantiate(&d, "x", &[("top", vin), ("mid", tap)])
             .unwrap();
-        inst.set_value(&mut c, "R2", 1e3); // divider becomes 1k/1k
+        c.set_value(inst.element("R2").unwrap(), 1e3); // divider becomes 1k/1k
         let op = dc_operating_point(&c, &DcOptions::default()).unwrap();
         assert!((op.voltage(inst.node("mid").unwrap()) - 1.5).abs() < 1e-8);
     }
@@ -467,7 +440,7 @@ mod tests {
         let op = dc_operating_point(&c, &DcOptions::default()).unwrap();
         assert!(op.mos_eval("a0.M1").is_some());
         // Geometry retune resolves through the path.
-        inst.set_device_geometry(&mut c, "M1", 10e-6, 0.5e-6);
+        c.set_device_geometry(inst.element("M1").unwrap(), 10e-6, 0.5e-6);
         let (_, e) = c.find_element("a0.M1").unwrap();
         match e {
             Element::Mosfet { w, .. } => assert_eq!(*w, 10e-6),
