@@ -56,6 +56,9 @@ fn main() {
     let blocks = run_flow(&FlowRequest::new(&spec, winner_set, &params, &cfg), None).blocks;
     match verify_candidate(&spec, &winner, &blocks, &params, &VerifyOptions::default()) {
         Ok(v) => print!("{}", verify_table(std::slice::from_ref(&v))),
-        Err(e) => println!("chain verification failed: {e}"),
+        Err(e) => {
+            println!("chain verification failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -36,6 +36,7 @@ fn main() {
         ..Default::default()
     };
     let mut verifications = Vec::new();
+    let mut failed = false;
     for r in &reports {
         let winner = r.best().candidate.clone();
         let winner_set = std::slice::from_ref(&winner);
@@ -48,8 +49,14 @@ fn main() {
             &VerifyOptions::default(),
         ) {
             Ok(v) => verifications.push(v),
-            Err(e) => println!("K = {}: chain verification failed: {e}", r.spec.resolution),
+            Err(e) => {
+                println!("K = {}: chain verification failed: {e}", r.spec.resolution);
+                failed = true;
+            }
         }
     }
     print!("{}", verify_table(&verifications));
+    if failed {
+        std::process::exit(1);
+    }
 }

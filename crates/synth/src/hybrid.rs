@@ -23,26 +23,15 @@
 //! nonzeros; the selection is automatic and the dense path remains the
 //! oracle.
 //!
-//! On the 32 serial-oracle flows (10–13 bits) an evaluation took
-//! 23.6–24.1 µs with the 400-point unity-gain search on a 2-vCPU AVX2 VM,
-//! timed in an instrumented build (33.3–34.2 µs when the TF extraction
-//! factored 32 points). The DC solve takes about 6.2 µs at 6.8 Newton
-//! iterations per evaluation: a global-phase solve takes 7.7 iterations
-//! from the nominal start, a local-phase warm solve 4.4, and the sparse
-//! factor and solve 0.25–0.31 µs per iteration. The TF extraction takes
-//! 4.8–4.9 µs (13.7–14.1 µs before): `solve_det_batch` factors the 8
-//! upper-half-plane points of a 16-point grid in one batch chunk in
-//! 2.4–2.5 µs (9.1–9.4 µs for 32 points), then come the two 16-point FFTs
-//! and the coefficient recovery. The rest, about 13 µs in that build, was
-//! the equation leg, and its largest piece the unity-gain search: 279
-//! points of a 400-point scan and 47 bisection steps per search,
-//! 8.0–8.8 µs in `prof_hotpath`. The search now scans 76 points of a
-//! 100-point grid and refines the crossing in 5.2 evaluations
-//! ([`adc_sfg::tf::Tf::magnitude_crossing`]), 1.9–2.0 µs, and a full
-//! global-phase evaluation there fell from 23.6–27.2 µs to 16.2–22.4 µs.
-//! Pole/zero cancellation, 3.4–4.7 µs, most of it Aberth root refinement
-//! at about 5 sweeps per call, now leads the equation leg; then come `a0`
-//! and phase margin, which sums over the roots cancellation kept.
+//! An evaluation is one DC Newton solve (from the start sizing's
+//! operating point in the global phase, warm from the previous candidate
+//! in the local phase), one TF extraction (`det Y(s)` at the upper-half
+//! points of a small circle grid, factored in one batch, then FFT
+//! coefficient recovery), pole/zero cancellation, and the equation leg:
+//! `a0` at the probe frequency, the unity-gain search
+//! ([`adc_sfg::tf::Tf::magnitude_crossing`]) and the phase margin over
+//! the roots cancellation kept. EXPERIMENTS §20, §23 and §26 measure each
+//! piece; `prof_hotpath` (`crates/bench/examples`) times them per call.
 
 use crate::evaluator::{EvalOutcome, Evaluator, Performance};
 use adc_numerics::quant::Fingerprint;
@@ -173,9 +162,11 @@ impl Default for HybridOptions {
 }
 
 impl HybridOptions {
-    /// Deterministic fingerprint of every option that influences the
-    /// numbers this evaluator produces (probe/search frequencies, TF
-    /// sampling, DC solver tolerances, warm-start policy). The evaluator
+    /// Deterministic fingerprint of every value that influences the
+    /// numbers this evaluator produces: the probe and search frequencies
+    /// and the DC step limit (constants, hashed at their historical
+    /// positions), TF sampling, DC solver tolerances, warm-start policy
+    /// and solver engine. The evaluator
     /// component of a cross-run synthesis cache key: results computed under
     /// different options must never alias.
     pub fn fingerprint(&self) -> u64 {
