@@ -423,17 +423,6 @@ impl SharedCache {
         total
     }
 
-    /// Drops all entries in every shard (statistics are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .buckets
-                .clear();
-        }
-    }
-
     /// Exact lookup for a block about to be planned, against the owning
     /// shard (one lock). `config` is the run's configuration fingerprint —
     /// entries computed under a different process/budget/evaluator setup

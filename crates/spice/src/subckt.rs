@@ -126,12 +126,6 @@ impl Instance {
     pub fn node(&self, local: &str) -> Option<NodeId> {
         self.nodes.get(local).copied()
     }
-
-    /// Iterates `(local name, flattened id)` over this instance's elements
-    /// in no particular order.
-    pub fn elements(&self) -> impl Iterator<Item = (&str, ElementId)> {
-        self.elems.iter().map(|(k, v)| (k.as_str(), *v))
-    }
 }
 
 impl Circuit {
