@@ -119,12 +119,52 @@ fn chain_432_solves_at_hundred_plus_unknowns_sparse_and_dense() {
     );
 }
 
+/// Pin of the automatic-engine sign-off of the 4-3-2 fixture below:
+/// Newton iterations summed over both legs, and [`report_digest`].
+const CHAIN_PIN_AUTO: (usize, u64) = (3889, 0x4982_7459_810c_995c);
+
+/// Pin of the dense-engine sign-off of the same fixture: accepted plus
+/// rejected steps, Newton iterations, and [`report_digest`].
+const CHAIN_PIN_DENSE: (usize, usize, u64) = (1134, 3868, 0x932a_f82f_b2f4_5926);
+
+/// FNV-1a digest of a transient sign-off report: the exact bits of every
+/// quantized stage metric, the settled flags, the step and Newton
+/// counters and the quantized smallest step.
+fn report_digest(r: &pipelined_adc::synth::tran_chain::TranChainReport) -> u64 {
+    use pipelined_adc::numerics::quant::Fingerprint;
+    let mut fp = Fingerprint::new();
+    for s in &r.stages {
+        for v in [
+            s.amplitude,
+            s.settle_err,
+            s.half_lsb,
+            s.residue_gain,
+            s.ideal_gain,
+            s.settle_frac,
+            s.max_slew,
+            s.slew_frac,
+        ] {
+            fp = fp.add_u64(v.to_bits());
+        }
+        fp = fp.add_u64(u64::from(s.settled));
+    }
+    fp.add_u64(u64::from(r.all_settled))
+        .add_u64(r.accepted as u64)
+        .add_u64(r.rejected as u64)
+        .add_u64(r.newton_iters as u64)
+        .add_u64(r.min_dt.to_bits())
+        .finish()
+}
+
 /// Acceptance: the 13-bit winner's 4-3-2 chain runs four full φ1/φ2
 /// periods through the sparse adaptive transient engine, every stage
 /// settles to ½ LSB by the end of its amplification phase, the adaptive
 /// stepper needs ≥ 5× fewer steps than the fixed-step oracle at the
 /// adaptive run's own minimum dt, and the dense engine reproduces the
-/// quantized report bit-identically.
+/// quantized report bit-identically. The step count, the Newton
+/// iterations and [`report_digest`] of both engines' runs are pinned
+/// exactly: the engine pin's fixtures are OTA benches, and this is the
+/// chain-scale sign-off (dim 124, nodesets, four periods).
 ///
 /// The sign-off chain carries telescopic OTAs throughout: the nominal
 /// two-stage front OTA of [`chain_432`] passes every small-signal check
@@ -164,6 +204,12 @@ fn chain_432_settles_under_real_clock_phases() {
         report.accepted,
         report.rejected
     );
+    assert_eq!(
+        (report.newton_iters, report_digest(&report)),
+        CHAIN_PIN_AUTO,
+        "sign-off fixture pin drifted (Newton iterations, digest {:#018x})",
+        report_digest(&report)
+    );
     assert!(report.all_settled, "{report:#?}");
     for (k, s) in report.stages.iter().enumerate() {
         assert!(s.settled, "stage {k} missed ½ LSB: {s:#?}");
@@ -194,6 +240,16 @@ fn chain_432_settles_under_real_clock_phases() {
     let mut dense = TranChainEvaluator::with_solver(SolverChoice::Dense, opts.clone());
     let rd = dense.evaluate(&mut setup).unwrap();
     assert!(!rd.sparse);
+    assert_eq!(
+        (
+            rd.accepted + rd.rejected,
+            rd.newton_iters,
+            report_digest(&rd)
+        ),
+        CHAIN_PIN_DENSE,
+        "dense sign-off fixture pin drifted (steps, Newton iterations, digest {:#018x})",
+        report_digest(&rd)
+    );
     assert_eq!(
         report.stages, rd.stages,
         "transient sign-off metrics must not depend on the solver engine"
