@@ -988,6 +988,58 @@ mod tests {
         assert!((id - ir).abs() < 1e-6 * ir, "id {id} vs ir {ir}");
     }
 
+    /// The homotopy ladder's solution, bit for bit, on the dense and the
+    /// CSR engine, with g_min on and off. Every Newton stage assembles at
+    /// its own g_min: a stage that kept the previous rung's linear
+    /// Jacobian still converges, an ulp away.
+    #[test]
+    fn homotopy_ladder_solution_is_pinned() {
+        let p = Process::c025();
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let d = c.node("d");
+        c.add_vsource("VDD", vdd, Circuit::GROUND, 3.3);
+        c.add_resistor("RB", vdd, d, 10e3);
+        let gnd = Circuit::GROUND;
+        c.add_mosfet("M1", d, d, gnd, gnd, p.nmos, 10e-6, 1e-6);
+        let pins: [(f64, [u64; 3]); 2] = [
+            (
+                0.0,
+                [
+                    0x400a_6666_6666_6666,
+                    0x3fed_d452_bc05_bcfe,
+                    0xbf2f_091f_e4cb_1adf,
+                ],
+            ),
+            (
+                1e-12,
+                [
+                    0x400a_6666_6666_6666,
+                    0x3fed_d452_bb9b_cf9d,
+                    0xbf2f_091f_ec38_3a45,
+                ],
+            ),
+        ];
+        for (gmin, want) in pins {
+            for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+                let opts = DcOptions {
+                    gmin,
+                    max_iter: 10,
+                    ..DcOptions::default()
+                };
+                let mut ws = DcWorkspace::with_solver(&c, choice).unwrap();
+                assert!(
+                    dc_operating_point_newton(&mut ws, &c, &opts, None).is_err(),
+                    "plain Newton alone must not converge within 10 iterations"
+                );
+                let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
+                assert_eq!(ws.is_sparse(), choice == SolverChoice::Sparse);
+                let got: Vec<u64> = op.solution().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "g_min {gmin}, {choice:?}");
+            }
+        }
+    }
+
     #[test]
     fn common_source_amplifier_bias() {
         let p = Process::c025();
