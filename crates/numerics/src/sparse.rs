@@ -18,7 +18,14 @@
 //!    the dense [`crate::linalg::Lu`]. It eliminates in place in the factor
 //!    storage along the frozen elimination schedule (`Symbolic::e_target`,
 //!    which [`CSparseLuBatch`] walks lane by lane).
-//! 3. [`SparseLu::solve_into`] and [`SparseLu::det`] — in-place triangular
+//! 3. [`SparseLu::refactor_into`] — per change of a known subset of the
+//!    input values (a Newton loop whose nonlinear devices stamp the same
+//!    few slots every iteration): [`Symbolic::dependent_rows`] derives once
+//!    which factor rows those values reach through the elimination, and
+//!    only those rows are refactored. Both refactorizations run through
+//!    one row-elimination routine, so the partial one is bit-identical to
+//!    a full one.
+//! 4. [`SparseLu::solve_into`] and [`SparseLu::det`] — in-place triangular
 //!    solves and the determinant from the product of pivots (the quantity
 //!    the numeric TF extraction samples).
 //!
@@ -205,13 +212,25 @@ impl CsrMatrix {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        let p = &self.pattern;
-        assert_eq!(x.len(), p.n, "dimension mismatch");
-        assert_eq!(y.len(), p.n, "dimension mismatch");
+        self.pattern.mul_vec_into(&self.vals, x, y);
+    }
+}
+
+impl CsrPattern {
+    /// `y = A·x` for the matrix with values `vals` on this pattern (a
+    /// caller that keeps several value arrays over one pattern multiplies
+    /// any of them without copying it into a [`CsrMatrix`]).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatch.
+    pub fn mul_vec_into(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
+        assert_eq!(vals.len(), self.nnz(), "pattern mismatch");
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        assert_eq!(y.len(), self.n, "dimension mismatch");
         for (r, yr) in y.iter_mut().enumerate() {
             let mut s = 0.0;
-            for (idx, &c) in p.row_cols(r).iter().enumerate() {
-                s += self.vals[p.row_ptr[r] + idx] * x[c];
+            for (idx, &c) in self.row_cols(r).iter().enumerate() {
+                s += vals[self.row_ptr[r] + idx] * x[c];
             }
             *yr = s;
         }
@@ -220,7 +239,10 @@ impl CsrMatrix {
 
 /// Symbolic LU factorization of a [`CsrPattern`]: pivot ordering, predicted
 /// fill pattern and scatter maps, computed **once per topology** and shared
-/// by any number of numeric refactorizations (real or complex).
+/// by any number of numeric refactorizations (real or complex). It also
+/// answers which factor rows a subset of the input values reaches
+/// ([`Symbolic::dependent_rows`]), for refactorizations that change only
+/// that subset.
 #[derive(Debug, PartialEq)]
 pub struct Symbolic {
     n: usize,
@@ -606,6 +628,83 @@ impl Symbolic {
     pub fn pattern(&self) -> &Arc<CsrPattern> {
         &self.pattern
     }
+
+    /// The factor rows that the input nonzeros `varying` (indices into the
+    /// analyzed pattern's nonzeros) reach: every permuted row holding one
+    /// of them, and every later row that eliminates against a reached row,
+    /// transitively. Every other row's factors depend only on the other
+    /// input values, so while those stay unchanged,
+    /// [`SparseLu::refactor_into`] refactors the reached rows alone.
+    ///
+    /// # Panics
+    /// Panics if a nonzero index lies outside the pattern.
+    pub fn dependent_rows(&self, varying: &[usize]) -> DependentRows {
+        let p = &self.pattern;
+        let mut row_perm_inv = vec![0usize; self.n];
+        for (i, &r) in self.row_perm.iter().enumerate() {
+            row_perm_inv[r] = i;
+        }
+        let mut reached = vec![false; self.n];
+        for &k in varying {
+            assert!(k < p.nnz(), "nonzero {k} outside the pattern");
+            // Original row of nonzero k: the last row starting at or
+            // before it.
+            let r = p.row_ptr.partition_point(|&start| start <= k) - 1;
+            reached[row_perm_inv[r]] = true;
+        }
+        // Rows finish in ascending order, so one ascending sweep closes
+        // the set: row i is reached once any row it eliminates against is.
+        for i in 0..self.n {
+            if !reached[i] {
+                let eliminating = &self.f_col[self.f_row_ptr[i]..self.f_diag[i]];
+                reached[i] = eliminating.iter().any(|&j| reached[j]);
+            }
+        }
+        let mut out = DependentRows {
+            n: self.n,
+            rows: Vec::new(),
+            inputs: Vec::new(),
+        };
+        let mut cursor = 0;
+        for (i, &reached) in reached.iter().enumerate() {
+            if reached {
+                out.rows.push((i, cursor));
+                let r = self.row_perm[i];
+                out.inputs.extend(p.row_ptr[r]..p.row_ptr[r + 1]);
+            }
+            // Row i's stretch of the schedule: row j's upper entries for
+            // every j it eliminates against.
+            for &j in &self.f_col[self.f_row_ptr[i]..self.f_diag[i]] {
+                cursor += self.f_row_ptr[j + 1] - self.f_diag[j] - 1;
+            }
+        }
+        out
+    }
+}
+
+/// The factor rows a subset of a pattern's input values reaches, in
+/// elimination order ([`Symbolic::dependent_rows`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DependentRows {
+    /// Dimension of the analysis the rows belong to.
+    n: usize,
+    /// Permuted row indices, ascending, each with the cursor of its
+    /// stretch of the elimination schedule `Symbolic::e_target`.
+    rows: Vec<(usize, usize)>,
+    /// The input nonzeros that load those rows.
+    inputs: Vec<usize>,
+}
+
+impl DependentRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no row depends on the varying values.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
 }
 
 /// Indices of the set bits of a bitset, ascending.
@@ -667,41 +766,90 @@ fn assert_pattern_matches(pattern: &Arc<CsrPattern>, sym: &Symbolic) {
     );
 }
 
-/// Numeric refactorization following the frozen symbolic pattern:
-/// up-looking row LU (Doolittle) in place in the factor storage, along the
-/// elimination schedule `Symbolic::e_target` — zero allocation, no pivot
-/// search. Each update is the rounded `f = a_ij / u_jj`, then
-/// `a_it -= f · u_jt` over row `j`'s upper entries in column order, rows
-/// `j` ascending: the scratch-row walk's operations in its order, so the
-/// factors are bit-identical to it.
-fn factor_core<T: Scalar>(sym: &Symbolic, avals: &[T], fvals: &mut [T]) -> NumResult<()> {
+/// Numeric factorization following the frozen symbolic pattern: loads
+/// every factor row from `avals` (the storage zeroed, then `+= a` through
+/// the scatter map) and eliminates the rows in order
+/// ([`eliminate_row`]), each schedule stretch following the last.
+fn factor_full<T: Scalar>(sym: &Symbolic, avals: &[T], fvals: &mut [T]) -> NumResult<()> {
     assert_eq!(avals.len(), sym.scatter.len(), "pattern mismatch");
     fvals.fill(T::ZERO);
     for (k, &v) in avals.iter().enumerate() {
         fvals[sym.scatter[k]] += v;
     }
-    let mut cur = 0usize;
+    let mut cur = 0;
     for i in 0..sym.n {
-        // Eliminate against every finished row j < i in this row's pattern.
-        for pos in sym.f_row_ptr[i]..sym.f_diag[i] {
-            let j = sym.f_col[pos];
-            let f = fvals[pos] / fvals[sym.f_diag[j]];
-            fvals[pos] = f;
-            let (d, e) = (sym.f_diag[j] + 1, sym.f_row_ptr[j + 1]);
-            for (q, &t) in (d..e).zip(&sym.e_target[cur..cur + (e - d)]) {
-                fvals[t] -= f * fvals[q];
-            }
-            cur += e - d;
-        }
-        let piv = fvals[sym.f_diag[i]];
-        if !piv.mag_ge(SINGULAR_TOL) {
-            return Err(NumericsError::SingularMatrix {
-                step: i,
-                pivot: piv.mag(),
-            });
-        }
+        cur = eliminate_row(sym, fvals, i, cur)?;
     }
     Ok(())
+}
+
+/// [`factor_full`] of the dependent rows `rows` alone: loads each of them
+/// (zeroed, then `+= a` over its input nonzeros — through the injective
+/// scatter map exactly the values the full load leaves there, signed zeros
+/// included) and eliminates them in order, each from its own schedule
+/// cursor. Every other row keeps the factors it holds.
+fn factor_dependent<T: Scalar>(
+    sym: &Symbolic,
+    rows: &DependentRows,
+    avals: &[T],
+    fvals: &mut [T],
+) -> NumResult<()> {
+    assert_eq!(avals.len(), sym.scatter.len(), "pattern mismatch");
+    for (i, _) in &rows.rows {
+        fvals[sym.f_row_ptr[*i]..sym.f_row_ptr[i + 1]].fill(T::ZERO);
+    }
+    for &k in &rows.inputs {
+        fvals[sym.scatter[k]] += avals[k];
+    }
+    for &(i, cur) in &rows.rows {
+        eliminate_row(sym, fvals, i, cur)?;
+    }
+    Ok(())
+}
+
+/// The row elimination of every factorization: up-looking row LU
+/// (Doolittle) of the loaded row `i` in place in the factor storage, along
+/// the elimination schedule `Symbolic::e_target` from cursor `cur` — zero
+/// allocation, no pivot search. Returns the cursor of the next row's
+/// stretch.
+///
+/// Each update is the rounded `f = a_ij / u_jj`, then `a_it -= f · u_jt`
+/// over row `j`'s upper entries in column order, rows `j` ascending: the
+/// scratch-row walk's operations in its order, so the factors are
+/// bit-identical to it. The row's result depends only on its loaded
+/// values and the rows it eliminates against, which is why a partial
+/// refactorization that eliminates every row a change reaches equals a
+/// full one.
+///
+/// # Errors
+/// [`NumericsError::SingularMatrix`] at step `i` when the row's pivot
+/// underflows.
+#[inline(always)]
+fn eliminate_row<T: Scalar>(
+    sym: &Symbolic,
+    fvals: &mut [T],
+    i: usize,
+    mut cur: usize,
+) -> NumResult<usize> {
+    // Eliminate against every finished row j < i in this row's pattern.
+    for pos in sym.f_row_ptr[i]..sym.f_diag[i] {
+        let j = sym.f_col[pos];
+        let f = fvals[pos] / fvals[sym.f_diag[j]];
+        fvals[pos] = f;
+        let (d, e) = (sym.f_diag[j] + 1, sym.f_row_ptr[j + 1]);
+        for (q, &t) in (d..e).zip(&sym.e_target[cur..cur + (e - d)]) {
+            fvals[t] -= f * fvals[q];
+        }
+        cur += e - d;
+    }
+    let piv = fvals[sym.f_diag[i]];
+    if !piv.mag_ge(SINGULAR_TOL) {
+        return Err(NumericsError::SingularMatrix {
+            step: i,
+            pivot: piv.mag(),
+        });
+    }
+    Ok(cur)
 }
 
 /// Permuted forward/back substitution using the stored factors.
@@ -740,6 +888,9 @@ fn det_core<T: Scalar>(sym: &Symbolic, fvals: &[T]) -> T {
 /// Reusable sparse LU over a frozen [`Symbolic`] — the sparse sibling of
 /// [`crate::linalg::Lu`], real or complex. One factorization serves both
 /// [`SparseLu::det`] (TF-extraction sampling) and any number of solves.
+/// A Newton loop whose iterations change only a known subset of the values
+/// refactors the rows that subset reaches ([`SparseLu::refactor_into`]);
+/// the workspace keeps track of whether its factors are valid to build on.
 ///
 /// # Example
 /// ```
@@ -762,6 +913,9 @@ pub struct SparseLu<T = f64> {
     sym: Arc<Symbolic>,
     fvals: Vec<T>,
     y: Vec<T>,
+    /// `fvals` holds the factors of the last factorization, which
+    /// succeeded, and no invalidation came since.
+    valid: bool,
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -772,6 +926,7 @@ impl<T: Scalar> SparseLu<T> {
             sym,
             fvals: vec![T::ZERO; nnz],
             y: vec![T::ZERO; n],
+            valid: false,
         }
     }
 
@@ -793,7 +948,46 @@ impl<T: Scalar> SparseLu<T> {
     /// analyzed for (the scatter map is pattern-specific).
     pub fn factor_into(&mut self, a: &CsrMatrix<T>) -> NumResult<()> {
         assert_pattern_matches(a.pattern(), &self.sym);
-        factor_core(&self.sym, a.values(), &mut self.fvals)
+        let out = factor_full(&self.sym, a.values(), &mut self.fvals);
+        self.valid = out.is_ok();
+        out
+    }
+
+    /// Refactors only the rows of `rows` when the stored factors are
+    /// valid, and in full otherwise, with the result of
+    /// [`SparseLu::factor_into`] bit for bit (factors, pivot test and
+    /// error alike).
+    ///
+    /// The caller guarantees that, since the last successful
+    /// factorization, no input value changed except at the nonzeros `rows`
+    /// was derived from ([`Symbolic::dependent_rows`]); before any other
+    /// value changes, it calls [`SparseLu::invalidate`]. The factors are
+    /// valid after a successful factorization, and not after a failed one
+    /// or an invalidation.
+    ///
+    /// # Errors
+    /// As [`SparseLu::factor_into`]: a partial refactorization reports the
+    /// same step and pivot, because the rows it skips passed the pivot
+    /// test with these very values.
+    ///
+    /// # Panics
+    /// Panics if `a`'s pattern is not the analyzed one, or `rows` belongs
+    /// to an analysis of another dimension.
+    pub fn refactor_into(&mut self, a: &CsrMatrix<T>, rows: &DependentRows) -> NumResult<()> {
+        if !self.valid {
+            return self.factor_into(a);
+        }
+        assert_pattern_matches(a.pattern(), &self.sym);
+        assert_eq!(rows.n, self.sym.n, "rows of another analysis");
+        let out = factor_dependent(&self.sym, rows, a.values(), &mut self.fvals);
+        self.valid = out.is_ok();
+        out
+    }
+
+    /// Marks the stored factors stale: the next
+    /// [`SparseLu::refactor_into`] factors every row.
+    pub fn invalidate(&mut self) {
+        self.valid = false;
     }
 
     /// Solves `A x = b` into a caller-owned buffer using the stored
@@ -1054,7 +1248,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The scratch-row elimination `factor_core` replaced, kept as its
+    /// The scratch-row elimination `eliminate_row` replaced, kept as its
     /// oracle: row `i` is copied into a dense row, eliminated there and
     /// copied back.
     fn factor_scratch_row<T: Scalar>(
@@ -1115,6 +1309,15 @@ mod tests {
         v.iter().map(|&x| x.bits()).collect()
     }
 
+    /// The step and pivot bits of a failed factorization.
+    fn failure(r: &NumResult<()>) -> Option<(usize, u64)> {
+        match r {
+            Ok(()) => None,
+            Err(NumericsError::SingularMatrix { step, pivot }) => Some((*step, pivot.to_bits())),
+            Err(e) => unreachable!("{e}"),
+        }
+    }
+
     /// Factors `avals` in place and along the scratch-row oracle. Both
     /// succeed, or both stop at the same step with the same pivot bits
     /// (by `underflow_step`, when given); the factor values match bit for
@@ -1126,14 +1329,9 @@ mod tests {
         b: &[T],
         underflow_step: Option<usize>,
     ) -> proptest::CaseResult {
-        let failure = |r: &NumResult<()>| match r {
-            Ok(()) => None,
-            Err(NumericsError::SingularMatrix { step, pivot }) => Some((*step, pivot.to_bits())),
-            Err(e) => unreachable!("{e}"),
-        };
         let zeros = |len: usize| vec![T::ZERO; len];
         let (mut fast, mut oracle) = (zeros(sym.factor_nnz()), zeros(sym.factor_nnz()));
-        let got = factor_core(sym, avals, &mut fast);
+        let got = factor_full(sym, avals, &mut fast);
         let want = factor_scratch_row(sym, avals, &mut oracle);
         prop_assert_eq!(failure(&got), failure(&want));
         if let Some(k) = underflow_step {
@@ -1240,6 +1438,161 @@ mod tests {
             pin_to_scratch_row(&sym, &a, &b, k)?;
             pin_to_scratch_row(&sym, &ca, &cb, k)?;
         }
+    }
+
+    /// Refactors `lu` with `a` through [`SparseLu::refactor_into`] over
+    /// `rows`, and a fresh workspace through [`SparseLu::factor_into`]:
+    /// both succeed, or both stop at the same step with the same pivot
+    /// bits; on success the factor values, the determinant and the
+    /// solution of `b` match bit for bit.
+    fn pin_refactor_to_fresh<T: Bits>(
+        lu: &mut SparseLu<T>,
+        a: &CsrMatrix<T>,
+        rows: &DependentRows,
+        b: &[T],
+    ) -> proptest::CaseResult {
+        let mut fresh = SparseLu::new(Arc::clone(lu.symbolic()));
+        let want = fresh.factor_into(a);
+        let got = lu.refactor_into(a, rows);
+        prop_assert_eq!(failure(&got), failure(&want));
+        if got.is_ok() {
+            prop_assert!(bits(&lu.fvals) == bits(&fresh.fvals), "factor values");
+            prop_assert!(lu.det().bits() == fresh.det().bits(), "det");
+            let (mut x, mut x_fresh) = (vec![T::ZERO; b.len()], vec![T::ZERO; b.len()]);
+            lu.solve_into(b, &mut x);
+            fresh.solve_into(b, &mut x_fresh);
+            prop_assert!(bits(&x) == bits(&x_fresh), "solution");
+        }
+        Ok(())
+    }
+
+    /// Runs the refactorization sequence of a Newton loop whose varying
+    /// values are `varying` (a strict subset of the nonzeros) on the
+    /// matrix `value(k, round)`, each round pinned to a fresh full
+    /// factorization by [`pin_refactor_to_fresh`]:
+    /// 1. a full factorization of round 0, which must succeed;
+    /// 2. round 1 changes only the varying values: a partial
+    ///    refactorization (or, on a failed round, its error);
+    /// 3. after [`SparseLu::invalidate`], round 2 changes every value: a
+    ///    full factorization;
+    /// 4. round 3 changes only the varying values again: partial when round
+    ///    2 succeeded, full when it failed.
+    fn pin_refactor_rounds<T: Bits>(
+        pat: &Arc<CsrPattern>,
+        sym: &Arc<Symbolic>,
+        rows: &DependentRows,
+        value: impl Fn(usize, usize) -> T,
+        b: &[T],
+    ) -> proptest::CaseResult {
+        let matrix = |round: usize| {
+            let mut a = CsrMatrix::zeros(Arc::clone(pat));
+            for (k, v) in a.values_mut().iter_mut().enumerate() {
+                *v = value(k, round);
+            }
+            a
+        };
+        let mut lu = SparseLu::new(Arc::clone(sym));
+        prop_assume!(lu.factor_into(&matrix(0)).is_ok());
+        pin_refactor_to_fresh(&mut lu, &matrix(1), rows, b)?;
+        lu.invalidate();
+        pin_refactor_to_fresh(&mut lu, &matrix(2), rows, b)?;
+        pin_refactor_to_fresh(&mut lu, &matrix(3), rows, b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Refactoring only the rows that a random subset of varying input
+        /// nonzeros reaches reproduces a fresh full factorization bit for
+        /// bit on random MNA-shaped systems with fill-in, real and complex:
+        /// factor values, `det` and the solution; after an invalidation
+        /// the refactorization runs in full. With one reached row scaled
+        /// into the subnormals (its original row varies as a whole), both
+        /// stop with the same `SingularMatrix` step and pivot, and the
+        /// refactorization after that failed full pass runs in full too.
+        #[test]
+        fn dependent_row_refactor_matches_full_factor_bitwise(
+            n in 4usize..=48,
+            seed in 0u64..u64::MAX,
+            omega in 1e-2f64..1e2,
+            underflow in proptest::bool::ANY,
+        ) {
+            let stamps = random_mna_system(n, seed);
+            let entries: Vec<_> = stamps.iter().map(|&(r, c, _, _)| (r, c)).collect();
+            let (pat, slots) = CsrPattern::from_entries(n, &entries);
+            let sym = Symbolic::analyze(&pat);
+            prop_assume!(sym.as_ref().is_ok_and(|s| s.factor_nnz() > pat.nnz()));
+            let sym = sym.unwrap();
+            // About one nonzero in eight varies, plus the whole original
+            // row of permuted row k when it is to underflow.
+            let tiny = underflow.then(|| sym.row_perm[seed as usize % n]);
+            let mut state = seed.rotate_left(17) | 1;
+            let mut varies = vec![false; pat.nnz()];
+            for (k, v) in varies.iter_mut().enumerate() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let row = pat.row_ptr.partition_point(|&start| start <= k) - 1;
+                *v = state % 8 == 0 || Some(row) == tiny;
+            }
+            let varying: Vec<usize> = (0..pat.nnz()).filter(|&k| varies[k]).collect();
+            prop_assume!(!varying.is_empty() && varying.len() < pat.nnz());
+            let rows = sym.dependent_rows(&varying);
+            let (mut g, mut c) = (vec![0.0; pat.nnz()], vec![0.0; pat.nnz()]);
+            for (&slot, &(_, _, gv, cv)) in slots.iter().zip(&stamps) {
+                g[slot] += gv;
+                c[slot] += cv;
+            }
+            // Round r scales the varying values by a factor of their own
+            // and, from round 2 on, every other value by 1.5; rounds 1 and
+            // 2 scale the underflow row by 1e-310.
+            let scale = |k: usize, round: usize| {
+                let own = if varies[k] && round > 0 {
+                    1.0 + 0.5 * (k as f64 + 1.7 * round as f64).sin()
+                } else if round >= 2 {
+                    1.5
+                } else {
+                    1.0
+                };
+                let row = pat.row_ptr.partition_point(|&start| start <= k) - 1;
+                let sub = if Some(row) == tiny && (1..=2).contains(&round) { 1e-310 } else { 1.0 };
+                own * sub
+            };
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let cb: Vec<Complex> = b.iter().map(|&v| Complex::new(v, 0.5 - v)).collect();
+            pin_refactor_rounds(&pat, &sym, &rows, |k, r| g[k] * scale(k, r), &b)?;
+            pin_refactor_rounds(
+                &pat,
+                &sym,
+                &rows,
+                |k, r| Complex::new(g[k], omega * c[k]) * scale(k, r),
+                &cb,
+            )?;
+        }
+    }
+
+    /// The dependent rows of a chain: a varying value in row 0 of a
+    /// lower-bidiagonal system reaches every row through the elimination,
+    /// one in the last row reaches that row alone.
+    #[test]
+    fn dependent_rows_close_over_the_elimination() {
+        let n = 6;
+        let mut entries = vec![(0, 0)];
+        for i in 1..n {
+            entries.extend([(i, i - 1), (i, i)]);
+        }
+        let (pat, _) = CsrPattern::from_entries(n, &entries);
+        let sym = Symbolic::analyze(&pat).unwrap();
+        let first = pat.find(0, 0).unwrap();
+        let last = pat.find(n - 1, n - 1).unwrap();
+        let rows_of = |k: usize| -> Vec<usize> {
+            sym.dependent_rows(&[k])
+                .rows
+                .iter()
+                .map(|&(i, _)| sym.row_perm[i])
+                .collect()
+        };
+        assert_eq!(rows_of(first), (0..n).collect::<Vec<_>>());
+        assert_eq!(rows_of(last), vec![n - 1]);
     }
 
     /// Builds pattern + matrix from dense-style triplets.

@@ -359,16 +359,19 @@ impl DcWorkspace {
     }
 
     /// Assembles the Jacobian and residual at the current `x` without
-    /// allocating: copy the linear base back, evaluate the linear residual
-    /// as a mat-vec, then add g_min and restamp the MOSFET companions.
+    /// allocating: load the linear base plus g_min (cached by the engine
+    /// for the whole Newton stage), evaluate the linear residual as a
+    /// mat-vec with the base, add g_min, then restamp the MOSFET
+    /// companions.
     ///
     /// `source_scale` multiplies all independent sources (for source
-    /// stepping); `gmin` is added from every node to ground.
+    /// stepping); `gmin` is added from every node to ground, and must stay
+    /// the same within a Newton stage.
     fn assemble(&mut self, circuit: &Circuit, gmin: f64, source_scale: f64) {
         let engine = &mut self.engine;
         let (x, res) = (&self.x, &mut self.res);
-        engine.load_base();
-        engine.mul_vec(x, res);
+        engine.load_linear(|e| e.scatter_uniform(GMIN, gmin));
+        engine.mul_base(x, res);
         for (r, b) in res.iter_mut().zip(self.base_rhs.iter()) {
             *r -= source_scale * b;
         }
@@ -376,7 +379,6 @@ impl DcWorkspace {
         for (r, &xi) in res[..nv].iter_mut().zip(x[..nv].iter()) {
             *r += gmin * xi;
         }
-        engine.scatter_uniform(GMIN, gmin);
         engine.stamp(MOSFETS, |map, vals| {
             stamp_mosfets(circuit, map, x, res, &mut |_, _, v| vals.push(v));
         });
@@ -404,6 +406,9 @@ fn newton(
     source_scale: f64,
     max_iter: usize,
 ) -> NewtonOutcome {
+    // Every stage (a g_min or source-stepping rung) assembles at its own
+    // g_min, so none reuses the linear values of the one before.
+    ws.engine.drop_linear();
     let mut last_res = f64::INFINITY;
     for it in 0..max_iter {
         // Deadline check at iteration granularity: an unlimited deadline

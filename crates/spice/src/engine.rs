@@ -28,6 +28,35 @@
 //! triplets, then the capacitive ones, and replays the latter scaled by
 //! `s` per sample.
 //!
+//! # The linear cache and the dependent rows
+//!
+//! Only the last segment, the MOSFET companions, changes from one Newton
+//! iteration to the next. [`Engine::load_linear`] therefore caches the
+//! Jacobian's values after every segment but the last: the base, switches,
+//! capacitors and g_min in transient analysis, the base and g_min in DC.
+//! The cache is dropped ([`Engine::drop_linear`]) whenever one of those
+//! values changes: when the base is restamped (every solve and run), when
+//! a transient run's phase or step size changes (the `set_phase`/`set_dt`
+//! re-buffering), at the start of every DC Newton stage (each g_min or
+//! source-stepping rung), and on demotion to dense. The next load then
+//! reassembles the linear values from the base.
+//!
+//! Once per engine, the CSR engine's [`Symbolic`] derives the factor rows
+//! the last segment's slots reach ([`Symbolic::dependent_rows`]): the rows
+//! a MOSFET stamps into, and every later row that eliminates against one of
+//! those, transitively — 17 of 124 rows on the 4-3-2 chain's transient
+//! Jacobian. While the cache holds, every factorization after the first
+//! refactors those rows alone ([`SparseLu::refactor_into`]): the other
+//! rows' inputs are the cached values, and the rows they eliminate against
+//! are not reached, so their factors are exactly those of the last
+//! factorization. The partial and the full factorization run every row
+//! through one row-elimination routine with the same operations in the
+//! same order, so the result is bit-identical to refactoring in full:
+//! factors, pivot test and [`adc_numerics::NumericsError::SingularMatrix`]
+//! alike. Dropping the cache marks the factors stale, and so do a singular
+//! factorization and an injected `sparse_pivot` fault; the factorization
+//! after that runs in full. The dense engine always refactors in full.
+//!
 //! # Engine choice and the dense fallback
 //!
 //! [`SolverChoice::Auto`] factors CSR when [`prefer_sparse`] says the
@@ -50,7 +79,9 @@ use crate::netlist::Circuit;
 use crate::{SpiceError, SpiceResult};
 use adc_numerics::linalg::{Lu, Matrix, Scalar};
 use adc_numerics::simd;
-use adc_numerics::sparse::{prefer_sparse, CsrMatrix, CsrPattern, SparseLu, Symbolic};
+use adc_numerics::sparse::{
+    prefer_sparse, CsrMatrix, CsrPattern, DependentRows, SparseLu, Symbolic,
+};
 use adc_numerics::NumResult;
 use std::ops::Range;
 use std::sync::Arc;
@@ -155,6 +186,28 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
+    /// [`Solver::factor`], refactoring only `rows` where the CSR factors
+    /// allow it ([`SparseLu::refactor_into`]); the dense engine always
+    /// factors in full.
+    ///
+    /// # Errors
+    /// As [`Solver::factor`].
+    #[inline]
+    fn refactor(&mut self, rows: Option<&DependentRows>) -> NumResult<()> {
+        match (self, rows) {
+            (Solver::Sparse { jac, lu }, Some(rows)) => lu.refactor_into(jac, rows),
+            (solver, _) => solver.factor(),
+        }
+    }
+
+    /// Marks the CSR factors stale, so the next [`Solver::refactor`] runs
+    /// in full.
+    fn invalidate(&mut self) {
+        if let Solver::Sparse { lu, .. } = self {
+            lu.invalidate();
+        }
+    }
+
     /// Solves with the factors of the last successful [`Solver::factor`].
     #[inline]
     pub(crate) fn solve_into(&mut self, b: &[T], x: &mut [T]) {
@@ -175,9 +228,27 @@ impl<T: Scalar> Solver<T> {
     }
 }
 
+impl Solver<f64> {
+    /// `y = J·x` for the values `vals` on this engine's structure (the
+    /// slots' value array), in [`Matrix::mul_vec_into`]'s and
+    /// [`CsrPattern::mul_vec_into`]'s arithmetic.
+    fn mul_vec(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
+        match self {
+            Solver::Dense { .. } => {
+                assert_eq!(vals.len(), x.len() * y.len(), "dimension mismatch");
+                for (yi, row) in y.iter_mut().zip(vals.chunks_exact(x.len())) {
+                    *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+                }
+            }
+            Solver::Sparse { jac, .. } => jac.pattern().mul_vec_into(vals, x, y),
+        }
+    }
+}
+
 /// One topology's Newton Jacobian: the MNA binding, the recorded stamp
 /// pattern and the engine that assembles and factors it (see the module
-/// documentation for the slot contract and the fallback policy).
+/// documentation for the slot contract, the linear cache and the fallback
+/// policy).
 #[derive(Debug)]
 pub(crate) struct Engine {
     map: MnaMap,
@@ -195,6 +266,13 @@ pub(crate) struct Engine {
     slots: Vec<usize>,
     /// Segment 0 stamped alone, aligned with the Jacobian's values.
     base: Vec<f64>,
+    /// Every segment but the last, as [`Engine::load_linear`] last
+    /// assembled them, aligned with the Jacobian's values.
+    linear: Vec<f64>,
+    /// `linear` is current: nothing dropped it since it was assembled.
+    linear_valid: bool,
+    /// The factor rows the last segment's slots reach (CSR engine only).
+    dependent: Option<DependentRows>,
     /// Buffered values of the segment being stamped.
     vals: Vec<f64>,
     solver: Solver<f64>,
@@ -227,6 +305,11 @@ impl Engine {
             .collect::<Vec<_>>();
         let widest = segments.iter().map(|s| s.len()).max().unwrap_or(0);
         let (mut solver, slots) = Solver::select(dim, &entries, choice);
+        let dependent = match (solver.symbolic(), segments.last()) {
+            (Some(sym), Some(last)) => Some(sym.dependent_rows(&slots[last.clone()])),
+            _ => None,
+        };
+        let len = solver.values_mut().len();
         Ok(Engine {
             map,
             elem_count: circuit.elements().len(),
@@ -235,7 +318,10 @@ impl Engine {
             entries,
             segments,
             slots,
-            base: vec![0.0; solver.values_mut().len()],
+            base: vec![0.0; len],
+            linear: vec![0.0; len],
+            linear_valid: false,
+            dependent,
             vals: Vec::with_capacity(widest),
             solver,
             sparse_failed: false,
@@ -247,6 +333,9 @@ impl Engine {
         let dim = self.map.dim();
         (self.solver, self.slots) = Solver::dense(dim, &self.entries);
         self.base = vec![0.0; dim * dim];
+        self.linear = vec![0.0; dim * dim];
+        self.linear_valid = false;
+        self.dependent = None;
     }
 
     /// Whether this engine was bound to `circuit`'s topology (value
@@ -272,8 +361,8 @@ impl Engine {
         self.solver.is_sparse()
     }
 
-    /// Starts a solve or run: restamps segment 0 from `walk`'s values and
-    /// clears the failure flag.
+    /// Starts a solve or run: restamps segment 0 from `walk`'s values,
+    /// drops the linear cache and clears the failure flag.
     pub(crate) fn restamp_base(&mut self, walk: impl FnOnce(&MnaMap, &mut Vec<f64>)) {
         self.vals.clear();
         walk(&self.map, &mut self.vals);
@@ -283,12 +372,30 @@ impl Engine {
             &self.slots[self.segments[0].clone()],
             &self.vals,
         );
+        self.drop_linear();
         self.sparse_failed = false;
     }
 
-    /// Resets the Jacobian to the base.
-    pub(crate) fn load_base(&mut self) {
+    /// Drops the linear cache: the caller changed a value of a segment
+    /// before the last. The next [`Engine::load_linear`] reassembles, and
+    /// the next factorization runs in full.
+    pub(crate) fn drop_linear(&mut self) {
+        self.linear_valid = false;
+        self.solver.invalidate();
+    }
+
+    /// Resets the Jacobian to every segment but the last: the cached values
+    /// while the cache holds, else the base plus what `stamp` adds of the
+    /// later segments, which then becomes the cache.
+    pub(crate) fn load_linear(&mut self, stamp: impl FnOnce(&mut Engine)) {
+        if self.linear_valid {
+            self.solver.values_mut().copy_from_slice(&self.linear);
+            return;
+        }
         self.solver.values_mut().copy_from_slice(&self.base);
+        stamp(self);
+        self.linear.copy_from_slice(self.solver.values_mut());
+        self.linear_valid = true;
     }
 
     /// Adds segment `seg`'s values, `walk` yielding them in recording
@@ -312,25 +419,42 @@ impl Engine {
         simd::scatter_add_uniform(self.solver.values_mut(), slots, v);
     }
 
-    /// `y = J·x` with the Jacobian as assembled so far.
-    pub(crate) fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        match &self.solver {
-            Solver::Dense { jac, .. } => jac.mul_vec_into(x, y),
-            Solver::Sparse { jac, .. } => jac.mul_vec_into(x, y),
-        }
+    /// `y = J·x` with the linear Jacobian [`Engine::load_linear`] loaded.
+    pub(crate) fn mul_linear(&self, x: &[f64], y: &mut [f64]) {
+        self.solver.mul_vec(&self.linear, x, y);
     }
 
-    /// Factors the assembled Jacobian and solves `J·dx = rhs`. Returns
-    /// `false` on a singular factorization; a sparse one also raises the
-    /// failure flag, and only a sparse one consults the `sparse_pivot`
-    /// fault site.
+    /// `y = J₀·x` with the base (segment 0) alone.
+    pub(crate) fn mul_base(&self, x: &[f64], y: &mut [f64]) {
+        self.solver.mul_vec(&self.base, x, y);
+    }
+
+    /// Factors the assembled Jacobian and solves `J·dx = rhs`: on the CSR
+    /// engine, only the rows the last segment reaches while the factors
+    /// of the cached linear values hold. Returns `false` on a singular
+    /// factorization; a sparse one also raises the failure flag, and only a
+    /// sparse one consults the `sparse_pivot` fault site, which leaves the
+    /// factors stale like a failed factorization.
     pub(crate) fn factor_solve(&mut self, rhs: &[f64], dx: &mut [f64]) -> bool {
-        let sparse = self.solver.is_sparse();
-        if (sparse && injected_pivot_fault()) || self.solver.factor().is_err() {
-            self.sparse_failed |= sparse;
+        if !self.factor() {
             return false;
         }
         self.solver.solve_into(rhs, dx);
+        true
+    }
+
+    /// The factorization of [`Engine::factor_solve`].
+    fn factor(&mut self) -> bool {
+        let sparse = self.solver.is_sparse();
+        if sparse && injected_pivot_fault() {
+            self.solver.invalidate();
+            self.sparse_failed = true;
+            return false;
+        }
+        if self.solver.refactor(self.dependent.as_ref()).is_err() {
+            self.sparse_failed |= sparse;
+            return false;
+        }
         true
     }
 

@@ -671,11 +671,13 @@ impl TranWorkspace {
     }
 
     /// Re-buffers switch conductances when the active phase changes
-    /// (no-op while the phase holds — most timesteps).
+    /// (no-op while the phase holds — most timesteps), dropping the
+    /// engine's linear cache.
     fn set_phase(&mut self, phase: Option<ClockPhase>) {
         if self.phase_valid && self.cur_phase == phase {
             return;
         }
+        self.engine.drop_linear();
         self.cur_phase = phase;
         self.phase_valid = true;
         let sw_vals = &mut self.sw_vals;
@@ -691,11 +693,12 @@ impl TranWorkspace {
     }
 
     /// Re-buffers capacitor companion conductances when the step size
-    /// changes (no-op while dt holds).
+    /// changes (no-op while dt holds), dropping the engine's linear cache.
     fn set_dt(&mut self, dt: f64) {
         if self.cur_dt == dt {
             return;
         }
+        self.engine.drop_linear();
         self.cur_dt = dt;
         for cap in &mut self.caps {
             cap.geq = 2.0 * cap.farads / dt;
@@ -737,18 +740,21 @@ impl TranWorkspace {
     }
 
     /// Assembles the Jacobian and residual at the current `x` without
-    /// allocating: copy the static base back, scatter the buffered
-    /// switch/capacitor/g_min values through the frozen slots, evaluate
-    /// the linear residual as a mat-vec against `b(t)`, then restamp only
-    /// the MOSFET companions.
+    /// allocating: load the linear Jacobian — the static base plus the
+    /// buffered switch/capacitor/g_min values scattered through the frozen
+    /// slots, which the engine caches until the phase or the step size
+    /// changes — evaluate the linear residual as a mat-vec against `b(t)`,
+    /// then restamp only the MOSFET companions.
     fn assemble(&mut self, circuit: &Circuit) {
         let engine = &mut self.engine;
         let (x, res) = (&self.x, &mut self.res);
-        engine.load_base();
-        engine.scatter(SWITCHES, &self.sw_vals);
-        engine.scatter(CAPS, &self.cap_vals);
-        engine.scatter_uniform(GMIN, TRAN_GMIN);
-        engine.mul_vec(x, res);
+        let (sw_vals, cap_vals) = (&self.sw_vals, &self.cap_vals);
+        engine.load_linear(|e| {
+            e.scatter(SWITCHES, sw_vals);
+            e.scatter(CAPS, cap_vals);
+            e.scatter_uniform(GMIN, TRAN_GMIN);
+        });
+        engine.mul_linear(x, res);
         for (r, bv) in res.iter_mut().zip(self.b.iter()) {
             *r -= *bv;
         }
