@@ -1,7 +1,8 @@
 //! Ad-hoc hot-path timing breakdown used while tuning the SIMD/batching
 //! work: prints per-leg microseconds for the hybrid OTA evaluation and the
 //! full-pipeline chain evaluation, plus batched-vs-serial complex solve
-//! micro-timings at both dimensions.
+//! micro-timings at both dimensions, and the transient sign-off leg on the
+//! 4-3-2 chain: one Newton iteration's pieces and one two-leg evaluation.
 //!
 //! The hybrid legs run what a flow evaluation runs, on an off-nominal
 //! telescopic candidate: the DC solve is plain Newton started from the
@@ -272,4 +273,62 @@ fn main() {
         black_box(chain_ev.evaluate(&chain_bench).expect("chain eval"));
     });
     solve_breakdown("chain 4-3-2", &vtb.circuit, &chain_dc_opts);
+    tran_breakdown(&spec13, &vtb, designs.iter().map(|d| d.spec.gain).collect());
+}
+
+/// The transient sign-off leg on a chain testbench: the pieces of one
+/// Newton iteration at the end of a sign-off run (the +δ leg's drive), and
+/// a whole two-leg evaluation.
+fn tran_breakdown(spec: &AdcSpec, tb: &adc_mdac::netlist::PipelineTestbench, gains: Vec<f64>) {
+    use adc_spice::tran::{
+        transient_adaptive, InitialCondition, TimeStepConfig, TranOptions, TranWorkspace,
+    };
+    use adc_synth::tran_chain::{TranChainEvaluator, TranChainOptions};
+
+    let mut setup = adc_topopt::verify::build_tran_setup(spec, tb, gains);
+    let chain = TranChainOptions::default();
+    let op = dc_operating_point_with(
+        &mut DcWorkspace::new(&setup.circuit).unwrap(),
+        &setup.circuit,
+        &setup.dc,
+    )
+    .unwrap();
+    let opts = TranOptions {
+        tstop: chain.periods as f64 * setup.clock.period(),
+        clock: Some(setup.clock),
+        ic: InitialCondition::Voltages(op.voltages().to_vec()),
+        probes: setup.stage_outputs.clone(),
+        ..Default::default()
+    };
+    let mut ws = TranWorkspace::new(&setup.circuit).unwrap();
+    let run = transient_adaptive(
+        &mut ws,
+        &setup.circuit,
+        &opts,
+        &TimeStepConfig::for_clock(&setup.clock),
+    )
+    .unwrap();
+    let prof = ws.profile_newton(&setup.circuit, 20_000);
+    println!(
+        "--- tran chain 4-3-2: dim {}, {} of {} factor rows reach a MOSFET, {:.2} Newton iterations per step ---",
+        prof.dim,
+        prof.dependent_rows,
+        prof.dim,
+        run.stats().newton_iters as f64 / run.stats().accepted as f64
+    );
+    for (label, us) in [
+        ("tran: linear load (cached)", prof.linear_load_us),
+        ("tran: linear load (restamp)", prof.linear_restamp_us),
+        ("tran: linear mat-vec", prof.mat_vec_us),
+        ("tran: MOSFET stamp", prof.mosfet_stamp_us),
+        ("tran: full factor", prof.full_factor_us),
+        ("tran: dependent-row refactor", prof.refactor_us),
+        ("tran: solve", prof.solve_us),
+    ] {
+        println!("{label:40} {us:10.2} us");
+    }
+    let mut ev = TranChainEvaluator::new(chain);
+    time_us("tran: two-leg evaluate", 20, || {
+        black_box(ev.evaluate(&mut setup).expect("transient sign-off"));
+    });
 }

@@ -458,6 +458,37 @@ impl Engine {
         true
     }
 
+    /// The factor rows a refactorization recomputes while the linear
+    /// cache holds: the rows the last segment reaches on the CSR engine,
+    /// every row on the dense one.
+    pub(crate) fn dependent_rows(&self) -> usize {
+        self.dependent
+            .as_ref()
+            .map_or(self.map.dim(), DependentRows::len)
+    }
+
+    /// Microseconds per call of a full factorization, a refactorization of
+    /// the dependent rows and a solve of `rhs`, on the Jacobian as
+    /// assembled, each over `reps` calls. Leaves the factors of the
+    /// assembled Jacobian behind.
+    ///
+    /// # Panics
+    /// Panics if the assembled Jacobian is singular.
+    pub(crate) fn profile_factor_solve(
+        &mut self,
+        rhs: &[f64],
+        dx: &mut [f64],
+        reps: usize,
+    ) -> [f64; 3] {
+        let full = time_us(reps, || {
+            self.solver.invalidate();
+            assert!(self.factor(), "singular Jacobian");
+        });
+        let partial = time_us(reps, || assert!(self.factor(), "singular Jacobian"));
+        let solve = time_us(reps, || self.solver.solve_into(rhs, dx));
+        [full, partial, solve]
+    }
+
     /// Applies the fallback policy to a finished solve or run: when `out`
     /// failed, not by timeout, after a sparse refactorization failed,
     /// switches to the dense engine and returns `true`; the caller then
@@ -471,6 +502,16 @@ impl Engine {
         }
         rerun
     }
+}
+
+/// Microseconds per call of `f`, over `reps` calls after one warm-up call.
+pub(crate) fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = std::time::Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e6 / reps.max(1) as f64
 }
 
 /// Whether an armed `sparse_pivot` fault fails this refactorization:

@@ -59,8 +59,8 @@ pub use op::OperatingPoint;
 pub use process::Process;
 pub use subckt::{Instance, Subckt};
 pub use tran::{
-    transient, transient_adaptive, transient_with, Clock, InitialCondition, TimeStepConfig,
-    TranOptions, TranResult, TranStats, TranWorkspace,
+    transient, transient_adaptive, transient_with, Clock, InitialCondition, NewtonProfile,
+    TimeStepConfig, TranOptions, TranResult, TranStats, TranWorkspace,
 };
 
 /// Errors produced by the simulation engines.

@@ -807,6 +807,59 @@ impl TranWorkspace {
         })
     }
 
+    /// Times the pieces of one Newton iteration at the time point the
+    /// workspace's last run on `circuit` ended at, each over `reps` calls:
+    /// the profile of [`NewtonProfile`]. The run's result is not touched;
+    /// the next run starts afresh as always.
+    ///
+    /// # Panics
+    /// Panics if the workspace's last run was not on `circuit`'s topology
+    /// or ended without a point to iterate at.
+    pub fn profile_newton(&mut self, circuit: &Circuit, reps: usize) -> NewtonProfile {
+        use crate::engine::time_us;
+        assert!(
+            self.matches(circuit) && self.phase_valid,
+            "profile a workspace after a run on this circuit"
+        );
+        self.assemble(circuit);
+        let engine = &mut self.engine;
+        let (x, res) = (&self.x, &mut self.res);
+        let (sw_vals, cap_vals) = (&self.sw_vals, &self.cap_vals);
+        let linear_load_us = time_us(reps, || engine.load_linear(|_| {}));
+        let linear_restamp_us = time_us(reps, || {
+            engine.drop_linear();
+            engine.load_linear(|e| {
+                e.scatter(SWITCHES, sw_vals);
+                e.scatter(CAPS, cap_vals);
+                e.scatter_uniform(GMIN, TRAN_GMIN);
+            });
+        });
+        let mat_vec_us = time_us(reps, || engine.mul_linear(x, res));
+        // Each call adds its companions again; the factor pieces below
+        // run on a Jacobian assembled once more.
+        let mosfet_stamp_us = time_us(reps, || {
+            engine.stamp(MOSFETS, |map, vals| {
+                stamp_mosfets(circuit, map, x, res, &mut |_, _, v| vals.push(v));
+            });
+        });
+        self.assemble(circuit);
+        self.res.iter_mut().for_each(|r| *r = -*r);
+        let [full_factor_us, refactor_us, solve_us] =
+            self.engine
+                .profile_factor_solve(&self.res, &mut self.dx, reps);
+        NewtonProfile {
+            dim: self.engine.map().dim(),
+            dependent_rows: self.engine.dependent_rows(),
+            linear_load_us,
+            linear_restamp_us,
+            mat_vec_us,
+            mosfet_stamp_us,
+            full_factor_us,
+            refactor_us,
+            solve_us,
+        }
+    }
+
     /// Advances every capacitor's trapezoidal state to the just-accepted
     /// solution.
     fn commit_caps(&mut self) {
@@ -820,6 +873,34 @@ impl TranWorkspace {
             cap.i_old = i_new;
         }
     }
+}
+
+/// Microseconds per call of the pieces of one transient Newton iteration
+/// on a workspace's engine ([`TranWorkspace::profile_newton`]), with the
+/// size of its system.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NewtonProfile {
+    /// MNA unknowns.
+    pub dim: usize,
+    /// Factor rows a refactorization recomputes while the phase and the
+    /// step size hold: those the MOSFET stamps reach on the CSR engine,
+    /// all of them on the dense one.
+    pub dependent_rows: usize,
+    /// Reloading the linear Jacobian from the engine's cache.
+    pub linear_load_us: f64,
+    /// Reassembling the linear Jacobian (the base plus the switch,
+    /// capacitor and g_min scatters), as after a phase or step change.
+    pub linear_restamp_us: f64,
+    /// The linear residual's mat-vec.
+    pub mat_vec_us: f64,
+    /// Evaluating and stamping every MOSFET companion.
+    pub mosfet_stamp_us: f64,
+    /// A full factorization.
+    pub full_factor_us: f64,
+    /// A refactorization of the dependent rows alone.
+    pub refactor_us: f64,
+    /// The forward and back substitution.
+    pub solve_us: f64,
 }
 
 /// Tuning for the LTE-based adaptive step controller.
