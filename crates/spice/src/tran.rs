@@ -65,6 +65,23 @@ fn stall_ceiling(v: &[f64]) -> f64 {
     NEWTON_STALL_VTOL * vmax
 }
 
+/// The convergence test of [`TranWorkspace::solve_point`]: whether the
+/// Newton update `dv` (the largest node-voltage change, V) just applied,
+/// after the update `prev_dv` before it, puts the next update below
+/// [`NEWTON_VTOL`] under quadratic convergence.
+///
+/// Error model: near a simple root, Newton's error contracts as
+/// `e_{k+1} ≈ C·e_k²`, and each update is about the error it removes, so
+/// `dv_{k+1} ≈ C·dv_k²`. The last two updates estimate
+/// `C ≈ dv_k / dv_{k−1}²`, and the next update as `dv_k³ / dv_{k−1}²`:
+/// the distance the accepted iterate still is from the solution. The model
+/// holds only for full Newton steps inside the region of convergence, so
+/// both updates must be undamped (≤ 1 V, the damping threshold) and the
+/// later one smaller.
+fn next_update_below_tol(dv: f64, prev_dv: f64) -> bool {
+    dv <= 1.0 && prev_dv <= 1.0 && dv < prev_dv && dv * dv * dv < NEWTON_VTOL * prev_dv * prev_dv
+}
+
 /// Two-phase non-overlapping clock description.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clock {
@@ -765,6 +782,15 @@ impl TranWorkspace {
 
     /// Damped Newton at one time point (assemble → solve → update),
     /// warm-started from the current `x`. Returns the iteration count.
+    ///
+    /// The point is accepted after the update that brings the iterate
+    /// within [`NEWTON_VTOL`] of the solution: when the update just applied
+    /// is below the tolerance itself, or when quadratic convergence puts
+    /// the *next* update below it ([`next_update_below_tol`]). The second
+    /// test saves the last iteration of a smooth point, whose updates run
+    /// 1e-2, 1e-5, 1e-11 V: the 1e-11 V correction is below the tolerance
+    /// before it is computed. The stall tiers below catch the noise-bound
+    /// cases neither test reaches.
     fn solve_point(&mut self, circuit: &Circuit, t: f64) -> SpiceResult<usize> {
         let mut prev_dv = f64::INFINITY;
         for it in 0..NEWTON_MAX_ITER {
@@ -780,7 +806,7 @@ impl TranWorkspace {
             for (xi, di) in self.x.iter_mut().zip(self.dx.iter()) {
                 *xi += alpha * di;
             }
-            if max_dv * alpha < NEWTON_VTOL {
+            if max_dv * alpha < NEWTON_VTOL || next_update_below_tol(max_dv, prev_dv) {
                 return Ok(it + 1);
             }
             // Float noise in the device-model evaluations can trap the

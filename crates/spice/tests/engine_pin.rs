@@ -41,19 +41,19 @@ const PINS: [(&str, SolverChoice, u64, u64); 3] = [
         "dense",
         SolverChoice::Dense,
         0x6b5c_eb99_54ac_cbcd,
-        0xf133_0304_a169_016e,
+        0x05bb_b31e_e364_2edf,
     ),
     (
         "sparse",
         SolverChoice::Sparse,
         0xf959_f237_8030_4256,
-        0x6b69_d53a_609a_ef82,
+        0x0fb6_d2f9_7845_d077,
     ),
     (
         "auto",
         SolverChoice::Auto,
         0xf959_f237_8030_4256,
-        0x7e50_ba4a_1b00_19da,
+        0x2e8d_ba6e_4da8_37f7,
     ),
 ];
 
