@@ -7,6 +7,10 @@
 //! testbench and every workspace per candidate (the shape of the
 //! pre-workspace evaluator), while `hybrid_eval` retunes one persistent
 //! testbench in place and reuses all simulation buffers (steady state).
+//! Both build the evaluator the way the flow does: the template's in-place
+//! tuner, and every cold DC solve started from the nominal design's
+//! operating point (`with_start_sizing`), so neither times the zero-start
+//! path that synthesis no longer takes.
 //!
 //! The `full_pipeline_*` rows measure the chain-level verification leg:
 //! the 13-bit winner's 4-3-2 full-pipeline testbench (built from the
@@ -132,9 +136,11 @@ fn main() {
     });
 
     // Hybrid evaluation, cold: new evaluator (fresh testbench + fresh
-    // workspaces) per candidate — the pre-workspace inner-loop shape.
+    // workspaces + its start point) per candidate — the pre-workspace
+    // inner-loop shape.
     let (rate, n) = measure(2000, || {
-        let ev = HybridOtaEvaluator::new(telescopic_bench(&proc), HybridOptions::default());
+        let ev = HybridOtaEvaluator::new(telescopic_bench(&proc), HybridOptions::default())
+            .with_start_sizing(&nominal);
         expect_ok(ev.evaluate(black_box(&nominal)));
     });
     rows.push(Row {
@@ -146,7 +152,8 @@ fn main() {
     // Hybrid evaluation, steady state: one persistent evaluator, in-place
     // retuning, all workspaces reused, local-phase warm-started DC — the
     // synthesis inner loop during polish/retargeting.
-    let ev = HybridOtaEvaluator::new(telescopic_bench(&proc), HybridOptions::default());
+    let ev = HybridOtaEvaluator::new(telescopic_bench(&proc), HybridOptions::default())
+        .with_start_sizing(&nominal);
     ev.set_local_phase(true);
     let (rate, n) = measure(2000, || {
         expect_ok(ev.evaluate(black_box(&nominal)));
