@@ -27,6 +27,24 @@
 //! Capacitors use the trapezoidal companion model (A-stable, second-order);
 //! MOSFETs are evaluated as static nonlinearities — charge storage must be
 //! modeled with explicit capacitors, which the OTA templates do.
+//!
+//! # Newton convergence at a time point
+//!
+//! The workspace's Newton loop accepts a time point as soon as its iterate
+//! is within `NEWTON_VTOL` (1 nV) of the solution, by either of two tests on the
+//! largest node-voltage update `dv_k`: the update just applied is below
+//! the tolerance, or quadratic convergence puts the next one below it.
+//! Near a simple root Newton's error contracts as `e_{k+1} ≈ C·e_k²`, and an
+//! update is about the error it removes, so the last two updates estimate
+//! the next as `dv_k³ / dv_{k−1}²`; the test trusts that model only for two
+//! undamped updates (≤ 1 V), the later one smaller. A smooth point's
+//! updates run 1e-2, 1e-5, 1e-11 V: the second test accepts it after the
+//! 1e-5 V update, one iteration before the first would. Stall tiers accept
+//! the noise-bound limit cycles that neither test reaches
+//! (`NEWTON_STALL_VTOL`). Between iterations only the MOSFET companions
+//! change, and the shared engine refactors only the factor rows they
+//! reach while the phase and the step size hold. The dense oracle
+//! [`transient`] keeps the first test alone.
 
 use crate::dc::stamp_mosfets;
 use crate::engine::Engine;
