@@ -11,7 +11,9 @@
 //! of serial, batched and demoted factorizations of
 //! [`ComplexMnaWorkspace`] and an AC sweep. Each row also asserts which
 //! engine ran on each fixture, so two rows can never silently pin the
-//! same one.
+//! same one. The fixtures are OTA benches, plus a macromodel stage with
+//! its own digests that carries what the OTAs lack: VCCS gain stages, a
+//! DC and a pulsed current source, and a switch whose DC state matters.
 //!
 //! A refactor of the engines must leave every digest unchanged. A change
 //! that moves solver bits on purpose runs
@@ -62,6 +64,33 @@ const COMPLEX_PINS: [(&str, SolverChoice, u64); 3] = [
     ("dense", SolverChoice::Dense, 0xb6ee_f365_fe43_b7fb),
     ("sparse", SolverChoice::Sparse, 0xbd96_576b_e9c8_a960),
     ("auto", SolverChoice::Auto, 0x692c_130f_595c_c1f2),
+];
+
+/// Expected digests of the macromodel fixture, whose element kinds the OTA
+/// benches lack: `(label, engine, DC digest, transient digest, complex
+/// digest)`.
+const MACRO_PINS: [(&str, SolverChoice, u64, u64, u64); 3] = [
+    (
+        "dense",
+        SolverChoice::Dense,
+        0xfc83_c745_a546_e3e7,
+        0xd130_6303_e178_e913,
+        0x02d0_60b8_ae5e_43f1,
+    ),
+    (
+        "sparse",
+        SolverChoice::Sparse,
+        0xbde6_495c_374c_db8b,
+        0x5559_e4d7_81df_9a5b,
+        0x5b31_cdc5_6c29_4cfe,
+    ),
+    (
+        "auto",
+        SolverChoice::Auto,
+        0xbde6_495c_374c_db8b,
+        0x5559_e4d7_81df_9a5b,
+        0x5b31_cdc5_6c29_4cfe,
+    ),
 ];
 
 /// 64-bit FNV-1a over little-endian words.
@@ -188,6 +217,45 @@ fn common_source(vg: Waveform, ac: f64) -> (Circuit, NodeId) {
     (c, out)
 }
 
+/// Macromodel stage in the shape of the `adc-synth` chain and hybrid
+/// tests, carrying the element kinds the OTA benches lack: a DC bias
+/// current into a diode-connected NMOS, a signal current source driving
+/// `signal` (AC magnitude 0.1 mA), a floating VCCS sensing the signal
+/// against the bias, a sampling switch that is closed in DC (open, its
+/// node would rise to the supply) beside a reset switch that is open in DC
+/// (closed, it would tie that node to the reference), and a grounded VCCS
+/// output stage.
+fn macromodel(signal: Waveform) -> Circuit {
+    let p = Process::c025();
+    let mut c = Circuit::new();
+    let gnd = Circuit::GROUND;
+    let vdd = c.node("vdd");
+    let vref = c.node("vref");
+    let nb = c.node("nb");
+    let x = c.node("x");
+    let o1 = c.node("o1");
+    let o2 = c.node("o2");
+    let out = c.node("out");
+    c.add_vsource("VDD", vdd, gnd, 3.3);
+    c.add_vsource("VREF", vref, gnd, 1.2);
+    c.add_isource("IB", gnd, nb, 40e-6);
+    c.add_mosfet("MB", nb, nb, gnd, gnd, p.nmos, 10e-6, 1e-6);
+    c.add_isource_wave("IS", gnd, x, signal, 1e-4);
+    c.add_resistor("RX", x, vref, 10e3);
+    c.add_capacitor("CX", x, gnd, 0.2e-12);
+    c.add_vccs("G1", vref, o1, x, nb, 5e-5);
+    c.add_resistor("RO1", o1, vref, 20e3);
+    c.add_capacitor("C1", o1, gnd, 0.5e-12);
+    c.add_switch("SS", o1, o2, 200.0, 1e12, ClockPhase::Phi1, true);
+    c.add_switch("SR", o2, vref, 200.0, 1e12, ClockPhase::Phi2, false);
+    c.add_capacitor("CH", o2, gnd, 1e-12);
+    c.add_resistor("RH", o2, vdd, 1e6);
+    c.add_vccs("G2", gnd, out, o2, vref, -2e-4);
+    c.add_resistor("RL", out, vref, 10e3);
+    c.add_capacitor("CL", out, gnd, 0.3e-12);
+    c
+}
+
 /// Scales every MOSFET width by `1 + 0.04·k` (a synthesis-style retune
 /// that keeps the topology).
 fn retune(c: &mut Circuit, k: usize) {
@@ -241,35 +309,44 @@ fn hash_tran(h: &mut Fnv, node_count: usize, r: &TranResult) {
 /// each fixture ran on.
 fn dc_row(choice: SolverChoice) -> (u64, Vec<bool>) {
     let mut h = Fnv::new();
-    let mut sparse = Vec::new();
     let fixtures: [fn() -> Circuit; 3] = [
         || telescopic(Waveform::Dc(0.0)).0,
         two_stage,
         || common_source(Waveform::Dc(0.9), 0.0).0,
     ];
-    for fixture in fixtures {
-        for damping in [DcDamping::Global, DcDamping::PerNode] {
-            let mut c = fixture();
-            let opts = DcOptions {
-                damping,
-                ..DcOptions::default()
-            };
-            let mut ws = DcWorkspace::with_solver(&c, choice).unwrap();
-            let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
-            hash_op(&mut h, &c, &op);
-            for k in 1..=3 {
-                retune(&mut c, k);
-                let op = dc_operating_point_warm(&mut ws, &c, &opts).unwrap();
-                hash_op(&mut h, &c, &op);
-            }
-            let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
-            hash_op(&mut h, &c, &op);
-            if damping == DcDamping::Global {
-                sparse.push(ws.is_sparse());
-            }
+    let sparse = fixtures
+        .iter()
+        .map(|fixture| dc_fixture(&mut h, choice, *fixture))
+        .collect();
+    (h.0, sparse)
+}
+
+/// One fixture's share of a DC row: under each damping, a cold solve,
+/// three warm solves along a retune path and a cold re-solve. Returns
+/// whether the engine ran sparse.
+fn dc_fixture(h: &mut Fnv, choice: SolverChoice, fixture: fn() -> Circuit) -> bool {
+    let mut sparse = false;
+    for damping in [DcDamping::Global, DcDamping::PerNode] {
+        let mut c = fixture();
+        let opts = DcOptions {
+            damping,
+            ..DcOptions::default()
+        };
+        let mut ws = DcWorkspace::with_solver(&c, choice).unwrap();
+        let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
+        hash_op(h, &c, &op);
+        for k in 1..=3 {
+            retune(&mut c, k);
+            let op = dc_operating_point_warm(&mut ws, &c, &opts).unwrap();
+            hash_op(h, &c, &op);
+        }
+        let op = dc_operating_point_with(&mut ws, &c, &opts).unwrap();
+        hash_op(h, &c, &op);
+        if damping == DcDamping::Global {
+            sparse = ws.is_sparse();
         }
     }
-    (h.0, sparse)
+    sparse
 }
 
 /// Transient row: fixed-step and adaptive runs of two clocked fixtures,
@@ -277,20 +354,6 @@ fn dc_row(choice: SolverChoice) -> (u64, Vec<bool>) {
 fn tran_row(choice: SolverChoice) -> (u64, Vec<bool>) {
     let mut h = Fnv::new();
     let mut sparse = Vec::new();
-    let clock = Clock {
-        freq: 10e6,
-        nonoverlap: 2e-9,
-    };
-    let step = |v0: f64, v1: f64| Waveform::Pulse {
-        v0,
-        v1,
-        delay: 20e-9,
-        rise: 1e-9,
-        fall: 1e-9,
-        width: 1.0,
-        period: 0.0,
-    };
-
     let (mut ota, out) = telescopic(Waveform::Dc(0.0));
     let op = dc_operating_point_with(
         &mut DcWorkspace::new(&ota).unwrap(),
@@ -320,22 +383,48 @@ fn tran_row(choice: SolverChoice) -> (u64, Vec<bool>) {
         (&ota, InitialCondition::Voltages(ic)),
         (&cs, InitialCondition::Zero),
     ] {
-        let opts = TranOptions {
-            tstop: 300e-9,
-            dt: 0.5e-9,
-            clock: Some(clock),
-            ic,
-            ..TranOptions::default()
-        };
-        let mut ws = TranWorkspace::with_solver(c, choice).unwrap();
-        let fixed = transient_with(&mut ws, c, &opts).unwrap();
-        hash_tran(&mut h, c.node_count(), &fixed);
-        let cfg = TimeStepConfig::for_clock(&clock);
-        let adaptive = transient_adaptive(&mut ws, c, &opts, &cfg).unwrap();
-        hash_tran(&mut h, c.node_count(), &adaptive);
-        sparse.push(ws.is_sparse());
+        sparse.push(tran_fixture(&mut h, choice, c, ic));
     }
     (h.0, sparse)
+}
+
+/// The 10 MHz clock of the transient rows.
+const CLOCK: Clock = Clock {
+    freq: 10e6,
+    nonoverlap: 2e-9,
+};
+
+/// A 1 ns step from `v0` to `v1` at 20 ns.
+fn step(v0: f64, v1: f64) -> Waveform {
+    Waveform::Pulse {
+        v0,
+        v1,
+        delay: 20e-9,
+        rise: 1e-9,
+        fall: 1e-9,
+        width: 1.0,
+        period: 0.0,
+    }
+}
+
+/// One fixture's share of a transient row: a fixed-step and an adaptive
+/// 300 ns run from `ic` through one workspace. Returns whether the engine
+/// ran sparse.
+fn tran_fixture(h: &mut Fnv, choice: SolverChoice, c: &Circuit, ic: InitialCondition) -> bool {
+    let opts = TranOptions {
+        tstop: 300e-9,
+        dt: 0.5e-9,
+        clock: Some(CLOCK),
+        ic,
+        ..TranOptions::default()
+    };
+    let mut ws = TranWorkspace::with_solver(c, choice).unwrap();
+    let fixed = transient_with(&mut ws, c, &opts).unwrap();
+    hash_tran(h, c.node_count(), &fixed);
+    let cfg = TimeStepConfig::for_clock(&CLOCK);
+    let adaptive = transient_adaptive(&mut ws, c, &opts, &cfg).unwrap();
+    hash_tran(h, c.node_count(), &adaptive);
+    ws.is_sparse()
 }
 
 /// `count` complex frequencies from the `first`-th point of a spiral:
@@ -361,63 +450,68 @@ fn spiral(first: usize, count: usize) -> Vec<Complex> {
 /// choice. Returns the digest and the engine each fixture ran on.
 fn complex_row(choice: SolverChoice) -> (u64, Vec<bool>) {
     let mut h = Fnv::new();
-    let mut sparse = Vec::new();
     let fixtures: [fn() -> Circuit; 3] = [
         || telescopic(Waveform::Dc(0.0)).0,
         two_stage,
         || common_source(Waveform::Dc(0.9), 1.0).0,
     ];
-    let freqs: Vec<f64> = (0..11).map(|k| 10f64.powf(2.0 + 0.8 * k as f64)).collect();
-    for fixture in fixtures {
-        let c = fixture();
-        let mut dc = DcWorkspace::new(&c).unwrap();
-        let op = dc_operating_point_with(&mut dc, &c, &DcOptions::default()).unwrap();
-        let mut ss = SmallSignal::new();
-        let topo = ss.bind(&c, &op, 0.0).unwrap();
-        let dim = ss.dim();
-        let b: Vec<Complex> = (0..dim)
-            .map(|i| Complex::new((0.37 * i as f64).sin() + 0.5, (0.53 * i as f64).cos()))
-            .collect();
-        let mut eng = ComplexMnaWorkspace::new();
-        eng.set_solver(choice);
-        eng.bind(&ss, topo);
-        let bound_sparse = eng.is_sparse();
-        sparse.push(bound_sparse);
-        let mut x = vec![Complex::ZERO; dim];
-        let mut serial = |eng: &mut ComplexMnaWorkspace, h: &mut Fnv, points: Vec<Complex>| {
-            for s in points {
-                eng.factor_at_or_demote(s, &ss).unwrap();
-                eng.solve_into(&b, &mut x);
-                h.solve(eng.det(), &x);
-            }
-        };
-        serial(&mut eng, &mut h, spiral(0, 6));
-        let mut next = 6;
-        for count in [8, 5, 1, 13] {
-            let mut xs = vec![Complex::ZERO; count * dim];
-            let mut dets = vec![Complex::ZERO; count];
-            eng.solve_det_batch(&spiral(next, count), &ss, &b, &mut xs, &mut dets)
-                .unwrap();
-            for (&det, x) in dets.iter().zip(xs.chunks_exact(dim)) {
-                h.solve(det, x);
-            }
-            next += count;
-        }
-        assert_eq!(eng.is_sparse(), bound_sparse, "no sample demoted");
-        eng.demote_to_dense(&ss);
-        assert!(!eng.is_sparse(), "demoted engine is dense");
-        serial(&mut eng, &mut h, spiral(next, 3));
+    let sparse = fixtures
+        .iter()
+        .map(|fixture| complex_fixture(&mut h, choice, &fixture()))
+        .collect();
+    (h.0, sparse)
+}
 
-        let mut ac = AcWorkspace::with_solver(&c, &op, choice).unwrap();
-        assert_eq!(ac.is_sparse(), bound_sparse, "AC engine");
-        let sweep = ac_sweep_with(&mut ac, &freqs).unwrap();
-        for k in 0..freqs.len() {
-            for n in 0..c.node_count() {
-                h.complex(sweep.voltage(NodeId::from_index(n), k));
-            }
+/// One fixture's share of a complex row (see [`complex_row`]). Returns
+/// whether the engine bound sparse.
+fn complex_fixture(h: &mut Fnv, choice: SolverChoice, c: &Circuit) -> bool {
+    let freqs: Vec<f64> = (0..11).map(|k| 10f64.powf(2.0 + 0.8 * k as f64)).collect();
+    let mut dc = DcWorkspace::new(c).unwrap();
+    let op = dc_operating_point_with(&mut dc, c, &DcOptions::default()).unwrap();
+    let mut ss = SmallSignal::new();
+    let topo = ss.bind(c, &op, 0.0).unwrap();
+    let dim = ss.dim();
+    let b: Vec<Complex> = (0..dim)
+        .map(|i| Complex::new((0.37 * i as f64).sin() + 0.5, (0.53 * i as f64).cos()))
+        .collect();
+    let mut eng = ComplexMnaWorkspace::new();
+    eng.set_solver(choice);
+    eng.bind(&ss, topo);
+    let bound_sparse = eng.is_sparse();
+    let mut x = vec![Complex::ZERO; dim];
+    let mut serial = |eng: &mut ComplexMnaWorkspace, h: &mut Fnv, points: Vec<Complex>| {
+        for s in points {
+            eng.factor_at_or_demote(s, &ss).unwrap();
+            eng.solve_into(&b, &mut x);
+            h.solve(eng.det(), &x);
+        }
+    };
+    serial(&mut eng, h, spiral(0, 6));
+    let mut next = 6;
+    for count in [8, 5, 1, 13] {
+        let mut xs = vec![Complex::ZERO; count * dim];
+        let mut dets = vec![Complex::ZERO; count];
+        eng.solve_det_batch(&spiral(next, count), &ss, &b, &mut xs, &mut dets)
+            .unwrap();
+        for (&det, x) in dets.iter().zip(xs.chunks_exact(dim)) {
+            h.solve(det, x);
+        }
+        next += count;
+    }
+    assert_eq!(eng.is_sparse(), bound_sparse, "no sample demoted");
+    eng.demote_to_dense(&ss);
+    assert!(!eng.is_sparse(), "demoted engine is dense");
+    serial(&mut eng, h, spiral(next, 3));
+
+    let mut ac = AcWorkspace::with_solver(c, &op, choice).unwrap();
+    assert_eq!(ac.is_sparse(), bound_sparse, "AC engine");
+    let sweep = ac_sweep_with(&mut ac, &freqs).unwrap();
+    for k in 0..freqs.len() {
+        for n in 0..c.node_count() {
+            h.complex(sweep.voltage(NodeId::from_index(n), k));
         }
     }
-    (h.0, sparse)
+    bound_sparse
 }
 
 /// The engine each fixture must run on: forced choices everywhere, and
@@ -473,5 +567,50 @@ fn complex_engines_are_pinned_bit_for_bit() {
             "{label}: complex engines"
         );
         assert_eq!(*digest, pin.2, "{label}: complex digest moved");
+    }
+}
+
+/// The macromodel fixture on each engine: DC cold and warm solves under
+/// both dampings, a fixed-step and an adaptive clocked transient run from
+/// its operating point while the signal current steps from 5 to 25 µA,
+/// and the complex row's factorizations and AC sweep.
+#[test]
+fn macromodel_element_kinds_are_pinned_bit_for_bit() {
+    let rows: Vec<_> = MACRO_PINS
+        .iter()
+        .map(|&(label, choice, ..)| {
+            let mut dc = Fnv::new();
+            let dc_sparse = dc_fixture(&mut dc, choice, || macromodel(Waveform::Dc(5e-6)));
+            let c = macromodel(step(5e-6, 25e-6));
+            let op = dc_operating_point_with(
+                &mut DcWorkspace::new(&c).unwrap(),
+                &c,
+                &DcOptions::default(),
+            )
+            .unwrap();
+            let ic = InitialCondition::Voltages(op.voltages().to_vec());
+            let mut tran = Fnv::new();
+            let tran_sparse = tran_fixture(&mut tran, choice, &c, ic);
+            let mut complex = Fnv::new();
+            let complex_sparse = complex_fixture(&mut complex, choice, &c);
+            let sparse = [dc_sparse, tran_sparse, complex_sparse];
+            (label, choice, [dc.0, tran.0, complex.0], sparse)
+        })
+        .collect();
+    for (label, _, [dc, tran, complex], _) in &rows {
+        println!("{label:>6}: macro dc {dc:#018x}  tran {tran:#018x}  complex {complex:#018x}");
+    }
+    for ((label, choice, digests, sparse), pin) in rows.iter().zip(MACRO_PINS) {
+        let want = *choice != SolverChoice::Dense;
+        assert_eq!(*sparse, [want; 3], "{label}: macromodel engines");
+        assert_eq!(digests[0], pin.2, "{label}: macromodel DC digest moved");
+        assert_eq!(
+            digests[1], pin.3,
+            "{label}: macromodel transient digest moved"
+        );
+        assert_eq!(
+            digests[2], pin.4,
+            "{label}: macromodel complex digest moved"
+        );
     }
 }

@@ -127,6 +127,11 @@ const CHAIN_PIN_AUTO: (usize, u64) = (2724, 0xf85a_171e_889c_71b2);
 /// rejected steps, Newton iterations, and [`report_digest`].
 const CHAIN_PIN_DENSE: (usize, usize, u64) = (1135, 2763, 0xb32c_ec4f_e84c_7d55);
 
+/// Pin of the fixed-step sign-off of the same fixture at the automatic
+/// run's smallest step: accepted steps, Newton iterations, and
+/// [`report_digest`].
+const CHAIN_PIN_FIXED: (usize, usize, u64) = (262_144, 778_085, 0x62d7_54fa_cdef_f85c);
+
 /// FNV-1a digest of a transient sign-off report: the exact bits of every
 /// quantized stage metric, the settled flags, the step and Newton
 /// counters and the quantized smallest step.
@@ -162,9 +167,10 @@ fn report_digest(r: &pipelined_adc::synth::tran_chain::TranChainReport) -> u64 {
 /// stepper needs ≥ 5× fewer steps than the fixed-step oracle at the
 /// adaptive run's own minimum dt, and the dense engine reproduces the
 /// quantized report bit-identically. The step count, the Newton
-/// iterations and [`report_digest`] of both engines' runs are pinned
-/// exactly: the engine pin's fixtures are OTA benches, and this is the
-/// chain-scale sign-off (dim 124, nodesets, four periods).
+/// iterations and [`report_digest`] of both engines' adaptive runs and of
+/// the fixed-step run are pinned exactly: the engine pin's fixtures are
+/// small benches, and this is the chain-scale sign-off (dim 124, nodesets,
+/// four periods).
 ///
 /// The sign-off chain carries telescopic OTAs throughout: the nominal
 /// two-stage front OTA of [`chain_432`] passes every small-signal check
@@ -274,6 +280,12 @@ fn chain_432_settles_under_real_clock_phases() {
         "adaptive {} steps vs fixed {} — expected ≥ 5× savings",
         report.accepted,
         rf.accepted
+    );
+    assert_eq!(
+        (rf.accepted, rf.newton_iters, report_digest(&rf)),
+        CHAIN_PIN_FIXED,
+        "fixed-step sign-off fixture pin drifted (steps, Newton iterations, digest {:#018x})",
+        report_digest(&rf)
     );
 
     // Negative control: the standard fixture's nominal two-stage front
