@@ -23,7 +23,7 @@
 
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
-use crate::mna::{add_opt, MnaMap};
+use crate::mna::{add_opt, stamp_conductance, stamp_constant, MnaMap};
 use crate::mosfet::eval_mosfet;
 use crate::netlist::{Circuit, Element};
 use crate::op::{OpLayout, OperatingPoint};
@@ -90,36 +90,19 @@ impl Default for DcOptions {
 
 /// Walks the constant linear stamps (everything except MOSFETs and g_min):
 /// Jacobian entries go through `add(row, col, value)`, independent-source
-/// contributions accumulate into `rhs`. The base segment of the stamp
-/// pattern is recorded from this same traversal, so recording and
-/// restamping can never disagree on stamp order.
+/// contributions accumulate into `rhs`. Besides [`stamp_constant`], DC
+/// stamps each switch at its DC state; capacitors are open. The base
+/// segment of the stamp pattern is recorded from this same traversal, so
+/// recording and restamping can never disagree on stamp order.
 fn stamp_linear(
     circuit: &Circuit,
     map: &MnaMap,
     rhs: &mut [f64],
     add: &mut impl FnMut(usize, usize, f64),
 ) {
-    let cond =
-        |a: Option<usize>, b: Option<usize>, g: f64, add: &mut dyn FnMut(usize, usize, f64)| {
-            if let Some(i) = a {
-                add(i, i, g);
-            }
-            if let Some(j) = b {
-                add(j, j, g);
-            }
-            if let (Some(i), Some(j)) = (a, b) {
-                add(i, j, -g);
-                add(j, i, -g);
-            }
-        };
     for (idx, e) in circuit.elements().iter().enumerate() {
+        stamp_constant(map, idx, e, add);
         match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                cond(map.node_row(*a), map.node_row(*b), 1.0 / ohms, add);
-            }
-            Element::Capacitor { .. } | Element::Mosfet { .. } => {
-                // Caps are open in DC; MOSFETs restamp per iteration.
-            }
             Element::Switch {
                 a,
                 b,
@@ -129,7 +112,7 @@ fn stamp_linear(
                 ..
             } => {
                 let g = 1.0 / if *dc_closed { *ron } else { *roff };
-                cond(map.node_row(*a), map.node_row(*b), g, add);
+                stamp_conductance(map.node_row(*a), map.node_row(*b), g, add);
             }
             Element::ISource { p, n, wave, .. } => {
                 // Linear residual is `jac·x − scale·rhs`, so a current `i`
@@ -138,45 +121,8 @@ fn stamp_linear(
                 add_opt(rhs, map.node_row(*p), -i);
                 add_opt(rhs, map.node_row(*n), i);
             }
-            Element::VSource { p, n, wave, .. } => {
-                let br = map.branch_row(idx);
-                for (r, sgn) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    if let Some(r) = r {
-                        add(r, br, sgn);
-                        add(br, r, sgn);
-                    }
-                }
-                rhs[br] += wave.dc_value();
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let br = map.branch_row(idx);
-                for (r, sgn) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    if let Some(r) = r {
-                        add(r, br, sgn);
-                        add(br, r, sgn);
-                    }
-                }
-                if let Some(r) = map.node_row(*cp) {
-                    add(br, r, -gain);
-                }
-                if let Some(r) = map.node_row(*cn) {
-                    add(br, r, *gain);
-                }
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                for (out, so) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    let Some(row) = out else { continue };
-                    for (ctrl, sc) in [(map.node_row(*cp), 1.0), (map.node_row(*cn), -1.0)] {
-                        if let Some(col) = ctrl {
-                            add(row, col, so * sc * gm);
-                        }
-                    }
-                }
-            }
+            Element::VSource { wave, .. } => rhs[map.branch_row(idx)] += wave.dc_value(),
+            _ => {}
         }
     }
 }

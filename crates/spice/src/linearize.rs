@@ -21,7 +21,7 @@
 //! land grouped by destination row.
 
 use crate::engine::Solver;
-use crate::mna::MnaMap;
+use crate::mna::{stamp_conductance, stamp_constant, stamp_vccs, MnaMap};
 use crate::netlist::{Circuit, Element, ElementId, NodeId};
 use crate::op::OperatingPoint;
 use crate::{SpiceError, SpiceResult};
@@ -126,16 +126,7 @@ impl SmallSignal {
 
         let adm = |list: &mut Vec<(usize, usize, f64)>, a: NodeId, bn: NodeId, g: f64| {
             let (ra, rb) = (map.node_row(a), map.node_row(bn));
-            if let Some(i) = ra {
-                list.push((i, i, g));
-            }
-            if let Some(j) = rb {
-                list.push((j, j, g));
-            }
-            if let (Some(i), Some(j)) = (ra, rb) {
-                list.push((i, j, -g));
-                list.push((j, i, -g));
-            }
+            stamp_conductance(ra, rb, g, &mut |r, c, v| list.push((r, c, v)));
         };
         let gm_stamp = |list: &mut Vec<(usize, usize, f64)>,
                         p: NodeId,
@@ -143,21 +134,14 @@ impl SmallSignal {
                         cp: NodeId,
                         cn: NodeId,
                         gm: f64| {
-            for (out, so) in [(map.node_row(p), 1.0), (map.node_row(n), -1.0)] {
-                let Some(row) = out else { continue };
-                for (ctrl, sc) in [(map.node_row(cp), 1.0), (map.node_row(cn), -1.0)] {
-                    if let Some(col) = ctrl {
-                        list.push((row, col, so * sc * gm));
-                    }
-                }
-            }
+            let (rp, rn) = (map.node_row(p), map.node_row(n));
+            let (rcp, rcn) = (map.node_row(cp), map.node_row(cn));
+            stamp_vccs(rp, rn, rcp, rcn, gm, &mut |r, c, v| list.push((r, c, v)));
         };
 
         for (idx, e) in circuit.elements().iter().enumerate() {
+            stamp_constant(map, idx, e, &mut |r, c, v| base.push((r, c, v)));
             match e {
-                Element::Resistor { a, b: bn, ohms, .. } => {
-                    adm(base, *a, *bn, 1.0 / ohms);
-                }
                 Element::Capacitor {
                     a, b: bn, farads, ..
                 } => {
@@ -182,41 +166,8 @@ impl SmallSignal {
                         b[r] += Complex::from_real(*ac_mag);
                     }
                 }
-                Element::VSource { p, n, ac_mag, .. } => {
-                    let br = map.branch_row(idx);
-                    if let Some(r) = map.node_row(*p) {
-                        base.push((r, br, 1.0));
-                        base.push((br, r, 1.0));
-                    }
-                    if let Some(r) = map.node_row(*n) {
-                        base.push((r, br, -1.0));
-                        base.push((br, r, -1.0));
-                    }
-                    b[br] = Complex::from_real(*ac_mag);
-                }
-                Element::Vcvs {
-                    p, n, cp, cn, gain, ..
-                } => {
-                    let br = map.branch_row(idx);
-                    if let Some(r) = map.node_row(*p) {
-                        base.push((r, br, 1.0));
-                        base.push((br, r, 1.0));
-                    }
-                    if let Some(r) = map.node_row(*n) {
-                        base.push((r, br, -1.0));
-                        base.push((br, r, -1.0));
-                    }
-                    if let Some(r) = map.node_row(*cp) {
-                        base.push((br, r, -gain));
-                    }
-                    if let Some(r) = map.node_row(*cn) {
-                        base.push((br, r, *gain));
-                    }
-                }
-                Element::Vccs {
-                    p, n, cp, cn, gm, ..
-                } => {
-                    gm_stamp(base, *p, *n, *cp, *cn, *gm);
+                Element::VSource { ac_mag, .. } => {
+                    b[map.branch_row(idx)] = Complex::from_real(*ac_mag);
                 }
                 Element::Mosfet {
                     name,
@@ -239,6 +190,7 @@ impl SmallSignal {
                     adm(caps, *src, *bn, ev.csb);
                     adm(caps, *d, *bn, ev.cdb);
                 }
+                Element::Resistor { .. } | Element::Vcvs { .. } | Element::Vccs { .. } => {}
             }
         }
 

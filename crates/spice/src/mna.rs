@@ -1,5 +1,5 @@
 //! Modified-nodal-analysis bookkeeping: mapping nodes and source branches
-//! to rows of the linear system.
+//! to rows of the linear system, and the stamp of every linear element.
 //!
 //! Unknown ordering: non-ground node voltages first (node `k` → row `k−1`),
 //! then one branch-current unknown per voltage source / VCVS in element
@@ -98,44 +98,90 @@ pub fn add_opt(vec: &mut [f64], row: Option<usize>, v: f64) {
     }
 }
 
-/// Accumulates a 2×2 conductance stamp between rows `a` and `b`.
+/// Walks a 2×2 conductance stamp between rows `a` and `b` through
+/// `add(row, col, value)` in a fixed order — `(a,a) (b,b) (a,b) (b,a)`,
+/// ground rows skipped.
 #[inline]
 pub fn stamp_conductance(
-    mat: &mut adc_numerics::Matrix,
     a: Option<usize>,
     b: Option<usize>,
     g: f64,
+    add: &mut impl FnMut(usize, usize, f64),
 ) {
     if let Some(i) = a {
-        mat.add_at(i, i, g);
+        add(i, i, g);
     }
     if let Some(j) = b {
-        mat.add_at(j, j, g);
+        add(j, j, g);
     }
     if let (Some(i), Some(j)) = (a, b) {
-        mat.add_at(i, j, -g);
-        mat.add_at(j, i, -g);
+        add(i, j, -g);
+        add(j, i, -g);
     }
 }
 
-/// Accumulates a transconductance stamp: current `gm·v(cp−cn)` leaving `p`
-/// (entering `n`).
+/// Walks a transconductance stamp through `add(row, col, value)`: current
+/// `gm·v(cp−cn)` leaving `p` (entering `n`), output rows outer, control
+/// columns inner, ground skipped.
 #[inline]
 pub fn stamp_vccs(
-    mat: &mut adc_numerics::Matrix,
     p: Option<usize>,
     n: Option<usize>,
     cp: Option<usize>,
     cn: Option<usize>,
     gm: f64,
+    add: &mut impl FnMut(usize, usize, f64),
 ) {
     for (out, sign_o) in [(p, 1.0), (n, -1.0)] {
         let Some(row) = out else { continue };
         for (ctrl, sign_c) in [(cp, 1.0), (cn, -1.0)] {
             if let Some(col) = ctrl {
-                mat.add_at(row, col, sign_o * sign_c * gm);
+                add(row, col, sign_o * sign_c * gm);
             }
         }
+    }
+}
+
+/// Walks the Jacobian entries of `element` (element `idx` of the circuit)
+/// that depend neither on the solution nor on time, through `add(row,
+/// col, value)`: a resistor's conductance, the branch incidence of a
+/// voltage source, a VCVS's incidence and control gain, and a VCCS's
+/// transconductance. Every other element kind stamps nothing here. DC,
+/// transient and small-signal analysis all stamp these entries through
+/// this one walk.
+pub fn stamp_constant(
+    map: &MnaMap,
+    idx: usize,
+    element: &Element,
+    add: &mut impl FnMut(usize, usize, f64),
+) {
+    let row = |node: &NodeId| map.node_row(*node);
+    match element {
+        Element::Resistor { a, b, ohms, .. } => stamp_conductance(row(a), row(b), 1.0 / ohms, add),
+        Element::VSource { p, n, .. } | Element::Vcvs { p, n, .. } => {
+            let br = map.branch_row(idx);
+            for (r, sgn) in [(row(p), 1.0), (row(n), -1.0)] {
+                if let Some(r) = r {
+                    add(r, br, sgn);
+                    add(br, r, sgn);
+                }
+            }
+            if let Element::Vcvs { cp, cn, gain, .. } = element {
+                if let Some(r) = row(cp) {
+                    add(br, r, -gain);
+                }
+                if let Some(r) = row(cn) {
+                    add(br, r, *gain);
+                }
+            }
+        }
+        Element::Vccs {
+            p, n, cp, cn, gm, ..
+        } => stamp_vccs(row(p), row(n), row(cp), row(cn), *gm, add),
+        Element::Capacitor { .. }
+        | Element::Switch { .. }
+        | Element::ISource { .. }
+        | Element::Mosfet { .. } => {}
     }
 }
 
@@ -194,14 +240,14 @@ mod tests {
     #[test]
     fn conductance_stamp_symmetry() {
         let mut m = Matrix::zeros(2, 2);
-        stamp_conductance(&mut m, Some(0), Some(1), 0.5);
+        stamp_conductance(Some(0), Some(1), 0.5, &mut |r, c, v| m.add_at(r, c, v));
         assert_eq!(m[(0, 0)], 0.5);
         assert_eq!(m[(1, 1)], 0.5);
         assert_eq!(m[(0, 1)], -0.5);
         assert_eq!(m[(1, 0)], -0.5);
         // grounded side only touches the diagonal
         let mut m = Matrix::zeros(2, 2);
-        stamp_conductance(&mut m, Some(1), None, 2.0);
+        stamp_conductance(Some(1), None, 2.0, &mut |r, c, v| m.add_at(r, c, v));
         assert_eq!(m[(1, 1)], 2.0);
         assert_eq!(m[(0, 0)], 0.0);
     }
@@ -209,7 +255,9 @@ mod tests {
     #[test]
     fn vccs_stamp_signs() {
         let mut m = Matrix::zeros(4, 4);
-        stamp_vccs(&mut m, Some(0), Some(1), Some(2), Some(3), 1e-3);
+        stamp_vccs(Some(0), Some(1), Some(2), Some(3), 1e-3, &mut |r, c, v| {
+            m.add_at(r, c, v)
+        });
         assert_eq!(m[(0, 2)], 1e-3);
         assert_eq!(m[(0, 3)], -1e-3);
         assert_eq!(m[(1, 2)], -1e-3);

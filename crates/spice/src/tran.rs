@@ -49,7 +49,7 @@
 use crate::dc::stamp_mosfets;
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
-use crate::mna::{add_opt, stamp_conductance, stamp_vccs, MnaMap};
+use crate::mna::{add_opt, stamp_conductance, stamp_constant, stamp_vccs, MnaMap};
 use crate::mosfet::eval_mosfet;
 use crate::netlist::{Circuit, ClockPhase, Element, NodeId};
 use crate::{SpiceError, SpiceResult};
@@ -422,86 +422,6 @@ fn apply_ic(map: &MnaMap, ic: &InitialCondition, x: &mut [f64]) -> SpiceResult<(
     Ok(())
 }
 
-/// Walks a 2×2 conductance stamp's positions/values in a fixed order —
-/// `(i,i) (j,j) (i,j) (j,i)`, ground rows skipped. Both the slot-map
-/// recording and the per-step value buffering go through this single
-/// helper, so they can never disagree on stamp order.
-#[inline]
-fn cond_pattern(
-    a: Option<usize>,
-    b: Option<usize>,
-    g: f64,
-    add: &mut impl FnMut(usize, usize, f64),
-) {
-    if let Some(i) = a {
-        add(i, i, g);
-    }
-    if let Some(j) = b {
-        add(j, j, g);
-    }
-    if let (Some(i), Some(j)) = (a, b) {
-        add(i, j, -g);
-        add(j, i, -g);
-    }
-}
-
-/// Walks the stamps that are constant across the whole transient run:
-/// resistors, source branch patterns and controlled sources. Switches,
-/// capacitors (value varies with phase/step) and MOSFETs (vary per Newton
-/// iteration) replay through slot maps instead; independent-source values
-/// live in the time-varying `b(t)` vector.
-fn stamp_tran_static(circuit: &Circuit, map: &MnaMap, add: &mut impl FnMut(usize, usize, f64)) {
-    for (idx, e) in circuit.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                cond_pattern(map.node_row(*a), map.node_row(*b), 1.0 / ohms, add);
-            }
-            Element::Capacitor { .. } | Element::Switch { .. } | Element::Mosfet { .. } => {}
-            Element::ISource { .. } => {
-                // Current sources only touch b(t).
-            }
-            Element::VSource { p, n, .. } => {
-                let br = map.branch_row(idx);
-                for (r, sgn) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    if let Some(r) = r {
-                        add(r, br, sgn);
-                        add(br, r, sgn);
-                    }
-                }
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let br = map.branch_row(idx);
-                for (r, sgn) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    if let Some(r) = r {
-                        add(r, br, sgn);
-                        add(br, r, sgn);
-                    }
-                }
-                if let Some(r) = map.node_row(*cp) {
-                    add(br, r, -gain);
-                }
-                if let Some(r) = map.node_row(*cn) {
-                    add(br, r, *gain);
-                }
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                for (out, so) in [(map.node_row(*p), 1.0), (map.node_row(*n), -1.0)] {
-                    let Some(row) = out else { continue };
-                    for (ctrl, sc) in [(map.node_row(*cp), 1.0), (map.node_row(*cn), -1.0)] {
-                        if let Some(col) = ctrl {
-                            add(row, col, so * sc * gm);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Precomputed per-switch restamp data: matrix rows and the two
 /// conductances the phase toggles between.
 #[derive(Debug, Clone, Copy)]
@@ -583,21 +503,21 @@ impl TranWorkspace {
     /// [`SpiceError::BadNetlist`] if the circuit has no unknowns.
     pub fn with_solver(circuit: &Circuit, choice: SolverChoice) -> SpiceResult<Self> {
         let engine = Engine::new(circuit, choice, |map, p| {
-            stamp_tran_static(circuit, map, &mut |r, c, _| p.push(r, c));
+            for (idx, e) in circuit.elements().iter().enumerate() {
+                stamp_constant(map, idx, e, &mut |r, c, _| p.push(r, c));
+            }
             p.close();
             for e in circuit.elements() {
                 if let Element::Switch { a, b, .. } = e {
-                    cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                        p.push(r, c);
-                    });
+                    let (ra, rb) = (map.node_row(*a), map.node_row(*b));
+                    stamp_conductance(ra, rb, 0.0, &mut |r, c, _| p.push(r, c));
                 }
             }
             p.close();
             for e in circuit.elements() {
                 if let Element::Capacitor { a, b, .. } = e {
-                    cond_pattern(map.node_row(*a), map.node_row(*b), 0.0, &mut |r, c, _| {
-                        p.push(r, c);
-                    });
+                    let (ra, rb) = (map.node_row(*a), map.node_row(*b));
+                    stamp_conductance(ra, rb, 0.0, &mut |r, c, _| p.push(r, c));
                 }
             }
             p.close();
@@ -649,7 +569,9 @@ impl TranWorkspace {
             *self = TranWorkspace::with_solver(circuit, self.engine.choice())?;
         }
         self.engine.restamp_base(|map, vals| {
-            stamp_tran_static(circuit, map, &mut |_, _, v| vals.push(v));
+            for (idx, e) in circuit.elements().iter().enumerate() {
+                stamp_constant(map, idx, e, &mut |_, _, v| vals.push(v));
+            }
         });
         let map = self.engine.map();
         apply_ic(map, ic, &mut self.x)?;
@@ -693,12 +615,12 @@ impl TranWorkspace {
         let sw_vals = &mut self.sw_vals;
         sw_vals.clear();
         for sw in &self.switches {
-            cond_pattern(sw.ra, sw.rb, sw.goff, &mut |_, _, v| sw_vals.push(v));
+            stamp_conductance(sw.ra, sw.rb, sw.goff, &mut |_, _, v| sw_vals.push(v));
         }
         let cap_vals = &mut self.cap_vals;
         cap_vals.clear();
         for cap in &self.caps {
-            cond_pattern(cap.ra, cap.rb, 0.0, &mut |_, _, v| cap_vals.push(v));
+            stamp_conductance(cap.ra, cap.rb, 0.0, &mut |_, _, v| cap_vals.push(v));
         }
         self.phase_valid = false;
         self.cur_dt = 0.0;
@@ -723,7 +645,7 @@ impl TranWorkspace {
             } else {
                 sw.goff
             };
-            cond_pattern(sw.ra, sw.rb, g, &mut |_, _, v| sw_vals.push(v));
+            stamp_conductance(sw.ra, sw.rb, g, &mut |_, _, v| sw_vals.push(v));
         }
     }
 
@@ -741,7 +663,7 @@ impl TranWorkspace {
         let cap_vals = &mut self.cap_vals;
         cap_vals.clear();
         for cap in &self.caps {
-            cond_pattern(cap.ra, cap.rb, cap.geq, &mut |_, _, v| cap_vals.push(v));
+            stamp_conductance(cap.ra, cap.rb, cap.geq, &mut |_, _, v| cap_vals.push(v));
         }
     }
 
@@ -1433,7 +1355,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
                         let g = 1.0 / ohms;
                         let (ra, rb) = (map.node_row(*a), map.node_row(*b));
                         let dv = volt_of(&x, *a) - volt_of(&x, *b);
-                        stamp_conductance(&mut jac, ra, rb, g);
+                        stamp_conductance(ra, rb, g, &mut |r, c, v| jac.add_at(r, c, v));
                         add_opt(&mut res, ra, g * dv);
                         add_opt(&mut res, rb, -g * dv);
                     }
@@ -1452,7 +1374,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
                         let g = 1.0 / if closed { *ron } else { *roff };
                         let (ra, rb) = (map.node_row(*a), map.node_row(*b));
                         let dv = volt_of(&x, *a) - volt_of(&x, *b);
-                        stamp_conductance(&mut jac, ra, rb, g);
+                        stamp_conductance(ra, rb, g, &mut |r, c, v| jac.add_at(r, c, v));
                         add_opt(&mut res, ra, g * dv);
                         add_opt(&mut res, rb, -g * dv);
                     }
@@ -1464,7 +1386,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
                         let v_new = volt_of(&x, *a) - volt_of(&x, *b);
                         // Trapezoidal: i_new = geq·(v_new − v_old) − i_old
                         let i_new = geq * (v_new - st.v_old) - st.i_old;
-                        stamp_conductance(&mut jac, ra, rb, geq);
+                        stamp_conductance(ra, rb, geq, &mut |r, c, v| jac.add_at(r, c, v));
                         add_opt(&mut res, ra, i_new);
                         add_opt(&mut res, rb, -i_new);
                     }
@@ -1520,7 +1442,8 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> SpiceResult<TranResul
                     } => {
                         let (rp, rn) = (map.node_row(*p), map.node_row(*n));
                         let vc = volt_of(&x, *cp) - volt_of(&x, *cn);
-                        stamp_vccs(&mut jac, rp, rn, map.node_row(*cp), map.node_row(*cn), *gm);
+                        let (rcp, rcn) = (map.node_row(*cp), map.node_row(*cn));
+                        stamp_vccs(rp, rn, rcp, rcn, *gm, &mut |r, c, v| jac.add_at(r, c, v));
                         add_opt(&mut res, rp, gm * vc);
                         add_opt(&mut res, rn, -gm * vc);
                     }
