@@ -252,11 +252,6 @@ impl Solver<f64> {
 #[derive(Debug)]
 pub(crate) struct Engine {
     map: MnaMap,
-    elem_count: usize,
-    /// Wiring fingerprint ([`Circuit::topology_fingerprint`]) the pattern
-    /// was recorded for: a rewired circuit with equal node and element
-    /// counts must rebuild, not reuse.
-    fingerprint: u64,
     /// The selection the workspace was created with; rebuilds keep it.
     choice: SolverChoice,
     /// Recorded positions, kept to derive dense slots on demotion.
@@ -312,8 +307,6 @@ impl Engine {
         let len = solver.values_mut().len();
         Ok(Engine {
             map,
-            elem_count: circuit.elements().len(),
-            fingerprint: circuit.topology_fingerprint(),
             choice,
             entries,
             segments,
@@ -338,12 +331,10 @@ impl Engine {
         self.dependent = None;
     }
 
-    /// Whether this engine was bound to `circuit`'s topology (value
-    /// retuning keeps it valid; rewiring or reordering does not).
+    /// Whether this engine was bound to `circuit`'s topology
+    /// ([`MnaMap::matches`]).
     pub(crate) fn matches(&self, circuit: &Circuit) -> bool {
-        self.elem_count == circuit.elements().len()
-            && self.map.matches(circuit)
-            && self.fingerprint == circuit.topology_fingerprint()
+        self.map.matches(circuit)
     }
 
     /// The selection this engine was created with.

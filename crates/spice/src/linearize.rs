@@ -57,11 +57,6 @@ pub enum SolverChoice {
 #[derive(Debug, Clone, Default)]
 pub struct SmallSignal {
     map: Option<MnaMap>,
-    elem_count: usize,
-    /// Wiring fingerprint ([`Circuit::topology_fingerprint`]) the entry
-    /// lists were last stamped for — downstream slot maps must rebuild
-    /// when a rewired circuit reuses the same node/element counts.
-    fingerprint: u64,
     /// Frequency-independent stamps `(row, col, g)` — conductances, gm's,
     /// source incidence patterns, the optional floating-node g_min.
     pub base: Vec<(usize, usize, f64)>,
@@ -99,20 +94,10 @@ impl SmallSignal {
     /// # Errors
     /// [`SpiceError::NotFound`] if a MOSFET has no operating-point entry.
     pub fn bind(&mut self, circuit: &Circuit, op: &OperatingPoint, gmin: f64) -> SpiceResult<bool> {
-        let fingerprint = circuit.topology_fingerprint();
-        let topo_changed = match &self.map {
-            Some(m) => {
-                self.elem_count != circuit.elements().len()
-                    || self.fingerprint != fingerprint
-                    || !m.matches(circuit)
-            }
-            None => true,
-        };
+        let topo_changed = !self.map.as_ref().is_some_and(|m| m.matches(circuit));
         if topo_changed {
             let map = MnaMap::new(circuit);
             self.b = vec![Complex::ZERO; map.dim()];
-            self.elem_count = circuit.elements().len();
-            self.fingerprint = fingerprint;
             self.map = Some(map);
         } else {
             self.b.fill(Complex::ZERO);

@@ -14,6 +14,9 @@ pub struct MnaMap {
     /// element index → branch row (absolute), for VSource/VCVS elements.
     branch_rows: Vec<Option<usize>>,
     dim: usize,
+    /// Wiring fingerprint ([`Circuit::topology_fingerprint`]) of the
+    /// circuit the map was built for.
+    fingerprint: u64,
 }
 
 impl MnaMap {
@@ -32,6 +35,7 @@ impl MnaMap {
             node_count,
             branch_rows,
             dim: next,
+            fingerprint: circuit.topology_fingerprint(),
         }
     }
 
@@ -40,11 +44,12 @@ impl MnaMap {
         self.dim
     }
 
-    /// Whether this map is valid for `circuit`: same node count and the
-    /// same branch-unknown pattern over the element list. Node rows are
-    /// positional (`NodeId` order), so this is sufficient for reuse across
-    /// value retuning — and it rejects a *different* circuit that merely
-    /// has equal node/element counts (e.g. sources reordered).
+    /// Whether this map and every stamp pattern recorded with it are valid
+    /// for `circuit`: same node count, the same branch-unknown pattern over
+    /// the element list, and the same wiring fingerprint. Value retuning
+    /// keeps a map valid; a *different* circuit that merely has equal
+    /// node/element counts (sources reordered, an element rewired or of
+    /// another kind) does not.
     pub fn matches(&self, circuit: &Circuit) -> bool {
         self.node_count == circuit.node_count()
             && self.branch_rows.len() == circuit.elements().len()
@@ -55,6 +60,7 @@ impl MnaMap {
                 .all(|(e, br)| {
                     matches!(e, Element::VSource { .. } | Element::Vcvs { .. }) == br.is_some()
                 })
+            && self.fingerprint == circuit.topology_fingerprint()
     }
 
     /// Number of circuit nodes (including ground).
