@@ -30,7 +30,9 @@
 //! power or loading cost at this abstraction); the telescopic core is
 //! already inverting and connects its gate directly.
 
-use crate::opamp::{TelescopicParams, TwoStageParams};
+use crate::opamp::{
+    add_telescopic, add_two_stage, TelescopicParams, TwoStageParams, OTA_DEVICES, SERVO_GAIN,
+};
 use crate::power::StageDesign;
 use adc_spice::netlist::{Circuit, ClockPhase, NodeId};
 use adc_spice::process::Process;
@@ -48,10 +50,6 @@ fn sched(phase: ClockPhase, swap: bool) -> ClockPhase {
         ClockPhase::Phi2 => ClockPhase::Phi1,
     }
 }
-
-/// Servo loop gain of the per-stage output-bias servo (matches the OTA
-/// testbenches).
-const SERVO_GAIN: f64 = 200.0;
 
 /// Bias-injection resistance into the capacitive summing node, Ω. Large
 /// enough that the injection corner (with picofarad summing nodes) sits
@@ -83,54 +81,18 @@ impl OtaSizing {
             OtaSizing::TwoStage(p) => build_two_stage_core(process, p),
         }
     }
-
-    /// Local MOSFET names of the core (saturation checks).
-    pub fn device_names(&self) -> [&'static str; 4] {
-        ["M1", "M2", "M3", "M4"]
-    }
 }
 
 /// Builds the telescopic-cascode amplifier **core** as a subcircuit with
 /// ports `in` (gate), `out` and `vdd` — the amplifier of
-/// [`crate::opamp::build_telescopic`] without its testbench harness
-/// (supply, load, servo, stimulus), ready for hierarchical instantiation.
-/// Inverting from `in` to `out`.
+/// [`crate::opamp::build_telescopic`], added by the same function, without
+/// its testbench harness (supply, load, servo, stimulus), ready for
+/// hierarchical instantiation. Inverting from `in` to `out`.
 pub fn build_telescopic_core(process: &Process, p: &TelescopicParams) -> Subckt {
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
     let g = ckt.node("in");
-    let nc = ckt.node("ncasc");
-    let out = ckt.node("out");
-    let np = ckt.node("npcasc");
-    let vbn = ckt.node("vbn");
-    let vbp1 = ckt.node("vbp1");
-    let vbp2 = ckt.node("vbp2");
-
-    ckt.add_vsource("VBN", vbn, Circuit::GROUND, p.vbn);
-    ckt.add_vsource("VBP1", vbp1, Circuit::GROUND, p.vbp1);
-    ckt.add_vsource("VBP2", vbp2, Circuit::GROUND, p.vbp2);
-    ckt.add_mosfet(
-        "M1",
-        nc,
-        g,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w_in,
-        p.l_in,
-    );
-    ckt.add_mosfet(
-        "M2",
-        out,
-        vbn,
-        nc,
-        Circuit::GROUND,
-        process.nmos,
-        p.w_casc,
-        p.l_in,
-    );
-    ckt.add_mosfet("M3", out, vbp1, np, vdd, process.pmos, p.w_pcasc, p.l_p);
-    ckt.add_mosfet("M4", np, vbp2, vdd, vdd, process.pmos, p.w_psrc, p.l_p);
+    add_telescopic(&mut ckt, process, p, g, vdd);
     Subckt::new(
         "ota_tele",
         ckt,
@@ -140,53 +102,25 @@ pub fn build_telescopic_core(process: &Process, p: &TelescopicParams) -> Subckt 
 }
 
 /// Builds the two-stage Miller amplifier **core** as a subcircuit with
-/// ports `in`, `out` and `vdd`. The single-ended template is non-inverting
-/// gate→out; the differential OTA's inverting input is modeled by an ideal
-/// −1 VCVS at the gate, so the core is **inverting** from `in` to `out`
-/// like the telescopic one — the polarity the capacitive feedback network
-/// requires.
+/// ports `in`, `out` and `vdd`: the amplifier of
+/// [`crate::opamp::build_two_stage`], added by the same function, without
+/// its testbench harness. The
+/// single-ended template is non-inverting gate→out; the differential
+/// OTA's inverting input is modeled by an ideal −1 VCVS at the gate, so
+/// the core is **inverting** from `in` to `out` like the telescopic one —
+/// the polarity the capacitive feedback network requires.
 pub fn build_two_stage_core(process: &Process, p: &TwoStageParams) -> Subckt {
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
     let inp = ckt.node("in");
     let g = ckt.node("g");
     let ref2 = ckt.node("ref2");
-    let n1 = ckt.node("n1");
-    let out = ckt.node("out");
-    let cz = ckt.node("cz");
-    let vbp = ckt.node("vbp");
-    let vbn2 = ckt.node("vbn2");
 
     // Ideal inverting input: v(g) = v(ref2) − v(in); ref2 centers the gate
     // bias range, the stage servo absorbs the exact level.
     ckt.add_vsource("VR2", ref2, Circuit::GROUND, process.vdd / 2.0);
     ckt.add_vcvs("EINV", g, Circuit::GROUND, ref2, inp, 1.0);
-    ckt.add_vsource("VBP", vbp, Circuit::GROUND, p.vbp);
-    ckt.add_vsource("VBN2", vbn2, Circuit::GROUND, p.vbn2);
-    ckt.add_mosfet(
-        "M1",
-        n1,
-        g,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w1,
-        p.l1,
-    );
-    ckt.add_mosfet("M2", n1, vbp, vdd, vdd, process.pmos, p.w2, p.l1);
-    ckt.add_mosfet("M3", out, n1, vdd, vdd, process.pmos, p.w3, p.l2);
-    ckt.add_mosfet(
-        "M4",
-        out,
-        vbn2,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w4,
-        p.l2,
-    );
-    ckt.add_capacitor("CC", n1, cz, p.cc);
-    ckt.add_resistor("RZ", cz, out, p.rz);
+    add_two_stage(&mut ckt, process, p, g, vdd);
     Subckt::new(
         "ota_2st",
         ckt,
@@ -513,7 +447,7 @@ pub fn build_pipeline(
             &format!("s{k}"),
             &[("in", stage_in), ("out", out), ("vdd", vdd), ("vref", vref)],
         )?;
-        for d in cfg.ota.device_names() {
+        for d in OTA_DEVICES {
             devices.push(format!("{}.ota.{d}", inst.prefix()));
         }
         if opts.decouple {

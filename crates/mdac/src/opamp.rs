@@ -31,6 +31,10 @@ pub struct VarBound {
     pub log: bool,
 }
 
+/// Names of the amplifier MOSFETs of every template, M1–M4 (saturation
+/// checks).
+pub const OTA_DEVICES: [&str; 4] = ["M1", "M2", "M3", "M4"];
+
 /// A ready-to-simulate OTA testbench.
 #[derive(Debug, Clone)]
 pub struct OtaTestbench {
@@ -184,19 +188,33 @@ impl TelescopicParams {
     }
 }
 
-/// Servo loop gain used by all templates.
-const SERVO_GAIN: f64 = 200.0;
+/// Servo loop gain of every output-bias servo (the OTA testbenches and the
+/// MDAC stages).
+pub(crate) const SERVO_GAIN: f64 = 200.0;
 
-/// Adds the output-servo bias network. Returns the servo-driven bias node.
-///
-/// `inverting` describes the amplifier from the biased gate to the output:
-/// for an inverting amp the servo senses `out − target`, otherwise
-/// `target − out`.
-fn add_servo(ckt: &mut Circuit, out: NodeId, target_v: f64, inverting: bool) -> NodeId {
+/// Builds an OTA testbench around the amplifier that `amp` adds between
+/// the gate node `g` and the supply node `vdd`, returning its output: the
+/// supply, the load `c_load`, the output-servo bias network and the AC
+/// input in series with the servo bias. `inverting` is the amplifier's
+/// polarity from gate to output: for an inverting amplifier the servo
+/// senses `out − target`, otherwise `target − out`.
+fn testbench(
+    process: &Process,
+    c_load: f64,
+    inverting: bool,
+    amp: impl FnOnce(&mut Circuit, NodeId, NodeId) -> NodeId,
+) -> OtaTestbench {
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let g = ckt.node("g");
+    ckt.add_vsource("VDD", vdd, Circuit::GROUND, process.vdd);
+    let out = amp(&mut ckt, g, vdd);
+    ckt.add_capacitor("CL", out, Circuit::GROUND, c_load);
+
     let vt = ckt.node("servo_target");
     let lp = ckt.node("servo_lp");
     let vb = ckt.node("servo_bias");
-    ckt.add_vsource("VTGT", vt, Circuit::GROUND, target_v);
+    ckt.add_vsource("VTGT", vt, Circuit::GROUND, process.vdd / 2.0);
     ckt.add_resistor("RLP", out, lp, 1e6);
     ckt.add_capacitor("CLP", lp, Circuit::GROUND, 1e-3);
     if inverting {
@@ -204,55 +222,6 @@ fn add_servo(ckt: &mut Circuit, out: NodeId, target_v: f64, inverting: bool) -> 
     } else {
         ckt.add_vcvs("ESRV", vb, Circuit::GROUND, vt, lp, SERVO_GAIN);
     }
-    vb
-}
-
-/// Builds the telescopic-cascode testbench with load `c_load`.
-pub fn build_telescopic(process: &Process, p: &TelescopicParams, c_load: f64) -> OtaTestbench {
-    let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let g = ckt.node("g");
-    let nc = ckt.node("ncasc");
-    let out = ckt.node("out");
-    let np = ckt.node("npcasc");
-    let vbn = ckt.node("vbn");
-    let vbp1 = ckt.node("vbp1");
-    let vbp2 = ckt.node("vbp2");
-
-    ckt.add_vsource("VDD", vdd, Circuit::GROUND, process.vdd);
-    ckt.add_vsource("VBN", vbn, Circuit::GROUND, p.vbn);
-    ckt.add_vsource("VBP1", vbp1, Circuit::GROUND, p.vbp1);
-    ckt.add_vsource("VBP2", vbp2, Circuit::GROUND, p.vbp2);
-
-    // NMOS input + cascode.
-    ckt.add_mosfet(
-        "M1",
-        nc,
-        g,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w_in,
-        p.l_in,
-    );
-    ckt.add_mosfet(
-        "M2",
-        out,
-        vbn,
-        nc,
-        Circuit::GROUND,
-        process.nmos,
-        p.w_casc,
-        p.l_in,
-    );
-    // PMOS cascode + current source.
-    ckt.add_mosfet("M3", out, vbp1, np, vdd, process.pmos, p.w_pcasc, p.l_p);
-    ckt.add_mosfet("M4", np, vbp2, vdd, vdd, process.pmos, p.w_psrc, p.l_p);
-
-    ckt.add_capacitor("CL", out, Circuit::GROUND, c_load);
-
-    // Common-source NMOS input → inverting from gate to output.
-    let vb = add_servo(&mut ckt, out, process.vdd / 2.0, true);
     // AC input in series with the servo bias.
     ckt.add_vsource_wave("VIN", g, vb, 0.0.into(), 1.0);
 
@@ -261,9 +230,50 @@ pub fn build_telescopic(process: &Process, p: &TelescopicParams, c_load: f64) ->
         output: out,
         input_source: "VIN".to_string(),
         supply: "VDD".to_string(),
-        devices: vec!["M1".into(), "M2".into(), "M3".into(), "M4".into()],
+        devices: OTA_DEVICES.map(String::from).to_vec(),
         c_load,
     }
+}
+
+/// Adds the telescopic-cascode amplifier between gate `g` and supply
+/// `vdd`: its three bias sources, the NMOS input and cascode (M1, M2) and
+/// the PMOS cascode and current source (M3, M4). Returns the output node;
+/// the amplifier is inverting from `g` to it. The testbench and the MDAC
+/// stage core both add the amplifier through this function.
+pub(crate) fn add_telescopic(
+    ckt: &mut Circuit,
+    process: &Process,
+    p: &TelescopicParams,
+    g: NodeId,
+    vdd: NodeId,
+) -> NodeId {
+    let nc = ckt.node("ncasc");
+    let out = ckt.node("out");
+    let np = ckt.node("npcasc");
+    let vbn = ckt.node("vbn");
+    let vbp1 = ckt.node("vbp1");
+    let vbp2 = ckt.node("vbp2");
+
+    ckt.add_vsource("VBN", vbn, Circuit::GROUND, p.vbn);
+    ckt.add_vsource("VBP1", vbp1, Circuit::GROUND, p.vbp1);
+    ckt.add_vsource("VBP2", vbp2, Circuit::GROUND, p.vbp2);
+
+    // NMOS input + cascode.
+    let gnd = Circuit::GROUND;
+    ckt.add_mosfet("M1", nc, g, gnd, gnd, process.nmos, p.w_in, p.l_in);
+    ckt.add_mosfet("M2", out, vbn, nc, gnd, process.nmos, p.w_casc, p.l_in);
+    // PMOS cascode + current source.
+    ckt.add_mosfet("M3", out, vbp1, np, vdd, process.pmos, p.w_pcasc, p.l_p);
+    ckt.add_mosfet("M4", np, vbp2, vdd, vdd, process.pmos, p.w_psrc, p.l_p);
+    out
+}
+
+/// Builds the telescopic-cascode testbench with load `c_load`.
+pub fn build_telescopic(process: &Process, p: &TelescopicParams, c_load: f64) -> OtaTestbench {
+    // Common-source NMOS input → inverting from gate to output.
+    testbench(process, c_load, true, |ckt, g, vdd| {
+        add_telescopic(ckt, process, p, g, vdd)
+    })
 }
 
 /// Element handles into a [`build_telescopic`] netlist, resolved once so
@@ -493,63 +503,48 @@ impl TwoStageHandles {
     }
 }
 
-/// Builds the two-stage Miller testbench with load `c_load`.
-pub fn build_two_stage(process: &Process, p: &TwoStageParams, c_load: f64) -> OtaTestbench {
-    let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let g = ckt.node("g");
+/// Adds the two-stage Miller amplifier between gate `g` and supply `vdd`:
+/// its two bias sources, the NMOS common-source first stage with its PMOS
+/// current-source load (M1, M2), the PMOS common-source second stage with
+/// its NMOS sink (M3, M4) and the Miller capacitor `CC` with the
+/// zero-nulling resistor `RZ`. Returns the output node; the two inversions
+/// make the amplifier non-inverting from `g` to it. The testbench and the
+/// MDAC stage core both add the amplifier through this function.
+pub(crate) fn add_two_stage(
+    ckt: &mut Circuit,
+    process: &Process,
+    p: &TwoStageParams,
+    g: NodeId,
+    vdd: NodeId,
+) -> NodeId {
     let n1 = ckt.node("n1");
     let out = ckt.node("out");
     let cz = ckt.node("cz");
     let vbp = ckt.node("vbp");
     let vbn2 = ckt.node("vbn2");
 
-    ckt.add_vsource("VDD", vdd, Circuit::GROUND, process.vdd);
     ckt.add_vsource("VBP", vbp, Circuit::GROUND, p.vbp);
     ckt.add_vsource("VBN2", vbn2, Circuit::GROUND, p.vbn2);
 
     // Stage 1: NMOS common source with PMOS current-source load.
-    ckt.add_mosfet(
-        "M1",
-        n1,
-        g,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w1,
-        p.l1,
-    );
+    let gnd = Circuit::GROUND;
+    ckt.add_mosfet("M1", n1, g, gnd, gnd, process.nmos, p.w1, p.l1);
     ckt.add_mosfet("M2", n1, vbp, vdd, vdd, process.pmos, p.w2, p.l1);
     // Stage 2: PMOS common source with NMOS sink.
     ckt.add_mosfet("M3", out, n1, vdd, vdd, process.pmos, p.w3, p.l2);
-    ckt.add_mosfet(
-        "M4",
-        out,
-        vbn2,
-        Circuit::GROUND,
-        Circuit::GROUND,
-        process.nmos,
-        p.w4,
-        p.l2,
-    );
+    ckt.add_mosfet("M4", out, vbn2, gnd, gnd, process.nmos, p.w4, p.l2);
     // Miller compensation with zero-nulling resistor.
     ckt.add_capacitor("CC", n1, cz, p.cc);
     ckt.add_resistor("RZ", cz, out, p.rz);
+    out
+}
 
-    ckt.add_capacitor("CL", out, Circuit::GROUND, c_load);
-
+/// Builds the two-stage Miller testbench with load `c_load`.
+pub fn build_two_stage(process: &Process, p: &TwoStageParams, c_load: f64) -> OtaTestbench {
     // Two inversions → non-inverting from gate to output.
-    let vb = add_servo(&mut ckt, out, process.vdd / 2.0, false);
-    ckt.add_vsource_wave("VIN", g, vb, 0.0.into(), 1.0);
-
-    OtaTestbench {
-        circuit: ckt,
-        output: out,
-        input_source: "VIN".to_string(),
-        supply: "VDD".to_string(),
-        devices: vec!["M1".into(), "M2".into(), "M3".into(), "M4".into()],
-        c_load,
-    }
+    testbench(process, c_load, false, |ckt, g, vdd| {
+        add_two_stage(ckt, process, p, g, vdd)
+    })
 }
 
 #[cfg(test)]
