@@ -252,9 +252,10 @@ fn main() {
         vtb.supply.clone(),
         vtb.devices.clone(),
     );
-    let mut chain_opts = ChainOptions::default();
-    chain_opts.dc.nodeset = vtb.nodeset();
-    chain_opts.dc.damping = adc_spice::dc::DcDamping::PerNode;
+    let chain_opts = ChainOptions {
+        dc: vtb.dc_options(),
+        ..ChainOptions::default()
+    };
     let mut chain_dc = DcWorkspace::new(&vtb.circuit).unwrap();
     let chain_dc_opts = vtb.dc_options();
     time_us("chain: DC", 200, || {

@@ -256,8 +256,8 @@ fn main() {
         evals: hits,
     });
 
-    // Fault-tolerance overhead: the guarded serial path (template
-    // validation + catch_unwind + retry bookkeeping per block) vs a
+    // Fault-tolerance overhead: the guarded serial path (catch_unwind +
+    // retry bookkeeping per block) vs a
     // reconstruction of the raw pre-guard serial path on the same 13-bit
     // schedule. Reported as the wall-clock ratio raw/guarded — a
     // machine-independent ≈ 1.0 when the guard rails are free — and the
@@ -348,7 +348,6 @@ fn main() {
 
     // Chain-evaluation throughput: full evaluate (DC + probes + TF) with
     // the sparse auto-selection, the dense override, and the DC leg alone.
-    use adc_spice::dc::DcDamping;
     use adc_spice::linearize::SolverChoice;
     use adc_synth::chain::{ChainEvaluator, ChainOptions};
     let tb = build_candidate_testbench(
@@ -365,9 +364,10 @@ fn main() {
         tb.supply.clone(),
         tb.devices.clone(),
     );
-    let mut chain_opts = ChainOptions::default();
-    chain_opts.dc.nodeset = tb.nodeset();
-    chain_opts.dc.damping = DcDamping::PerNode;
+    let chain_opts = ChainOptions {
+        dc: tb.dc_options(),
+        ..ChainOptions::default()
+    };
     let mut chain_ev = ChainEvaluator::new(chain_opts.clone());
     let (rate, n) = measure(1500, || {
         black_box(chain_ev.evaluate(&chain_bench).expect("chain eval"));

@@ -97,13 +97,6 @@ fn flow_hybrid_options() -> HybridOptions {
 /// the orchestration hot paths.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
-    /// An OTA template failed structural validation before synthesis.
-    Template {
-        /// Template that failed to materialize.
-        template: TemplateKind,
-        /// What went wrong.
-        detail: String,
-    },
     /// A block exhausted its wall-clock budget.
     Timeout {
         /// Reuse key of the block.
@@ -123,9 +116,6 @@ pub enum FlowError {
 impl std::fmt::Display for FlowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FlowError::Template { template, detail } => {
-                write!(f, "{template:?} template invalid: {detail}")
-            }
             FlowError::Timeout { key, message } => {
                 write!(f, "block {key:?} timed out: {message}")
             }
@@ -336,44 +326,6 @@ fn constraints_for(req: &OtaRequirements) -> Vec<Constraint> {
     ]
 }
 
-/// Validates that a requirement set's OTA template materializes into a
-/// resolvable testbench **before** any synthesis attempt runs — the typed
-/// front door that makes the `resolve(..).expect(..)` calls inside the
-/// per-candidate builder closure unreachable on the guarded path.
-pub fn validate_template(process: &Process, req: &OtaRequirements) -> Result<(), FlowError> {
-    let probe: Vec<f64> = match req.template {
-        TemplateKind::Telescopic => TelescopicParams::bounds(),
-        TemplateKind::TwoStage => TwoStageParams::bounds(),
-    }
-    .into_iter()
-    .map(|b| {
-        if b.log {
-            (b.lo * b.hi).sqrt()
-        } else {
-            0.5 * (b.lo + b.hi)
-        }
-    })
-    .collect();
-    let resolved = match req.template {
-        TemplateKind::Telescopic => {
-            let tb = build_telescopic(process, &TelescopicParams::from_vec(&probe), req.c_load);
-            TelescopicHandles::resolve(&tb.circuit).is_some()
-        }
-        TemplateKind::TwoStage => {
-            let tb = build_two_stage(process, &TwoStageParams::from_vec(&probe), req.c_load);
-            TwoStageHandles::resolve(&tb.circuit).is_some()
-        }
-    };
-    if resolved {
-        Ok(())
-    } else {
-        Err(FlowError::Template {
-            template: req.template,
-            detail: "testbench element handles did not resolve".to_string(),
-        })
-    }
-}
-
 /// The synthesis evaluator of one block: the template's testbench at the
 /// block's load, built once and retuned in place per candidate, with every
 /// cold DC solve started from the operating point of the template's
@@ -387,8 +339,10 @@ fn block_evaluator(
     let proc = process.clone();
     // Builder runs once for the start sizing and once per evaluator;
     // every later candidate retunes the persistent testbench in place
-    // through the resolved element handles. The expects below are
-    // unreachable when [`validate_template`] passed.
+    // through the resolved element handles. The handles of the builders'
+    // own netlists always resolve (the `opamp` tests check it); were an
+    // expect below ever to fail, the panic would surface from the block's
+    // `catch_unwind` as a typed block failure.
     let build = move |x: &[f64]| -> BenchSetup {
         match template {
             TemplateKind::Telescopic => {
@@ -744,10 +698,10 @@ fn ladder_options(attempt: usize, deadline: Deadline) -> HybridOptions {
     opts
 }
 
-/// Executes one scheduled block under failure isolation: template
-/// validation up front, then the bounded retry ladder, each attempt behind
-/// `catch_unwind` with the combined run/block deadline. Timeouts are
-/// final; panics and typed errors escalate to the next rung.
+/// Executes one scheduled block under failure isolation: the bounded
+/// retry ladder, each attempt behind `catch_unwind` with the combined
+/// run/block deadline. Timeouts are final; panics and typed errors
+/// escalate to the next rung.
 fn run_block_guarded(
     process: &Process,
     b: &ScheduledBlock,
@@ -767,13 +721,6 @@ fn run_block_guarded(
             recovered: false,
             as_planned: true,
         });
-    }
-    if let Err(e) = validate_template(process, &b.req) {
-        return Err(BlockFailure::new(
-            FailureKind::Error,
-            e.to_string(),
-            elapsed(started),
-        ));
     }
     // Planned-warm bookkeeping: a missing warm source (its block failed)
     // demotes this block to a cold start; a tainted warm source (its block

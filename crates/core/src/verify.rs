@@ -179,9 +179,10 @@ pub fn verify_candidate(
     let tb = build_paired_testbench(spec, &pairs, params)?;
     // Chains do not converge without the testbench's own `.nodeset`
     // guesses and per-node damping.
-    let mut chain_opts = ChainOptions::default();
-    chain_opts.dc.nodeset = tb.nodeset();
-    chain_opts.dc.damping = adc_spice::dc::DcDamping::PerNode;
+    let chain_opts = ChainOptions {
+        dc: tb.dc_options(),
+        ..ChainOptions::default()
+    };
     let mut evaluator = ChainEvaluator::new(chain_opts);
     let bench = BenchSetup::new(
         tb.circuit.clone(),

@@ -21,6 +21,8 @@
 //!   design, which the evaluator solves once with the whole ladder, and
 //!   falls back to the node-set/zero guess.
 
+#[cfg(feature = "faults")]
+use crate::engine::injected_solve_fault;
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
 use crate::mna::{add_opt, stamp_conductance, stamp_constant, MnaMap};
@@ -281,10 +283,14 @@ impl DcWorkspace {
         self.engine.is_sparse()
     }
 
-    /// Starts a solve: rebuilds on a topology change (or re-indexes the
-    /// element names when only they changed), then restamps the linear
-    /// base.
+    /// Starts a solve: consults the `dc_solve` fault site, rebuilds on a
+    /// topology change (or re-indexes the element names when only they
+    /// changed), then restamps the linear base.
     fn prepare(&mut self, circuit: &Circuit) -> SpiceResult<()> {
+        #[cfg(feature = "faults")]
+        if let Some(e) = injected_solve_fault(adc_numerics::faults::SITE_DC_SOLVE, "dc") {
+            return Err(e);
+        }
         if !self.matches(circuit) {
             *self = DcWorkspace::with_solver(circuit, self.engine.choice())?;
         } else if !self.layout.names_match(circuit) {
@@ -469,31 +475,8 @@ pub fn dc_operating_point_with(
     circuit: &Circuit,
     opts: &DcOptions,
 ) -> SpiceResult<OperatingPoint> {
-    #[cfg(feature = "faults")]
-    if let Some(e) = injected_dc_fault() {
-        return Err(e);
-    }
     ws.prepare(circuit)?;
     solve_cold_or_dense(ws, circuit, opts)
-}
-
-/// Maps an armed `dc_solve` fault-injection rule to the failure the rest
-/// of the stack must absorb. `Corrupt` has no datum to corrupt at this
-/// layer, so it degrades to a convergence failure.
-#[cfg(feature = "faults")]
-fn injected_dc_fault() -> Option<SpiceError> {
-    use adc_numerics::faults::{self, FaultAction};
-    match faults::check(faults::SITE_DC_SOLVE)? {
-        FaultAction::FailConvergence | FaultAction::Corrupt => Some(SpiceError::DcConvergence {
-            residual: f64::INFINITY,
-            iterations: 0,
-        }),
-        FaultAction::Panic => panic!("injected fault: dc_solve panic"),
-        FaultAction::Timeout => Some(SpiceError::Timeout {
-            analysis: "dc",
-            iterations: 0,
-        }),
-    }
 }
 
 /// Iteration cap for a Newton attempt from a nearby point (a warm start,
@@ -520,10 +503,6 @@ pub fn dc_operating_point_warm(
     circuit: &Circuit,
     opts: &DcOptions,
 ) -> SpiceResult<OperatingPoint> {
-    #[cfg(feature = "faults")]
-    if let Some(e) = injected_dc_fault() {
-        return Err(e);
-    }
     ws.prepare(circuit)?;
     if ws.warm_valid {
         // Converge the warm attempt well past the cold tolerances: a good
@@ -604,10 +583,6 @@ pub fn dc_operating_point_newton(
     opts: &DcOptions,
     start: Option<&[f64]>,
 ) -> SpiceResult<OperatingPoint> {
-    #[cfg(feature = "faults")]
-    if let Some(e) = injected_dc_fault() {
-        return Err(e);
-    }
     ws.prepare(circuit)?;
     solve_or_dense(ws, circuit, |ws| solve_plain(ws, circuit, opts, start))
 }

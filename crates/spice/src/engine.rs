@@ -505,6 +505,29 @@ pub(crate) fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / reps.max(1) as f64
 }
 
+/// Maps an armed fault-injection rule at a solve's `site` (`dc_solve`,
+/// `tran_solve`) to the failure the rest of the stack must absorb; a
+/// timeout names `analysis`. `Corrupt` has no datum to corrupt at this
+/// layer, so it degrades to a convergence failure.
+#[cfg(feature = "faults")]
+pub(crate) fn injected_solve_fault(
+    site: &'static str,
+    analysis: &'static str,
+) -> Option<SpiceError> {
+    use adc_numerics::faults::{self, FaultAction};
+    match faults::check(site)? {
+        FaultAction::FailConvergence | FaultAction::Corrupt => Some(SpiceError::DcConvergence {
+            residual: f64::INFINITY,
+            iterations: 0,
+        }),
+        FaultAction::Panic => panic!("injected fault: {site} panic"),
+        FaultAction::Timeout => Some(SpiceError::Timeout {
+            analysis,
+            iterations: 0,
+        }),
+    }
+}
+
 /// Whether an armed `sparse_pivot` fault fails this refactorization:
 /// `Panic` panics, every other action reports an underflowed pivot.
 #[cfg(feature = "faults")]

@@ -47,6 +47,8 @@
 //! [`transient`] keeps the first test alone.
 
 use crate::dc::stamp_mosfets;
+#[cfg(feature = "faults")]
+use crate::engine::injected_solve_fault;
 use crate::engine::Engine;
 use crate::linearize::SolverChoice;
 use crate::mna::{add_opt, stamp_conductance, stamp_constant, stamp_vccs, MnaMap};
@@ -1229,7 +1231,7 @@ fn run_or_dense(
     run: impl Fn(&mut TranWorkspace) -> SpiceResult<TranResult>,
 ) -> SpiceResult<TranResult> {
     #[cfg(feature = "faults")]
-    if let Some(e) = injected_tran_fault() {
+    if let Some(e) = injected_solve_fault(adc_numerics::faults::SITE_TRAN_SOLVE, "tran") {
         return Err(e);
     }
     let out = run(ws);
@@ -1237,25 +1239,6 @@ fn run_or_dense(
         return run(ws);
     }
     out
-}
-
-/// Maps an armed `tran_solve` fault-injection rule to the failure the rest
-/// of the stack must absorb. `Corrupt` has no datum to corrupt at this
-/// layer, so it degrades to a convergence failure.
-#[cfg(feature = "faults")]
-fn injected_tran_fault() -> Option<SpiceError> {
-    use adc_numerics::faults::{self, FaultAction};
-    match faults::check(faults::SITE_TRAN_SOLVE)? {
-        FaultAction::FailConvergence | FaultAction::Corrupt => Some(SpiceError::DcConvergence {
-            residual: f64::INFINITY,
-            iterations: 0,
-        }),
-        FaultAction::Panic => panic!("injected fault: tran_solve panic"),
-        FaultAction::Timeout => Some(SpiceError::Timeout {
-            analysis: "tran",
-            iterations: 0,
-        }),
-    }
 }
 
 /// Per-capacitor trapezoidal state (oracle path).

@@ -304,12 +304,8 @@ impl ChainEvaluator {
     /// A human-readable reason (DC non-convergence, singular system,
     /// missing supply/devices).
     pub fn evaluate(&mut self, bench: &BenchSetup) -> Result<ChainReport, String> {
-        // Leg 1: DC.
-        if !self
-            .dc
-            .as_ref()
-            .is_some_and(|ws| ws.matches(&bench.circuit))
-        {
+        // Leg 1: DC (the workspace rebuilds itself on a topology change).
+        if self.dc.is_none() {
             self.dc = Some(
                 DcWorkspace::with_solver(&bench.circuit, self.solver)
                     .map_err(|e| format!("DC: {e}"))?,

@@ -238,11 +238,8 @@ impl Leg {
             .ok_or_else(|| TranChainError::NoInputSource(setup.input_source.clone()))?;
         setup.circuit.set_waveform(id, Waveform::Dc(hold));
 
-        if !self
-            .dc
-            .as_ref()
-            .is_some_and(|ws| ws.matches(&setup.circuit))
-        {
+        // Each workspace rebuilds itself on a topology change.
+        if self.dc.is_none() {
             self.dc =
                 Some(DcWorkspace::with_solver(&setup.circuit, solver).map_err(TranChainError::Dc)?);
         }
@@ -261,11 +258,7 @@ impl Leg {
             probes: setup.stage_outputs.clone(),
             ..Default::default()
         };
-        if !self
-            .tran
-            .as_ref()
-            .is_some_and(|ws| ws.matches(&setup.circuit))
-        {
+        if self.tran.is_none() {
             self.tran = Some(
                 TranWorkspace::with_solver(&setup.circuit, solver).map_err(TranChainError::Tran)?,
             );
