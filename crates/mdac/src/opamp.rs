@@ -33,7 +33,7 @@ pub struct VarBound {
 
 /// Names of the amplifier MOSFETs of every template, M1–M4 (saturation
 /// checks).
-pub const OTA_DEVICES: [&str; 4] = ["M1", "M2", "M3", "M4"];
+pub(crate) const OTA_DEVICES: [&str; 4] = ["M1", "M2", "M3", "M4"];
 
 /// A ready-to-simulate OTA testbench.
 #[derive(Debug, Clone)]
@@ -259,9 +259,26 @@ pub(crate) fn add_telescopic(
     ckt.add_vsource("VBP2", vbp2, Circuit::GROUND, p.vbp2);
 
     // NMOS input + cascode.
-    let gnd = Circuit::GROUND;
-    ckt.add_mosfet("M1", nc, g, gnd, gnd, process.nmos, p.w_in, p.l_in);
-    ckt.add_mosfet("M2", out, vbn, nc, gnd, process.nmos, p.w_casc, p.l_in);
+    ckt.add_mosfet(
+        "M1",
+        nc,
+        g,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        process.nmos,
+        p.w_in,
+        p.l_in,
+    );
+    ckt.add_mosfet(
+        "M2",
+        out,
+        vbn,
+        nc,
+        Circuit::GROUND,
+        process.nmos,
+        p.w_casc,
+        p.l_in,
+    );
     // PMOS cascode + current source.
     ckt.add_mosfet("M3", out, vbp1, np, vdd, process.pmos, p.w_pcasc, p.l_p);
     ckt.add_mosfet("M4", np, vbp2, vdd, vdd, process.pmos, p.w_psrc, p.l_p);
@@ -527,12 +544,29 @@ pub(crate) fn add_two_stage(
     ckt.add_vsource("VBN2", vbn2, Circuit::GROUND, p.vbn2);
 
     // Stage 1: NMOS common source with PMOS current-source load.
-    let gnd = Circuit::GROUND;
-    ckt.add_mosfet("M1", n1, g, gnd, gnd, process.nmos, p.w1, p.l1);
+    ckt.add_mosfet(
+        "M1",
+        n1,
+        g,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        process.nmos,
+        p.w1,
+        p.l1,
+    );
     ckt.add_mosfet("M2", n1, vbp, vdd, vdd, process.pmos, p.w2, p.l1);
     // Stage 2: PMOS common source with NMOS sink.
     ckt.add_mosfet("M3", out, n1, vdd, vdd, process.pmos, p.w3, p.l2);
-    ckt.add_mosfet("M4", out, vbn2, gnd, gnd, process.nmos, p.w4, p.l2);
+    ckt.add_mosfet(
+        "M4",
+        out,
+        vbn2,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        process.nmos,
+        p.w4,
+        p.l2,
+    );
     // Miller compensation with zero-nulling resistor.
     ckt.add_capacitor("CC", n1, cz, p.cc);
     ckt.add_resistor("RZ", cz, out, p.rz);

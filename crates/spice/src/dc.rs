@@ -275,7 +275,7 @@ impl DcWorkspace {
     /// retuning keeps it valid, while a reordered, rewired or
     /// kind-swapped element list rebuilds).
     pub fn matches(&self, circuit: &Circuit) -> bool {
-        self.engine.matches(circuit)
+        self.engine.map().matches(circuit)
     }
 
     /// Whether the Newton Jacobian currently factors sparse.

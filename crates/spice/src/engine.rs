@@ -331,12 +331,6 @@ impl Engine {
         self.dependent = None;
     }
 
-    /// Whether this engine was bound to `circuit`'s topology
-    /// ([`MnaMap::matches`]).
-    pub(crate) fn matches(&self, circuit: &Circuit) -> bool {
-        self.map.matches(circuit)
-    }
-
     /// The selection this engine was created with.
     pub(crate) fn choice(&self) -> SolverChoice {
         self.choice

@@ -8,7 +8,12 @@
 //! choices left are the floating-node `g_min` (AC uses one, TF extraction
 //! must not — it would perturb `det Y(s)`) and the complex frequency the
 //! entries are replayed at (`jω` for sweeps, arbitrary `s` for TF
-//! sampling).
+//! sampling). The entries of resistors, source branches, VCVS and VCCS
+//! come from [`stamp_constant`], the walk DC and transient analysis stamp
+//! them from too, so all three analyses share one rule per linear element;
+//! the linearizer itself adds capacitors, switches at their DC state, the
+//! AC source values and the MOSFET small-signal model (three
+//! [`stamp_vccs`] and five [`stamp_conductance`] stamps per device).
 //!
 //! [`ComplexMnaWorkspace`] then assembles those entry lists into a dense
 //! or a CSR engine, chosen by structural fill ratio exactly as for the

@@ -8,9 +8,9 @@
 //!
 //! Two paths coexist:
 //!
-//! * [`transient`] — the seed-era dense fixed-step engine, kept verbatim
-//!   as the **oracle**: every element restamps a dense Jacobian each
-//!   Newton iteration. Slow, simple, trusted.
+//! * [`transient`] — the seed-era dense fixed-step engine, kept as the
+//!   **oracle** with its own element loop: every element restamps a dense
+//!   Jacobian each Newton iteration. Slow, simple, trusted.
 //! * [`TranWorkspace`] + [`transient_with`] / [`transient_adaptive`] — the
 //!   production path, on the Newton Jacobian engine shared with DC
 //!   analysis (the crate-private `engine` module: stamp segments and
@@ -457,8 +457,9 @@ const MOSFETS: usize = 4;
 
 /// Reusable transient workspace: the MNA map, the stamp pattern and (on
 /// the sparse engine) the symbolic factorization are built once per
-/// circuit topology; every run restamps the static base (so value
-/// retuning is picked up), and the timestep loop itself performs **zero
+/// circuit topology; every run restamps the static base, the
+/// [`stamp_constant`] entries of every element (so value retuning is
+/// picked up), and the timestep loop itself performs **zero
 /// heap allocation** — switch and capacitor companion restamps replay
 /// buffered values through the frozen slots exactly like the MOSFET
 /// restamp path, and Newton warm-starts each step from the previous one.
@@ -555,7 +556,7 @@ impl TranWorkspace {
     /// Whether this workspace was built for `circuit`'s topology (value
     /// retuning keeps it valid; rewiring rebuilds).
     pub fn matches(&self, circuit: &Circuit) -> bool {
-        self.engine.matches(circuit)
+        self.engine.map().matches(circuit)
     }
 
     /// Whether the Newton Jacobian currently factors sparse.
