@@ -257,11 +257,10 @@ fn main() {
     });
 
     // Fault-tolerance overhead: the guarded serial path (catch_unwind +
-    // retry bookkeeping per block) vs a
-    // reconstruction of the raw pre-guard serial path on the same 13-bit
-    // schedule. Reported as the wall-clock ratio raw/guarded — a
-    // machine-independent ≈ 1.0 when the guard rails are free — and the
-    // two paths must stay bit-identical.
+    // retry bookkeeping per block) vs a reconstruction of the raw
+    // pre-guard serial path on the same 13-bit schedule. Reported as the
+    // wall-clock ratio raw/guarded — a machine-independent ≈ 1.0 when the
+    // guard rails are free — and the two paths must stay bit-identical.
     let spec13g = AdcSpec::date05(13);
     let cands13 = enumerate_candidates(13, 7);
     let guard_cfg = SynthConfig {
